@@ -21,6 +21,7 @@ from . import harness
 from .dataset import (
     Dataset,
     GeneratorConfig,
+    generator_config_from_dict,
     load_ivectors,
     load_trials,
     save_ivectors,
@@ -45,7 +46,11 @@ from .scorenorm import Cohort, snorm
 def _generator_from_args(args: argparse.Namespace) -> GeneratorConfig:
     if args.config:
         with open(args.config) as f:
-            cfg = GeneratorConfig(**json.load(f))
+            blob = json.load(f)
+        try:
+            cfg = generator_config_from_dict(blob)
+        except ValueError as e:
+            raise ValueError(f"{args.config}: {e}") from None
     else:
         cfg = GeneratorConfig(dim=args.dim or 50, n_speakers=args.speakers or 20,
                               sessions_per_speaker=args.sessions or 5,

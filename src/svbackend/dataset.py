@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -264,6 +265,19 @@ class GeneratorConfig:
         )
 
 
+def reject_unknown_keys(d: Mapping, cls: type, what: str) -> None:
+    """Raise ``ValueError`` naming every key of ``d`` that ``cls`` does not take."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls) if f.init})
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(map(str, unknown))}")
+
+
+def generator_config_from_dict(d: Mapping) -> GeneratorConfig:
+    """Build a generator config from its JSON object, rejecting unknown keys."""
+    reject_unknown_keys(d, GeneratorConfig, "generator")
+    return GeneratorConfig(**d)
+
+
 def _seed_streams(cfg: GeneratorConfig) -> tuple[np.random.Generator, np.random.Generator]:
     in_seq, out_seq = np.random.SeedSequence(cfg.seed).spawn(2)
     return np.random.default_rng(in_seq), np.random.default_rng(out_seq)
@@ -487,28 +501,133 @@ class Trial:
     is_target: bool
 
 
-_TRIAL_LABELS = {"target": True, "nontarget": False}
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-def load_trials(path: str | Path) -> list[Trial]:
+class TrialList:
+    """A trial list held as columns.
+
+    ``enrol_ids`` and ``test_ids`` are id tables; trial ``k`` pairs
+    ``enrol_ids[enrol_code[k]]`` with ``test_ids[test_code[k]]`` and is
+    a target trial when ``is_target[k]``.  Indexing and iteration build
+    ``Trial`` views; a list or tuple of ``Trial`` compares equal to the
+    trial list holding the same trials in the same order.
+    """
+
+    __slots__ = ("enrol_ids", "test_ids", "enrol_code", "test_code", "is_target")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        enrol_ids: Sequence[str],
+        test_ids: Sequence[str],
+        enrol_code: np.ndarray,
+        test_code: np.ndarray,
+        is_target: np.ndarray,
+    ) -> None:
+        self.enrol_ids = tuple(enrol_ids)
+        self.test_ids = tuple(test_ids)
+        self.enrol_code = _read_only(np.array(enrol_code, dtype=np.intp))
+        self.test_code = _read_only(np.array(test_code, dtype=np.intp))
+        self.is_target = _read_only(np.array(is_target, dtype=bool))
+        n = self.is_target.shape
+        if self.is_target.ndim != 1 or self.enrol_code.shape != n or self.test_code.shape != n:
+            raise ValueError("trial columns must be 1-D and of equal length")
+        for side, ids, code in (
+            ("enrol", self.enrol_ids, self.enrol_code),
+            ("test", self.test_ids, self.test_code),
+        ):
+            if code.size and not 0 <= code.min() <= code.max() < len(ids):
+                raise ValueError(f"{side} code out of range of the {side} id table")
+
+    @classmethod
+    def from_trials(cls, trials: "Iterable[Trial] | TrialList") -> "TrialList":
+        """Columnar form of ``trials``; a ``TrialList`` is returned as is."""
+        if isinstance(trials, TrialList):
+            return trials
+        trials = list(trials)
+        e_index: dict[str, int] = {}
+        t_index: dict[str, int] = {}
+        return cls(
+            e_index,
+            t_index,
+            [e_index.setdefault(t.enrol_id, len(e_index)) for t in trials],
+            [t_index.setdefault(t.test_id, len(t_index)) for t in trials],
+            [t.is_target for t in trials],
+        )
+
+    def __len__(self) -> int:
+        return self.is_target.shape[0]
+
+    def __getitem__(self, k: int) -> Trial:
+        return Trial(
+            self.enrol_ids[self.enrol_code[k]],
+            self.test_ids[self.test_code[k]],
+            bool(self.is_target[k]),
+        )
+
+    def __iter__(self) -> Iterator[Trial]:
+        e, t = self.id_columns()
+        return map(Trial, e.tolist(), t.tolist(), self.is_target.tolist())
+
+    def id_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Enrol and test id of every trial, as object arrays."""
+        return (
+            np.array(self.enrol_ids, dtype=object)[self.enrol_code],
+            np.array(self.test_ids, dtype=object)[self.test_code],
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrialList):
+            if not isinstance(other, (list, tuple)) or not all(
+                isinstance(t, Trial) for t in other
+            ):
+                return NotImplemented
+            other = TrialList.from_trials(other)
+        if len(self) != len(other):
+            return False
+        return np.array_equal(self.is_target, other.is_target) and all(
+            np.array_equal(a, b) for a, b in zip(self.id_columns(), other.id_columns())
+        )
+
+    def __repr__(self) -> str:
+        n_e, n_t = len(self.enrol_ids), len(self.test_ids)
+        return f"TrialList({len(self)} trials over {n_e} enrol x {n_t} test ids)"
+
+
+#: Trial label text and whether it marks a target trial.
+TRIAL_LABELS = {"target": True, "nontarget": False}
+
+
+def load_trials(path: str | Path) -> TrialList:
     """Parse a trial list of lines ``enrol test target|nontarget``."""
-    trials = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) != 3:
-            raise ValueError(
-                f"{path}: line {lineno}: expected 'enrol test target|nontarget'"
-            )
-        if tokens[2] not in _TRIAL_LABELS:
-            raise ValueError(f"{path}: line {lineno}: unknown label '{tokens[2]}'")
-        trials.append(Trial(tokens[0], tokens[1], _TRIAL_LABELS[tokens[2]]))
-    return trials
+    e_index: dict[str, int] = {}
+    t_index: dict[str, int] = {}
+    e_code, t_code, labels = array("q"), array("q"), array("b")
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            if len(tokens) != 3:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected 'enrol test target|nontarget'"
+                )
+            enrol, test, label = tokens
+            is_target = TRIAL_LABELS.get(label)
+            if is_target is None:
+                raise ValueError(f"{path}: line {lineno}: unknown label '{label}'")
+            e_code.append(e_index.setdefault(enrol, len(e_index)))
+            t_code.append(t_index.setdefault(test, len(t_index)))
+            labels.append(is_target)
+    return TrialList(e_index, t_index, e_code, t_code, labels)
 
 
-def save_trials(trials: Sequence[Trial], path: str | Path) -> None:
-    lines = [
-        f"{t.enrol_id} {t.test_id} {'target' if t.is_target else 'nontarget'}" for t in trials
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+def save_trials(trials: "Sequence[Trial] | TrialList", path: str | Path) -> None:
+    trials = TrialList.from_trials(trials)
+    enrol, test = trials.id_columns()
+    labels = np.where(trials.is_target, "target", "nontarget")
+    lines = map("{} {} {}\n".format, enrol.tolist(), test.tolist(), labels.tolist())
+    Path(path).write_text("".join(lines))

@@ -26,8 +26,10 @@ import numpy as np
 from .dataset import (
     Dataset,
     GeneratorConfig,
-    Trial,
+    TrialList,
     apply_duration_noise,
+    generator_config_from_dict,
+    reject_unknown_keys,
     synth_dataset,
 )
 from .gplda import PldaModel, ScoreSet, length_normalize, score_trials, train_gplda
@@ -182,13 +184,16 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
+    """Inverse of ``config_to_dict``; unknown keys raise ``ValueError`` naming them."""
+    reject_unknown_keys(d, ExperimentConfig, "experiment config")
     d = dict(d)
-    gen_d = dict(d.pop("generator", {}))
-    gen = GeneratorConfig(**gen_d)
+    gen = generator_config_from_dict(d.pop("generator", {}))
     durations = tuple(
         None if x in (None, "full") else float(x) for x in d.pop("durations", ["full"])
     )
     dcf_d = d.pop("dcf", None)
+    if dcf_d:
+        reject_unknown_keys(dcf_d, DcfParams, "dcf")
     dcf = DcfParams(**dcf_d) if dcf_d else DcfParams()
     seeds = tuple(d.pop("seeds", [0]))
     return ExperimentConfig(generator=gen, durations=durations, seeds=seeds, dcf=dcf, **d)
@@ -220,26 +225,28 @@ class RunData:
     swb_cohort: Dataset
     enrol_pos: tuple[int, ...]
     test_pos: tuple[int, ...]
-    trials: tuple[Trial, ...]
+    trials: TrialList
 
 
-def build_trials(eval_ds: Dataset) -> tuple[tuple[int, ...], tuple[int, ...], tuple[Trial, ...]]:
+def build_trials(eval_ds: Dataset) -> tuple[tuple[int, ...], tuple[int, ...], TrialList]:
     """First session of each speaker enrols; all remaining sessions are tested
-    against every enrolment (full cross trial list)."""
+    against every enrolment (full cross trial list, enrolment-major)."""
     enrol_pos: list[int] = []
     test_pos: list[int] = []
     for spk in eval_ds.speakers:
         pos = eval_ds.index[spk]
         enrol_pos.append(pos[0])
         test_pos.extend(pos[1:])
-    trials = tuple(
-        Trial(
-            eval_ds.items[e].id,
-            eval_ds.items[t].id,
-            eval_ds.items[e].speaker == eval_ds.items[t].speaker,
-        )
-        for e in enrol_pos
-        for t in test_pos
+    items = eval_ds.items
+    n_e, n_t = len(enrol_pos), len(test_pos)
+    e_spk = np.array([items[e].speaker for e in enrol_pos], dtype=object)
+    t_spk = np.array([items[t].speaker for t in test_pos], dtype=object)
+    trials = TrialList(
+        [items[e].id for e in enrol_pos],
+        [items[t].id for t in test_pos],
+        np.repeat(np.arange(n_e), n_t),
+        np.tile(np.arange(n_t), n_e),
+        (e_spk[:, None] == t_spk[None, :]).ravel(),
     )
     return tuple(enrol_pos), tuple(test_pos), trials
 

@@ -59,17 +59,41 @@ def _tar_non(scores: ScoreSet, which: str) -> tuple[np.ndarray, np.ndarray]:
     return tar, non
 
 
-def _staircase(tar: np.ndarray, non: np.ndarray) -> list[tuple[float, float]]:
-    """Operating points (FA, MISS) for every candidate threshold, ascending."""
+def _staircase(tar: np.ndarray, non: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Operating points (FA, MISS) for every candidate threshold, ascending.
+
+    Returned as two arrays; the first point is (1, 0) and the last (0, 1).
+    """
     thresholds = np.unique(np.concatenate([tar, non]))
     tar_sorted = np.sort(tar)
     non_sorted = np.sort(non)
     fa = (non.size - np.searchsorted(non_sorted, thresholds, side="left")) / non.size
     miss = np.searchsorted(tar_sorted, thresholds, side="left") / tar.size
-    points = [(1.0, 0.0)]
-    points.extend(zip(fa.tolist(), miss.tolist()))
-    points.append((0.0, 1.0))
-    return points
+    return np.concatenate([[1.0], fa, [0.0]]), np.concatenate([[0.0], miss, [1.0]])
+
+
+def _distinct(fa: np.ndarray, miss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The staircase with consecutive duplicate points collapsed."""
+    new = np.ones(fa.size, dtype=bool)
+    new[1:] = (fa[1:] != fa[:-1]) | (miss[1:] != miss[:-1])
+    return fa[new], miss[new]
+
+
+def _corners(fa: np.ndarray, miss: np.ndarray) -> list[tuple[float, float]]:
+    """Distinct staircase points without the interior points of horizontal
+    and vertical runs.
+
+    Such an interior point is exactly collinear with its neighbours (the
+    cross product in ``_lower_hull`` is exactly 0), so the hull pops it
+    anyway: dropping it first leaves the hull, and the EER, unchanged.
+    """
+    fa, miss = _distinct(fa, miss)
+    keep = np.ones(fa.size, dtype=bool)
+    keep[1:-1] = ~(
+        ((fa[:-2] == fa[1:-1]) & (fa[1:-1] == fa[2:]))
+        | ((miss[:-2] == miss[1:-1]) & (miss[1:-1] == miss[2:]))
+    )
+    return list(zip(fa[keep].tolist(), miss[keep].tolist()))
 
 
 def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -102,7 +126,7 @@ def _hull_eer(points: Sequence[tuple[float, float]]) -> float:
 def eer(scores: ScoreSet, which: str = "raw") -> float:
     """Equal error rate of the chosen score column, in [0, 1]."""
     tar, non = _tar_non(scores, which)
-    return _hull_eer(_staircase(tar, non))
+    return _hull_eer(_corners(*_staircase(tar, non)))
 
 
 def min_dcf(scores: ScoreSet, params: DcfParams = DcfParams(), which: str = "raw") -> DcfResult:
@@ -112,11 +136,9 @@ def min_dcf(scores: ScoreSet, params: DcfParams = DcfParams(), which: str = "raw
     so 1.0 means the scores are useless for this operating point.
     """
     tar, non = _tar_non(scores, which)
-    costs = [
-        params.c_miss * params.p_target * miss + params.c_fa * (1.0 - params.p_target) * fa
-        for fa, miss in _staircase(tar, non)
-    ]
-    value = min(costs)
+    fa, miss = _staircase(tar, non)
+    costs = params.c_miss * params.p_target * miss + params.c_fa * (1.0 - params.p_target) * fa
+    value = float(costs.min())
     return DcfResult(value, value / params.floor)
 
 
@@ -126,11 +148,8 @@ def det_points(scores: ScoreSet, which: str = "raw") -> list[tuple[float, float]
     Consecutive duplicate points are collapsed.
     """
     tar, non = _tar_non(scores, which)
-    out: list[tuple[float, float]] = []
-    for p in _staircase(tar, non):
-        if not out or out[-1] != p:
-            out.append(p)
-    return out
+    fa, miss = _distinct(*_staircase(tar, non))
+    return list(zip(fa.tolist(), miss.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,12 @@ compensation chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dataset import Dataset, DurationNoiseModel, apply_duration_noise
-from .gplda import PldaModel, ScoreSet, _pair_llr_terms
+from .gplda import PldaModel, ScoreSet, pair_llr
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,27 @@ def cohort_score_matrix(m: PldaModel, ds: Dataset, cohort: Cohort) -> np.ndarray
     """LLR of every dataset item (rows) against every cohort item (columns)."""
     if ds.dim != m.dim or cohort.vectors.dim != m.dim:
         raise ValueError(f"model expects dimension {m.dim}")
-    q_mat, p_mat, const = _pair_llr_terms(m)
-    u = ds.matrix() - m.mean
-    c = cohort.vectors.matrix() - m.mean
-    qu = 0.5 * np.einsum("ij,ij->i", u @ q_mat, u)
-    qc = 0.5 * np.einsum("ij,ij->i", c @ q_mat, c)
-    return qu[:, None] + qc[None, :] + u @ (p_mat @ c.T) + const
+    return pair_llr(m, ds.matrix(), cohort.vectors.matrix())
+
+
+def _side_stats(
+    side: str, table: Mapping[str, np.ndarray], ids: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cohort mean and population std of every id in ``ids``, from ``table``."""
+    stats: dict[str, tuple[float, float]] = {}
+    for utt, arr in table.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        sigma = float(arr.std())
+        if sigma == 0.0:
+            raise ValueError(
+                f"degenerate cohort: zero score variance on {side} side for '{utt}'"
+            )
+        stats[utt] = (float(arr.mean()), sigma)
+    missing = [utt for utt in ids if utt not in stats]
+    if missing:
+        raise ValueError(f"no {side} cohort scores for '{missing[0]}'")
+    mu, sd = np.array([stats[utt] for utt in ids], dtype=np.float64).reshape(-1, 2).T
+    return mu, sd
 
 
 def snorm_from_cohort_scores(
@@ -58,22 +73,12 @@ def snorm_from_cohort_scores(
     Invariant under a shared positive affine map of raw and cohort
     scores.  Raises when a side's cohort scores have zero variance.
     """
-    stats: dict[tuple[str, str], tuple[float, float]] = {}
-    for side, table in (("enrol", enrol_cohort), ("test", test_cohort)):
-        for utt, arr in table.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            sigma = float(arr.std())
-            if sigma == 0.0:
-                raise ValueError(
-                    f"degenerate cohort: zero score variance on {side} side for '{utt}'"
-                )
-            stats[(side, utt)] = (float(arr.mean()), sigma)
-    normalized = []
-    for st in scores.trials:
-        mu_e, sd_e = stats[("enrol", st.trial.enrol_id)]
-        mu_t, sd_t = stats[("test", st.trial.test_id)]
-        normalized.append(0.5 * ((st.raw_llr - mu_e) / sd_e + (st.raw_llr - mu_t) / sd_t))
-    return scores.with_normalized(normalized)
+    tl = scores.trial_list
+    mu_e, sd_e = _side_stats("enrol", enrol_cohort, tl.enrol_ids)
+    mu_t, sd_t = _side_stats("test", test_cohort, tl.test_ids)
+    s = scores.raw
+    e, t = tl.enrol_code, tl.test_code
+    return scores.with_normalized(0.5 * ((s - mu_e[e]) / sd_e[e] + (s - mu_t[t]) / sd_t[t]))
 
 
 def snorm(
@@ -84,25 +89,18 @@ def snorm(
     cohort: Cohort,
 ) -> ScoreSet:
     """Fill ``normalized_llr`` for every trial; raw scores are untouched."""
-    e_needed = {st.trial.enrol_id for st in scores.trials}
-    t_needed = {st.trial.test_id for st in scores.trials}
-    e_map = enrol.by_id()
-    t_map = test.by_id()
-    for utt in sorted(e_needed):
-        if utt not in e_map:
-            raise ValueError(f"unknown enrol id '{utt}'")
-    for utt in sorted(t_needed):
-        if utt not in t_map:
-            raise ValueError(f"unknown test id '{utt}'")
+    tl = scores.trial_list
 
-    def side_scores(ds: Dataset, needed: set[str]) -> dict[str, np.ndarray]:
-        items = [iv for iv in ds.items if iv.id in needed]
-        sub = Dataset(tuple(items), dim=ds.dim)
-        mat = cohort_score_matrix(m, sub, cohort)
-        return {iv.id: mat[i] for i, iv in enumerate(items)}
+    def side_scores(side: str, ds: Dataset, ids: Sequence[str]) -> dict[str, np.ndarray]:
+        needed = set(ids)
+        missing = sorted(needed - {iv.id for iv in ds.items})
+        if missing:
+            raise ValueError(f"unknown {side} id '{missing[0]}'")
+        sub = ds.subset([i for i, iv in enumerate(ds.items) if iv.id in needed])
+        return dict(zip((iv.id for iv in sub.items), cohort_score_matrix(m, sub, cohort)))
 
     return snorm_from_cohort_scores(
-        scores, side_scores(enrol, e_needed), side_scores(test, t_needed)
+        scores, side_scores("enrol", enrol, tl.enrol_ids), side_scores("test", test, tl.test_ids)
     )
 
 

@@ -8,6 +8,7 @@ from svbackend.dataset import (
     GeneratorConfig,
     IVector,
     Trial,
+    TrialList,
     apply_duration_noise,
     ground_truth_subspace,
     load_ivectors,
@@ -265,3 +266,24 @@ class TestTrialsIO:
         path = tmp_path / "t.txt"
         save_trials(trials, path)
         assert load_trials(path) == trials
+
+    def test_columns_follow_first_appearance(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("b x target\n\na y nontarget\nb y nontarget\n")
+        trials = load_trials(path)
+        assert isinstance(trials, TrialList)
+        assert trials.enrol_ids == ("b", "a") and trials.test_ids == ("x", "y")
+        assert trials.enrol_code.tolist() == [0, 1, 0]
+        assert trials.test_code.tolist() == [0, 1, 1]
+        assert trials.is_target.tolist() == [True, False, False]
+        assert trials[2] == Trial("b", "y", False)
+        out = tmp_path / "out.txt"
+        save_trials(trials, out)
+        assert out.read_text() == "b x target\na y nontarget\nb y nontarget\n"
+
+    def test_trial_list_validates_columns(self):
+        with pytest.raises(ValueError, match="equal length"):
+            TrialList(["a"], ["b"], [0, 0], [0], [True])
+        with pytest.raises(ValueError, match="test code out of range"):
+            TrialList(["a"], ["b"], [0], [1], [True])
+        assert TrialList(["a"], ["b"], [0], [0], [True]) != [Trial("a", "b", False)]

@@ -1,5 +1,11 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svbackend.dataset import Dataset, GeneratorConfig, Trial, ground_truth_subspace, synth_dataset
 from svbackend.gplda import (
@@ -288,3 +294,93 @@ class TestScoreSetAndPersistence:
         write_scores(ss, path)
         loaded = read_scores(path)
         assert loaded == ss
+
+
+def _seed_write_scores(scores, path):
+    """The row-by-row ``csv.writer`` writer that the columnar one must match."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["enrol", "test", "label", "raw_llr", "norm_llr"])
+        for row in scores:
+            w.writerow(
+                [
+                    row.trial.enrol_id,
+                    row.trial.test_id,
+                    "target" if row.trial.is_target else "nontarget",
+                    repr(row.raw_llr),
+                    "" if row.normalized_llr is None else repr(row.normalized_llr),
+                ]
+            )
+
+
+_IDS = st.text(alphabet='ab ,"x\'', max_size=5)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestColumnarScores:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(_IDS, _IDS, st.booleans(), _FINITE, st.one_of(st.none(), _FINITE)),
+            max_size=12,
+        )
+    )
+    def test_csv_round_trip_matches_row_writer_bytes(self, rows):
+        ss = ScoreSet(tuple(ScoredTrial(Trial(e, t, y), r, n) for e, t, y, r, n in rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
+            write_scores(ss, ours)
+            _seed_write_scores(ss, ref)
+            assert ours.read_bytes() == ref.read_bytes()
+            assert read_scores(ours) == ss
+
+    def test_columns_and_views_agree(self):
+        ss = ScoreSet(
+            (
+                ScoredTrial(Trial("e1", "t1", True), 1.25, 0.5),
+                ScoredTrial(Trial("e2", "t1", False), -3.5, None),
+                ScoredTrial(Trial("e1", "t2", False), 2.0, None),
+            )
+        )
+        tl = ss.trial_list
+        assert tl.enrol_ids == ("e1", "e2") and tl.test_ids == ("t1", "t2")
+        assert tl.enrol_code.tolist() == [0, 1, 0]
+        assert tl.test_code.tolist() == [0, 0, 1]
+        assert tl.is_target.tolist() == [True, False, False]
+        assert ss.raw.tolist() == [1.25, -3.5, 2.0]
+        assert np.isnan(ss.normalized[1:]).all() and ss.normalized[0] == 0.5
+        assert len(ss) == 3 and not ss.has_normalized
+        assert ScoreSet(tl, ss.raw, ss.normalized) == ss
+        assert list(ss) == list(ss.trials)
+        with pytest.raises(ValueError, match="non-finite raw score for trial.*e2"):
+            ScoreSet(tl, [1.0, np.nan, 2.0])
+        with pytest.raises(ValueError, match="non-finite normalized score for trial.*e1"):
+            ScoreSet(tl, ss.raw, [np.inf, np.nan, np.nan])
+        with pytest.raises(ValueError, match="one raw"):
+            ScoreSet(tl, [1.0])
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("e2,t2,nontarget,nan,", "line 3: non-finite raw score 'nan'"),
+            ("e2,t2,nontarget,1.0,inf", "line 3: non-finite normalized score 'inf'"),
+            ("e2,t2,nontarget,1.0,nan", "line 3: non-finite normalized score 'nan'"),
+            ("e2,t2,nontarget,1.x,", "line 3: malformed score"),
+            ("e2,t2,impostor,1.0,", "line 3: unknown label 'impostor'"),
+            ("e2,t2,nontarget,1.0", "line 3: expected 5 fields"),
+        ],
+    )
+    def test_malformed_rows_name_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"enrol,test,label,raw_llr,norm_llr\ne1,t1,target,0.5,\n{row}\n")
+        with pytest.raises(ValueError) as err:
+            read_scores(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "enrol,test,label,raw_llr,norm_llr\n\ne1,t1,target,0.5,\n\na,b,target,inf,\n"
+        )
+        with pytest.raises(ValueError, match=r"scores\.csv: line 5: non-finite raw"):
+            read_scores(path)

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -7,8 +8,15 @@ import numpy as np
 import pytest
 
 from svbackend.cli import cli
-from svbackend.dataset import GeneratorConfig, load_ivectors, save_ivectors, save_trials
-from svbackend.gplda import write_scores
+from svbackend.dataset import (
+    GeneratorConfig,
+    Trial,
+    TrialList,
+    load_ivectors,
+    save_ivectors,
+    save_trials,
+)
+from svbackend.gplda import PldaModel, ScoredTrial, read_scores, save_plda, write_scores
 from svbackend.harness import (
     EVAL_SEED_OFFSET,
     SYSTEM_IN,
@@ -31,7 +39,7 @@ from svbackend.harness import (
 )
 from svbackend.metrics import REPORT_COLUMNS
 
-from conftest import make_scoreset
+from conftest import make_dataset, make_scoreset
 
 
 def tiny_config(**overrides):
@@ -86,6 +94,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed"):
             tiny_config(seeds=())
 
+    def test_unknown_keys_named(self):
+        with pytest.raises(ValueError, match="unknown experiment config key.*bogus"):
+            config_from_dict({"bogus": 1})
+        d = config_to_dict(tiny_config())
+        d["generator"]["dimm"] = 4
+        with pytest.raises(ValueError, match="unknown generator key.*dimm"):
+            config_from_dict(d)
+        d = config_to_dict(tiny_config())
+        d["dcf"]["c_mis"] = 4
+        with pytest.raises(ValueError, match="unknown dcf key.*c_mis"):
+            config_from_dict(d)
+
     def test_duration_label(self):
         assert duration_label(None) == "full"
         assert duration_label(10.0) == "10"
@@ -108,6 +128,18 @@ class TestRunData:
         assert n_targets == n_test
         again = make_run_data(cfg, 0)
         assert again.eval_in == data.eval_in
+
+    def test_build_trials_matches_object_loop(self):
+        data = make_run_data(tiny_config(), 0)
+        enrol_pos, test_pos, trials = build_trials(data.eval_in)
+        assert isinstance(trials, TrialList)
+        items = data.eval_in.items
+        expected = [
+            Trial(items[e].id, items[t].id, items[e].speaker == items[t].speaker)
+            for e in enrol_pos
+            for t in test_pos
+        ]
+        assert trials == expected
 
     def test_eval_draw_follows_documented_seed_scheme(self):
         cfg = tiny_config()
@@ -243,6 +275,72 @@ class TestCli:
         assert rc != 0
         err = capsys.readouterr().err
         assert "score" in err and "error" in err
+
+    def test_synth_config_unknown_key_named(self, tmp_path, capsys):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"dimm": 6, "n_speakers": 4}))
+        rc = cli(["synth", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert f"{path}: unknown generator key(s): dimm" in err
+
+    def test_score_snorm_eval_build_no_per_trial_objects(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(5)
+        k = 4
+        r = 0.3 * rng.standard_normal((k, k))
+        lam = np.linalg.inv(r @ r.T + 0.4 * np.eye(k))
+        save_plda(PldaModel(np.zeros(k), rng.standard_normal((k, 2)), (lam + lam.T) / 2),
+                  tmp_path / "m.plda")
+        enrol = make_dataset(rng.standard_normal((4, k)), prefix="e")
+        test = make_dataset(rng.standard_normal((6, k)), prefix="t")
+        for name, ds in (("enrol", enrol), ("test", test),
+                         ("cohort", make_dataset(rng.standard_normal((9, k)), prefix="c"))):
+            save_ivectors(ds, tmp_path / f"{name}.ivec")
+        trials = TrialList(
+            [iv.id for iv in enrol.items], [iv.id for iv in test.items],
+            np.repeat(np.arange(4), 6), np.tile(np.arange(6), 4), np.arange(24) % 5 == 0,
+        )
+        save_trials(trials, tmp_path / "trials.txt")
+
+        def no_rows(self):
+            raise AssertionError("per-trial ScoredTrial built on the hot path")
+
+        monkeypatch.setattr(ScoredTrial, "__post_init__", no_rows)
+        w = str(tmp_path)
+        assert cli(["score", "--model", f"{w}/m.plda", "--enrol", f"{w}/enrol.ivec",
+                    "--test", f"{w}/test.ivec", "--trials", f"{w}/trials.txt",
+                    "--output", f"{w}/scores.csv"]) == 0
+        assert cli(["snorm", "--model", f"{w}/m.plda", "--scores", f"{w}/scores.csv",
+                    "--enrol", f"{w}/enrol.ivec", "--test", f"{w}/test.ivec",
+                    "--cohort", f"{w}/cohort.ivec", "--output", f"{w}/snormed.csv"]) == 0
+        assert cli(["eval", "--scores", f"{w}/snormed.csv", "--which", "normalized"]) == 0
+        assert "n_target=5 n_nontarget=19" in capsys.readouterr().out
+        normalized = read_scores(tmp_path / "snormed.csv")
+        assert normalized.trial_list == trials and normalized.has_normalized
+
+    def test_score_diff_script(self, tmp_path, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "score_diff", Path(__file__).resolve().parent.parent / "scripts" / "score_diff.py"
+        )
+        score_diff = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(score_diff)
+        a = make_scoreset([2.0, 3.0], [1.0])
+        write_scores(a, tmp_path / "a.csv")
+        write_scores(a.with_normalized([0.5, 1.0, -1.0]), tmp_path / "b.csv")
+        write_scores(a.with_normalized([0.75, 1.0, -1.0]), tmp_path / "c.csv")
+        write_scores(make_scoreset([2.0, 3.0], [1.0, 0.0]), tmp_path / "d.csv")
+        files = [str(tmp_path / f"{n}.csv") for n in "abcd"]
+        assert score_diff.main([files[1], files[2]]) == 0
+        assert "rows=3 max|d_raw|=0.0 max|d_norm|=0.25" in capsys.readouterr().out
+        assert score_diff.main([files[0], files[0]]) == 0
+        assert "max|d_norm|=-" in capsys.readouterr().out
+        assert score_diff.main([files[0], files[1]]) == 1
+        assert score_diff.main([files[0], files[3]]) == 1
+        assert "row count differs: 3 vs 4" in capsys.readouterr().out
+        write_scores(make_scoreset([2.0], [3.0, 1.0]), tmp_path / "e.csv")
+        assert score_diff.main([files[0], str(tmp_path / "e.csv")]) == 1
+        assert "row 2 differs" in capsys.readouterr().out
+        assert score_diff.main([files[0], str(tmp_path / "missing.csv")]) == 2
 
     def test_unknown_subcommand_nonzero(self, capsys):
         assert cli(["frobnicate"]) != 0

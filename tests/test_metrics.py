@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from svbackend.metrics import (
     DcfParams,
     MetricReportRow,
+    _corners,
+    _hull_eer,
+    _staircase,
     det_points,
     eer,
     evaluate,
@@ -93,6 +96,33 @@ class TestOracleEquivalence:
         p = DcfParams()
         res = min_dcf(ss, p)
         assert 0.0 <= res.min_dcf <= p.floor + 1e-12
+
+
+_HALF_INTEGERS = st.lists(
+    st.integers(min_value=-6, max_value=6).map(lambda i: i / 2.0), min_size=1, max_size=40
+)
+
+
+class TestColumnarMetrics:
+    @settings(max_examples=150, deadline=None)
+    @given(tar=_HALF_INTEGERS, non=_HALF_INTEGERS)
+    def test_corner_hull_and_array_dcf_equal_full_staircase(self, tar, non):
+        # ties on the half-integer grid make long horizontal, vertical and
+        # diagonal runs in the staircase
+        ss = make_scoreset(tar, non)
+        fa, miss = _staircase(np.array(tar), np.array(non))
+        full = list(zip(fa.tolist(), miss.tolist()))
+        assert eer(ss) == _hull_eer(full)
+        p = DcfParams()
+        loop_costs = [
+            p.c_miss * p.p_target * m + p.c_fa * (1.0 - p.p_target) * f for f, m in full
+        ]
+        assert min_dcf(ss, p).min_dcf == min(loop_costs)
+
+    def test_separated_staircase_prunes_to_three_corners(self):
+        fa, miss = _staircase(np.arange(100.0) + 100.0, np.arange(100.0))
+        assert fa.size == 202
+        assert _corners(fa, miss) == [(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)]
 
 
 class TestInvariance:

@@ -80,6 +80,29 @@ class TestFormula:
         ).values("normalized")
         np.testing.assert_allclose(mapped, base, atol=1e-10)
 
+    def test_equals_per_trial_loop_bit_for_bit(self, rng):
+        trials = [
+            ScoredTrial(Trial(f"e{i % 3}", f"t{i % 4}", i % 5 == 0), float(rng.standard_normal()))
+            for i in range(24)
+        ]
+        scores = ScoreSet(tuple(trials))
+        e_table = {f"e{i}": rng.standard_normal(7) for i in range(3)}
+        t_table = {f"t{i}": rng.standard_normal(9) for i in range(4)}
+        out = snorm_from_cohort_scores(scores, e_table, t_table)
+        # the per-trial Python loop that the array gathers replace
+        expected = []
+        for st in trials:
+            e, t = e_table[st.trial.enrol_id], t_table[st.trial.test_id]
+            mu_e, sd_e = float(e.mean()), float(e.std())
+            mu_t, sd_t = float(t.mean()), float(t.std())
+            expected.append(0.5 * ((st.raw_llr - mu_e) / sd_e + (st.raw_llr - mu_t) / sd_t))
+        assert out.values("normalized").tolist() == expected
+
+    def test_missing_cohort_scores_named(self):
+        ok = np.array([0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="no test cohort scores for 't2'"):
+            snorm_from_cohort_scores(two_trial_scores(), {"e1": ok, "e2": ok}, {"t1": ok})
+
     def test_degenerate_cohort_reports_side_and_id(self):
         scores = two_trial_scores()
         flat = np.ones(4)
