@@ -6,21 +6,22 @@ fixed mean offset between the out-domain and in-domain populations.
 Short utterances are simulated by adding isotropic noise whose standard
 deviation grows as the active-speech duration shrinks.
 
-All types are immutable after construction (arrays are stored as
-read-only copies) and safe to share across threads; every randomized
+All types are immutable after construction (arrays are stored
+read-only) and safe to share across threads; every randomized
 operation is a pure function of its inputs and an explicit seed.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from array import array
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -82,49 +83,149 @@ class IVector:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """An ordered collection of same-dimension i-vectors.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    Utterance ids must be unique.  ``index`` maps each speaker label to
-    the positions of that speaker's sessions, in dataset order;
-    unlabeled items are not indexed.
+
+def _no_location(row: int) -> str:
+    return ""
+
+
+def _check_values(values: np.ndarray, ids: Sequence[str], where: Callable[[int], str]) -> None:
+    """Raise ``ValueError`` naming the first row of ``values`` with a non-finite entry."""
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        row = int(bad[0])
+        raise ValueError(f"{where(row)}ivector '{ids[row]}': values contain non-finite entries")
+
+
+class Dataset:
+    """An ordered collection of same-dimension i-vectors, held as columns.
+
+    ``matrix()`` is the read-only (N, D) float64 value matrix; ``ids``
+    (unique), ``domains`` and ``durations`` (positive, read-only) hold
+    one entry per row.  ``speakers`` is the table of speaker labels in
+    sorted order and ``speaker_code[i]`` is row i's position in it, or
+    -1 for an unlabeled row.  Rows are validated once, when a dataset is
+    built; derived datasets share the columns they do not change.
+
+    ``Dataset(items, dim)`` builds one from ``IVector`` rows and
+    ``Dataset.from_columns`` from columns.  ``items``, ``index``,
+    ``by_id`` and iteration build ``IVector`` views on every call, for
+    tests and small callers; the library's own paths use the columns.
     """
 
-    items: tuple[IVector, ...]
-    dim: int | None = None
-    index: Mapping[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("dim", "ids", "speakers", "speaker_code", "domains", "durations", "_values")
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        items = tuple(self.items)
-        object.__setattr__(self, "items", items)
-        dim = self.dim
+    def __init__(self, items: Iterable[IVector] = (), dim: int | None = None) -> None:
+        items = tuple(items)
         if items:
             dims = {iv.dim for iv in items}
             if len(dims) != 1:
                 raise ValueError(f"mixed i-vector dimensions in dataset: {sorted(dims)}")
             (item_dim,) = dims
-            if dim is None:
-                dim = item_dim
-            elif dim != item_dim:
+            if dim is not None and dim != item_dim:
                 raise ValueError(f"dataset dim {dim} does not match item dimension {item_dim}")
+            values = np.stack([iv.values for iv in items])
         elif dim is None:
             raise ValueError("empty dataset needs an explicit dim")
-        object.__setattr__(self, "dim", int(dim))
+        else:
+            values = np.empty((0, int(dim)))
+        built = Dataset._own(
+            values,
+            [iv.id for iv in items],
+            [iv.speaker for iv in items],
+            [iv.domain for iv in items],
+            np.array([iv.duration_sec for iv in items], dtype=np.float64),
+        )
+        for name in Dataset.__slots__:
+            setattr(self, name, getattr(built, name))
 
-        seen: set[str] = set()
-        index: dict[str, list[int]] = {}
-        for pos, iv in enumerate(items):
-            if iv.id in seen:
-                raise ValueError(f"duplicate utterance id '{iv.id}'")
-            seen.add(iv.id)
-            if iv.speaker is not None:
-                index.setdefault(iv.speaker, []).append(pos)
-        frozen = {spk: tuple(ps) for spk, ps in index.items()}
-        object.__setattr__(self, "index", MappingProxyType(frozen))
+    @classmethod
+    def from_columns(
+        cls,
+        values: np.ndarray,
+        ids: Sequence[str],
+        speakers: Sequence[str | None],
+        domains: Sequence[Domain],
+        durations: Sequence[float] | np.ndarray,
+    ) -> "Dataset":
+        """Build a dataset from a copy of ``values`` (N, D) and one entry per row
+        of the other columns; a ``speakers`` entry of None marks an unlabeled row."""
+        values = np.array(values, dtype=np.float64)
+        return cls._own(values, ids, speakers, domains, np.array(durations, dtype=np.float64))
+
+    @classmethod
+    def _own(
+        cls,
+        values: np.ndarray,
+        ids: Sequence[str],
+        speakers: Sequence[str | None],
+        domains: Sequence[Domain],
+        durations: np.ndarray,
+        *,
+        where: Callable[[int], str] = _no_location,
+    ) -> "Dataset":
+        """``from_columns`` taking ownership of float64 ``values`` and ``durations``.
+
+        ``where(row)`` prefixes validation errors, e.g. with a file and record.
+        """
+        if values.ndim != 2 or values.shape[1] < 1:
+            raise ValueError(f"dataset values must be an (N, dim>=1) matrix, got {values.shape}")
+        n = values.shape[0]
+        ids, domains = tuple(ids), tuple(domains)
+        if not len(ids) == len(speakers) == len(domains) == n or durations.shape != (n,):
+            raise ValueError(f"dataset columns must have one entry per row ({n})")
+        _check_values(values, ids, where)
+        bad = np.flatnonzero(~(durations > 0))
+        if bad.size:
+            row = int(bad[0])
+            raise ValueError(f"{where(row)}ivector '{ids[row]}': duration_sec must be positive")
+        if len(set(ids)) != n:
+            seen: set[str] = set()
+            for row, utt in enumerate(ids):
+                if utt in seen:
+                    raise ValueError(f"{where(row)}duplicate utterance id '{utt}'")
+                seen.add(utt)
+        table = sorted({s for s in speakers if s is not None})
+        code_of: dict[str | None, int] = {s: c for c, s in enumerate(table)}
+        code_of[None] = -1
+        code = np.fromiter(map(code_of.__getitem__, speakers), np.intp, n)
+        return cls._make(values, ids, tuple(table), code, domains, durations)
+
+    @staticmethod
+    def _make(
+        values: np.ndarray,
+        ids: tuple[str, ...],
+        speakers: tuple[str, ...],
+        speaker_code: np.ndarray,
+        domains: tuple[Domain, ...],
+        durations: np.ndarray,
+    ) -> "Dataset":
+        """A dataset of already validated columns; its arrays become read-only."""
+        ds = object.__new__(Dataset)
+        ds._values, ds.dim = _read_only(values), values.shape[1]
+        ds.ids, ds.speakers, ds.domains = ids, speakers, domains
+        ds.speaker_code, ds.durations = _read_only(speaker_code), _read_only(durations)
+        return ds
+
+    def _with(
+        self, values: np.ndarray | None = None, durations: np.ndarray | None = None
+    ) -> "Dataset":
+        """The same rows with new, already validated, values or durations."""
+        return Dataset._make(
+            self._values if values is None else values,
+            self.ids,
+            self.speakers,
+            self.speaker_code,
+            self.domains,
+            self.durations if durations is None else durations,
+        )
 
     def __len__(self) -> int:
-        return len(self.items)
+        return self._values.shape[0]
 
     def __iter__(self) -> Iterator[IVector]:
         return iter(self.items)
@@ -132,36 +233,87 @@ class Dataset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self.dim == other.dim and self.items == other.items
+        return (
+            self.dim == other.dim
+            and self.ids == other.ids
+            and self.row_speakers() == other.row_speakers()
+            and self.domains == other.domains
+            and np.array_equal(self.durations, other.durations)
+            and np.array_equal(self._values, other._values)
+        )
+
+    def __repr__(self) -> str:
+        return f"Dataset({len(self)} i-vectors of dim {self.dim}, {len(self.speakers)} speakers)"
+
+    def row_speakers(self) -> list[str | None]:
+        """Speaker label of every row, None where unlabeled."""
+        labels = self.speakers + (None,)  # code -1 picks the trailing None
+        return [labels[c] for c in self.speaker_code.tolist()]
 
     @property
-    def speakers(self) -> tuple[str, ...]:
-        """Speaker labels in sorted order."""
-        return tuple(sorted(self.index))
+    def items(self) -> tuple[IVector, ...]:
+        """Every row as an ``IVector``, built on each access."""
+        columns = (self.ids, self.row_speakers(), self.domains, self.durations.tolist())
+        return tuple(map(IVector, *columns, self._values))
+
+    @property
+    def index(self) -> Mapping[str, tuple[int, ...]]:
+        """Speaker label -> positions of its rows in dataset order, built on each access."""
+        positions: dict[str, list[int]] = {spk: [] for spk in self.speakers}
+        for pos, c in enumerate(self.speaker_code.tolist()):
+            if c >= 0:
+                positions[self.speakers[c]].append(pos)
+        return MappingProxyType({spk: tuple(ps) for spk, ps in positions.items()})
 
     @property
     def labeled(self) -> bool:
-        return all(iv.speaker is not None for iv in self.items)
+        return bool((self.speaker_code >= 0).all())
 
     def matrix(self) -> np.ndarray:
-        """All values stacked as an (N, D) float64 matrix."""
-        if not self.items:
-            return np.empty((0, self.dim))
-        return np.stack([iv.values for iv in self.items])
+        """The read-only (N, D) float64 value matrix itself (not a copy)."""
+        return self._values
 
     def by_id(self) -> dict[str, IVector]:
-        return {iv.id: iv for iv in self.items}
+        return dict(zip(self.ids, self.items))
+
+    def speaker_sums(self, values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Per-speaker row sums of ``values`` (default: the matrix) and row counts.
+
+        Both follow ``speakers`` order and skip unlabeled rows.  Each sum
+        adds its speaker's rows one at a time in dataset order, as a loop
+        over ``index`` would.
+        """
+        import scipy.sparse  # here, not at module level: ~60 ms of import only training needs
+
+        values = self._values if values is None else values
+        rows = np.flatnonzero(self.speaker_code >= 0)
+        code = self.speaker_code[rows]
+        n_spk = len(self.speakers)
+        members = scipy.sparse.csr_matrix(
+            (np.ones(rows.size), (code, rows)), shape=(n_spk, len(self))
+        )
+        return members @ values, np.bincount(code, minlength=n_spk)
 
     def with_values(self, values: np.ndarray) -> "Dataset":
-        """Same metadata, new values; used by transforms (possibly new dim)."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] != len(self.items):
-            raise ValueError(f"expected a ({len(self.items)}, dim) matrix")
-        items = tuple(replace(iv, values=row) for iv, row in zip(self.items, values))
-        return Dataset(items, dim=values.shape[1])
+        """Same metadata, a copy of new values; used by transforms (possibly new dim)."""
+        values = np.array(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[0] != len(self) or values.shape[1] < 1:
+            raise ValueError(f"expected a ({len(self)}, dim) matrix")
+        _check_values(values, self.ids, _no_location)
+        return self._with(values=values)
 
     def subset(self, positions: Sequence[int]) -> "Dataset":
-        return Dataset(tuple(self.items[p] for p in positions), dim=self.dim)
+        """The rows at ``positions``, in that order; a repeated row is a duplicate id."""
+        pos = np.asarray(positions, dtype=np.intp)
+        values, picks = self._values[pos], pos.tolist()
+        speakers = self.row_speakers()
+        return Dataset._own(
+            values,
+            [self.ids[p] for p in picks],
+            [speakers[p] for p in picks],
+            [self.domains[p] for p in picks],
+            self.durations[pos],
+        )
 
 
 @dataclass(frozen=True)
@@ -308,23 +460,17 @@ def _synth_domain(
     rng: np.random.Generator,
     prefix: str,
 ) -> Dataset:
-    items = []
-    for si in range(cfg.n_speakers):
-        speaker = f"{prefix}-s{si:04d}"
+    n_spk, n_sess = cfg.n_speakers, cfg.sessions_per_speaker
+    values = np.empty((n_spk * n_sess, cfg.dim))
+    for si in range(n_spk):
         x = rng.standard_normal(cfg.eigenvoice_dim)
         base = mean + cfg.speaker_scale * (u @ x)
-        eps = channel_scale * rng.standard_normal((cfg.sessions_per_speaker, cfg.dim))
-        for r in range(cfg.sessions_per_speaker):
-            items.append(
-                IVector(
-                    id=f"{speaker}-u{r:02d}",
-                    speaker=speaker,
-                    domain=domain,
-                    duration_sec=cfg.duration_ref_sec,
-                    values=base + eps[r],
-                )
-            )
-    return Dataset(tuple(items), dim=cfg.dim)
+        eps = channel_scale * rng.standard_normal((n_sess, cfg.dim))
+        np.add(base, eps, out=values[si * n_sess : (si + 1) * n_sess])
+    speakers = [f"{prefix}-s{si:04d}" for si in range(n_spk) for _ in range(n_sess)]
+    ids = [f"{prefix}-s{si:04d}-u{r:02d}" for si in range(n_spk) for r in range(n_sess)]
+    durations = np.full(len(ids), cfg.duration_ref_sec, dtype=np.float64)
+    return Dataset._own(values, ids, speakers, (domain,) * len(ids), durations)
 
 
 def synth_dataset(cfg: GeneratorConfig) -> tuple[Dataset, Dataset]:
@@ -362,16 +508,13 @@ def apply_duration_noise(
     if not target_duration_sec > 0:
         raise ValueError("target duration must be positive")
     sigma = noise.sigma(target_duration_sec)
+    durations = np.full(len(ds), target_duration_sec, dtype=np.float64)
     if sigma == 0.0:
-        items = tuple(replace(iv, duration_sec=target_duration_sec) for iv in ds.items)
-        return Dataset(items, dim=ds.dim)
+        return ds._with(durations=durations)
     rng = np.random.default_rng(seed)
-    offsets = sigma * rng.standard_normal((len(ds), ds.dim))
-    items = tuple(
-        replace(iv, duration_sec=target_duration_sec, values=iv.values + offsets[i])
-        for i, iv in enumerate(ds.items)
-    )
-    return Dataset(items, dim=ds.dim)
+    values = ds.matrix() + sigma * rng.standard_normal((len(ds), ds.dim))
+    _check_values(values, ds.ids, _no_location)
+    return ds._with(values=values, durations=durations)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +536,13 @@ def save_ivectors(ds: Dataset, path: str | Path, format: str = "binary") -> None
 
 
 def load_ivectors(path: str | Path, format: str = "binary") -> Dataset:
+    """Read a dataset written by ``save_ivectors``.
+
+    Malformed framing and invalid contents (a non-finite value, a
+    non-positive duration, a repeated id, bad UTF-8 or an unknown
+    domain) raise ``ValueError`` naming the file and the record (binary)
+    or line (CSV).
+    """
     if format == "binary":
         return _load_binary(Path(path))
     if format == "csv":
@@ -400,15 +550,23 @@ def load_ivectors(path: str | Path, format: str = "binary") -> Dataset:
     raise ValueError(f"unknown i-vector format '{format}'")
 
 
+def _text_columns(ds: Dataset) -> tuple[Sequence[str], list[str], list[str]]:
+    """Id, speaker (empty when unlabeled) and domain text columns."""
+    return ds.ids, [spk or "" for spk in ds.row_speakers()], [d.value for d in ds.domains]
+
+
 def _save_binary(ds: Dataset, path: Path) -> None:
-    parts = [IVEC_MAGIC, struct.pack("<IQ", ds.dim, len(ds))]
-    for iv in ds.items:
-        for text in (iv.id, iv.speaker or "", iv.domain.value):
+    parts: list[bytes | memoryview] = [IVEC_MAGIC, struct.pack("<IQ", ds.dim, len(ds))]
+    values = memoryview(np.ascontiguousarray(ds.matrix(), dtype="<f8").tobytes())
+    step = 8 * ds.dim
+    durations = ds.durations.tolist()
+    for row, texts in enumerate(zip(*_text_columns(ds))):
+        for text in texts:
             raw = text.encode("utf-8")
             parts.append(struct.pack("<I", len(raw)))
             parts.append(raw)
-        parts.append(struct.pack("<d", iv.duration_sec))
-        parts.append(np.ascontiguousarray(iv.values, dtype="<f8").tobytes())
+        parts.append(struct.pack("<d", durations[row]))
+        parts.append(values[row * step : (row + 1) * step])
     path.write_bytes(b"".join(parts))
 
 
@@ -429,39 +587,72 @@ def _load_binary(path: Path) -> Dataset:
     dim, count = struct.unpack("<IQ", take(12, "header"))
     if dim < 1:
         raise ValueError(f"{path}: header dimension must be positive")
-    items = []
+    if count * (3 * 4 + 8 + 8 * dim) > len(data) - off:
+        raise ValueError(
+            f"{path}: header claims {count} records of dimension {dim}, more than the file holds"
+        )
+    values = np.empty((count, dim))
+    durations = np.empty(count)
+    ids: list[str] = []
+    speakers: list[str | None] = []
+    domains: list[Domain] = []
     for rec in range(count):
-        fields = []
+        texts = []
         for name in ("id", "speaker", "domain"):
             (n,) = struct.unpack("<I", take(4, f"record {rec} {name} length"))
-            fields.append(take(n, f"record {rec} {name}").decode("utf-8"))
-        (duration,) = struct.unpack("<d", take(8, f"record {rec} duration"))
-        values = np.frombuffer(take(8 * dim, f"record {rec} values"), dtype="<f8")
+            try:
+                texts.append(take(n, f"record {rec} {name}").decode("utf-8"))
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: record {rec}: {name} is not valid UTF-8") from None
+        (durations[rec],) = struct.unpack("<d", take(8, f"record {rec} duration"))
+        values[rec] = np.frombuffer(take(8 * dim, f"record {rec} values"), dtype="<f8")
         try:
-            domain = Domain(fields[2])
+            domains.append(Domain(texts[2]))
         except ValueError:
-            raise ValueError(f"{path}: record {rec}: unknown domain '{fields[2]}'") from None
-        items.append(IVector(fields[0], fields[1] or None, domain, duration, values))
+            raise ValueError(f"{path}: record {rec}: unknown domain '{texts[2]}'") from None
+        ids.append(texts[0])
+        speakers.append(texts[1] or None)
     if off != len(data):
         raise ValueError(f"{path}: {len(data) - off} trailing bytes after record {count - 1}")
-    return Dataset(tuple(items), dim=dim)
+    return Dataset._own(
+        values, ids, speakers, domains, durations, where=lambda r: f"{path}: record {r}: "
+    )
 
 
 _CSV_FIXED_COLUMNS = ["id", "speaker", "domain", "duration"]
 
 
+def csv_fields(texts: Iterable[str]) -> list[str]:
+    """Each text as ``csv.writer`` renders it inside a row (quoted when needed)."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    out = []
+    for text in texts:
+        buf.seek(0)
+        buf.truncate()
+        w.writerow((text, ""))  # a second field keeps an empty text unquoted
+        out.append(buf.getvalue()[:-2])
+    return out
+
+
 def _save_csv(ds: Dataset, path: Path) -> None:
+    """The bytes of ``csv.writer`` rows, with ``repr`` of every number."""
+    columns = [csv_fields(texts) for texts in _text_columns(ds)]
     with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(_CSV_FIXED_COLUMNS + [f"v{i}" for i in range(ds.dim)])
-        for iv in ds.items:
-            w.writerow(
-                [iv.id, iv.speaker or "", iv.domain.value, repr(iv.duration_sec)]
-                + [repr(x) for x in iv.values.tolist()]
-            )
+        f.write(",".join(_CSV_FIXED_COLUMNS + [f"v{i}" for i in range(ds.dim)]) + "\n")
+        for utt, spk, dom, duration, row in zip(
+            *columns, ds.durations.tolist(), ds.matrix().tolist()
+        ):
+            f.write(f"{utt},{spk},{dom},{duration!r},{','.join(map(repr, row))}\n")
 
 
 def _load_csv(path: Path) -> Dataset:
+    ids: list[str] = []
+    speakers: list[str | None] = []
+    domains: list[Domain] = []
+    durations: list[float] = []
+    rows: list[list[float]] = []
+    lines: list[int] = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -470,26 +661,35 @@ def _load_csv(path: Path) -> Dataset:
         dim = len(header) - 4
         if dim < 1:
             raise ValueError(f"{path}: header carries no value columns")
-        items = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            lineno = reader.line_num
             if len(row) != 4 + dim:
                 raise ValueError(
                     f"{path}: line {lineno}: expected {4 + dim} fields, got {len(row)}"
                     " (dimension mismatch with header)"
                 )
             try:
-                domain = Domain(row[2])
+                domains.append(Domain(row[2]))
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: unknown domain '{row[2]}'") from None
             try:
-                duration = float(row[3])
-                values = np.array([float(x) for x in row[4:]])
+                durations.append(float(row[3]))
+                rows.append([float(x) for x in row[4:]])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: malformed number") from None
-            items.append(IVector(row[0], row[1] or None, domain, duration, values))
-    return Dataset(tuple(items), dim=dim)
+            ids.append(row[0])
+            speakers.append(row[1] or None)
+            lines.append(lineno)
+    return Dataset._own(
+        np.array(rows, dtype=np.float64).reshape(len(rows), dim),
+        ids,
+        speakers,
+        domains,
+        np.array(durations, dtype=np.float64),
+        where=lambda r: f"{path}: line {lines[r]}: ",
+    )
 
 
 @dataclass(frozen=True)
@@ -499,11 +699,6 @@ class Trial:
     enrol_id: str
     test_id: str
     is_target: bool
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 class TrialList:

@@ -30,7 +30,6 @@ closed form from the model covariances.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import struct
 from dataclasses import dataclass, field
@@ -43,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .dataset import TRIAL_LABELS, Dataset, Trial, TrialList
+from .dataset import TRIAL_LABELS, Dataset, Trial, TrialList, csv_fields
 
 PLDA_MAGIC = b"PLDA1"
 
@@ -95,8 +94,8 @@ class PldaModel:
         mean = np.array(self.mean, dtype=np.float64, copy=True)
         u1 = np.array(self.u1, dtype=np.float64, copy=True)
         lam = np.array(self.lambda_prec, dtype=np.float64, copy=True)
-        if mean.ndim != 1:
-            raise ValueError("mean must be a vector")
+        if mean.ndim != 1 or mean.size == 0:
+            raise ValueError("mean must be a non-empty vector")
         k = mean.shape[0]
         if u1.ndim != 2 or u1.shape[0] != k:
             raise ValueError("u1 must be (K, Q)")
@@ -104,6 +103,9 @@ class PldaModel:
             raise ValueError("more eigenvoices than dimensions")
         if lam.shape != (k, k):
             raise ValueError("lambda_prec must be (K, K)")
+        for name, arr in (("mean", mean), ("u1", u1), ("lambda_prec", lam)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has non-finite entries")
         scale = np.linalg.norm(lam)
         if scale > 0 and np.linalg.norm(lam - lam.T) > 1e-10 * scale:
             raise ValueError("lambda_prec is not symmetric")
@@ -169,7 +171,7 @@ def length_normalize(ds: Dataset) -> Dataset:
     norms = np.linalg.norm(mat, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ValueError(f"cannot length-normalize zero vector '{ds.items[zero[0]].id}'")
+        raise ValueError(f"cannot length-normalize zero vector '{ds.ids[zero[0]]}'")
     return ds.with_values(mat / norms[:, None])
 
 
@@ -186,13 +188,7 @@ class _SpeakerStats:
 
 def _speaker_stats(ds: Dataset, center: np.ndarray) -> _SpeakerStats:
     mat = ds.matrix() - center
-    speakers = ds.speakers
-    f = np.empty((len(speakers), ds.dim))
-    ns = np.empty(len(speakers), dtype=np.int64)
-    for i, spk in enumerate(speakers):
-        rows = mat[list(ds.index[spk])]
-        f[i] = rows.sum(axis=0)
-        ns[i] = len(rows)
+    f, ns = ds.speaker_sums(mat)
     groups = tuple(
         (int(n), np.flatnonzero(ns == n)) for n in np.unique(ns)
     )
@@ -436,7 +432,7 @@ class ScoreSet:
 
 def _dataset_rows(ds: Dataset, ids: Sequence[str], code: np.ndarray, side: str) -> np.ndarray:
     """Positions in ``ds`` of an id table; unknown ids name their first trial."""
-    index = {iv.id: i for i, iv in enumerate(ds.items)}
+    index = {utt: i for i, utt in enumerate(ds.ids)}
     rows = np.empty(len(ids), dtype=np.intp)
     for c, utt in enumerate(ids):
         pos = index.get(utt)
@@ -485,12 +481,14 @@ def save_plda(m: PldaModel, path: str | Path) -> None:
 
 
 def load_plda(path: str | Path) -> PldaModel:
+    """Read a PLDA1 file; a malformed or invalid one raises ``ValueError`` naming it."""
     data = Path(path).read_bytes()
     if data[: len(PLDA_MAGIC)] != PLDA_MAGIC:
         raise ValueError(f"{path}: bad magic, not a PLDA model file")
-    off = len(PLDA_MAGIC)
-    k, q = struct.unpack_from("<II", data, off)
-    off += 8
+    off = len(PLDA_MAGIC) + 8
+    if len(data) < off:
+        raise ValueError(f"{path}: truncated header")
+    k, q = struct.unpack_from("<II", data, len(PLDA_MAGIC))
     expected = off + 8 * (k + k * q + k * k)
     if len(data) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(data)}")
@@ -499,7 +497,10 @@ def load_plda(path: str | Path) -> PldaModel:
     u1 = np.frombuffer(data, dtype="<f8", count=k * q, offset=off).reshape(k, q)
     off += 8 * k * q
     lam = np.frombuffer(data, dtype="<f8", count=k * k, offset=off).reshape(k, k)
-    return PldaModel(mean, u1, lam)
+    try:
+        return PldaModel(mean, u1, lam)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def save_loglik_trace(m: PldaModel, path: str | Path) -> None:
@@ -520,19 +521,6 @@ def save_loglik_trace(m: PldaModel, path: str | Path) -> None:
 SCORE_COLUMNS = ["enrol", "test", "label", "raw_llr", "norm_llr"]
 
 
-def _csv_fields(texts: Sequence[str]) -> list[str]:
-    """Each text as ``csv.writer`` renders it inside a row (quoted when needed)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    out = []
-    for text in texts:
-        buf.seek(0)
-        buf.truncate()
-        w.writerow((text, ""))  # a second field keeps an empty text unquoted
-        out.append(buf.getvalue()[:-2])
-    return out
-
-
 #: Rows formatted, or parsed, per step of ``write_scores`` and
 #: ``read_scores``; bounds the per-row strings held at once.
 _CSV_BLOCK = 1 << 14
@@ -545,8 +533,8 @@ def write_scores(scores: ScoreSet, path: str | Path) -> None:
     ``repr`` of each score.
     """
     tl = scores.trial_list
-    enrol_ids = np.array(_csv_fields(tl.enrol_ids), dtype=object)
-    test_ids = np.array(_csv_fields(tl.test_ids), dtype=object)
+    enrol_ids = np.array(csv_fields(tl.enrol_ids), dtype=object)
+    test_ids = np.array(csv_fields(tl.test_ids), dtype=object)
     labels = np.array(["nontarget", "target"], dtype=object)
     with open(path, "w", newline="") as f:
         f.write(",".join(SCORE_COLUMNS) + "\n")

@@ -231,24 +231,22 @@ class RunData:
 def build_trials(eval_ds: Dataset) -> tuple[tuple[int, ...], tuple[int, ...], TrialList]:
     """First session of each speaker enrols; all remaining sessions are tested
     against every enrolment (full cross trial list, enrolment-major)."""
-    enrol_pos: list[int] = []
-    test_pos: list[int] = []
-    for spk in eval_ds.speakers:
-        pos = eval_ds.index[spk]
-        enrol_pos.append(pos[0])
-        test_pos.extend(pos[1:])
-    items = eval_ds.items
+    labeled = np.flatnonzero(eval_ds.speaker_code >= 0)
+    pos = labeled[np.argsort(eval_ds.speaker_code[labeled], kind="stable")]
+    code = eval_ds.speaker_code[pos]
+    first = np.ones(pos.size, dtype=bool)  # a speaker's first row in dataset order
+    first[1:] = code[1:] != code[:-1]
+    enrol_pos, test_pos = pos[first], pos[~first]
     n_e, n_t = len(enrol_pos), len(test_pos)
-    e_spk = np.array([items[e].speaker for e in enrol_pos], dtype=object)
-    t_spk = np.array([items[t].speaker for t in test_pos], dtype=object)
+    ids = eval_ds.ids
     trials = TrialList(
-        [items[e].id for e in enrol_pos],
-        [items[t].id for t in test_pos],
+        [ids[e] for e in enrol_pos.tolist()],
+        [ids[t] for t in test_pos.tolist()],
         np.repeat(np.arange(n_e), n_t),
         np.tile(np.arange(n_t), n_e),
-        (e_spk[:, None] == t_spk[None, :]).ravel(),
+        (code[first][:, None] == code[~first][None, :]).ravel(),
     )
-    return tuple(enrol_pos), tuple(test_pos), trials
+    return tuple(enrol_pos.tolist()), tuple(test_pos.tolist()), trials
 
 
 def make_run_data(cfg: ExperimentConfig, seed: int) -> RunData:

@@ -20,6 +20,7 @@ and is realized as the inverse transpose of the Cholesky factor of the
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -58,18 +59,20 @@ class IdvTransform:
     def __post_init__(self) -> None:
         s = np.array(self.s_idv, dtype=np.float64, copy=True)
         d = np.array(self.decorrelator, dtype=np.float64, copy=True)
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise ValueError("s_idv must be square")
+        if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
+            raise ValueError("s_idv must be square and non-empty")
         if d.shape != s.shape:
             raise ValueError("decorrelator shape must match s_idv")
-        if self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
+        if not (np.isfinite(s).all() and np.isfinite(d).all()):
+            raise ValueError("s_idv and decorrelator must be finite")
+        if not 0 <= self.ridge < math.inf:
+            raise ValueError("ridge must be finite and nonnegative")
         scale = np.linalg.norm(s)
         if scale > 0 and np.linalg.norm(s - s.T) > 1e-10 * scale:
             raise ValueError("s_idv is not symmetric")
         conditioned = s + self.ridge * np.eye(s.shape[0])
         inv = np.linalg.inv(conditioned)
-        if np.linalg.norm(d @ d.T - inv) > 1e-8 * np.linalg.norm(inv):
+        if not np.linalg.norm(d @ d.T - inv) <= 1e-8 * np.linalg.norm(inv):
             raise ValueError("decorrelator does not whiten s_idv + ridge*I")
         for name, arr in (("s_idv", s), ("decorrelator", d)):
             arr.flags.writeable = False
@@ -165,12 +168,16 @@ def save_idv(t: IdvTransform, path: str | Path) -> None:
 
 
 def load_idv(path: str | Path) -> IdvTransform:
+    """Read an IDV1 file; a malformed or invalid one raises ``ValueError`` naming it."""
     data = Path(path).read_bytes()
     if data[: len(IDV_MAGIC)] != IDV_MAGIC:
         raise ValueError(f"{path}: bad magic, not an IDV transform file")
-    off = len(IDV_MAGIC)
-    variant_byte, dim, ridge = struct.unpack_from("<BId", data, off)
-    off += struct.calcsize("<BId")
+    off = len(IDV_MAGIC) + struct.calcsize("<BId")
+    if len(data) < off:
+        raise ValueError(f"{path}: truncated header")
+    variant_byte, dim, ridge = struct.unpack_from("<BId", data, len(IDV_MAGIC))
+    if variant_byte > 1:
+        raise ValueError(f"{path}: unknown IDV variant byte {variant_byte}")
     expected = off + 2 * dim * dim * 8
     if len(data) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(data)}")
@@ -178,4 +185,7 @@ def load_idv(path: str | Path) -> IdvTransform:
     off += dim * dim * 8
     d = np.frombuffer(data, dtype="<f8", count=dim * dim, offset=off).reshape(dim, dim)
     variant = IdvVariant.MODIFIED if variant_byte else IdvVariant.ORIGINAL
-    return IdvTransform(variant, s, d, ridge)
+    try:
+        return IdvTransform(variant, s, d, ridge)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -39,8 +39,10 @@ class LdaTransform:
     def __post_init__(self) -> None:
         a = np.array(self.a_matrix, dtype=np.float64, copy=True)
         lam = np.array(self.eigenvalues, dtype=np.float64, copy=True)
-        if a.ndim != 2:
-            raise ValueError("a_matrix must be 2-D")
+        if a.ndim != 2 or 0 in a.shape:
+            raise ValueError("a_matrix must be a non-empty 2-D matrix")
+        if not (np.isfinite(a).all() and np.isfinite(lam).all()):
+            raise ValueError("a_matrix and eigenvalues must be finite")
         if a.shape[1] > a.shape[0]:
             raise ValueError("cannot retain more directions than the input dimension")
         if lam.shape != (a.shape[1],):
@@ -69,28 +71,36 @@ class LdaTransform:
         return self.a_matrix.shape[1]
 
 
+#: Rows centered per step of the within-class accumulation, so the
+#: centered temporary is one block, never the whole (N, D) matrix.
+_ROW_BLOCK = 2048
+
+
 def scatter_matrices(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Between- and within-class scatter of a labeled dataset.
 
-    Speakers are accumulated in sorted-label order so results are
-    reproducible for a fixed dataset order.
+    Speaker means come from one pass over ``ds.speaker_code``.  S_b is
+    one count-weighted product of the mean deviations; S_w accumulates
+    ``c.T @ c`` over blocks of ``_ROW_BLOCK`` rows in dataset order, with
+    ``c`` the block's rows minus their speaker means.  The sums are
+    therefore taken in row-block order, not per sorted speaker, and
+    deterministic for a fixed dataset order.
     """
     if not ds.labeled:
-        unlabeled = [iv.id for iv in ds.items if iv.speaker is None]
-        raise ValueError(f"dataset has unlabeled items (e.g. '{unlabeled[0]}')")
+        unlabeled = ds.ids[int(np.argmax(ds.speaker_code < 0))]
+        raise ValueError(f"dataset has unlabeled items (e.g. '{unlabeled}')")
     if len(ds.speakers) < 2:
         raise ValueError("scatter estimation needs at least two speakers")
     mat = ds.matrix()
-    global_mean = mat.mean(axis=0)
-    s_b = np.zeros((ds.dim, ds.dim))
+    sums, counts = ds.speaker_sums()
+    means = sums / counts[:, None]
+    d = means - mat.mean(axis=0)
+    s_b = (d * counts[:, None]).T @ d
     s_w = np.zeros((ds.dim, ds.dim))
-    for spk in ds.speakers:
-        rows = mat[list(ds.index[spk])]
-        mean_s = rows.mean(axis=0)
-        centered = rows - mean_s
-        s_w += centered.T @ centered
-        d = mean_s - global_mean
-        s_b += len(rows) * np.outer(d, d)
+    for start in range(0, len(ds), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        c = mat[block] - means[ds.speaker_code[block]]
+        s_w += c.T @ c
     return (s_b + s_b.T) / 2.0, (s_w + s_w.T) / 2.0
 
 
@@ -140,16 +150,21 @@ def save_lda(t: LdaTransform, path: str | Path) -> None:
 
 
 def load_lda(path: str | Path) -> LdaTransform:
+    """Read an LDA1 file; a malformed or invalid one raises ``ValueError`` naming it."""
     data = Path(path).read_bytes()
     if data[: len(LDA_MAGIC)] != LDA_MAGIC:
         raise ValueError(f"{path}: bad magic, not an LDA transform file")
-    off = len(LDA_MAGIC)
-    d, k = struct.unpack_from("<II", data, off)
-    off += 8
+    off = len(LDA_MAGIC) + 8
+    if len(data) < off:
+        raise ValueError(f"{path}: truncated header")
+    d, k = struct.unpack_from("<II", data, len(LDA_MAGIC))
     expected = off + 8 * (k + d * k)
     if len(data) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(data)}")
     lam = np.frombuffer(data, dtype="<f8", count=k, offset=off)
     off += 8 * k
     a = np.frombuffer(data, dtype="<f8", count=d * k, offset=off).reshape(d, k)
-    return LdaTransform(a, lam)
+    try:
+        return LdaTransform(a, lam)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

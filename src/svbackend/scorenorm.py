@@ -93,11 +93,11 @@ def snorm(
 
     def side_scores(side: str, ds: Dataset, ids: Sequence[str]) -> dict[str, np.ndarray]:
         needed = set(ids)
-        missing = sorted(needed - {iv.id for iv in ds.items})
+        missing = sorted(needed.difference(ds.ids))
         if missing:
             raise ValueError(f"unknown {side} id '{missing[0]}'")
-        sub = ds.subset([i for i, iv in enumerate(ds.items) if iv.id in needed])
-        return dict(zip((iv.id for iv in sub.items), cohort_score_matrix(m, sub, cohort)))
+        sub = ds.subset([i for i, utt in enumerate(ds.ids) if utt in needed])
+        return dict(zip(sub.ids, cohort_score_matrix(m, sub, cohort)))
 
     return snorm_from_cohort_scores(
         scores, side_scores("enrol", enrol, tl.enrol_ids), side_scores("test", test, tl.test_ids)

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from svbackend.dataset import Dataset, Domain, IVector, Trial
+from svbackend.dataset import Dataset, Domain, Trial
 from svbackend.gplda import ScoredTrial, ScoreSet
 
 
@@ -19,11 +20,9 @@ def make_dataset(
     n = values.shape[0]
     if speakers is None:
         speakers = [f"spk{i:03d}" for i in range(n)]
-    items = tuple(
-        IVector(f"{prefix}{i:04d}", speakers[i], domain, duration, values[i])
-        for i in range(n)
+    return Dataset.from_columns(
+        values, [f"{prefix}{i:04d}" for i in range(n)], speakers[:n], [domain] * n, [duration] * n
     )
-    return Dataset(items, dim=values.shape[1])
 
 
 def make_scoreset(tar: list[float], non: list[float]) -> ScoreSet:
@@ -39,3 +38,24 @@ def make_scoreset(tar: list[float], non: list[float]) -> ScoreSet:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@st.composite
+def shuffled_labeled_datasets(draw, max_dim: int = 5) -> Dataset:
+    """Labeled datasets with unequal session counts and interleaved speaker rows.
+
+    Labels are drawn so that sorted-label order differs from first
+    appearance, and values span several orders of magnitude.
+    """
+    counts = draw(st.lists(st.integers(1, 5), min_size=2, max_size=7))
+    dim = draw(st.integers(1, max_dim))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    names = [f"s{k}" for k in rng.permutation(len(counts))]
+    speakers = [names[k] for k, n in enumerate(counts) for _ in range(n)]
+    order = rng.permutation(len(speakers))
+    centers = {name: 3.0 * rng.standard_normal(dim) for name in names}
+    noise = rng.standard_normal((len(order), dim))
+    values = np.array([centers[speakers[i]] for i in order]) + noise
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    return make_dataset(scale * values, speakers=[speakers[i] for i in order])

@@ -6,6 +6,10 @@ evaluation) and independent of the library's computation paths.
 
 from __future__ import annotations
 
+import csv
+import struct
+from pathlib import Path
+
 import numpy as np
 from scipy.stats import multivariate_normal
 
@@ -47,6 +51,73 @@ def lda_scatters(groups: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
             e = r - mean_s
             s_w += np.outer(e, e)
     return s_b, s_w
+
+
+def speaker_loop_scatters(ds) -> tuple[np.ndarray, np.ndarray]:
+    """LDA scatters by a loop over sorted speakers, one outer product each."""
+    mat = ds.matrix()
+    global_mean = mat.mean(axis=0)
+    s_b = np.zeros((ds.dim, ds.dim))
+    s_w = np.zeros((ds.dim, ds.dim))
+    for spk in ds.speakers:
+        rows = mat[list(ds.index[spk])]
+        mean_s = rows.mean(axis=0)
+        centered = rows - mean_s
+        s_w += centered.T @ centered
+        d = mean_s - global_mean
+        s_b += len(rows) * np.outer(d, d)
+    return (s_b + s_b.T) / 2.0, (s_w + s_w.T) / 2.0
+
+
+def speaker_loop_stats(ds, center: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """PLDA session sums, session counts and second moment, per sorted speaker."""
+    mat = ds.matrix() - center
+    f = np.empty((len(ds.speakers), ds.dim))
+    ns = np.empty(len(ds.speakers), dtype=np.int64)
+    for i, spk in enumerate(ds.speakers):
+        rows = mat[list(ds.index[spk])]
+        f[i] = rows.sum(axis=0)
+        ns[i] = len(rows)
+    s = mat.T @ mat
+    return f, ns, (s + s.T) / 2.0
+
+
+def synth_matrix(cfg, u: np.ndarray, mean: np.ndarray, channel_scale: float, rng) -> np.ndarray:
+    """One generator domain drawn vector by vector, as per-utterance objects were."""
+    rows = []
+    for _ in range(cfg.n_speakers):
+        x = rng.standard_normal(cfg.eigenvoice_dim)
+        base = mean + cfg.speaker_scale * (u @ x)
+        eps = channel_scale * rng.standard_normal((cfg.sessions_per_speaker, cfg.dim))
+        for r in range(cfg.sessions_per_speaker):
+            rows.append(np.array(base + eps[r], dtype=np.float64, copy=True))
+    return np.stack(rows)
+
+
+def ivec_bytes_per_row(ds) -> bytes:
+    """IVEC1 bytes written one ``IVector`` at a time."""
+    parts = [b"IVEC1", struct.pack("<IQ", ds.dim, len(ds))]
+    for iv in ds.items:
+        for text in (iv.id, iv.speaker or "", iv.domain.value):
+            raw = text.encode("utf-8")
+            parts.append(struct.pack("<I", len(raw)))
+            parts.append(raw)
+        parts.append(struct.pack("<d", iv.duration_sec))
+        parts.append(np.ascontiguousarray(iv.values, dtype="<f8").tobytes())
+    return b"".join(parts)
+
+
+def ivec_csv_per_row(ds, path: Path) -> bytes:
+    """I-vector CSV bytes written by ``csv.writer`` one ``IVector`` at a time."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["id", "speaker", "domain", "duration"] + [f"v{i}" for i in range(ds.dim)])
+        for iv in ds.items:
+            w.writerow(
+                [iv.id, iv.speaker or "", iv.domain.value, repr(iv.duration_sec)]
+                + [repr(x) for x in iv.values.tolist()]
+            )
+    return path.read_bytes()
 
 
 def plda_pair_llr(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from svbackend.dataset import (
     Dataset,
@@ -17,8 +19,10 @@ from svbackend.dataset import (
     save_trials,
     synth_dataset,
 )
+from svbackend.dataset import _seed_streams
 
 from conftest import make_dataset
+from oracles import ivec_bytes_per_row, ivec_csv_per_row, synth_matrix
 
 
 class TestTypes:
@@ -287,3 +291,121 @@ class TestTrialsIO:
         with pytest.raises(ValueError, match="test code out of range"):
             TrialList(["a"], ["b"], [0], [1], [True])
         assert TrialList(["a"], ["b"], [0], [0], [True]) != [Trial("a", "b", False)]
+
+
+class TestColumnarDataset:
+    def _items(self):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((5, 3))
+        speakers = ["b", None, "a", "b", "c"]
+        return tuple(
+            IVector(f"u{i}", speakers[i], Domain.OUT_DOMAIN if i % 2 else Domain.IN_DOMAIN,
+                    float(5 + i), values[i])
+            for i in range(5)
+        )
+
+    def test_items_round_trip_and_columns(self):
+        items = self._items()
+        ds = Dataset(items)
+        assert ds.items == items
+        assert Dataset(ds.items) == ds
+        assert ds.ids == ("u0", "u1", "u2", "u3", "u4")
+        assert ds.speakers == ("a", "b", "c")
+        assert ds.speaker_code.tolist() == [1, -1, 0, 1, 2]
+        assert ds.row_speakers() == ["b", None, "a", "b", "c"]
+        assert ds.durations.tolist() == [5.0, 6.0, 7.0, 8.0, 9.0]
+        columns = Dataset.from_columns(
+            ds.matrix(), ds.ids, ds.row_speakers(), ds.domains, ds.durations
+        )
+        assert columns == ds and list(columns) == list(items)
+
+    def test_views_are_built_per_access(self):
+        ds = Dataset(self._items())
+        assert ds.items is not ds.items and ds.items == ds.items
+        assert ds.index is not ds.index and dict(ds.index) == {"a": (2,), "b": (0, 3), "c": (4,)}
+        assert ds.by_id()["u3"] == ds.items[3]
+
+    def test_matrix_is_stored_read_only_array(self):
+        ds = make_dataset(np.arange(6.0).reshape(3, 2))
+        assert ds.matrix() is ds.matrix()
+        with pytest.raises(ValueError):
+            ds.matrix()[0, 0] = 1.0
+        assert not ds.speaker_code.flags.writeable and not ds.durations.flags.writeable
+
+    def test_with_values_rejects_nan_by_id_and_shares_metadata(self):
+        ds = make_dataset(np.zeros((3, 2)), speakers=["s", None, "t"], duration=30.0)
+        bad = np.ones((3, 4))
+        bad[2, 1] = np.inf
+        with pytest.raises(ValueError, match="ivector 'utt0002': values contain non-finite"):
+            ds.with_values(bad)
+        with pytest.raises(ValueError, match=r"expected a \(3, dim\) matrix"):
+            ds.with_values(np.ones((2, 4)))
+        new = np.ones((3, 4))
+        out = ds.with_values(new)
+        new[0, 0] = 7.0  # the dataset holds a copy
+        assert out.dim == 4 and out.matrix()[0, 0] == 1.0
+        assert out.ids is ds.ids and out.speaker_code is ds.speaker_code
+        assert out.durations is ds.durations and out.row_speakers() == ["s", None, "t"]
+
+    def test_from_columns_validates_once(self):
+        values = np.zeros((2, 2))
+        dom = [Domain.IN_DOMAIN] * 2
+        with pytest.raises(ValueError, match="duplicate utterance id 'a'"):
+            Dataset.from_columns(values, ["a", "a"], [None, None], dom, [1.0, 1.0])
+        with pytest.raises(ValueError, match="ivector 'b': duration_sec must be positive"):
+            Dataset.from_columns(values, ["a", "b"], [None, None], dom, [1.0, np.nan])
+        with pytest.raises(ValueError, match="one entry per row"):
+            Dataset.from_columns(values, ["a"], [None], dom[:1], [1.0])
+
+    def test_subset_recodes_speakers(self):
+        ds = Dataset(self._items())
+        sub = ds.subset([4, 1, 0])
+        assert sub.ids == ("u4", "u1", "u0")
+        assert sub.speakers == ("b", "c") and sub.speaker_code.tolist() == [1, -1, 0]
+        assert np.array_equal(sub.matrix(), ds.matrix()[[4, 1, 0]])
+        with pytest.raises(ValueError, match="duplicate utterance id 'u1'"):
+            ds.subset([1, 1])
+
+
+_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6
+)
+
+
+class TestColumnarFilesMatchPerRowWriters:
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        ids=st.lists(_TEXT, min_size=0, max_size=6, unique=True),
+        labels=st.lists(st.one_of(st.none(), _TEXT), min_size=6, max_size=6),
+        dim=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_equal_per_row_writer(self, tmp_path, ids, labels, dim, seed):
+        rng = np.random.default_rng(seed)
+        n = len(ids)
+        values = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-300, 300, (n, dim))
+        domains = [Domain.OUT_DOMAIN if b else Domain.IN_DOMAIN for b in rng.integers(0, 2, n)]
+        ds = Dataset.from_columns(values, ids, labels[:n], domains, rng.uniform(0.1, 200.0, n))
+        save_ivectors(ds, tmp_path / "x.ivec", "binary")
+        assert (tmp_path / "x.ivec").read_bytes() == ivec_bytes_per_row(ds)
+        save_ivectors(ds, tmp_path / "x.csv", "csv")
+        assert (tmp_path / "x.csv").read_bytes() == ivec_csv_per_row(ds, tmp_path / "o.csv")
+
+    def test_synth_bit_identical_to_per_vector_draws(self):
+        cfg = GeneratorConfig(
+            dim=7, n_speakers=5, sessions_per_speaker=3, eigenvoice_dim=2,
+            domain_offset=np.linspace(-1.0, 1.0, 7), out_channel_scale=1.7, seed=13,
+        )
+        in_ds, out_ds = synth_dataset(cfg)
+        u = ground_truth_subspace(cfg)
+        in_rng, out_rng = _seed_streams(cfg)
+        expected_in = synth_matrix(cfg, u, np.zeros(cfg.dim), cfg.channel_scale, in_rng)
+        expected_out = synth_matrix(cfg, u, cfg.domain_offset, 1.7, out_rng)
+        assert np.array_equal(in_ds.matrix(), expected_in)
+        assert np.array_equal(out_ds.matrix(), expected_out)
+        assert in_ds.ids[:4] == ("in-s0000-u00", "in-s0000-u01", "in-s0000-u02", "in-s0001-u00")
+        assert out_ds.row_speakers()[3] == "out-s0001"
+        assert set(out_ds.domains) == {Domain.OUT_DOMAIN}
+        assert (in_ds.durations == cfg.duration_ref_sec).all()

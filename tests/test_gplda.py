@@ -24,8 +24,10 @@ from svbackend.gplda import (
     write_scores,
 )
 
-from conftest import make_dataset
-from oracles import plda_pair_llr, stacked_marginal_loglik
+from svbackend.gplda import _speaker_stats
+
+from conftest import make_dataset, shuffled_labeled_datasets
+from oracles import plda_pair_llr, speaker_loop_stats, stacked_marginal_loglik
 
 
 def random_model(rng, k=3, q=2):
@@ -175,6 +177,25 @@ class TestTraining:
         centered = mat - mat.mean(axis=0)
         total = centered.T @ centered / len(mat)
         assert np.linalg.norm(m.sigma_total - total) / np.linalg.norm(total) <= 0.10
+
+
+class TestSpeakerStatsAgainstSpeakerLoop:
+    @settings(max_examples=120, deadline=None)
+    @given(ds=shuffled_labeled_datasets())
+    def test_vectorized_matches_per_speaker_loop(self, ds):
+        center = ds.matrix().mean(axis=0)
+        stats = _speaker_stats(ds, center)
+        f, ns, s_phiphi = speaker_loop_stats(ds, center)
+        assert np.array_equal(stats.ns, ns) and stats.n_total == len(ds)
+        assert np.linalg.norm(stats.f - f) <= 1e-12 * np.linalg.norm(f)
+        assert np.linalg.norm(stats.s_phiphi - s_phiphi) <= 1e-12 * np.linalg.norm(s_phiphi)
+        for n, idx in stats.groups:
+            assert np.array_equal(idx, np.flatnonzero(ns == n))
+
+    def test_unlabeled_row_still_rejected(self, rng):
+        ds = make_dataset(rng.standard_normal((4, 2)), speakers=["a", "b", None, "a"])
+        with pytest.raises(ValueError, match="speaker labels"):
+            train_gplda(ds, q=1, iters=1)
 
 
 class TestScoring:

@@ -1,12 +1,16 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import svbackend
 from svbackend.cli import cli
 from svbackend.dataset import (
     GeneratorConfig,
@@ -243,6 +247,31 @@ class TestExperiments:
         assert compensated.mean_value("full", SYSTEM_IN, "eer") == plain.mean_value(
             "full", SYSTEM_IN, "eer"
         )
+
+
+def test_study_csvs_identical_at_one_and_two_blas_threads(tmp_path):
+    # sizes above OpenBLAS's single-thread cut-off, so two threads really split the products
+    gen = replace(default_experiment_config().generator, n_speakers=150)
+    cfg = default_experiment_config(
+        generator=gen, seeds=(0,), durations=(None, 20.0), snorm="nist-style",
+        eval_speakers=40, eval_sessions=3, cohort_speakers=60, cohort_sessions=5,
+        swb_cohort_size=200, plda_iters=5,
+    )
+    save_config(cfg, tmp_path / "config.json")
+    src = str(Path(svbackend.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "svbackend", "experiment", "--config",
+             str(tmp_path / "config.json"), "--kind", "in-vs-out", "--out-dir", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+    assert len(outputs["1"]) == 2
+    assert outputs["1"] == outputs["2"]
 
 
 class TestCli:

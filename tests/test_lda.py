@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svbackend.dataset import Dataset, Domain, IVector
+from svbackend import lda
 from svbackend.lda import (
     LdaTransform,
     apply_lda,
@@ -11,8 +16,8 @@ from svbackend.lda import (
     train_lda,
 )
 
-from conftest import make_dataset
-from oracles import lda_scatters
+from conftest import make_dataset, shuffled_labeled_datasets
+from oracles import lda_scatters, speaker_loop_scatters
 
 
 def grouped_dataset(rng, n_speakers=4, sessions=3, dim=5, spread=1.0, speaker_spread=1.0):
@@ -51,6 +56,23 @@ class TestScatters:
         ds2 = make_dataset(rng.standard_normal((3, 2)), speakers=["a", "a", "a"])
         with pytest.raises(ValueError, match="two speakers"):
             scatter_matrices(ds2)
+
+
+class TestScattersAgainstSpeakerLoop:
+    @settings(max_examples=120, deadline=None)
+    @given(ds=shuffled_labeled_datasets(), block=st.integers(1, 7))
+    def test_vectorized_matches_per_speaker_loop(self, ds, block):
+        # small row blocks put block boundaries inside speakers
+        with mock.patch.object(lda, "_ROW_BLOCK", block):
+            s_b, s_w = scatter_matrices(ds)
+        b_ref, w_ref = speaker_loop_scatters(ds)
+        assert np.linalg.norm(s_b - b_ref) <= 1e-12 * np.linalg.norm(b_ref)
+        assert np.linalg.norm(s_w - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
+
+    def test_unlabeled_row_names_it(self, rng):
+        ds = make_dataset(rng.standard_normal((4, 2)), speakers=["a", "b", None, "a"])
+        with pytest.raises(ValueError, match="unlabeled items \\(e.g. 'utt0002'\\)"):
+            scatter_matrices(ds)
 
 
 class TestTraining:

@@ -1,0 +1,206 @@
+"""Binary and CSV loaders: invalid contents name the file, and fuzzed files
+fail only with a ``ValueError`` naming the file or load as valid objects."""
+
+import functools
+import math
+import struct
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from svbackend.dataset import load_ivectors, save_ivectors
+from svbackend.gplda import PldaModel, load_plda, save_plda
+from svbackend.idv import estimate_modified_idv, load_idv, save_idv
+from svbackend.lda import LDA_MAGIC, LdaTransform, load_lda, save_lda
+
+from conftest import make_dataset
+
+
+def _ivec_record(utt: bytes, spk: bytes, dom: bytes, duration: float, values) -> bytes:
+    parts = [struct.pack("<I", len(t)) + t for t in (utt, spk, dom)]
+    return b"".join(parts) + struct.pack("<d", duration) + np.asarray(values, "<f8").tobytes()
+
+
+def _ivec_file(path, *records: bytes, dim: int = 2) -> None:
+    path.write_bytes(b"IVEC1" + struct.pack("<IQ", dim, len(records)) + b"".join(records))
+
+
+def _raises_naming(path, pattern: str):
+    return pytest.raises(ValueError, match=rf"^{path}: {pattern}")
+
+
+class TestContentErrorsNameTheFile:
+    def test_ivec_non_finite_value(self, tmp_path):
+        path = tmp_path / "x.ivec"
+        _ivec_file(
+            path,
+            _ivec_record(b"a", b"s", b"in", 1.0, [1.0, 2.0]),
+            _ivec_record(b"b", b"s", b"in", 1.0, [1.0, math.nan]),
+        )
+        with _raises_naming(path, "record 1: ivector 'b': values contain non-finite"):
+            load_ivectors(path)
+
+    def test_ivec_non_positive_duration(self, tmp_path):
+        path = tmp_path / "x.ivec"
+        _ivec_file(path, _ivec_record(b"a", b"s", b"in", 0.0, [1.0, 2.0]))
+        with _raises_naming(path, "record 0: ivector 'a': duration_sec must be positive"):
+            load_ivectors(path)
+
+    def test_ivec_invalid_utf8(self, tmp_path):
+        path = tmp_path / "x.ivec"
+        _ivec_file(
+            path,
+            _ivec_record(b"a", b"s", b"in", 1.0, [1.0, 2.0]),
+            _ivec_record(b"\xff\xfe", b"s", b"in", 1.0, [1.0, 2.0]),
+        )
+        with _raises_naming(path, "record 1: id is not valid UTF-8"):
+            load_ivectors(path)
+
+    def test_ivec_duplicate_id(self, tmp_path):
+        path = tmp_path / "x.ivec"
+        rec = _ivec_record(b"a", b"s", b"in", 1.0, [1.0, 2.0])
+        _ivec_file(path, rec, rec)
+        with _raises_naming(path, "record 1: duplicate utterance id 'a'"):
+            load_ivectors(path)
+
+    def test_ivec_count_beyond_file_size(self, tmp_path):
+        path = tmp_path / "x.ivec"
+        path.write_bytes(b"IVEC1" + struct.pack("<IQ", 4, 2**60))
+        with _raises_naming(path, "header claims"):
+            load_ivectors(path)
+
+    def test_csv_contents_name_the_line(self, tmp_path):
+        path = tmp_path / "x.csv"
+        head = "id,speaker,domain,duration,v0,v1\n"
+        path.write_text(head + "a,s,in,1.0,1.0,2.0\nb,s,in,1.0,nan,2.0\n")
+        with _raises_naming(path, "line 3: ivector 'b': values contain non-finite"):
+            load_ivectors(path, "csv")
+        path.write_text(head + "a,s,in,-1.0,1.0,2.0\n")
+        with _raises_naming(path, "line 2: ivector 'a': duration_sec must be positive"):
+            load_ivectors(path, "csv")
+
+    def test_lda_invalid_transform(self, tmp_path):
+        path = tmp_path / "x.lda"
+        d, k = 2, 3
+        path.write_bytes(LDA_MAGIC + struct.pack("<II", d, k) + np.ones(k + d * k).tobytes())
+        with _raises_naming(path, "cannot retain more directions"):
+            load_lda(path)
+        save_lda(LdaTransform(np.eye(2), [2.0, 1.0]), path)
+        data = bytearray(path.read_bytes())
+        data[12:28] = np.array([1.0, 2.0]).tobytes()  # eigenvalues ascending
+        path.write_bytes(bytes(data))
+        with _raises_naming(path, "eigenvalues must be sorted"):
+            load_lda(path)
+
+    def test_idv_non_whitening_decorrelator(self, tmp_path):
+        path = tmp_path / "x.idv"
+        s, dmat = np.eye(2), 2.0 * np.eye(2)
+        path.write_bytes(
+            b"IDV1" + struct.pack("<BId", 1, 2, 0.0) + s.tobytes() + dmat.tobytes()
+        )
+        with _raises_naming(path, "decorrelator does not whiten"):
+            load_idv(path)
+
+    def test_plda_nan_and_too_many_eigenvoices(self, tmp_path):
+        path = tmp_path / "x.plda"
+        k, q = 2, 1
+        lam = np.eye(k)
+        lam[0, 1] = math.nan
+        blob = np.zeros(k).tobytes() + np.zeros((k, q)).tobytes() + lam.tobytes()
+        path.write_bytes(b"PLDA1" + struct.pack("<II", k, q) + blob)
+        with _raises_naming(path, "lambda_prec has non-finite entries"):
+            load_plda(path)
+        q = 3
+        blob = np.zeros(k).tobytes() + np.zeros((k, q)).tobytes() + np.eye(k).tobytes()
+        path.write_bytes(b"PLDA1" + struct.pack("<II", k, q) + blob)
+        with _raises_naming(path, "more eigenvoices than dimensions"):
+            load_plda(path)
+
+    @pytest.mark.parametrize("loader", [load_ivectors, load_lda, load_idv, load_plda])
+    def test_short_header(self, tmp_path, loader):
+        path = tmp_path / "x.bin"
+        magics = {load_ivectors: b"IVEC1", load_lda: b"LDA1", load_idv: b"IDV1", load_plda: b"PLDA1"}
+        magic = magics[loader]
+        path.write_bytes(magic + b"\x01")
+        with _raises_naming(path, "truncated"):
+            loader(path)
+
+
+# ---------------------------------------------------------------------------
+# fuzz
+
+
+@functools.cache
+def _valid_files() -> dict[str, bytes]:
+    """One small valid file per binary loader."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return _write_valid_files(Path(tmp))
+
+
+def _write_valid_files(tmp_path: Path) -> dict[str, bytes]:
+    rng = np.random.default_rng(5)
+    ds = make_dataset(rng.standard_normal((4, 3)), ["a", None, "b", "a"])
+    save_ivectors(ds, tmp_path / "v.ivec")
+    basis = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+    save_lda(LdaTransform(basis, [3.0, 1.0]), tmp_path / "v.lda")
+    out = make_dataset(rng.standard_normal((6, 3)) + 2.0, prefix="o")
+    idv = estimate_modified_idv(out, make_dataset(rng.standard_normal((6, 3))), 1e-6)
+    save_idv(idv, tmp_path / "v.idv")
+    lam = rng.standard_normal((3, 3))
+    save_plda(PldaModel(np.zeros(3), rng.standard_normal((3, 2)), lam @ lam.T + np.eye(3)),
+              tmp_path / "v.plda")
+    return {
+        name: (tmp_path / f"v.{name}").read_bytes() for name in ("ivec", "lda", "idv", "plda")
+    }
+
+
+def _check_loaded(kind: str, obj, raw: bytes, tmp_path) -> None:
+    """A successful load returns an object that holds its type's invariants."""
+    if kind == "ivec":
+        assert np.isfinite(obj.matrix()).all() and (obj.durations > 0).all()
+        assert len(set(obj.ids)) == len(obj)
+        save_ivectors(obj, tmp_path / "again.ivec")
+        assert (tmp_path / "again.ivec").read_bytes() == raw
+    elif kind == "lda":
+        assert np.isfinite(obj.a_matrix).all() and np.isfinite(obj.eigenvalues).all()
+        assert np.all(np.diff(obj.eigenvalues) <= 0)
+        assert obj.output_dim <= obj.input_dim
+    elif kind == "idv":
+        d = obj.decorrelator
+        inv = np.linalg.inv(obj.s_idv + obj.ridge * np.eye(obj.dim))
+        assert np.linalg.norm(d @ d.T - inv) <= 1e-8 * np.linalg.norm(inv)
+    else:
+        assert np.isfinite(obj.lambda_prec).all() and np.isfinite(obj.u1).all()
+        np.linalg.cholesky(obj.lambda_prec)
+
+
+_LOADERS = {"ivec": load_ivectors, "lda": load_lda, "idv": load_idv, "plda": load_plda}
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    kind=st.sampled_from(sorted(_LOADERS)),
+    cut=st.one_of(st.none(), st.integers(min_value=0)),
+    flips=st.lists(st.integers(min_value=0), max_size=4),
+)
+def test_fuzzed_binary_files_fail_by_name_or_load_valid(tmp_path, kind, cut, flips):
+    raw = bytearray(_valid_files()[kind])
+    for bit in flips:
+        bit %= 8 * len(raw)
+        raw[bit // 8] ^= 1 << (bit % 8)
+    if cut is not None:
+        raw = raw[: cut % len(raw)]
+    path = tmp_path / f"fuzzed.{kind}"
+    path.write_bytes(bytes(raw))
+    try:
+        obj = _LOADERS[kind](path)
+    except ValueError as e:
+        assert str(e).startswith(f"{path}: "), str(e)
+        return
+    _check_loaded(kind, obj, bytes(raw), tmp_path)
