@@ -28,8 +28,7 @@ from svbackend.harness import (
     SYSTEM_OUT,
     _default_domain_offset,
     default_experiment_config,
-    run_idv_comparison,
-    run_in_vs_out_domain,
+    run_experiment,
 )
 
 
@@ -90,7 +89,7 @@ def main() -> int:
         t0 = time.time()
         with tempfile.TemporaryDirectory() as td:
             if not args.skip_in_vs_out:
-                res = run_in_vs_out_domain(cfg, td)
+                res = run_experiment(cfg, "in-vs-out", td)["in-vs-out"]
                 gains = []
                 for d in cfg.durations:
                     lbl = "full" if d is None else f"{d:g}"
@@ -103,7 +102,7 @@ def main() -> int:
                 gain_str = eer_str = "-"
             if not args.skip_idv:
                 cfg_full = replace(cfg, durations=(None,))
-                res2 = run_idv_comparison(cfg_full, td)
+                res2 = run_experiment(cfg_full, "idv-comparison", td)["idv-comparison"]
                 vals = {
                     s: res2.mean_value("full", f"{s}|snorm=off", "eer")
                     for s in (SYSTEM_OUT, SYSTEM_IDV, SYSTEM_MODIFIED_IDV)

@@ -162,10 +162,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.config:
-        cfg = harness.load_config(args.config)
+        try:
+            cfg = harness.load_config(args.config)
+        except ValueError as e:
+            raise ValueError(f"{args.config}: {e}") from None
     else:
         cfg = harness.default_experiment_config()
     overrides = {}
+    if args.out_dir:
+        overrides["output_dir"] = args.out_dir
     if args.seeds:
         overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
     if args.durations:
@@ -176,10 +181,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         overrides["snorm"] = args.snorm
     if overrides:
         cfg = replace(cfg, **overrides)
-    results = harness.run_experiment(cfg, args.kind, args.out_dir)
+    results = harness.run_experiment(cfg, args.kind)
     for kind, res in results.items():
         for path in res.files:
             print(f"{kind}: wrote {path}")
+    snapshot = Path(cfg.output_dir) / "experiment_config.json"
+    harness.save_config(cfg, snapshot)
+    print(f"config snapshot: {snapshot}")
     return 0
 
 

@@ -13,8 +13,11 @@ operation is a pure function of its inputs and an explicit seed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import math
+import numbers
 import struct
 from array import array
 from dataclasses import dataclass, fields
@@ -342,6 +345,13 @@ class DurationNoiseModel:
         return self.sigma0 * (self.duration_ref_sec / duration_sec) ** self.exponent
 
 
+#: Smallest accepted value of each numeric ``GeneratorConfig`` field with one.
+_GENERATOR_MINIMA = dict(
+    dim=1, n_speakers=1, sessions_per_speaker=1, eigenvoice_dim=1, duration_noise_scale=0.0,
+    seed=0, subspace_seed=0,
+)
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorConfig:
     """Knobs of the synthetic two-domain i-vector generator.
@@ -373,13 +383,8 @@ class GeneratorConfig:
     subspace_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("invalid config: dim must be at least 1")
-        if self.n_speakers < 1:
-            raise ValueError("invalid config: need at least one speaker per domain")
-        if self.sessions_per_speaker < 1:
-            raise ValueError("invalid config: need at least one session per speaker")
-        if not 1 <= self.eigenvoice_dim <= self.dim:
+        check_fields(self, _GENERATOR_MINIMA)
+        if self.eigenvoice_dim > self.dim:
             raise ValueError("invalid config: eigenvoice_dim must be in [1, dim]")
         if self.speaker_scale < 0 or self.channel_scale < 0:
             raise ValueError("invalid config: scales must be nonnegative")
@@ -387,12 +392,13 @@ class GeneratorConfig:
             raise ValueError("invalid config: scales must be nonnegative")
         if not self.duration_ref_sec > 0:
             raise ValueError("invalid config: duration_ref_sec must be positive")
-        if self.duration_noise_scale < 0:
-            raise ValueError("invalid config: duration_noise_scale must be nonnegative")
         offset = self.domain_offset
         if offset is None:
             offset = np.zeros(self.dim)
-        offset = np.array(offset, dtype=np.float64, copy=True)
+        try:
+            offset = np.array(offset, dtype=np.float64, copy=True)
+        except (TypeError, ValueError):
+            raise ValueError("invalid config: domain_offset must be a list of numbers") from None
         if offset.shape != (self.dim,):
             raise ValueError(f"invalid config: domain_offset must have length {self.dim}")
         if not np.all(np.isfinite(offset)):
@@ -422,6 +428,34 @@ def reject_unknown_keys(d: Mapping, cls: type, what: str) -> None:
     unknown = sorted(set(d) - {f.name for f in fields(cls) if f.init})
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(map(str, unknown))}")
+
+
+def check_number(
+    name: str, value: object, minimum: float = -math.inf, integer: bool = False
+) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite
+    number (an integer if ``integer``; never a bool) of at least ``minimum``."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind) or not (
+        math.isfinite(value) and value >= minimum
+    ):
+        what = "an integer" if integer else "a finite number"
+        bound = f" >= {minimum:g}" if minimum > -math.inf else ""
+        raise ValueError(f"{name} must be {what}{bound}, got {value!r}")
+
+
+def check_fields(obj: object, minima: Mapping[str, float]) -> None:
+    """``check_number`` every int and float field of dataclass ``obj`` against
+    its bound in ``minima``; a None passes where the annotation allows it.
+    Relies on string annotations (``from __future__ import annotations``)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type.split(" |")[0] in ("int", "float") and not (
+            value is None and f.type.endswith("| None")
+        ):
+            check_number(
+                f.name, value, minima.get(f.name, -math.inf), integer=f.type.startswith("int")
+            )
 
 
 def generator_config_from_dict(d: Mapping) -> GeneratorConfig:
@@ -622,6 +656,22 @@ def _load_binary(path: Path) -> Dataset:
 _CSV_FIXED_COLUMNS = ["id", "speaker", "domain", "duration"]
 
 
+@contextlib.contextmanager
+def naming_utf8_errors(path: str | Path) -> Iterator[None]:
+    """Turn a ``UnicodeDecodeError`` raised while reading the text file
+    ``path`` into a ``ValueError`` naming it and its first non-UTF-8 line."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        with open(path, "rb") as f:
+            for lineno, line in enumerate(f, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
+
+
 def csv_fields(texts: Iterable[str]) -> list[str]:
     """Each text as ``csv.writer`` renders it inside a row (quoted when needed)."""
     buf = io.StringIO()
@@ -638,7 +688,7 @@ def csv_fields(texts: Iterable[str]) -> list[str]:
 def _save_csv(ds: Dataset, path: Path) -> None:
     """The bytes of ``csv.writer`` rows, with ``repr`` of every number."""
     columns = [csv_fields(texts) for texts in _text_columns(ds)]
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(_CSV_FIXED_COLUMNS + [f"v{i}" for i in range(ds.dim)]) + "\n")
         for utt, spk, dom, duration, row in zip(
             *columns, ds.durations.tolist(), ds.matrix().tolist()
@@ -653,7 +703,7 @@ def _load_csv(path: Path) -> Dataset:
     durations: list[float] = []
     rows: list[list[float]] = []
     lines: list[int] = []
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f, naming_utf8_errors(path):
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None or header[:4] != _CSV_FIXED_COLUMNS:
@@ -801,7 +851,7 @@ def load_trials(path: str | Path) -> TrialList:
     e_index: dict[str, int] = {}
     t_index: dict[str, int] = {}
     e_code, t_code, labels = array("q"), array("q"), array("b")
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f, naming_utf8_errors(path):
         for lineno, line in enumerate(f, start=1):
             tokens = line.split()
             if not tokens:
@@ -825,4 +875,4 @@ def save_trials(trials: "Sequence[Trial] | TrialList", path: str | Path) -> None
     enrol, test = trials.id_columns()
     labels = np.where(trials.is_target, "target", "nontarget")
     lines = map("{} {} {}\n".format, enrol.tolist(), test.tolist(), labels.tolist())
-    Path(path).write_text("".join(lines))
+    Path(path).write_text("".join(lines), encoding="utf-8")

@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .dataset import TRIAL_LABELS, Dataset, Trial, TrialList, csv_fields
+from .dataset import TRIAL_LABELS, Dataset, Trial, TrialList, csv_fields, naming_utf8_errors
 
 PLDA_MAGIC = b"PLDA1"
 
@@ -536,7 +536,7 @@ def write_scores(scores: ScoreSet, path: str | Path) -> None:
     enrol_ids = np.array(csv_fields(tl.enrol_ids), dtype=object)
     test_ids = np.array(csv_fields(tl.test_ids), dtype=object)
     labels = np.array(["nontarget", "target"], dtype=object)
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(SCORE_COLUMNS) + "\n")
         for start in range(0, len(tl), _CSV_BLOCK):
             rows = slice(start, start + _CSV_BLOCK)
@@ -559,7 +559,7 @@ def _score_texts(scores: np.ndarray) -> list[str]:
 
 def _record_line(path: str | Path, k: int) -> int:
     """Line number of the ``k``-th (0-based) non-blank data row of a score CSV."""
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         next(reader, None)
         for row in reader:
@@ -614,7 +614,7 @@ def read_scores(path: str | Path) -> ScoreSet:
     l_index: dict[str, int] = {}
     e_code, t_code, l_code = array("q"), array("q"), array("q")
     raw_parts, norm_parts = [np.empty(0)], [np.empty(0)]
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f, naming_utf8_errors(path):
         reader = csv.reader(f)
         if next(reader, None) != SCORE_COLUMNS:
             raise ValueError(f"{path}: missing or malformed score header")

@@ -14,20 +14,26 @@ the individual CLI subcommands by hand.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import asdict, dataclass, replace
+from numbers import Real
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .dataset import (
     Dataset,
+    Domain,
     GeneratorConfig,
     TrialList,
     apply_duration_noise,
+    check_fields,
+    check_number,
     generator_config_from_dict,
     reject_unknown_keys,
     synth_dataset,
@@ -76,19 +82,26 @@ FULL_SCALE_MATCHED_SNORM_REFERENCE = (
     ("50", 6.09, 5.85),
 )
 
-#: Full-scale headline numbers: in-domain training gains more than 28%
-#: EER/DCF over out-domain at full length; modified IDV recovers 26%
-#: (SWB cohort) / 14% (NIST cohort) of the out-domain gap.
-FULL_SCALE_HEADLINE_GAINS_PCT = {
-    "in_domain_over_out_domain_full_length_min": 28.0,
-    "modified_idv_over_out_domain_swb_snorm": 26.0,
-    "modified_idv_over_out_domain_nist_snorm": 14.0,
-}
+#: Smallest accepted value of each numeric ``ExperimentConfig`` field; the
+#: IDV subset counts may also be None (use every vector).
+_MINIMA = dict(
+    lda_dim=1, plda_q=1, plda_iters=1, eval_speakers=2, eval_sessions=2, cohort_speakers=1,
+    cohort_sessions=1, swb_cohort_size=1, idv_out_count=1, idv_in_count=1, idv_ridge=0.0,
+    lda_ridge=0.0,
+)
+
+#: Pipeline switches of older configs and the one value each may still
+#: hold: IDV always applies to evaluation and cohort vectors, LDA is
+#: trained on the compensated vectors, and length normalization follows LDA.
+RETIRED_KEYS = {"idv_on_eval": True, "lda_on_compensated": True, "length_norm_before_lda": False}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """All knobs of one synthetic study; serializable to JSON."""
+    """All knobs of one synthetic study; serializable to JSON.
+
+    Every field is type- and range-checked here; a bad one raises
+    ``ValueError`` naming it."""
 
     generator: GeneratorConfig
     idv: str = "modified"
@@ -108,27 +121,31 @@ class ExperimentConfig:
     idv_in_count: int | None = None
     idv_ridge: float = 1e-6
     lda_ridge: float = 1e-6
-    idv_on_eval: bool = True
-    lda_on_compensated: bool = True
-    length_norm_before_lda: bool = False
     dcf: DcfParams = DcfParams()
 
     def __post_init__(self) -> None:
+        for name, cls in (("generator", GeneratorConfig), ("dcf", DcfParams), ("output_dir", str)):
+            if not isinstance(getattr(self, name), cls):
+                raise ValueError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         if self.idv not in IDV_CHOICES:
             raise ValueError(f"idv must be one of {IDV_CHOICES}")
         if self.snorm not in SNORM_CHOICES:
             raise ValueError(f"snorm must be one of {SNORM_CHOICES}")
+        check_fields(self, _MINIMA)
+        for name in ("durations", "seeds"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         if not self.durations:
             raise ValueError("need at least one evaluation duration")
         for d in self.durations:
-            if d is not None and not d > 0:
-                raise ValueError("durations must be positive (None means full length)")
+            if d is not None and (
+                isinstance(d, bool) or not isinstance(d, Real) or not 0 < d < math.inf
+            ):
+                raise ValueError(f"durations must be positive (None means full length), got {d!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if self.eval_sessions < 2:
-            raise ValueError("eval_sessions must be at least 2 (one enrol, one test)")
-        if self.lda_dim < 1 or self.plda_q < 1:
-            raise ValueError("lda_dim and plda_q must be positive")
+        for s in self.seeds:
+            check_number("seeds", s, 0, integer=True)
         object.__setattr__(self, "durations", tuple(self.durations))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
@@ -142,61 +159,48 @@ def duration_label(d: float | None) -> str:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    gen = cfg.generator
-    return {
-        "generator": {
-            "dim": gen.dim,
-            "n_speakers": gen.n_speakers,
-            "sessions_per_speaker": gen.sessions_per_speaker,
-            "eigenvoice_dim": gen.eigenvoice_dim,
-            "speaker_scale": gen.speaker_scale,
-            "channel_scale": gen.channel_scale,
-            "out_channel_scale": gen.out_channel_scale,
-            "domain_offset": np.asarray(gen.domain_offset).tolist(),
-            "duration_ref_sec": gen.duration_ref_sec,
-            "duration_noise_scale": gen.duration_noise_scale,
-            "duration_noise_exponent": gen.duration_noise_exponent,
-            "seed": gen.seed,
-            "subspace_seed": gen.subspace_seed,
-        },
-        "idv": cfg.idv,
-        "lda_dim": cfg.lda_dim,
-        "snorm": cfg.snorm,
-        "plda_q": cfg.plda_q,
-        "plda_iters": cfg.plda_iters,
-        "durations": [duration_label(d) for d in cfg.durations],
-        "seeds": list(cfg.seeds),
-        "output_dir": cfg.output_dir,
-        "eval_speakers": cfg.eval_speakers,
-        "eval_sessions": cfg.eval_sessions,
-        "cohort_speakers": cfg.cohort_speakers,
-        "cohort_sessions": cfg.cohort_sessions,
-        "swb_cohort_size": cfg.swb_cohort_size,
-        "idv_out_count": cfg.idv_out_count,
-        "idv_in_count": cfg.idv_in_count,
-        "idv_ridge": cfg.idv_ridge,
-        "lda_ridge": cfg.lda_ridge,
-        "idv_on_eval": cfg.idv_on_eval,
-        "lda_on_compensated": cfg.lda_on_compensated,
-        "length_norm_before_lda": cfg.length_norm_before_lda,
-        "dcf": {"c_miss": cfg.dcf.c_miss, "c_fa": cfg.dcf.c_fa, "p_target": cfg.dcf.p_target},
-    }
+    d = asdict(cfg)
+    d["generator"]["domain_offset"] = cfg.generator.domain_offset.tolist()
+    d["durations"] = [duration_label(x) for x in cfg.durations]
+    return d
 
 
-def config_from_dict(d: dict) -> ExperimentConfig:
-    """Inverse of ``config_to_dict``; unknown keys raise ``ValueError`` naming them."""
-    reject_unknown_keys(d, ExperimentConfig, "experiment config")
+def _parse_duration(x: object) -> float | None:
+    if x is None or x == "full":
+        return None
+    try:
+        return float(x)  # config_to_dict writes durations as text
+    except (TypeError, ValueError):
+        raise ValueError(f"durations: invalid entry {x!r}") from None
+
+
+def config_from_dict(d: Mapping) -> ExperimentConfig:
+    """Inverse of ``config_to_dict``.
+
+    Unknown keys, a retired key (``RETIRED_KEYS``) holding anything but
+    its fixed value, and malformed values raise ``ValueError`` naming the
+    key."""
+    if not isinstance(d, Mapping):
+        raise ValueError("experiment config must be a JSON object")
     d = dict(d)
+    for key, fixed in RETIRED_KEYS.items():
+        value = d.pop(key, fixed)
+        if value is not fixed:
+            raise ValueError(f"retired key {key}: only {fixed!r} is supported, got {value!r}")
+    reject_unknown_keys(d, ExperimentConfig, "experiment config")
+    for key in ("generator", "dcf"):
+        if not isinstance(d.get(key, {}), Mapping):
+            raise ValueError(f"{key} must be a JSON object, got {d[key]!r}")
     gen = generator_config_from_dict(d.pop("generator", {}))
-    durations = tuple(
-        None if x in (None, "full") else float(x) for x in d.pop("durations", ["full"])
+    dcf_d = d.pop("dcf", {})
+    reject_unknown_keys(dcf_d, DcfParams, "dcf")
+    dcf = DcfParams(**dcf_d)
+    durations = d.pop("durations", ["full"])
+    if isinstance(durations, (list, tuple)):
+        durations = [_parse_duration(x) for x in durations]
+    return ExperimentConfig(
+        generator=gen, durations=durations, seeds=d.pop("seeds", [0]), dcf=dcf, **d
     )
-    dcf_d = d.pop("dcf", None)
-    if dcf_d:
-        reject_unknown_keys(dcf_d, DcfParams, "dcf")
-    dcf = DcfParams(**dcf_d) if dcf_d else DcfParams()
-    seeds = tuple(d.pop("seeds", [0]))
-    return ExperimentConfig(generator=gen, durations=durations, seeds=seeds, dcf=dcf, **d)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -255,32 +259,17 @@ def make_run_data(cfg: ExperimentConfig, seed: int) -> RunData:
     All draws share the run's ground-truth subspace; evaluation and
     cohort speakers are fresh."""
     base = replace(cfg.generator, seed=seed, subspace_seed=seed)
+
+    def draw(offset: int, speakers: int, sessions: int) -> tuple[Dataset, Dataset]:
+        return synth_dataset(
+            replace(base, seed=seed + offset, n_speakers=speakers, sessions_per_speaker=sessions)
+        )
+
     train_in, train_out = synth_dataset(base)
-    eval_in, _ = synth_dataset(
-        replace(
-            base,
-            seed=seed + EVAL_SEED_OFFSET,
-            n_speakers=cfg.eval_speakers,
-            sessions_per_speaker=cfg.eval_sessions,
-        )
-    )
-    nist_cohort, _ = synth_dataset(
-        replace(
-            base,
-            seed=seed + NIST_COHORT_SEED_OFFSET,
-            n_speakers=cfg.cohort_speakers,
-            sessions_per_speaker=cfg.cohort_sessions,
-        )
-    )
+    eval_in, _ = draw(EVAL_SEED_OFFSET, cfg.eval_speakers, cfg.eval_sessions)
+    nist_cohort, _ = draw(NIST_COHORT_SEED_OFFSET, cfg.cohort_speakers, cfg.cohort_sessions)
     swb_speakers = math.ceil(cfg.swb_cohort_size / cfg.cohort_sessions)
-    _, swb_all = synth_dataset(
-        replace(
-            base,
-            seed=seed + SWB_COHORT_SEED_OFFSET,
-            n_speakers=swb_speakers,
-            sessions_per_speaker=cfg.cohort_sessions,
-        )
-    )
+    _, swb_all = draw(SWB_COHORT_SEED_OFFSET, swb_speakers, cfg.cohort_sessions)
     swb_cohort = swb_all.subset(range(cfg.swb_cohort_size))
     enrol_pos, test_pos, trials = build_trials(eval_in)
     return RunData(
@@ -308,13 +297,11 @@ class Backend:
     idv: IdvTransform | None
     lda: LdaTransform
     plda: PldaModel
-    length_norm_first: bool = False
 
-    def project(self, ds: Dataset, with_idv: bool = True) -> Dataset:
-        if self.idv is not None and with_idv:
+    def project(self, ds: Dataset) -> Dataset:
+        """IDV (when trained), then LDA, then length normalization."""
+        if self.idv is not None:
             ds = apply_idv(self.idv, ds)
-        if self.length_norm_first:
-            return apply_lda(self.lda, length_normalize(ds))
         return length_normalize(apply_lda(self.lda, ds))
 
 
@@ -324,29 +311,23 @@ def train_backend(
     idv_transform: IdvTransform | None,
     seed: int,
 ) -> Backend:
-    """Train LDA and PLDA behind an (optional) IDV compensation.
+    """Train LDA and PLDA on the (optionally IDV-compensated) training data.
 
     The configured LDA dimension and eigenvoice count are clamped to
     what the training data can support, with a warning."""
     compensated = apply_idv(idv_transform, train) if idv_transform is not None else train
-    stats_ds = compensated if cfg.lda_on_compensated else train
-    if cfg.length_norm_before_lda:
-        stats_ds = length_normalize(stats_ds)
     k = min(cfg.lda_dim, train.dim, len(train.speakers) - 1)
     if k < cfg.lda_dim:
         warnings.warn(
             f"LDA dimension clamped from {cfg.lda_dim} to {k} (rank limit)", stacklevel=2
         )
-    lda_t = train_lda(stats_ds, k, cfg.lda_ridge)
-    if cfg.length_norm_before_lda:
-        plda_train = apply_lda(lda_t, length_normalize(compensated))
-    else:
-        plda_train = length_normalize(apply_lda(lda_t, compensated))
+    lda_t = train_lda(compensated, k, cfg.lda_ridge)
+    plda_train = length_normalize(apply_lda(lda_t, compensated))
     q = min(cfg.plda_q, k)
     if q < cfg.plda_q:
         warnings.warn(f"eigenvoice count clamped from {cfg.plda_q} to {q}", stacklevel=2)
     plda = train_gplda(plda_train, q=q, iters=cfg.plda_iters, seed=seed)
-    return Backend(idv_transform, lda_t, plda, cfg.length_norm_before_lda)
+    return Backend(idv_transform, lda_t, plda)
 
 
 def estimate_idv_for_run(
@@ -370,43 +351,111 @@ def evaluate_backend(
     duration: float | None,
     grid_index: int,
     seed: int,
-    snorm_style: str,
-    matched_base: str = "nist-style",
+    cohort: str,
+    matched: bool = False,
 ) -> tuple[ScoreSet, str]:
     """Score the evaluation trials at one duration; returns the score set
     and which score column ("raw" or "normalized") carries the result.
 
-    ``matched_base`` selects which cohort the matched-length style
-    truncates."""
+    ``cohort`` is "off" for raw scores, else the S-norm cohort style
+    ("swb-style" or "nist-style"); ``matched`` first truncates that
+    cohort to the evaluation duration."""
     noise = cfg.generator.noise_model
     eval_ds = data.eval_in
     if duration is not None:
         eval_ds = apply_duration_noise(
             eval_ds, duration, noise, seed + DURATION_NOISE_SEED_OFFSET + grid_index
         )
-    proj = backend.project(eval_ds, with_idv=cfg.idv_on_eval)
+    proj = backend.project(eval_ds)
     enrol = proj.subset(data.enrol_pos)
     test = proj.subset(data.test_pos)
     scores = score_trials(backend.plda, enrol, test, data.trials)
-    if snorm_style == "off":
+    if cohort == "off":
         return scores, "raw"
-    base_style = matched_base if snorm_style == "matched-length" else snorm_style
-    if base_style == "swb-style":
-        raw_cohort = Cohort(data.swb_cohort, "swb-style")
-    else:
-        raw_cohort = Cohort(data.nist_cohort, "nist-style")
-    if snorm_style == "matched-length" and duration is not None:
+    raw_cohort = Cohort(data.swb_cohort if cohort == "swb-style" else data.nist_cohort, cohort)
+    if matched and duration is not None:
         raw_cohort = matched_length_cohort(
             raw_cohort, duration, noise, seed + COHORT_NOISE_SEED_OFFSET + grid_index
         )
-    cohort = Cohort(
-        backend.project(raw_cohort.vectors, with_idv=cfg.idv_on_eval), raw_cohort.label
-    )
-    return snorm(backend.plda, scores, enrol, test, cohort), "normalized"
+    projected = Cohort(backend.project(raw_cohort.vectors), raw_cohort.label)
+    return snorm(backend.plda, scores, enrol, test, projected), "normalized"
 
 
 # ---------------------------------------------------------------------------
-# experiment runs
+# studies
+
+#: Stands for the configured value in the study table: ``cfg.idv`` as a
+#: system's IDV variant, the cohort or the cohort matching of ``cfg.snorm``
+#: in a scoring variant.
+CONFIGURED = None
+
+
+@dataclass(frozen=True)
+class System:
+    """A backend trained once per seed on one domain behind an IDV variant."""
+
+    name: str
+    domain: Domain = Domain.OUT_DOMAIN
+    idv: str | None = "off"
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One scoring of every system: ``cohort`` is "off" (raw scores) or an
+    S-norm cohort style, ``matched`` truncates the cohort to each duration.
+    ``suffix``, with "{style}" set to the resulting S-norm style, extends
+    the condition ("/…") and system ("|…") labels."""
+
+    suffix: str = ""
+    cohort: str | None = CONFIGURED
+    matched: bool | None = CONFIGURED
+
+
+@dataclass(frozen=True)
+class Study:
+    """One paper experiment, writing ``<stem>_report.csv``, ``<stem>_plot.csv``
+    and, given ``reference`` (columns, rows), ``<stem>_reference_full_scale.csv``.
+
+    Every system is scored under every variant at every duration (finite
+    ones only if ``finite_only``).  A plot group compares the systems of
+    one variant, or with ``compare_variants`` the variants of one system,
+    against its first member.  A configured S-norm of "off" reads as the
+    cohort ``off_cohort``."""
+
+    stem: str
+    systems: tuple[System, ...]
+    variants: tuple[Variant, ...] = (Variant(),)
+    compare_variants: bool = False
+    finite_only: bool = False
+    off_cohort: str = "off"
+    reference: tuple[tuple[str, ...], tuple[tuple, ...]] | None = None
+
+
+STUDIES = {
+    "in-vs-out": Study(
+        "in_vs_out", (System(SYSTEM_OUT, idv=CONFIGURED), System(SYSTEM_IN, Domain.IN_DOMAIN))
+    ),
+    "idv-comparison": Study(
+        "idv_comparison",
+        (System(SYSTEM_OUT), System(SYSTEM_IDV, idv="original"),
+         System(SYSTEM_MODIFIED_IDV, idv="modified")),
+        (Variant("snorm={style}", "off", False), Variant("snorm={style}")),
+        off_cohort="nist-style",
+        reference=(("system", "eer_pct_without_snorm", "eer_pct_with_snorm"),
+                   FULL_SCALE_IDV_REFERENCE),
+    ),
+    "matched-snorm": Study(
+        "matched_snorm",
+        (System(SYSTEM_MODIFIED_IDV, idv="modified"),),
+        (Variant("cohort=full-length", matched=False), Variant("cohort=matched", matched=True)),
+        compare_variants=True,
+        finite_only=True,
+        off_cohort="nist-style",
+        reference=(("duration_sec", "eer_pct_full_length_cohort", "eer_pct_matched_cohort"),
+                   FULL_SCALE_MATCHED_SNORM_REFERENCE),
+    ),
+}
+EXPERIMENT_KINDS = tuple(STUDIES)
 
 
 @dataclass(frozen=True)
@@ -418,22 +467,11 @@ class PlotRow:
     gain_pct: float | None
 
 
-def write_plot_rows(rows: Sequence[PlotRow], path: str | Path) -> None:
-    import csv
-
+def _write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(PLOT_COLUMNS)
-        for r in rows:
-            w.writerow(
-                [
-                    r.duration,
-                    r.system,
-                    r.metric,
-                    repr(r.value),
-                    "" if r.gain_pct is None else repr(r.gain_pct),
-                ]
-            )
+        w.writerow(columns)
+        w.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -449,198 +487,81 @@ class ExperimentResult:
         raise KeyError((duration, system, metric))
 
 
-def _mean_rows(
-    report_rows: Sequence[MetricReportRow],
-    durations: Sequence[str],
-    systems: Sequence[str],
-    baseline: str | None,
-) -> list[PlotRow]:
-    """Per-(duration, system) seed means, with relative gain vs a baseline."""
-
-    def mean_of(duration: str, system: str, metric: str) -> float:
-        vals = [
-            getattr(r, metric)
-            for r in report_rows
-            if r.system == system and f"dur={duration}" in r.condition.split("/")
-        ]
-        if not vals:
-            raise ValueError(f"no rows for {system} at duration {duration}")
-        return float(np.mean(vals))
-
-    rows: list[PlotRow] = []
-    for duration in durations:
-        for metric in ("eer", "min_dcf"):
-            base_val = mean_of(duration, baseline, metric) if baseline else None
-            for system in systems:
-                val = mean_of(duration, system, metric)
-                gain = None
-                if baseline and system != baseline and base_val:
-                    gain = 100.0 * (base_val - val) / base_val
-                rows.append(PlotRow(duration, system, metric, val, gain))
-    return rows
+def _scoring(cfg: ExperimentConfig, study: Study, v: Variant) -> tuple[str, str, bool]:
+    """A variant's label suffix, cohort and matching under ``cfg``."""
+    matched = cfg.snorm == "matched-length" if v.matched is CONFIGURED else v.matched
+    cohort = v.cohort
+    if cohort is CONFIGURED:
+        cohort = "nist-style" if cfg.snorm == "matched-length" else cfg.snorm
+        cohort = study.off_cohort if cohort == "off" else cohort
+    return v.suffix.format(style="matched-length" if matched else cohort), cohort, matched
 
 
-def run_in_vs_out_domain(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
-    """Train PLDA on in-domain vs out-domain data and sweep the duration grid.
-
-    With ``cfg.idv`` set, the out-domain system additionally gets that
-    IDV compensation variant (the in-domain system never needs one).
-    Emits one report row per (seed, duration, system) and a seed-mean
-    plot table with the in-domain relative gain per duration."""
+def run_study(
+    cfg: ExperimentConfig, study: Study, out_dir: str | Path | None = None
+) -> ExperimentResult:
+    """Train each system once per seed and score it at every duration under
+    every variant; write the report, the seed-mean plot table (with each
+    member's gain over its group's first) and the reference table."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report_rows: list[MetricReportRow] = []
-    for seed in cfg.seeds:
-        data = make_run_data(cfg, seed)
-        out_idv = (
-            None if cfg.idv == "off" else estimate_idv_for_run(cfg, data, seed, cfg.idv)
-        )
-        backends = {
-            SYSTEM_OUT: train_backend(cfg, data.train_out, out_idv, seed),
-            SYSTEM_IN: train_backend(cfg, data.train_in, None, seed),
-        }
-        for gi, duration in enumerate(cfg.durations):
-            for system, backend in backends.items():
-                scores, which = evaluate_backend(cfg, backend, data, duration, gi, seed, cfg.snorm)
-                report_rows.append(
-                    evaluate(
-                        scores,
-                        condition=f"seed={seed}/dur={duration_label(duration)}",
-                        system=system,
-                        params=cfg.dcf,
-                        which=which,
-                    )
-                )
-    labels = [duration_label(d) for d in cfg.durations]
-    plot_rows = _mean_rows(report_rows, labels, [SYSTEM_OUT, SYSTEM_IN], baseline=SYSTEM_OUT)
-    report_path = out / "in_vs_out_report.csv"
-    plot_path = out / "in_vs_out_plot.csv"
-    write_metric_report(report_rows, report_path)
-    write_plot_rows(plot_rows, plot_path)
-    return ExperimentResult(tuple(report_rows), tuple(plot_rows), (report_path, plot_path))
-
-
-def run_idv_comparison(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
-    """Compare uncompensated, IDV, and modified-IDV out-domain systems,
-    with and without S-normalization, over the duration grid."""
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with_style = cfg.snorm if cfg.snorm != "off" else "nist-style"
-    report_rows: list[MetricReportRow] = []
-    for seed in cfg.seeds:
-        data = make_run_data(cfg, seed)
-        backends = {
-            SYSTEM_OUT: train_backend(cfg, data.train_out, None, seed),
-            SYSTEM_IDV: train_backend(
-                cfg, data.train_out, estimate_idv_for_run(cfg, data, seed, "original"), seed
-            ),
-            SYSTEM_MODIFIED_IDV: train_backend(
-                cfg, data.train_out, estimate_idv_for_run(cfg, data, seed, "modified"), seed
-            ),
-        }
-        for gi, duration in enumerate(cfg.durations):
-            for style in ("off", with_style):
-                for system, backend in backends.items():
-                    scores, which = evaluate_backend(cfg, backend, data, duration, gi, seed, style)
-                    report_rows.append(
-                        evaluate(
-                            scores,
-                            condition=f"seed={seed}/dur={duration_label(duration)}/snorm={style}",
-                            system=f"{system}|snorm={style}",
-                            params=cfg.dcf,
-                            which=which,
-                        )
-                    )
-    labels = [duration_label(d) for d in cfg.durations]
-    plot_rows: list[PlotRow] = []
-    for style in ("off", with_style):
-        systems = [f"{s}|snorm={style}" for s in (SYSTEM_OUT, SYSTEM_IDV, SYSTEM_MODIFIED_IDV)]
-        plot_rows.extend(_mean_rows(report_rows, labels, systems, baseline=systems[0]))
-    report_path = out / "idv_comparison_report.csv"
-    plot_path = out / "idv_comparison_plot.csv"
-    ref_path = out / "idv_comparison_reference_full_scale.csv"
-    write_metric_report(report_rows, report_path)
-    write_plot_rows(plot_rows, plot_path)
-    _write_simple_csv(
-        ref_path,
-        ["system", "eer_pct_without_snorm", "eer_pct_with_snorm"],
-        FULL_SCALE_IDV_REFERENCE,
-    )
-    return ExperimentResult(tuple(report_rows), tuple(plot_rows), (report_path, plot_path, ref_path))
-
-
-def run_matched_length_snorm(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
-    """Modified-IDV system scored with full-length vs matched-length
-    normalization cohorts at each truncated duration."""
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    base_style = cfg.snorm if cfg.snorm in ("swb-style", "nist-style") else "nist-style"
-    durations = [d for d in cfg.durations if d is not None]
+    durations = [d for d in cfg.durations if d is not None or not study.finite_only]
     if not durations:
-        raise ValueError("matched-length study needs at least one finite duration")
-    report_rows: list[MetricReportRow] = []
+        raise ValueError(f"{study.stem} study needs at least one finite duration")
+    variants = [_scoring(cfg, study, v) for v in study.variants]
+    names = [[s.name + (sfx and f"|{sfx}") for s in study.systems] for sfx, _, _ in variants]
+    report: list[MetricReportRow] = []
+    by_key: dict[tuple[str, str], list[MetricReportRow]] = defaultdict(list)
     for seed in cfg.seeds:
         data = make_run_data(cfg, seed)
-        backend = train_backend(
-            cfg, data.train_out, estimate_idv_for_run(cfg, data, seed, "modified"), seed
-        )
+        backends = []
+        for s in study.systems:
+            idv = cfg.idv if s.idv is CONFIGURED else s.idv
+            t = None if idv == "off" else estimate_idv_for_run(cfg, data, seed, idv)
+            train = data.train_in if s.domain is Domain.IN_DOMAIN else data.train_out
+            backends.append(train_backend(cfg, train, t, seed))
         for gi, duration in enumerate(durations):
-            for cohort_kind, style in (("full-length", base_style), ("matched", "matched-length")):
-                scores, which = evaluate_backend(
-                    cfg, backend, data, duration, gi, seed, style, matched_base=base_style
-                )
-                report_rows.append(
-                    evaluate(
-                        scores,
-                        condition=f"seed={seed}/dur={duration_label(duration)}/cohort={cohort_kind}",
-                        system=f"{SYSTEM_MODIFIED_IDV}|cohort={cohort_kind}",
-                        params=cfg.dcf,
-                        which=which,
+            dur = duration_label(duration)
+            for (sfx, cohort, matched), row_names in zip(variants, names):
+                for backend, name in zip(backends, row_names):
+                    scores, which = evaluate_backend(
+                        cfg, backend, data, duration, gi, seed, cohort, matched
                     )
-                )
-    labels = [duration_label(d) for d in durations]
-    systems = [f"{SYSTEM_MODIFIED_IDV}|cohort={k}" for k in ("full-length", "matched")]
-    plot_rows = _mean_rows(report_rows, labels, systems, baseline=systems[0])
-    report_path = out / "matched_snorm_report.csv"
-    plot_path = out / "matched_snorm_plot.csv"
-    ref_path = out / "matched_snorm_reference_full_scale.csv"
-    write_metric_report(report_rows, report_path)
-    write_plot_rows(plot_rows, plot_path)
-    _write_simple_csv(
-        ref_path,
-        ["duration_sec", "eer_pct_full_length_cohort", "eer_pct_matched_cohort"],
-        FULL_SCALE_MATCHED_SNORM_REFERENCE,
-    )
-    return ExperimentResult(tuple(report_rows), tuple(plot_rows), (report_path, plot_path, ref_path))
-
-
-def _write_simple_csv(path: Path, columns: list[str], rows: Sequence[tuple]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(columns)
-        for row in rows:
-            w.writerow(list(row))
-
-
-EXPERIMENT_KINDS = ("in-vs-out", "idv-comparison", "matched-snorm")
+                    condition = f"seed={seed}/dur={dur}" + (sfx and f"/{sfx}")
+                    report.append(evaluate(scores, condition, name, cfg.dcf, which))
+                    by_key[dur, name].append(report[-1])
+    plot: list[PlotRow] = []
+    for group in zip(*names) if study.compare_variants else names:
+        for dur in map(duration_label, durations):
+            for metric in ("eer", "min_dcf"):
+                means = [
+                    float(np.mean([getattr(r, metric) for r in by_key[dur, n]])) for n in group
+                ]
+                base = means[0]
+                for i, (name, val) in enumerate(zip(group, means)):
+                    gain = 100.0 * (base - val) / base if i and base else None
+                    plot.append(PlotRow(dur, name, metric, val, gain))
+    files = [out / f"{study.stem}_report.csv", out / f"{study.stem}_plot.csv"]
+    write_metric_report(report, files[0])
+    _write_csv(files[1], PLOT_COLUMNS, (
+        (r.duration, r.system, r.metric, repr(r.value),
+         "" if r.gain_pct is None else repr(r.gain_pct)) for r in plot
+    ))
+    if study.reference is not None:
+        files.append(out / f"{study.stem}_reference_full_scale.csv")
+        _write_csv(files[-1], *study.reference)
+    return ExperimentResult(tuple(report), tuple(plot), tuple(files))
 
 
 def run_experiment(
     cfg: ExperimentConfig, kind: str, out_dir: str | Path | None = None
 ) -> dict[str, ExperimentResult]:
-    """Dispatch one experiment kind, or 'all'."""
-    runs = {
-        "in-vs-out": run_in_vs_out_domain,
-        "idv-comparison": run_idv_comparison,
-        "matched-snorm": run_matched_length_snorm,
-    }
-    if kind == "all":
-        return {k: fn(cfg, out_dir) for k, fn in runs.items()}
-    if kind not in runs:
-        raise ValueError(f"unknown experiment kind '{kind}' (choose from {EXPERIMENT_KINDS + ('all',)})")
-    return {kind: runs[kind](cfg, out_dir)}
+    """Run one study kind, or every study for 'all'."""
+    if kind != "all" and kind not in STUDIES:
+        choices = EXPERIMENT_KINDS + ("all",)
+        raise ValueError(f"unknown experiment kind '{kind}' (choose from {choices})")
+    kinds = EXPERIMENT_KINDS if kind == "all" else (kind,)
+    return {k: run_study(cfg, STUDIES[k], out_dir) for k in kinds}
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +614,5 @@ def default_experiment_config(**overrides) -> ExperimentConfig:
         idv_out_count=None,
         idv_in_count=None,
     )
-    gen_overrides = overrides.pop("generator", None)
-    if gen_overrides is not None:
-        base["generator"] = gen_overrides
     base.update(overrides)
     return ExperimentConfig(**base)

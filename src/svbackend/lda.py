@@ -20,12 +20,16 @@ from .dataset import Dataset
 
 LDA_MAGIC = b"LDA1"
 
+#: Largest accepted deviation of an ``LdaTransform`` column's Euclidean
+#: norm from 1.
+UNIT_NORM_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class LdaTransform:
     """A trained projection: ``a_matrix`` is (D, K), columns sorted by
-    descending eigenvalue, each unit length with its largest-magnitude
-    entry positive.
+    descending eigenvalue, each unit length (within ``UNIT_NORM_TOLERANCE``)
+    with its largest-magnitude entry (the first, on ties) positive.
 
     Scatter matrices are kept for inspection when produced by training;
     transforms loaded from disk carry None there.
@@ -49,6 +53,14 @@ class LdaTransform:
             raise ValueError("need one eigenvalue per retained column")
         if np.any(np.diff(lam) > 0):
             raise ValueError("eigenvalues must be sorted descending")
+        peak = a[np.abs(a).argmax(axis=0), np.arange(a.shape[1])]
+        off_unit = np.abs(np.linalg.norm(a, axis=0) - 1.0) > UNIT_NORM_TOLERANCE
+        bad = np.flatnonzero(off_unit | (peak <= 0))
+        if bad.size:
+            raise ValueError(
+                f"a_matrix column {bad[0]} is not unit length with a positive"
+                " largest-magnitude entry"
+            )
         a.flags.writeable = False
         lam.flags.writeable = False
         object.__setattr__(self, "a_matrix", a)

@@ -24,6 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .dataset import check_fields
 from .gplda import ScoreSet
 
 
@@ -36,7 +37,8 @@ class DcfParams:
     p_target: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.c_miss <= 0 or self.c_fa <= 0:
+        check_fields(self, dict(c_miss=0.0, c_fa=0.0, p_target=0.0))
+        if self.c_miss == 0 or self.c_fa == 0:
             raise ValueError("costs must be positive")
         if not 0.0 < self.p_target < 1.0:
             raise ValueError("p_target must be in (0, 1)")

@@ -30,8 +30,6 @@ from svbackend.harness import (
     duration_label,
     make_run_data,
     run_experiment,
-    run_idv_comparison,
-    run_in_vs_out_domain,
     train_backend,
 )
 from svbackend.idv import estimate_modified_idv, load_idv, save_idv
@@ -174,7 +172,7 @@ def test_criterion_6_trend_in_vs_out_over_duration(tmp_path):
     assert cfg.generator.dim == 50 and cfg.generator.n_speakers == 200
     assert len(cfg.seeds) == 5
     start = time.monotonic()
-    res = run_in_vs_out_domain(cfg, tmp_path)
+    res = run_experiment(cfg, "in-vs-out", tmp_path)["in-vs-out"]
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
 
@@ -201,7 +199,7 @@ def test_criterion_7_trend_idv_ordering(tmp_path):
     """EER ordering modified <= original <= none, each by >= 2% relative."""
     cfg = replace(default_experiment_config(), durations=(None,), snorm="nist-style")
     assert len(cfg.seeds) >= 5
-    res = run_idv_comparison(cfg, tmp_path)
+    res = run_experiment(cfg, "idv-comparison", tmp_path)["idv-comparison"]
     vals = {
         s: res.mean_value("full", f"{s}|snorm=off", "eer")
         for s in (SYSTEM_OUT, SYSTEM_IDV, SYSTEM_MODIFIED_IDV)

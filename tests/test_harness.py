@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,8 @@ from svbackend.dataset import (
 from svbackend.gplda import PldaModel, ScoredTrial, read_scores, save_plda, write_scores
 from svbackend.harness import (
     EVAL_SEED_OFFSET,
+    RETIRED_KEYS,
+    SNORM_CHOICES,
     SYSTEM_IN,
     SYSTEM_OUT,
     ExperimentConfig,
@@ -34,9 +36,6 @@ from svbackend.harness import (
     load_config,
     make_run_data,
     run_experiment,
-    run_idv_comparison,
-    run_in_vs_out_domain,
-    run_matched_length_snorm,
     save_config,
     subsample,
     train_backend,
@@ -110,6 +109,44 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown dcf key.*c_mis"):
             config_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "blob, field",
+        [
+            ({"lda_dim": "20"}, "lda_dim"),
+            ({"durations": 5}, "durations"),
+            ({"durations": ["full", "x"]}, "durations"),
+            ({"seeds": 3}, "seeds"),
+            ({"seeds": [1.5]}, "seeds"),
+            ({"generator": []}, "generator"),
+            ({"generator": {"dim": "5"}}, "dim"),
+            ({"dcf": {"c_miss": "x"}}, "c_miss"),
+            ({"cohort_sessions": 0}, "cohort_sessions"),
+            ({"plda_iters": 0}, "plda_iters"),
+            ({"swb_cohort_size": 0}, "swb_cohort_size"),
+            ({"eval_speakers": 1}, "eval_speakers"),
+            ({"idv_ridge": -1}, "idv_ridge"),
+            ({"idv_out_count": 0}, "idv_out_count"),
+            ({"idv_on_eval": False}, "idv_on_eval"),
+            ({"lda_on_compensated": 1}, "lda_on_compensated"),
+            ({"length_norm_before_lda": True}, "length_norm_before_lda"),
+        ],
+    )
+    def test_malformed_config_names_field(self, blob, field):
+        with pytest.raises(ValueError, match=field):
+            config_from_dict(blob)
+
+    def test_retired_keys_at_fixed_value_are_dropped(self):
+        d = config_to_dict(tiny_config())
+        assert not set(RETIRED_KEYS) & set(d)
+        old = dict(d, idv_on_eval=True, lda_on_compensated=True, length_norm_before_lda=False)
+        assert config_from_dict(old) == config_from_dict(d)
+
+    def test_dict_keys_are_the_fields(self):
+        d = config_to_dict(tiny_config())
+        assert set(d) == {f.name for f in fields(ExperimentConfig)}
+        assert set(d["generator"]) == {f.name for f in fields(GeneratorConfig)}
+        assert set(d["dcf"]) == {"c_miss", "c_fa", "p_target"}
+
     def test_duration_label(self):
         assert duration_label(None) == "full"
         assert duration_label(10.0) == "10"
@@ -177,8 +214,8 @@ class TestRunData:
 class TestExperiments:
     def test_in_vs_out_writes_reports_and_is_deterministic(self, tmp_path):
         cfg = tiny_config()
-        res1 = run_in_vs_out_domain(cfg, tmp_path / "a")
-        res2 = run_in_vs_out_domain(cfg, tmp_path / "b")
+        res1 = run_experiment(cfg, "in-vs-out", tmp_path / "a")["in-vs-out"]
+        res2 = run_experiment(cfg, "in-vs-out", tmp_path / "b")["in-vs-out"]
         for f1, f2 in zip(res1.files, res2.files):
             assert f1.read_bytes() == f2.read_bytes()
         with open(res1.files[0]) as f:
@@ -193,7 +230,7 @@ class TestExperiments:
                       out_channel_scale=None, duration_noise_scale=0.0)
         cfg = tiny_config(generator=gen, seeds=(0, 1, 2), durations=(None,),
                           eval_speakers=20)
-        res = run_in_vs_out_domain(cfg, tmp_path)
+        res = run_experiment(cfg, "in-vs-out", tmp_path)["in-vs-out"]
         out_v = res.mean_value("full", SYSTEM_OUT, "eer")
         in_v = res.mean_value("full", SYSTEM_IN, "eer")
         # identical populations: no exploitable mismatch (both small, close)
@@ -201,7 +238,7 @@ class TestExperiments:
 
     def test_idv_comparison_emits_reference_and_systems(self, tmp_path):
         cfg = tiny_config(durations=(None,), snorm="nist-style")
-        res = run_idv_comparison(cfg, tmp_path)
+        res = run_experiment(cfg, "idv-comparison", tmp_path)["idv-comparison"]
         ref = Path(res.files[2]).read_text().splitlines()
         assert ref[0] == "system,eer_pct_without_snorm,eer_pct_with_snorm"
         assert ref[1] == "out-domain,4.86,3.85"
@@ -217,7 +254,7 @@ class TestExperiments:
     def test_matched_snorm_identical_when_sigma0_zero(self, tmp_path):
         gen = replace(tiny_config().generator, duration_noise_scale=0.0)
         cfg = tiny_config(generator=gen, durations=(None, 20.0, 10.0))
-        res = run_matched_length_snorm(cfg, tmp_path)
+        res = run_experiment(cfg, "matched-snorm", tmp_path)["matched-snorm"]
         for d in ("20", "10"):
             full = res.mean_value(d, "modified-idv|cohort=full-length", "eer")
             matched = res.mean_value(d, "modified-idv|cohort=matched", "eer")
@@ -236,10 +273,10 @@ class TestExperiments:
 
     def test_in_vs_out_honours_idv_flag(self, tmp_path):
         cfg = tiny_config(seeds=(0, 1), durations=(None,))
-        plain = run_in_vs_out_domain(cfg, tmp_path / "plain")
-        compensated = run_in_vs_out_domain(
-            replace(cfg, idv="modified"), tmp_path / "comp"
-        )
+        plain = run_experiment(cfg, "in-vs-out", tmp_path / "plain")["in-vs-out"]
+        compensated = run_experiment(
+            replace(cfg, idv="modified"), "in-vs-out", tmp_path / "comp"
+        )["in-vs-out"]
         out_plain = plain.mean_value("full", SYSTEM_OUT, "eer")
         out_comp = compensated.mean_value("full", SYSTEM_OUT, "eer")
         assert out_comp != out_plain
@@ -247,6 +284,62 @@ class TestExperiments:
         assert compensated.mean_value("full", SYSTEM_IN, "eer") == plain.mean_value(
             "full", SYSTEM_IN, "eer"
         )
+
+
+def _expected_study_rows(kind: str, snorm: str) -> tuple[list[str], list[list[tuple[str, str]]]]:
+    """Duration labels and plot groups of (system, condition suffix) pairs of
+    one study on ``tiny_config`` (durations full and 15), spelled out by hand."""
+    if kind == "in-vs-out":
+        return ["full", "15"], [[("out-domain", ""), ("in-domain", "")]]
+    if kind == "idv-comparison":
+        style = "nist-style" if snorm == "off" else snorm
+        return ["full", "15"], [
+            [(f"{s}|snorm={st}", f"/snorm={st}") for s in ("out-domain", "idv", "modified-idv")]
+            for st in ("off", style)
+        ]
+    cohorts = ("full-length", "matched")
+    return ["15"], [[(f"modified-idv|cohort={c}", f"/cohort={c}") for c in cohorts]]
+
+
+@pytest.mark.parametrize("kind", ["in-vs-out", "idv-comparison", "matched-snorm"])
+@pytest.mark.parametrize("idv", ["off", "modified"])
+@pytest.mark.parametrize("snorm", SNORM_CHOICES)
+def test_study_rows_across_config_matrix(tmp_path, kind, idv, snorm):
+    cfg = tiny_config(snorm=snorm, idv=idv, seeds=(0, 1))
+    res = run_experiment(cfg, kind, tmp_path)[kind]
+    durs, groups = _expected_study_rows(kind, snorm)
+    # report: seed -> duration -> variant -> system; variants group the
+    # idv-comparison systems, the matched-snorm groups hold its variants
+    per_variant = groups if kind != "matched-snorm" else [[p] for p in groups[0]]
+    expected = [
+        (f"seed={seed}/dur={d}{sfx}", system)
+        for seed in cfg.seeds
+        for d in durs
+        for variant in per_variant
+        for system, sfx in variant
+    ]
+    assert [(r.condition, r.system) for r in res.report_rows] == expected
+    assert len(res.files[0].read_text().splitlines()) == 1 + len(expected)
+    plot_keys = [(d, s, m) for g in groups for d in durs for m in ("eer", "min_dcf") for s, _ in g]
+    assert [(r.duration, r.system, r.metric) for r in res.plot_rows] == plot_keys
+    assert len(res.files[1].read_text().splitlines()) == 1 + len(plot_keys)
+    rows = {(r.condition, r.system): r for r in res.report_rows}
+    plot = {(r.duration, r.system, r.metric): r for r in res.plot_rows}
+    for g in groups:
+        for d in durs:
+            for m in ("eer", "min_dcf"):
+                means = [
+                    np.mean([getattr(rows[f"seed={k}/dur={d}{sfx}", s], m) for k in cfg.seeds])
+                    for s, sfx in g
+                ]
+                for (s, _), mean in zip(g, means):
+                    plotted = plot[d, s, m]
+                    assert plotted.value == pytest.approx(mean, rel=1e-12, abs=0)
+                    if s == g[0][0]:
+                        assert plotted.gain_pct is None
+                    elif means[0]:
+                        gain = 100.0 * (means[0] - mean) / means[0]
+                        assert plotted.gain_pct == pytest.approx(gain, rel=1e-12, abs=1e-12)
 
 
 def test_study_csvs_identical_at_one_and_two_blas_threads(tmp_path):
@@ -385,12 +478,29 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "out" / "in_vs_out_report.csv").exists()
 
+    def test_experiment_snapshots_effective_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(tiny_config(durations=(None,)), cfg_path)
+        out = tmp_path / "out"
+        rc = cli(["experiment", "--config", str(cfg_path), "--kind", "in-vs-out",
+                  "--out-dir", str(out), "--seeds", "1"])
+        assert rc == 0
+        expected = replace(tiny_config(durations=(None,)), seeds=(1,), output_dir=str(out))
+        assert load_config(out / "experiment_config.json") == expected
+        assert f"config snapshot: {out / 'experiment_config.json'}" in capsys.readouterr().out
+
+    def test_experiment_config_errors_name_the_file(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"lda_dim": "20"}))
+        assert cli(["experiment", "--config", str(path), "--out-dir", str(tmp_path)]) != 0
+        assert f"{path}: lda_dim must be an integer" in capsys.readouterr().err
+
 
 class TestManualComposition:
     def test_report_row_reproducible_via_subcommands(self, tmp_path, capsys):
         """An experiment CSV row must be re-derivable from the CLI stages."""
         cfg = tiny_config()
-        res = run_in_vs_out_domain(cfg, tmp_path / "exp")
+        res = run_experiment(cfg, "in-vs-out", tmp_path / "exp")["in-vs-out"]
         target_row = next(
             r
             for r in res.report_rows

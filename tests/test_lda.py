@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from svbackend.dataset import Dataset, Domain, IVector
 from svbackend import lda
 from svbackend.lda import (
+    UNIT_NORM_TOLERANCE,
     LdaTransform,
     apply_lda,
     load_lda,
@@ -203,3 +204,13 @@ class TestPersistence:
             LdaTransform(np.eye(2), np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="more directions"):
             LdaTransform(np.ones((2, 3)), np.ones(3))
+
+    def test_columns_unit_length_and_sign_fixed(self, rng):
+        with pytest.raises(ValueError, match="column 1 is not unit length"):
+            LdaTransform(np.array([[1.0, 0.0], [0.0, 1.5e-5]]), [2.0, 1.0])
+        with pytest.raises(ValueError, match="column 0 .* positive largest-magnitude"):
+            LdaTransform(np.array([[-0.8, 0.0], [0.6, 1.0]]), [2.0, 1.0])
+        LdaTransform((1.0 + UNIT_NORM_TOLERANCE / 2) * np.eye(2), [2.0, 1.0])
+        ds, _ = grouped_dataset(rng, dim=6)
+        t = train_lda(ds, k=4)
+        LdaTransform(t.a_matrix, t.eigenvalues)

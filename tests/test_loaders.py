@@ -12,10 +12,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from svbackend.dataset import load_ivectors, save_ivectors
-from svbackend.gplda import PldaModel, load_plda, save_plda
+from svbackend.dataset import load_ivectors, load_trials, save_ivectors
+from svbackend.gplda import PldaModel, load_plda, read_scores, save_plda
 from svbackend.idv import estimate_modified_idv, load_idv, save_idv
-from svbackend.lda import LDA_MAGIC, LdaTransform, load_lda, save_lda
+from svbackend.lda import (
+    LDA_MAGIC,
+    UNIT_NORM_TOLERANCE,
+    LdaTransform,
+    load_lda,
+    save_lda,
+)
 
 from conftest import make_dataset
 
@@ -96,6 +102,38 @@ class TestContentErrorsNameTheFile:
         with _raises_naming(path, "eigenvalues must be sorted"):
             load_lda(path)
 
+    def test_lda_column_off_unit_length(self, tmp_path):
+        path = tmp_path / "x.lda"
+        save_lda(LdaTransform(np.eye(2), [2.0, 1.0]), path)
+        data = bytearray(path.read_bytes())
+        data[35] ^= 0x20  # an exponent bit of a_matrix[0, 0]: 1.0 becomes 2**-512
+        path.write_bytes(bytes(data))
+        with _raises_naming(path, "a_matrix column 0 is not unit length"):
+            load_lda(path)
+
+    @pytest.mark.parametrize(
+        "name, lines, loader",
+        [
+            ("trials.txt", [b"e1 t1 target", b"e1 \xff\xfe nontarget"], load_trials),
+            (
+                "scores.csv",
+                [b"enrol,test,label,raw_llr,norm_llr", b"e1,t1,target,1.0,",
+                 b"e1,\xff\xfe,nontarget,0.5,"],
+                read_scores,
+            ),
+            (
+                "x.csv",
+                [b"id,speaker,domain,duration,v0", b"a,s,in,1.0,1.0", b"\xff\xfe,s,in,1.0,2.0"],
+                functools.partial(load_ivectors, format="csv"),
+            ),
+        ],
+    )
+    def test_text_file_invalid_utf8_names_the_line(self, tmp_path, name, lines, loader):
+        path = tmp_path / name
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with _raises_naming(path, f"line {len(lines)}: not valid UTF-8"):
+            loader(path)
+
     def test_idv_non_whitening_decorrelator(self, tmp_path):
         path = tmp_path / "x.idv"
         s, dmat = np.eye(2), 2.0 * np.eye(2)
@@ -146,6 +184,7 @@ def _write_valid_files(tmp_path: Path) -> dict[str, bytes]:
     ds = make_dataset(rng.standard_normal((4, 3)), ["a", None, "b", "a"])
     save_ivectors(ds, tmp_path / "v.ivec")
     basis = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+    basis *= np.sign(basis[np.abs(basis).argmax(axis=0), [0, 1]])  # sign-fixed columns
     save_lda(LdaTransform(basis, [3.0, 1.0]), tmp_path / "v.lda")
     out = make_dataset(rng.standard_normal((6, 3)) + 2.0, prefix="o")
     idv = estimate_modified_idv(out, make_dataset(rng.standard_normal((6, 3))), 1e-6)
@@ -169,6 +208,9 @@ def _check_loaded(kind: str, obj, raw: bytes, tmp_path) -> None:
         assert np.isfinite(obj.a_matrix).all() and np.isfinite(obj.eigenvalues).all()
         assert np.all(np.diff(obj.eigenvalues) <= 0)
         assert obj.output_dim <= obj.input_dim
+        a = obj.a_matrix
+        np.testing.assert_allclose(np.linalg.norm(a, axis=0), 1.0, atol=UNIT_NORM_TOLERANCE)
+        assert (a[np.abs(a).argmax(axis=0), np.arange(a.shape[1])] > 0).all()
     elif kind == "idv":
         d = obj.decorrelator
         inv = np.linalg.inv(obj.s_idv + obj.ridge * np.eye(obj.dim))
