@@ -33,7 +33,8 @@ def score_diff(a_path: str, b_path: str) -> tuple[int, str]:
         eb, tb = b.trial_list.id_columns()
         differs = (ea != eb) | (ta != tb) | (a.trial_list.is_target != b.trial_list.is_target)
         k = int(np.argmax(differs))
-        return 1, f"row {k + 1} differs: {a.trial_list[k]} vs {b.trial_list[k]}"
+        row_a, row_b = a.trial_list.trial_text(k), b.trial_list.trial_text(k)
+        return 1, f"row {k + 1} differs: '{row_a}' vs '{row_b}'"
     absent_a, absent_b = np.isnan(a.normalized), np.isnan(b.normalized)
     if not np.array_equal(absent_a, absent_b):
         k = int(np.argmax(absent_a != absent_b))

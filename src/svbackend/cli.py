@@ -14,12 +14,10 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
+from typing import Callable
 
 from . import harness
 from .dataset import (
-    Dataset,
     GeneratorConfig,
     generator_config_from_dict,
     load_ivectors,
@@ -39,16 +37,15 @@ from .gplda import (
 )
 from .idv import apply_idv, estimate_modified_idv, estimate_original_idv, load_idv, save_idv
 from .lda import apply_lda, load_lda, save_lda, train_lda
-from .metrics import DcfParams, evaluate, min_dcf, write_metric_report, eer
+from .metrics import DcfParams, evaluate, write_metric_report
 from .scorenorm import Cohort, snorm
 
 
 def _generator_from_args(args: argparse.Namespace) -> GeneratorConfig:
     if args.config:
-        with open(args.config) as f:
-            blob = json.load(f)
         try:
-            cfg = generator_config_from_dict(blob)
+            with open(args.config) as f:
+                cfg = generator_config_from_dict(json.load(f))
         except ValueError as e:
             raise ValueError(f"{args.config}: {e}") from None
     else:
@@ -171,12 +168,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     overrides = {}
     if args.out_dir:
         overrides["output_dir"] = args.out_dir
-    if args.seeds:
-        overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-    if args.durations:
-        overrides["durations"] = tuple(
-            None if tok == "full" else float(tok) for tok in args.durations.split(",")
-        )
+    if args.seeds is not None:
+        overrides["seeds"] = args.seeds
+    if args.durations is not None:
+        overrides["durations"] = args.durations
     if args.snorm:
         overrides["snorm"] = args.snorm
     if overrides:
@@ -189,6 +184,28 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     harness.save_config(cfg, snapshot)
     print(f"config snapshot: {snapshot}")
     return 0
+
+
+def _comma_list(parse: Callable[[str], object], expected: str) -> Callable[[str], tuple]:
+    """An argparse ``type=`` for comma-separated tokens; a bad or empty token
+    is a usage error naming it."""
+
+    def parse_list(text: str) -> tuple:
+        values = []
+        for tok in text.split(","):
+            try:
+                values.append(parse(tok))
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"invalid entry {tok!r}, expected {expected}"
+                ) from None
+        return tuple(values)
+
+    return parse_list
+
+
+def _duration(tok: str) -> float | None:
+    return None if tok == "full" else float(tok)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,8 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="experiment config JSON (default: calibrated desk-scale)")
     p.add_argument("--kind", choices=list(harness.EXPERIMENT_KINDS) + ["all"], default="all")
     p.add_argument("--out-dir", help="override the config's output directory")
-    p.add_argument("--seeds", help="comma-separated run seeds override")
-    p.add_argument("--durations", help="comma-separated durations override ('full' allowed)")
+    p.add_argument("--seeds", type=_comma_list(int, "an integer"),
+                   help="comma-separated run seeds override")
+    p.add_argument("--durations", type=_comma_list(_duration, "a number or 'full'"),
+                   help="comma-separated durations override ('full' allowed)")
     p.add_argument("--snorm", choices=list(harness.SNORM_CHOICES))
     p.set_defaults(fn=_cmd_experiment)
 

@@ -23,7 +23,6 @@ from array import array
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -43,47 +42,6 @@ class Domain(Enum):
 
     IN_DOMAIN = "in"
     OUT_DOMAIN = "out"
-
-
-@dataclass(frozen=True, eq=False)
-class IVector:
-    """A single utterance embedding plus its metadata.
-
-    ``speaker`` may be None for unlabeled cohort material.  ``values``
-    is stored as a read-only float64 copy of dimension D.
-    """
-
-    id: str
-    speaker: str | None
-    domain: Domain
-    duration_sec: float
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=np.float64, copy=True)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError(f"ivector '{self.id}': values must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"ivector '{self.id}': values contain non-finite entries")
-        if not self.duration_sec > 0:
-            raise ValueError(f"ivector '{self.id}': duration_sec must be positive")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IVector):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.speaker == other.speaker
-            and self.domain == other.domain
-            and self.duration_sec == other.duration_sec
-            and np.array_equal(self.values, other.values)
-        )
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -112,53 +70,23 @@ class Dataset:
     sorted order and ``speaker_code[i]`` is row i's position in it, or
     -1 for an unlabeled row.  Rows are validated once, when a dataset is
     built; derived datasets share the columns they do not change.
-
-    ``Dataset(items, dim)`` builds one from ``IVector`` rows and
-    ``Dataset.from_columns`` from columns.  ``items``, ``index``,
-    ``by_id`` and iteration build ``IVector`` views on every call, for
-    tests and small callers; the library's own paths use the columns.
     """
 
     __slots__ = ("dim", "ids", "speakers", "speaker_code", "domains", "durations", "_values")
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, items: Iterable[IVector] = (), dim: int | None = None) -> None:
-        items = tuple(items)
-        if items:
-            dims = {iv.dim for iv in items}
-            if len(dims) != 1:
-                raise ValueError(f"mixed i-vector dimensions in dataset: {sorted(dims)}")
-            (item_dim,) = dims
-            if dim is not None and dim != item_dim:
-                raise ValueError(f"dataset dim {dim} does not match item dimension {item_dim}")
-            values = np.stack([iv.values for iv in items])
-        elif dim is None:
-            raise ValueError("empty dataset needs an explicit dim")
-        else:
-            values = np.empty((0, int(dim)))
-        built = Dataset._own(
-            values,
-            [iv.id for iv in items],
-            [iv.speaker for iv in items],
-            [iv.domain for iv in items],
-            np.array([iv.duration_sec for iv in items], dtype=np.float64),
-        )
-        for name in Dataset.__slots__:
-            setattr(self, name, getattr(built, name))
-
-    @classmethod
-    def from_columns(
-        cls,
+    def __init__(
+        self,
         values: np.ndarray,
         ids: Sequence[str],
         speakers: Sequence[str | None],
         domains: Sequence[Domain],
         durations: Sequence[float] | np.ndarray,
-    ) -> "Dataset":
+    ) -> None:
         """Build a dataset from a copy of ``values`` (N, D) and one entry per row
         of the other columns; a ``speakers`` entry of None marks an unlabeled row."""
         values = np.array(values, dtype=np.float64)
-        return cls._own(values, ids, speakers, domains, np.array(durations, dtype=np.float64))
+        self._take(values, ids, speakers, domains, np.array(durations, dtype=np.float64))
 
     @classmethod
     def _own(
@@ -171,10 +99,24 @@ class Dataset:
         *,
         where: Callable[[int], str] = _no_location,
     ) -> "Dataset":
-        """``from_columns`` taking ownership of float64 ``values`` and ``durations``.
+        """The constructor, taking ownership of float64 ``values`` and ``durations``.
 
         ``where(row)`` prefixes validation errors, e.g. with a file and record.
         """
+        ds = object.__new__(cls)
+        ds._take(values, ids, speakers, domains, durations, where)
+        return ds
+
+    def _take(
+        self,
+        values: np.ndarray,
+        ids: Sequence[str],
+        speakers: Sequence[str | None],
+        domains: Sequence[Domain],
+        durations: np.ndarray,
+        where: Callable[[int], str] = _no_location,
+    ) -> None:
+        """Validate owned float64 columns and hold them."""
         if values.ndim != 2 or values.shape[1] < 1:
             raise ValueError(f"dataset values must be an (N, dim>=1) matrix, got {values.shape}")
         n = values.shape[0]
@@ -196,29 +138,28 @@ class Dataset:
         code_of: dict[str | None, int] = {s: c for c, s in enumerate(table)}
         code_of[None] = -1
         code = np.fromiter(map(code_of.__getitem__, speakers), np.intp, n)
-        return cls._make(values, ids, tuple(table), code, domains, durations)
+        self._hold(values, ids, tuple(table), code, domains, durations)
 
-    @staticmethod
-    def _make(
+    def _hold(
+        self,
         values: np.ndarray,
         ids: tuple[str, ...],
         speakers: tuple[str, ...],
         speaker_code: np.ndarray,
         domains: tuple[Domain, ...],
         durations: np.ndarray,
-    ) -> "Dataset":
-        """A dataset of already validated columns; its arrays become read-only."""
-        ds = object.__new__(Dataset)
-        ds._values, ds.dim = _read_only(values), values.shape[1]
-        ds.ids, ds.speakers, ds.domains = ids, speakers, domains
-        ds.speaker_code, ds.durations = _read_only(speaker_code), _read_only(durations)
-        return ds
+    ) -> None:
+        """Hold already validated columns; its arrays become read-only."""
+        self._values, self.dim = _read_only(values), values.shape[1]
+        self.ids, self.speakers, self.domains = ids, speakers, domains
+        self.speaker_code, self.durations = _read_only(speaker_code), _read_only(durations)
 
     def _with(
         self, values: np.ndarray | None = None, durations: np.ndarray | None = None
     ) -> "Dataset":
         """The same rows with new, already validated, values or durations."""
-        return Dataset._make(
+        ds = object.__new__(Dataset)
+        ds._hold(
             self._values if values is None else values,
             self.ids,
             self.speakers,
@@ -226,12 +167,10 @@ class Dataset:
             self.domains,
             self.durations if durations is None else durations,
         )
+        return ds
 
     def __len__(self) -> int:
         return self._values.shape[0]
-
-    def __iter__(self) -> Iterator[IVector]:
-        return iter(self.items)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
@@ -254,21 +193,6 @@ class Dataset:
         return [labels[c] for c in self.speaker_code.tolist()]
 
     @property
-    def items(self) -> tuple[IVector, ...]:
-        """Every row as an ``IVector``, built on each access."""
-        columns = (self.ids, self.row_speakers(), self.domains, self.durations.tolist())
-        return tuple(map(IVector, *columns, self._values))
-
-    @property
-    def index(self) -> Mapping[str, tuple[int, ...]]:
-        """Speaker label -> positions of its rows in dataset order, built on each access."""
-        positions: dict[str, list[int]] = {spk: [] for spk in self.speakers}
-        for pos, c in enumerate(self.speaker_code.tolist()):
-            if c >= 0:
-                positions[self.speakers[c]].append(pos)
-        return MappingProxyType({spk: tuple(ps) for spk, ps in positions.items()})
-
-    @property
     def labeled(self) -> bool:
         return bool((self.speaker_code >= 0).all())
 
@@ -276,15 +200,12 @@ class Dataset:
         """The read-only (N, D) float64 value matrix itself (not a copy)."""
         return self._values
 
-    def by_id(self) -> dict[str, IVector]:
-        return dict(zip(self.ids, self.items))
-
     def speaker_sums(self, values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Per-speaker row sums of ``values`` (default: the matrix) and row counts.
 
         Both follow ``speakers`` order and skip unlabeled rows.  Each sum
         adds its speaker's rows one at a time in dataset order, as a loop
-        over ``index`` would.
+        over that speaker's rows would.
         """
         import scipy.sparse  # here, not at module level: ~60 ms of import only training needs
 
@@ -460,6 +381,8 @@ def check_fields(obj: object, minima: Mapping[str, float]) -> None:
 
 def generator_config_from_dict(d: Mapping) -> GeneratorConfig:
     """Build a generator config from its JSON object, rejecting unknown keys."""
+    if not isinstance(d, Mapping):
+        raise ValueError(f"generator must be a JSON object, got {d!r}")
     reject_unknown_keys(d, GeneratorConfig, "generator")
     return GeneratorConfig(**d)
 
@@ -742,23 +665,12 @@ def _load_csv(path: Path) -> Dataset:
     )
 
 
-@dataclass(frozen=True)
-class Trial:
-    """One verification trial: an enrolment/test utterance pair and its truth."""
-
-    enrol_id: str
-    test_id: str
-    is_target: bool
-
-
 class TrialList:
     """A trial list held as columns.
 
     ``enrol_ids`` and ``test_ids`` are id tables; trial ``k`` pairs
     ``enrol_ids[enrol_code[k]]`` with ``test_ids[test_code[k]]`` and is
-    a target trial when ``is_target[k]``.  Indexing and iteration build
-    ``Trial`` views; a list or tuple of ``Trial`` compares equal to the
-    trial list holding the same trials in the same order.
+    a target trial when ``is_target[k]``.  Each id table holds an id once.
     """
 
     __slots__ = ("enrol_ids", "test_ids", "enrol_code", "test_code", "is_target")
@@ -786,36 +698,16 @@ class TrialList:
         ):
             if code.size and not 0 <= code.min() <= code.max() < len(ids):
                 raise ValueError(f"{side} code out of range of the {side} id table")
-
-    @classmethod
-    def from_trials(cls, trials: "Iterable[Trial] | TrialList") -> "TrialList":
-        """Columnar form of ``trials``; a ``TrialList`` is returned as is."""
-        if isinstance(trials, TrialList):
-            return trials
-        trials = list(trials)
-        e_index: dict[str, int] = {}
-        t_index: dict[str, int] = {}
-        return cls(
-            e_index,
-            t_index,
-            [e_index.setdefault(t.enrol_id, len(e_index)) for t in trials],
-            [t_index.setdefault(t.test_id, len(t_index)) for t in trials],
-            [t.is_target for t in trials],
-        )
+            if len(set(ids)) != len(ids):
+                raise ValueError(f"repeated id in the {side} id table")
 
     def __len__(self) -> int:
         return self.is_target.shape[0]
 
-    def __getitem__(self, k: int) -> Trial:
-        return Trial(
-            self.enrol_ids[self.enrol_code[k]],
-            self.test_ids[self.test_code[k]],
-            bool(self.is_target[k]),
-        )
-
-    def __iter__(self) -> Iterator[Trial]:
-        e, t = self.id_columns()
-        return map(Trial, e.tolist(), t.tolist(), self.is_target.tolist())
+    def trial_text(self, k: int) -> str:
+        """Trial ``k`` as its trial-file line, ``enrol test target|nontarget``."""
+        label = "target" if self.is_target[k] else "nontarget"
+        return f"{self.enrol_ids[self.enrol_code[k]]} {self.test_ids[self.test_code[k]]} {label}"
 
     def id_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Enrol and test id of every trial, as object arrays."""
@@ -826,11 +718,7 @@ class TrialList:
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrialList):
-            if not isinstance(other, (list, tuple)) or not all(
-                isinstance(t, Trial) for t in other
-            ):
-                return NotImplemented
-            other = TrialList.from_trials(other)
+            return NotImplemented
         if len(self) != len(other):
             return False
         return np.array_equal(self.is_target, other.is_target) and all(
@@ -870,8 +758,8 @@ def load_trials(path: str | Path) -> TrialList:
     return TrialList(e_index, t_index, e_code, t_code, labels)
 
 
-def save_trials(trials: "Sequence[Trial] | TrialList", path: str | Path) -> None:
-    trials = TrialList.from_trials(trials)
+def save_trials(trials: TrialList, path: str | Path) -> None:
+    """Write ``trials`` as lines ``enrol test target|nontarget``."""
     enrol, test = trials.id_columns()
     labels = np.where(trials.is_target, "target", "nontarget")
     lines = map("{} {} {}\n".format, enrol.tolist(), test.tolist(), labels.tolist())

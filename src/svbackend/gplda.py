@@ -37,12 +37,12 @@ from array import array
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .dataset import TRIAL_LABELS, Dataset, Trial, TrialList, csv_fields, naming_utf8_errors
+from .dataset import TRIAL_LABELS, Dataset, TrialList, csv_fields, naming_utf8_errors
 
 PLDA_MAGIC = b"PLDA1"
 
@@ -316,19 +316,11 @@ def score_trial(m: PldaModel, w_enrol: np.ndarray, w_test: np.ndarray) -> float:
     return float(pair_llr(m, w_enrol[None, :], w_test[None, :])[0, 0])
 
 
-@dataclass(frozen=True)
-class ScoredTrial:
-    """One trial with its scores: a view of one ``ScoreSet`` row."""
-
-    trial: Trial
-    raw_llr: float
-    normalized_llr: float | None = None
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.raw_llr):
-            raise ValueError(f"non-finite raw score for trial {self.trial}")
-        if self.normalized_llr is not None and not math.isfinite(self.normalized_llr):
-            raise ValueError(f"non-finite normalized score for trial {self.trial}")
+def _check_scores(trials: TrialList, bad: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming the first trial where ``bad`` is set."""
+    k = np.flatnonzero(bad)
+    if k.size:
+        raise ValueError(f"non-finite {what} score for trial {k[0]}: {trials.trial_text(k[0])}")
 
 
 class ScoreSet:
@@ -336,10 +328,8 @@ class ScoreSet:
 
     ``trial_list`` holds the trials; ``raw`` and ``normalized`` are
     read-only float arrays with one entry per trial, where NaN in
-    ``normalized`` means the trial has no normalized score.  Build one
-    from columns, ``ScoreSet(trial_list, raw, normalized)``, or from
-    ``ScoredTrial`` rows, ``ScoreSet(scored_trials)``.  Iteration and
-    ``trials`` build ``ScoredTrial`` views.
+    ``normalized`` means the trial has no normalized score; ``normalized``
+    None means no trial has one.
     """
 
     __slots__ = ("trial_list", "raw", "normalized")
@@ -347,48 +337,27 @@ class ScoreSet:
 
     def __init__(
         self,
-        trials: TrialList | Iterable[ScoredTrial] = (),
-        raw: Sequence[float] | np.ndarray | None = None,
+        trial_list: TrialList,
+        raw: Sequence[float] | np.ndarray,
         normalized: Sequence[float] | np.ndarray | None = None,
     ) -> None:
-        if not isinstance(trials, TrialList):
-            if raw is not None or normalized is not None:
-                raise TypeError("score columns need a TrialList")
-            rows = tuple(trials)
-            trials = TrialList.from_trials([st.trial for st in rows])
-            raw = [st.raw_llr for st in rows]
-            normalized = [
-                math.nan if st.normalized_llr is None else st.normalized_llr for st in rows
-            ]
-        n = len(trials)
+        n = len(trial_list)
         raw = np.array(raw, dtype=np.float64)
         normalized = (
             np.full(n, math.nan) if normalized is None else np.array(normalized, dtype=np.float64)
         )
         if raw.shape != (n,) or normalized.shape != (n,):
             raise ValueError(f"need one raw and one normalized score per trial ({n})")
-        bad = np.flatnonzero(~np.isfinite(raw))
-        if bad.size:
-            raise ValueError(f"non-finite raw score for trial {trials[bad[0]]}")
-        bad = np.flatnonzero(np.isinf(normalized))
-        if bad.size:
-            raise ValueError(f"non-finite normalized score for trial {trials[bad[0]]}")
+        _check_scores(trial_list, ~np.isfinite(raw), "raw")
+        _check_scores(trial_list, np.isinf(normalized), "normalized")
         raw.flags.writeable = False
         normalized.flags.writeable = False
-        self.trial_list = trials
+        self.trial_list = trial_list
         self.raw = raw
         self.normalized = normalized
 
     def __len__(self) -> int:
         return len(self.trial_list)
-
-    def __iter__(self) -> Iterator[ScoredTrial]:
-        norm = [None if math.isnan(x) else x for x in self.normalized.tolist()]
-        return map(ScoredTrial, self.trial_list, self.raw.tolist(), norm)
-
-    @property
-    def trials(self) -> tuple[ScoredTrial, ...]:
-        return tuple(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScoreSet):
@@ -424,9 +393,7 @@ class ScoreSet:
         if len(normalized) != len(self):
             raise ValueError("need one normalized score per trial")
         normalized = np.asarray(normalized, dtype=np.float64)
-        bad = np.flatnonzero(~np.isfinite(normalized))
-        if bad.size:
-            raise ValueError(f"non-finite normalized score for trial {self.trial_list[bad[0]]}")
+        _check_scores(self.trial_list, ~np.isfinite(normalized), "normalized")
         return ScoreSet(self.trial_list, self.raw, normalized)
 
 
@@ -445,7 +412,7 @@ def _dataset_rows(ds: Dataset, ids: Sequence[str], code: np.ndarray, side: str) 
 
 
 def score_trials(
-    m: PldaModel, enrol: Dataset, test: Dataset, trials: TrialList | Sequence[Trial]
+    m: PldaModel, enrol: Dataset, test: Dataset, trials: TrialList
 ) -> ScoreSet:
     """Score a trial list; each score is within 1e-10 of ``score_trial``.
 
@@ -458,7 +425,6 @@ def score_trials(
     """
     if enrol.dim != m.dim or test.dim != m.dim:
         raise ValueError(f"model expects dimension {m.dim}")
-    trials = TrialList.from_trials(trials)
     e_rows = _dataset_rows(enrol, trials.enrol_ids, trials.enrol_code, "enrol")
     t_rows = _dataset_rows(test, trials.test_ids, trials.test_code, "test")
     grid = pair_llr(m, enrol.matrix()[e_rows], test.matrix()[t_rows])

@@ -188,11 +188,10 @@ def config_from_dict(d: Mapping) -> ExperimentConfig:
         if value is not fixed:
             raise ValueError(f"retired key {key}: only {fixed!r} is supported, got {value!r}")
     reject_unknown_keys(d, ExperimentConfig, "experiment config")
-    for key in ("generator", "dcf"):
-        if not isinstance(d.get(key, {}), Mapping):
-            raise ValueError(f"{key} must be a JSON object, got {d[key]!r}")
     gen = generator_config_from_dict(d.pop("generator", {}))
     dcf_d = d.pop("dcf", {})
+    if not isinstance(dcf_d, Mapping):
+        raise ValueError(f"dcf must be a JSON object, got {dcf_d!r}")
     reject_unknown_keys(dcf_d, DcfParams, "dcf")
     dcf = DcfParams(**dcf_d)
     durations = d.pop("durations", ["full"])

@@ -16,12 +16,12 @@ compensation chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dataset import Dataset, DurationNoiseModel, apply_duration_noise
-from .gplda import PldaModel, ScoreSet, pair_llr
+from .gplda import PldaModel, ScoreSet, _dataset_rows, pair_llr
 
 
 @dataclass(frozen=True)
@@ -44,34 +44,33 @@ def cohort_score_matrix(m: PldaModel, ds: Dataset, cohort: Cohort) -> np.ndarray
 
 
 def _side_stats(
-    side: str, table: Mapping[str, np.ndarray], ids: Sequence[str]
+    side: str, cohort_scores: np.ndarray, ids: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cohort mean and population std of every id in ``ids``, from ``table``."""
-    stats: dict[str, tuple[float, float]] = {}
-    for utt, arr in table.items():
-        arr = np.asarray(arr, dtype=np.float64)
-        sigma = float(arr.std())
-        if sigma == 0.0:
-            raise ValueError(
-                f"degenerate cohort: zero score variance on {side} side for '{utt}'"
-            )
-        stats[utt] = (float(arr.mean()), sigma)
-    missing = [utt for utt in ids if utt not in stats]
-    if missing:
-        raise ValueError(f"no {side} cohort scores for '{missing[0]}'")
-    mu, sd = np.array([stats[utt] for utt in ids], dtype=np.float64).reshape(-1, 2).T
+    """Cohort mean and population std of each row of ``cohort_scores``, one row per id."""
+    cohort_scores = np.asarray(cohort_scores, dtype=np.float64)
+    if cohort_scores.ndim != 2 or cohort_scores.shape[0] != len(ids):
+        raise ValueError(
+            f"{side} cohort scores must be one row per {side} id ({len(ids)}), "
+            f"got shape {cohort_scores.shape}"
+        )
+    mu, sd = cohort_scores.mean(axis=1), cohort_scores.std(axis=1)
+    flat = np.flatnonzero(sd == 0.0)
+    if flat.size:
+        raise ValueError(
+            f"degenerate cohort: zero score variance on {side} side for '{ids[flat[0]]}'"
+        )
     return mu, sd
 
 
 def snorm_from_cohort_scores(
-    scores: ScoreSet,
-    enrol_cohort: Mapping[str, np.ndarray],
-    test_cohort: Mapping[str, np.ndarray],
+    scores: ScoreSet, enrol_cohort: np.ndarray, test_cohort: np.ndarray
 ) -> ScoreSet:
-    """Apply the S-norm formula given per-utterance cohort score arrays.
+    """Apply the S-norm formula given cohort score matrices.
 
-    Invariant under a shared positive affine map of raw and cohort
-    scores.  Raises when a side's cohort scores have zero variance.
+    Row i of ``enrol_cohort`` (``test_cohort``) holds the cohort scores
+    of ``scores.trial_list.enrol_ids[i]`` (``test_ids[i]``).  Invariant
+    under a shared positive affine map of raw and cohort scores.  Raises
+    when a row's cohort scores have zero variance.
     """
     tl = scores.trial_list
     mu_e, sd_e = _side_stats("enrol", enrol_cohort, tl.enrol_ids)
@@ -88,19 +87,20 @@ def snorm(
     test: Dataset,
     cohort: Cohort,
 ) -> ScoreSet:
-    """Fill ``normalized_llr`` for every trial; raw scores are untouched."""
+    """Fill the normalized score of every trial; raw scores are untouched.
+
+    Each side scores its id table's rows, in table order, against the
+    cohort; unknown ids name their first trial.
+    """
     tl = scores.trial_list
 
-    def side_scores(side: str, ds: Dataset, ids: Sequence[str]) -> dict[str, np.ndarray]:
-        needed = set(ids)
-        missing = sorted(needed.difference(ds.ids))
-        if missing:
-            raise ValueError(f"unknown {side} id '{missing[0]}'")
-        sub = ds.subset([i for i, utt in enumerate(ds.ids) if utt in needed])
-        return dict(zip(sub.ids, cohort_score_matrix(m, sub, cohort)))
+    def side_scores(side: str, ds: Dataset, ids: Sequence[str], code: np.ndarray) -> np.ndarray:
+        return cohort_score_matrix(m, ds.subset(_dataset_rows(ds, ids, code, side)), cohort)
 
     return snorm_from_cohort_scores(
-        scores, side_scores("enrol", enrol, tl.enrol_ids), side_scores("test", test, tl.test_ids)
+        scores,
+        side_scores("enrol", enrol, tl.enrol_ids, tl.enrol_code),
+        side_scores("test", test, tl.test_ids, tl.test_code),
     )
 
 

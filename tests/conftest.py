@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from svbackend.dataset import Dataset, Domain, Trial
-from svbackend.gplda import ScoredTrial, ScoreSet
+from svbackend.dataset import Dataset, Domain, TrialList
+from svbackend.gplda import ScoreSet
 
 
 def make_dataset(
@@ -20,19 +22,30 @@ def make_dataset(
     n = values.shape[0]
     if speakers is None:
         speakers = [f"spk{i:03d}" for i in range(n)]
-    return Dataset.from_columns(
+    return Dataset(
         values, [f"{prefix}{i:04d}" for i in range(n)], speakers[:n], [domain] * n, [duration] * n
     )
 
 
+def make_trials(rows: Iterable[tuple[str, str, bool]]) -> TrialList:
+    """A trial list of (enrol id, test id, is target) rows; id tables in first-seen order."""
+    e_index: dict[str, int] = {}
+    t_index: dict[str, int] = {}
+    e_code, t_code, labels = [], [], []
+    for enrol, test, is_target in rows:
+        e_code.append(e_index.setdefault(enrol, len(e_index)))
+        t_code.append(t_index.setdefault(test, len(t_index)))
+        labels.append(is_target)
+    return TrialList(e_index, t_index, e_code, t_code, labels)
+
+
 def make_scoreset(tar: list[float], non: list[float]) -> ScoreSet:
-    trials = [
-        ScoredTrial(Trial(f"e-t{i}", f"t-t{i}", True), float(s)) for i, s in enumerate(tar)
-    ]
-    trials += [
-        ScoredTrial(Trial(f"e-n{i}", f"t-n{i}", False), float(s)) for i, s in enumerate(non)
-    ]
-    return ScoreSet(tuple(trials))
+    """Raw scores of target trials e-t{i}/t-t{i}, then of nontarget trials e-n{i}/t-n{i}."""
+    trials = make_trials(
+        [(f"e-t{i}", f"t-t{i}", True) for i in range(len(tar))]
+        + [(f"e-n{i}", f"t-n{i}", False) for i in range(len(non))]
+    )
+    return ScoreSet(trials, [float(s) for s in [*tar, *non]])
 
 
 @pytest.fixture

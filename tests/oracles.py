@@ -53,14 +53,19 @@ def lda_scatters(groups: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return s_b, s_w
 
 
+def speaker_rows(ds, code: int) -> list[int]:
+    """Positions of the rows of speaker ``ds.speakers[code]``, in dataset order."""
+    return [pos for pos, c in enumerate(ds.speaker_code.tolist()) if c == code]
+
+
 def speaker_loop_scatters(ds) -> tuple[np.ndarray, np.ndarray]:
     """LDA scatters by a loop over sorted speakers, one outer product each."""
     mat = ds.matrix()
     global_mean = mat.mean(axis=0)
     s_b = np.zeros((ds.dim, ds.dim))
     s_w = np.zeros((ds.dim, ds.dim))
-    for spk in ds.speakers:
-        rows = mat[list(ds.index[spk])]
+    for code in range(len(ds.speakers)):
+        rows = mat[speaker_rows(ds, code)]
         mean_s = rows.mean(axis=0)
         centered = rows - mean_s
         s_w += centered.T @ centered
@@ -74,8 +79,8 @@ def speaker_loop_stats(ds, center: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     mat = ds.matrix() - center
     f = np.empty((len(ds.speakers), ds.dim))
     ns = np.empty(len(ds.speakers), dtype=np.int64)
-    for i, spk in enumerate(ds.speakers):
-        rows = mat[list(ds.index[spk])]
+    for i in range(len(ds.speakers)):
+        rows = mat[speaker_rows(ds, i)]
         f[i] = rows.sum(axis=0)
         ns[i] = len(rows)
     s = mat.T @ mat
@@ -94,29 +99,33 @@ def synth_matrix(cfg, u: np.ndarray, mean: np.ndarray, channel_scale: float, rng
     return np.stack(rows)
 
 
+def _rows(ds):
+    """(id, speaker text, domain text, duration, values) of every row, in order."""
+    speakers = [spk or "" for spk in ds.row_speakers()]
+    domains = [d.value for d in ds.domains]
+    return zip(ds.ids, speakers, domains, ds.durations.tolist(), ds.matrix())
+
+
 def ivec_bytes_per_row(ds) -> bytes:
-    """IVEC1 bytes written one ``IVector`` at a time."""
+    """IVEC1 bytes written one row at a time."""
     parts = [b"IVEC1", struct.pack("<IQ", ds.dim, len(ds))]
-    for iv in ds.items:
-        for text in (iv.id, iv.speaker or "", iv.domain.value):
+    for utt, spk, dom, duration, values in _rows(ds):
+        for text in (utt, spk, dom):
             raw = text.encode("utf-8")
             parts.append(struct.pack("<I", len(raw)))
             parts.append(raw)
-        parts.append(struct.pack("<d", iv.duration_sec))
-        parts.append(np.ascontiguousarray(iv.values, dtype="<f8").tobytes())
+        parts.append(struct.pack("<d", duration))
+        parts.append(np.ascontiguousarray(values, dtype="<f8").tobytes())
     return b"".join(parts)
 
 
 def ivec_csv_per_row(ds, path: Path) -> bytes:
-    """I-vector CSV bytes written by ``csv.writer`` one ``IVector`` at a time."""
+    """I-vector CSV bytes written by ``csv.writer`` one row at a time."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["id", "speaker", "domain", "duration"] + [f"v{i}" for i in range(ds.dim)])
-        for iv in ds.items:
-            w.writerow(
-                [iv.id, iv.speaker or "", iv.domain.value, repr(iv.duration_sec)]
-                + [repr(x) for x in iv.values.tolist()]
-            )
+        for utt, spk, dom, duration, values in _rows(ds):
+            w.writerow([utt, spk, dom, repr(duration)] + [repr(x) for x in values.tolist()])
     return path.read_bytes()
 
 

@@ -15,6 +15,7 @@ import pytest
 from svbackend.dataset import Dataset, GeneratorConfig, synth_dataset
 from svbackend.gplda import (
     PldaModel,
+    ScoreSet,
     load_plda,
     save_plda,
     score_trial,
@@ -37,7 +38,7 @@ from svbackend.lda import load_lda, save_lda, train_lda
 from svbackend.metrics import DcfParams, eer, min_dcf
 from svbackend.scorenorm import Cohort, cohort_score_matrix, snorm, snorm_from_cohort_scores
 
-from conftest import make_dataset, make_scoreset
+from conftest import make_dataset, make_scoreset, make_trials
 from oracles import eer_brute, min_dcf_brute, modified_idv_scatter, plda_pair_llr
 
 
@@ -226,34 +227,19 @@ def test_criterion_8_snorm_affine_invariance():
     m = PldaModel(rng.standard_normal(k), u1, (lam + lam.T) / 2)
     enrol = make_dataset(rng.standard_normal((8, k)), prefix="e")
     test = make_dataset(rng.standard_normal((9, k)), prefix="t")
-    from svbackend.dataset import Trial
-
-    trials = [
-        Trial(e.id, t.id, (i + j) % 5 == 0)
-        for i, e in enumerate(enrol.items)
-        for j, t in enumerate(test.items)
-    ]
+    trials = make_trials(
+        (e, t, (i + j) % 5 == 0) for i, e in enumerate(enrol.ids) for j, t in enumerate(test.ids)
+    )
     raw = score_trials(m, enrol, test, trials)
     cohort = Cohort(make_dataset(rng.standard_normal((30, k)), prefix="c"), "c")
-    e_table = {
-        iv.id: row for iv, row in zip(enrol.items, cohort_score_matrix(m, enrol, cohort))
-    }
-    t_table = {
-        iv.id: row for iv, row in zip(test.items, cohort_score_matrix(m, test, cohort))
-    }
+    # enrol and test rows are in id-table order
+    e_table = cohort_score_matrix(m, enrol, cohort)
+    t_table = cohort_score_matrix(m, test, cohort)
     base = snorm_from_cohort_scores(raw, e_table, t_table)
 
     a, b = 2.5, -1.75
-    from svbackend.gplda import ScoredTrial, ScoreSet
-
-    remapped_raw = ScoreSet(
-        tuple(ScoredTrial(st.trial, a * st.raw_llr + b) for st in raw.trials)
-    )
-    remapped = snorm_from_cohort_scores(
-        remapped_raw,
-        {key: a * v + b for key, v in e_table.items()},
-        {key: a * v + b for key, v in t_table.items()},
-    )
+    remapped_raw = ScoreSet(raw.trial_list, a * raw.raw + b)
+    remapped = snorm_from_cohort_scores(remapped_raw, a * e_table + b, a * t_table + b)
     np.testing.assert_allclose(
         remapped.values("normalized"), base.values("normalized"), atol=1e-10
     )

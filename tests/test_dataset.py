@@ -8,8 +8,6 @@ from svbackend.dataset import (
     Domain,
     DurationNoiseModel,
     GeneratorConfig,
-    IVector,
-    Trial,
     TrialList,
     apply_duration_noise,
     ground_truth_subspace,
@@ -21,46 +19,21 @@ from svbackend.dataset import (
 )
 from svbackend.dataset import _seed_streams
 
-from conftest import make_dataset
-from oracles import ivec_bytes_per_row, ivec_csv_per_row, synth_matrix
+from conftest import make_dataset, make_trials
+from oracles import ivec_bytes_per_row, ivec_csv_per_row, speaker_rows, synth_matrix
 
 
 class TestTypes:
-    def test_ivector_validates(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            IVector("a", None, Domain.IN_DOMAIN, 1.0, np.array([1.0, np.nan]))
-        with pytest.raises(ValueError, match="duration"):
-            IVector("a", None, Domain.IN_DOMAIN, 0.0, np.array([1.0]))
-        with pytest.raises(ValueError, match="1-D"):
-            IVector("a", None, Domain.IN_DOMAIN, 1.0, np.zeros((2, 2)))
-
-    def test_ivector_values_read_only(self):
-        iv = IVector("a", None, Domain.IN_DOMAIN, 1.0, np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            iv.values[0] = 3.0
-
-    def test_dataset_rejects_mixed_dims_and_dup_ids(self):
-        a = IVector("a", "s", Domain.IN_DOMAIN, 1.0, np.array([1.0, 2.0]))
-        b = IVector("b", "s", Domain.IN_DOMAIN, 1.0, np.array([1.0]))
-        with pytest.raises(ValueError, match="mixed"):
-            Dataset((a, b))
-        with pytest.raises(ValueError, match="duplicate"):
-            Dataset((a, a))
-
     def test_empty_dataset_needs_dim(self):
         with pytest.raises(ValueError, match="dim"):
-            Dataset(())
-        ds = Dataset((), dim=500)
+            Dataset(np.empty(0), (), (), (), ())
+        ds = make_dataset(np.empty((0, 500)))
         assert ds.matrix().shape == (0, 500)
 
     def test_index_covers_labeled_items_only(self):
-        items = (
-            IVector("a", "s1", Domain.IN_DOMAIN, 1.0, np.array([1.0])),
-            IVector("b", None, Domain.IN_DOMAIN, 1.0, np.array([2.0])),
-            IVector("c", "s1", Domain.IN_DOMAIN, 1.0, np.array([3.0])),
-        )
-        ds = Dataset(items)
-        assert dict(ds.index) == {"s1": (0, 2)}
+        ds = make_dataset(np.array([[1.0], [2.0], [3.0]]), speakers=["s1", None, "s1"])
+        assert ds.speakers == ("s1",) and speaker_rows(ds, 0) == [0, 2]
+        assert ds.speaker_code.tolist() == [0, -1, 0]
         assert not ds.labeled
 
 
@@ -76,8 +49,8 @@ class TestGenerator:
         )
         in_ds, out_ds = synth_dataset(cfg)
         for ds in (in_ds, out_ds):
-            for spk in ds.speakers:
-                rows = ds.matrix()[list(ds.index[spk])]
+            for code in range(len(ds.speakers)):
+                rows = ds.matrix()[speaker_rows(ds, code)]
                 assert np.array_equal(rows, np.tile(rows[0], (len(rows), 1)))
 
     def test_domain_offset_matches_sample_mean_diff(self):
@@ -159,7 +132,7 @@ class TestDurationNoise:
         ds = make_dataset(np.arange(12.0).reshape(3, 4))
         out = apply_duration_noise(ds, 17.0, DurationNoiseModel(0.0, 100.0), seed=1)
         assert np.array_equal(out.matrix(), ds.matrix())
-        assert all(iv.duration_sec == 17.0 for iv in out.items)
+        assert (out.durations == 17.0).all()
 
     def test_deterministic(self):
         ds = make_dataset(np.zeros((4, 3)))
@@ -188,15 +161,9 @@ class TestIvectorIO:
     def _random_ds(self, rng, n=10, d=8):
         values = rng.standard_normal((n, d))
         speakers = [f"spk{i % 3}" if i % 4 else None for i in range(n)]
-        items = tuple(
-            IVector(
-                f"utt{i}", speakers[i],
-                Domain.OUT_DOMAIN if i % 2 else Domain.IN_DOMAIN,
-                float(10 + i), values[i],
-            )
-            for i in range(n)
-        )
-        return Dataset(items)
+        domains = [Domain.OUT_DOMAIN if i % 2 else Domain.IN_DOMAIN for i in range(n)]
+        ids = [f"utt{i}" for i in range(n)]
+        return Dataset(values, ids, speakers, domains, [float(10 + i) for i in range(n)])
 
     def test_binary_round_trip_bit_exact(self, rng, tmp_path):
         ds = self._random_ds(rng)
@@ -211,7 +178,7 @@ class TestIvectorIO:
         assert load_ivectors(path, "csv") == ds
 
     def test_empty_dataset_round_trip(self, tmp_path):
-        ds = Dataset((), dim=500)
+        ds = make_dataset(np.empty((0, 500)))
         for fmt, name in (("binary", "x.ivec"), ("csv", "x.csv")):
             save_ivectors(ds, tmp_path / name, fmt)
             loaded = load_ivectors(tmp_path / name, fmt)
@@ -252,12 +219,12 @@ class TestTrialsIO:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("")
-        assert load_trials(path) == []
+        assert load_trials(path) == make_trials([])
 
     def test_single_line(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("e1 t1 target\n")
-        assert load_trials(path) == [Trial("e1", "t1", True)]
+        assert load_trials(path) == make_trials([("e1", "t1", True)])
 
     def test_bad_label_names_line(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -266,7 +233,7 @@ class TestTrialsIO:
             load_trials(path)
 
     def test_round_trip(self, tmp_path):
-        trials = [Trial("a", "b", True), Trial("a", "c", False)]
+        trials = make_trials([("a", "b", True), ("a", "c", False)])
         path = tmp_path / "t.txt"
         save_trials(trials, path)
         assert load_trials(path) == trials
@@ -280,7 +247,7 @@ class TestTrialsIO:
         assert trials.enrol_code.tolist() == [0, 1, 0]
         assert trials.test_code.tolist() == [0, 1, 1]
         assert trials.is_target.tolist() == [True, False, False]
-        assert trials[2] == Trial("b", "y", False)
+        assert trials.trial_text(2) == "b y nontarget"
         out = tmp_path / "out.txt"
         save_trials(trials, out)
         assert out.read_text() == "b x target\na y nontarget\nb y nontarget\n"
@@ -290,40 +257,29 @@ class TestTrialsIO:
             TrialList(["a"], ["b"], [0, 0], [0], [True])
         with pytest.raises(ValueError, match="test code out of range"):
             TrialList(["a"], ["b"], [0], [1], [True])
-        assert TrialList(["a"], ["b"], [0], [0], [True]) != [Trial("a", "b", False)]
+        assert TrialList(["a"], ["b"], [0], [0], [True]) != make_trials([("a", "b", False)])
+        with pytest.raises(ValueError, match="repeated id in the enrol id table"):
+            TrialList(["a", "a"], ["b"], [0, 1], [0, 0], [True, False])
 
 
 class TestColumnarDataset:
-    def _items(self):
+    def _ds(self):
         rng = np.random.default_rng(3)
         values = rng.standard_normal((5, 3))
         speakers = ["b", None, "a", "b", "c"]
-        return tuple(
-            IVector(f"u{i}", speakers[i], Domain.OUT_DOMAIN if i % 2 else Domain.IN_DOMAIN,
-                    float(5 + i), values[i])
-            for i in range(5)
-        )
+        domains = [Domain.OUT_DOMAIN if i % 2 else Domain.IN_DOMAIN for i in range(5)]
+        ids = [f"u{i}" for i in range(5)]
+        return Dataset(values, ids, speakers, domains, [float(5 + i) for i in range(5)])
 
     def test_items_round_trip_and_columns(self):
-        items = self._items()
-        ds = Dataset(items)
-        assert ds.items == items
-        assert Dataset(ds.items) == ds
+        ds = self._ds()
         assert ds.ids == ("u0", "u1", "u2", "u3", "u4")
         assert ds.speakers == ("a", "b", "c")
         assert ds.speaker_code.tolist() == [1, -1, 0, 1, 2]
         assert ds.row_speakers() == ["b", None, "a", "b", "c"]
         assert ds.durations.tolist() == [5.0, 6.0, 7.0, 8.0, 9.0]
-        columns = Dataset.from_columns(
-            ds.matrix(), ds.ids, ds.row_speakers(), ds.domains, ds.durations
-        )
-        assert columns == ds and list(columns) == list(items)
-
-    def test_views_are_built_per_access(self):
-        ds = Dataset(self._items())
-        assert ds.items is not ds.items and ds.items == ds.items
-        assert ds.index is not ds.index and dict(ds.index) == {"a": (2,), "b": (0, 3), "c": (4,)}
-        assert ds.by_id()["u3"] == ds.items[3]
+        columns = Dataset(ds.matrix(), ds.ids, ds.row_speakers(), ds.domains, ds.durations)
+        assert columns == ds
 
     def test_matrix_is_stored_read_only_array(self):
         ds = make_dataset(np.arange(6.0).reshape(3, 2))
@@ -351,14 +307,27 @@ class TestColumnarDataset:
         values = np.zeros((2, 2))
         dom = [Domain.IN_DOMAIN] * 2
         with pytest.raises(ValueError, match="duplicate utterance id 'a'"):
-            Dataset.from_columns(values, ["a", "a"], [None, None], dom, [1.0, 1.0])
+            Dataset(values, ["a", "a"], [None, None], dom, [1.0, 1.0])
         with pytest.raises(ValueError, match="ivector 'b': duration_sec must be positive"):
-            Dataset.from_columns(values, ["a", "b"], [None, None], dom, [1.0, np.nan])
+            Dataset(values, ["a", "b"], [None, None], dom, [1.0, np.nan])
         with pytest.raises(ValueError, match="one entry per row"):
-            Dataset.from_columns(values, ["a"], [None], dom[:1], [1.0])
+            Dataset(values, ["a"], [None], dom[:1], [1.0])
+
+    def test_constructor_rejects_nonfinite_values_and_nonpositive_durations(self):
+        dom = [Domain.IN_DOMAIN] * 2
+        bad = np.array([[1.0, 2.0], [1.0, np.nan]])
+        with pytest.raises(ValueError, match="ivector 'b': values contain non-finite"):
+            Dataset(bad, ["a", "b"], [None, None], dom, [1.0, 1.0])
+        for duration in (0.0, -1.0):
+            with pytest.raises(ValueError, match="ivector 'a': duration_sec must be positive"):
+                Dataset(np.ones((2, 2)), ["a", "b"], [None, None], dom, [duration, 1.0])
+        values = np.ones((2, 2))
+        ds = Dataset(values, ["a", "b"], [None, None], dom, [1.0, 1.0])
+        values[0, 0] = 7.0  # the dataset holds a copy
+        assert ds.matrix()[0, 0] == 1.0
 
     def test_subset_recodes_speakers(self):
-        ds = Dataset(self._items())
+        ds = self._ds()
         sub = ds.subset([4, 1, 0])
         assert sub.ids == ("u4", "u1", "u0")
         assert sub.speakers == ("b", "c") and sub.speaker_code.tolist() == [1, -1, 0]
@@ -387,7 +356,7 @@ class TestColumnarFilesMatchPerRowWriters:
         n = len(ids)
         values = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-300, 300, (n, dim))
         domains = [Domain.OUT_DOMAIN if b else Domain.IN_DOMAIN for b in rng.integers(0, 2, n)]
-        ds = Dataset.from_columns(values, ids, labels[:n], domains, rng.uniform(0.1, 200.0, n))
+        ds = Dataset(values, ids, labels[:n], domains, rng.uniform(0.1, 200.0, n))
         save_ivectors(ds, tmp_path / "x.ivec", "binary")
         assert (tmp_path / "x.ivec").read_bytes() == ivec_bytes_per_row(ds)
         save_ivectors(ds, tmp_path / "x.csv", "csv")

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svbackend.dataset import Dataset, GeneratorConfig, Trial, ground_truth_subspace, synth_dataset
+from svbackend.dataset import Dataset, GeneratorConfig, ground_truth_subspace, synth_dataset
 from svbackend.gplda import (
     PldaModel,
-    ScoredTrial,
     ScoreSet,
     length_normalize,
     load_plda,
@@ -26,8 +25,8 @@ from svbackend.gplda import (
 
 from svbackend.gplda import _speaker_stats
 
-from conftest import make_dataset, shuffled_labeled_datasets
-from oracles import plda_pair_llr, speaker_loop_stats, stacked_marginal_loglik
+from conftest import make_dataset, make_trials, shuffled_labeled_datasets
+from oracles import plda_pair_llr, speaker_loop_stats, speaker_rows, stacked_marginal_loglik
 
 
 def random_model(rng, k=3, q=2):
@@ -159,7 +158,7 @@ class TestTraining:
         # independent method-of-moments oracle: speaker-mean scatter minus
         # the within part explained by averaging n_s sessions
         mat = ds.matrix()
-        means = np.array([mat[list(ds.index[s])].mean(axis=0) for s in ds.speakers])
+        means = np.array([mat[speaker_rows(ds, c)].mean(axis=0) for c in range(len(ds.speakers))])
         centered = means - means.mean(axis=0)
         moment_between = (
             centered.T @ centered / len(means)
@@ -246,40 +245,41 @@ class TestBatchScoring:
         m = random_model(rng, k=4, q=2)
         enrol = make_dataset(rng.standard_normal((n_enrol, 4)), prefix="e")
         test = make_dataset(rng.standard_normal((n_test, 4)), prefix="t")
-        trials = [
-            Trial(e.id, t.id, (i + j) % 3 == 0)
-            for i, e in enumerate(enrol.items)
-            for j, t in enumerate(test.items)
-        ]
+        trials = make_trials(
+            (e, t, (i + j) % 3 == 0)
+            for i, e in enumerate(enrol.ids)
+            for j, t in enumerate(test.ids)
+        )
         return m, enrol, test, trials
 
     def test_full_cross_matches_looped_single_scoring(self, rng):
         m, enrol, test, trials = self._setup(rng)
         ss = score_trials(m, enrol, test, trials)
-        e_map, t_map = enrol.by_id(), test.by_id()
-        for st in ss:
-            ref = score_trial(m, e_map[st.trial.enrol_id].values, t_map[st.trial.test_id].values)
-            assert st.raw_llr == pytest.approx(ref, abs=1e-10)
+        e_map = dict(zip(enrol.ids, enrol.matrix()))
+        t_map = dict(zip(test.ids, test.matrix()))
+        for e, t, raw in zip(*ss.trial_list.id_columns(), ss.raw):
+            ref = score_trial(m, e_map[e], t_map[t])
+            assert raw == pytest.approx(ref, abs=1e-10)
 
     def test_empty_trials(self, rng):
         m, enrol, test, _ = self._setup(rng)
-        assert len(score_trials(m, enrol, test, [])) == 0
+        assert len(score_trials(m, enrol, test, make_trials([]))) == 0
 
     def test_unknown_ids_reported(self, rng):
         m, enrol, test, trials = self._setup(rng, n_enrol=2, n_test=2)
         with pytest.raises(ValueError, match="unknown enrol id 'nope'"):
-            score_trials(m, enrol, test, [Trial("nope", test.items[0].id, True)])
+            score_trials(m, enrol, test, make_trials([("nope", test.ids[0], True)]))
         with pytest.raises(ValueError, match="unknown test id 'nope'"):
-            score_trials(m, enrol, test, [Trial(enrol.items[0].id, "nope", True)])
+            score_trials(m, enrol, test, make_trials([(enrol.ids[0], "nope", True)]))
 
 
 class TestScoreSetAndPersistence:
     def test_scoreset_requires_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            ScoredTrial(Trial("a", "b", True), float("nan"))
+            ScoreSet(make_trials([("a", "b", True)]), [float("nan")])
 
     def test_values_and_normalized_guard(self):
-        ss = ScoreSet((ScoredTrial(Trial("a", "b", True), 1.0),))
+        ss = ScoreSet(make_trials([("a", "b", True)]), [1.0])
         with pytest.raises(ValueError, match="no normalized"):
             ss.values("normalized")
         ss2 = ss.with_normalized([2.0])
@@ -306,11 +306,8 @@ class TestScoreSetAndPersistence:
         assert len(lines) == 1 + 4
 
     def test_scores_csv_round_trip(self, rng, tmp_path):
-        trials = (
-            ScoredTrial(Trial("e1", "t1", True), 1.25, 0.5),
-            ScoredTrial(Trial("e2", "t2", False), -3.5, None),
-        )
-        ss = ScoreSet(trials)
+        trials = make_trials([("e1", "t1", True), ("e2", "t2", False)])
+        ss = ScoreSet(trials, [1.25, -3.5], [0.5, np.nan])
         path = tmp_path / "scores.csv"
         write_scores(ss, path)
         loaded = read_scores(path)
@@ -322,14 +319,16 @@ def _seed_write_scores(scores, path):
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["enrol", "test", "label", "raw_llr", "norm_llr"])
-        for row in scores:
+        enrol, test = scores.trial_list.id_columns()
+        for k in range(len(scores)):
+            norm = float(scores.normalized[k])
             w.writerow(
                 [
-                    row.trial.enrol_id,
-                    row.trial.test_id,
-                    "target" if row.trial.is_target else "nontarget",
-                    repr(row.raw_llr),
-                    "" if row.normalized_llr is None else repr(row.normalized_llr),
+                    enrol[k],
+                    test[k],
+                    "target" if scores.trial_list.is_target[k] else "nontarget",
+                    repr(float(scores.raw[k])),
+                    "" if np.isnan(norm) else repr(norm),
                 ]
             )
 
@@ -347,7 +346,11 @@ class TestColumnarScores:
         )
     )
     def test_csv_round_trip_matches_row_writer_bytes(self, rows):
-        ss = ScoreSet(tuple(ScoredTrial(Trial(e, t, y), r, n) for e, t, y, r, n in rows))
+        ss = ScoreSet(
+            make_trials((e, t, y) for e, t, y, _, _ in rows),
+            [r for *_, r, _ in rows],
+            [np.nan if n is None else n for *_, n in rows],
+        )
         with tempfile.TemporaryDirectory() as tmp:
             ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
             write_scores(ss, ours)
@@ -357,11 +360,9 @@ class TestColumnarScores:
 
     def test_columns_and_views_agree(self):
         ss = ScoreSet(
-            (
-                ScoredTrial(Trial("e1", "t1", True), 1.25, 0.5),
-                ScoredTrial(Trial("e2", "t1", False), -3.5, None),
-                ScoredTrial(Trial("e1", "t2", False), 2.0, None),
-            )
+            make_trials([("e1", "t1", True), ("e2", "t1", False), ("e1", "t2", False)]),
+            [1.25, -3.5, 2.0],
+            [0.5, np.nan, np.nan],
         )
         tl = ss.trial_list
         assert tl.enrol_ids == ("e1", "e2") and tl.test_ids == ("t1", "t2")
@@ -372,7 +373,6 @@ class TestColumnarScores:
         assert np.isnan(ss.normalized[1:]).all() and ss.normalized[0] == 0.5
         assert len(ss) == 3 and not ss.has_normalized
         assert ScoreSet(tl, ss.raw, ss.normalized) == ss
-        assert list(ss) == list(ss.trials)
         with pytest.raises(ValueError, match="non-finite raw score for trial.*e2"):
             ScoreSet(tl, [1.0, np.nan, 2.0])
         with pytest.raises(ValueError, match="non-finite normalized score for trial.*e1"):

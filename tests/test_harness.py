@@ -14,13 +14,12 @@ import svbackend
 from svbackend.cli import cli
 from svbackend.dataset import (
     GeneratorConfig,
-    Trial,
     TrialList,
     load_ivectors,
     save_ivectors,
     save_trials,
 )
-from svbackend.gplda import PldaModel, ScoredTrial, read_scores, save_plda, write_scores
+from svbackend.gplda import PldaModel, read_scores, save_plda, write_scores
 from svbackend.harness import (
     EVAL_SEED_OFFSET,
     RETIRED_KEYS,
@@ -42,7 +41,7 @@ from svbackend.harness import (
 )
 from svbackend.metrics import REPORT_COLUMNS
 
-from conftest import make_dataset, make_scoreset
+from conftest import make_dataset, make_scoreset, make_trials
 
 
 def tiny_config(**overrides):
@@ -165,7 +164,7 @@ class TestRunData:
         n_test = cfg.eval_speakers * (cfg.eval_sessions - 1)
         assert len(data.test_pos) == n_test
         assert len(data.trials) == cfg.eval_speakers * n_test
-        n_targets = sum(t.is_target for t in data.trials)
+        n_targets = int(data.trials.is_target.sum())
         assert n_targets == n_test
         again = make_run_data(cfg, 0)
         assert again.eval_in == data.eval_in
@@ -174,12 +173,10 @@ class TestRunData:
         data = make_run_data(tiny_config(), 0)
         enrol_pos, test_pos, trials = build_trials(data.eval_in)
         assert isinstance(trials, TrialList)
-        items = data.eval_in.items
-        expected = [
-            Trial(items[e].id, items[t].id, items[e].speaker == items[t].speaker)
-            for e in enrol_pos
-            for t in test_pos
-        ]
+        ids, speakers = data.eval_in.ids, data.eval_in.row_speakers()
+        expected = make_trials(
+            (ids[e], ids[t], speakers[e] == speakers[t]) for e in enrol_pos for t in test_pos
+        )
         assert trials == expected
 
     def test_eval_draw_follows_documented_seed_scheme(self):
@@ -406,7 +403,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{path}: unknown generator key(s): dimm" in err
 
-    def test_score_snorm_eval_build_no_per_trial_objects(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"dim": 6,}', "Expecting property name enclosed in double quotes"),
+            ("[6, 4]", "generator must be a JSON object, got [6, 4]"),
+        ],
+    )
+    def test_synth_config_malformed_file_named(self, tmp_path, capsys, text, message):
+        path = tmp_path / "gen.json"
+        path.write_text(text)
+        rc = cli(["synth", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"svbackend synth: error: {path}: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, token",
+        [
+            ("--seeds", "a", "'a'"),
+            ("--seeds", "0,,1", "''"),
+            ("--seeds", "", "''"),
+            ("--durations", "5,abc", "'abc'"),
+            ("--durations", "", "''"),
+        ],
+    )
+    def test_experiment_list_flags_name_flag_and_token(self, tmp_path, capsys, flag, value, token):
+        rc = cli(["experiment", "--kind", "in-vs-out", flag, value,
+                  "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: invalid entry {token}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_score_snorm_eval_build_no_per_trial_objects(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         k = 4
         r = 0.3 * rng.standard_normal((k, k))
@@ -419,15 +450,10 @@ class TestCli:
                          ("cohort", make_dataset(rng.standard_normal((9, k)), prefix="c"))):
             save_ivectors(ds, tmp_path / f"{name}.ivec")
         trials = TrialList(
-            [iv.id for iv in enrol.items], [iv.id for iv in test.items],
+            enrol.ids, test.ids,
             np.repeat(np.arange(4), 6), np.tile(np.arange(6), 4), np.arange(24) % 5 == 0,
         )
         save_trials(trials, tmp_path / "trials.txt")
-
-        def no_rows(self):
-            raise AssertionError("per-trial ScoredTrial built on the hot path")
-
-        monkeypatch.setattr(ScoredTrial, "__post_init__", no_rows)
         w = str(tmp_path)
         assert cli(["score", "--model", f"{w}/m.plda", "--enrol", f"{w}/enrol.ivec",
                     "--test", f"{w}/test.ivec", "--trials", f"{w}/trials.txt",

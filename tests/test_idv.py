@@ -93,10 +93,8 @@ class TestEstimators:
         inn = make_dataset(rng.standard_normal((3, 5)), prefix="i")
         with pytest.raises(ValueError, match="dimension mismatch"):
             estimate_modified_idv(out, inn)
-        from svbackend.dataset import Dataset
-
         with pytest.raises(ValueError, match="non-empty"):
-            estimate_modified_idv(out, Dataset((), dim=4))
+            estimate_modified_idv(out, make_dataset(np.empty((0, 4))))
 
     def test_scale_covariance(self, rng):
         out, inn = random_pair(rng, n_out=60, n_in=50)
@@ -170,8 +168,8 @@ class TestApply:
         out, inn = random_pair(rng, dim=4, n_out=20, n_in=20)
         t = estimate_modified_idv(out, inn)
         res = apply_idv(t, out)
-        assert [iv.id for iv in res.items] == [iv.id for iv in out.items]
-        assert [iv.speaker for iv in res.items] == [iv.speaker for iv in out.items]
+        assert res.ids == out.ids
+        assert res.row_speakers() == out.row_speakers()
         with pytest.raises(ValueError, match="dimension mismatch"):
             apply_idv(t, make_dataset(rng.standard_normal((2, 7))))
 

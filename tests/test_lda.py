@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svbackend.dataset import Dataset, Domain, IVector
+from svbackend.dataset import Dataset
 from svbackend import lda
 from svbackend.lda import (
     UNIT_NORM_TOLERANCE,
@@ -122,7 +122,7 @@ class TestTraining:
     def test_item_permutation_keeps_projection(self, rng):
         ds, _ = grouped_dataset(rng, n_speakers=5, sessions=4, dim=5)
         perm = rng.permutation(len(ds))
-        ds_perm = Dataset(tuple(ds.items[p] for p in perm), dim=ds.dim)
+        ds_perm = ds.subset(perm)
         t1 = train_lda(ds, k=3)
         t2 = train_lda(ds_perm, k=3)
         assert np.argsort(t1.eigenvalues).tolist() == np.argsort(t2.eigenvalues).tolist()
@@ -132,11 +132,7 @@ class TestTraining:
         ds, _ = grouped_dataset(rng, n_speakers=5, sessions=4, dim=5)
         # order-preserving rename keeps the sorted accumulation order
         renamed = Dataset(
-            tuple(
-                IVector(iv.id, f"x{iv.speaker}", iv.domain, iv.duration_sec, iv.values)
-                for iv in ds.items
-            ),
-            dim=ds.dim,
+            ds.matrix(), ds.ids, [f"x{spk}" for spk in ds.row_speakers()], ds.domains, ds.durations
         )
         t1 = train_lda(ds, k=3)
         t2 = train_lda(renamed, k=3)
@@ -182,7 +178,7 @@ class TestApply:
         t = train_lda(ds, k=2)
         out = apply_lda(t, ds)
         assert out.dim == 2
-        assert [iv.id for iv in out.items] == [iv.id for iv in ds.items]
+        assert out.ids == ds.ids
         with pytest.raises(ValueError, match="dimension mismatch"):
             apply_lda(t, make_dataset(np.zeros((1, 3))))
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from svbackend.dataset import DurationNoiseModel, Trial
-from svbackend.gplda import PldaModel, ScoredTrial, ScoreSet, score_trials
+from svbackend.dataset import DurationNoiseModel
+from svbackend.gplda import PldaModel, ScoreSet, score_trials
 from svbackend.scorenorm import (
     Cohort,
     cohort_score_matrix,
@@ -11,16 +11,11 @@ from svbackend.scorenorm import (
     snorm_from_cohort_scores,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, make_trials
 
 
 def two_trial_scores():
-    return ScoreSet(
-        (
-            ScoredTrial(Trial("e1", "t1", True), 1.0),
-            ScoredTrial(Trial("e2", "t2", False), 2.0),
-        )
-    )
+    return ScoreSet(make_trials([("e1", "t1", True), ("e2", "t2", False)]), [1.0, 2.0])
 
 
 def simple_model(rng, k=4, q=2):
@@ -34,8 +29,8 @@ def simple_model(rng, k=4, q=2):
 class TestFormula:
     def test_hand_case_matches_direct_computation(self):
         scores = two_trial_scores()
-        enrol_cohort = {"e1": np.array([0.0, 1.0, 2.0]), "e2": np.array([1.0, 2.0, 3.0])}
-        test_cohort = {"t1": np.array([0.0, 2.0, 4.0]), "t2": np.array([-1.0, 0.0, 1.0])}
+        enrol_cohort = np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]])  # rows e1, e2
+        test_cohort = np.array([[0.0, 2.0, 4.0], [-1.0, 0.0, 1.0]])  # rows t1, t2
         out = snorm_from_cohort_scores(scores, enrol_cohort, test_cohort)
 
         # spreadsheet-style oracle: population mean/std per side
@@ -45,8 +40,8 @@ class TestFormula:
             return 0.5 * ((s - mu_e) / sd_e + (s - mu_t) / sd_t)
 
         expected = [
-            norm_one(1.0, enrol_cohort["e1"], test_cohort["t1"]),
-            norm_one(2.0, enrol_cohort["e2"], test_cohort["t2"]),
+            norm_one(1.0, enrol_cohort[0], test_cohort[0]),
+            norm_one(2.0, enrol_cohort[1], test_cohort[1]),
         ]
         got = out.values("normalized")
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -57,60 +52,62 @@ class TestFormula:
     def test_identity_when_cohort_scores_standardized(self):
         scores = two_trial_scores()
         std = np.array([-1.0, 0.0, 1.0]) * np.sqrt(3.0 / 2.0)  # zero mean, unit pop std
-        table_e = {"e1": std, "e2": std}
-        table_t = {"t1": std, "t2": std}
+        table_e = np.array([std, std])
+        table_t = np.array([std, std])
         out = snorm_from_cohort_scores(scores, table_e, table_t)
         np.testing.assert_allclose(out.values("normalized"), out.values("raw"), atol=1e-12)
 
     def test_affine_invariance(self, rng):
         scores = two_trial_scores()
-        e_arrs = {k: rng.standard_normal(5) for k in ("e1", "e2")}
-        t_arrs = {k: rng.standard_normal(5) for k in ("t1", "t2")}
+        e_arrs = rng.standard_normal((2, 5))
+        t_arrs = rng.standard_normal((2, 5))
         base = snorm_from_cohort_scores(scores, e_arrs, t_arrs).values("normalized")
         a, b = 3.7, -2.2
-        mapped_scores = ScoreSet(
-            tuple(
-                ScoredTrial(st.trial, a * st.raw_llr + b) for st in scores.trials
-            )
-        )
+        mapped_scores = ScoreSet(scores.trial_list, a * scores.raw + b)
         mapped = snorm_from_cohort_scores(
-            mapped_scores,
-            {k: a * v + b for k, v in e_arrs.items()},
-            {k: a * v + b for k, v in t_arrs.items()},
+            mapped_scores, a * e_arrs + b, a * t_arrs + b
         ).values("normalized")
         np.testing.assert_allclose(mapped, base, atol=1e-10)
 
     def test_equals_per_trial_loop_bit_for_bit(self, rng):
-        trials = [
-            ScoredTrial(Trial(f"e{i % 3}", f"t{i % 4}", i % 5 == 0), float(rng.standard_normal()))
+        rows = [
+            (f"e{i % 3}", f"t{i % 4}", i % 5 == 0, float(rng.standard_normal()))
             for i in range(24)
         ]
-        scores = ScoreSet(tuple(trials))
+        scores = ScoreSet(make_trials(row[:3] for row in rows), [row[3] for row in rows])
         e_table = {f"e{i}": rng.standard_normal(7) for i in range(3)}
         t_table = {f"t{i}": rng.standard_normal(9) for i in range(4)}
-        out = snorm_from_cohort_scores(scores, e_table, t_table)
+        tl = scores.trial_list
+        out = snorm_from_cohort_scores(
+            scores,
+            np.array([e_table[utt] for utt in tl.enrol_ids]),
+            np.array([t_table[utt] for utt in tl.test_ids]),
+        )
         # the per-trial Python loop that the array gathers replace
         expected = []
-        for st in trials:
-            e, t = e_table[st.trial.enrol_id], t_table[st.trial.test_id]
+        for enrol, test, _, raw in rows:
+            e, t = e_table[enrol], t_table[test]
             mu_e, sd_e = float(e.mean()), float(e.std())
             mu_t, sd_t = float(t.mean()), float(t.std())
-            expected.append(0.5 * ((st.raw_llr - mu_e) / sd_e + (st.raw_llr - mu_t) / sd_t))
+            expected.append(0.5 * ((raw - mu_e) / sd_e + (raw - mu_t) / sd_t))
         assert out.values("normalized").tolist() == expected
 
-    def test_missing_cohort_scores_named(self):
-        ok = np.array([0.0, 1.0, 2.0])
-        with pytest.raises(ValueError, match="no test cohort scores for 't2'"):
-            snorm_from_cohort_scores(two_trial_scores(), {"e1": ok, "e2": ok}, {"t1": ok})
+    @pytest.mark.parametrize("side", ["enrol", "test"])
+    def test_cohort_rows_must_match_id_table(self, side):
+        ok = np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 4.0]])
+        short = {"enrol": ok, "test": ok, side: ok[:1]}
+        message = rf"{side} cohort scores must be one row per {side} id \(2\), got shape \(1, 3\)"
+        with pytest.raises(ValueError, match=message):
+            snorm_from_cohort_scores(two_trial_scores(), short["enrol"], short["test"])
 
     def test_degenerate_cohort_reports_side_and_id(self):
         scores = two_trial_scores()
         flat = np.ones(4)
         ok = np.array([0.0, 1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="enrol side for 'e1'"):
-            snorm_from_cohort_scores(scores, {"e1": flat, "e2": ok}, {"t1": ok, "t2": ok})
+            snorm_from_cohort_scores(scores, np.array([flat, ok]), np.array([ok, ok]))
         with pytest.raises(ValueError, match="test side for 't2'"):
-            snorm_from_cohort_scores(scores, {"e1": ok, "e2": ok}, {"t1": ok, "t2": flat})
+            snorm_from_cohort_scores(scores, np.array([ok, ok]), np.array([ok, flat]))
 
 
 class TestEndToEnd:
@@ -118,11 +115,11 @@ class TestEndToEnd:
         m = simple_model(rng)
         enrol = make_dataset(rng.standard_normal((5, 4)), prefix="e")
         test = make_dataset(rng.standard_normal((6, 4)), prefix="t")
-        trials = [
-            Trial(e.id, t.id, (i + j) % 4 == 0)
-            for i, e in enumerate(enrol.items)
-            for j, t in enumerate(test.items)
-        ]
+        trials = make_trials(
+            (e, t, (i + j) % 4 == 0)
+            for i, e in enumerate(enrol.ids)
+            for j, t in enumerate(test.ids)
+        )
         scores = score_trials(m, enrol, test, trials)
         cohort = Cohort(make_dataset(rng.standard_normal((n_cohort, 4)), prefix="c"), "c")
         return m, enrol, test, scores, cohort
@@ -146,7 +143,7 @@ class TestEndToEnd:
         # pair keeps the normalized score (raw scoring is symmetric)
         m = simple_model(rng)
         pool = make_dataset(rng.standard_normal((6, 4)), prefix="u")
-        trials = [Trial("u0000", "u0001", True), Trial("u0001", "u0000", True)]
+        trials = make_trials([("u0000", "u0001", True), ("u0001", "u0000", True)])
         scores = score_trials(m, pool, pool, trials)
         cohort = Cohort(make_dataset(rng.standard_normal((15, 4)), prefix="c"), "c")
         out = snorm(m, scores, pool, pool, cohort).values("normalized")
@@ -155,19 +152,49 @@ class TestEndToEnd:
     def test_cohort_matrix_matches_score_trials(self, rng):
         m, enrol, test, scores, cohort = self._setup(rng, n_cohort=4)
         mat = cohort_score_matrix(m, enrol, cohort)
-        trials = [
-            Trial(e.id, c.id, False)
-            for e in enrol.items
-            for c in cohort.vectors.items
-        ]
+        trials = make_trials((e, c, False) for e in enrol.ids for c in cohort.vectors.ids)
         ref = score_trials(m, enrol, cohort.vectors, trials).values("raw").reshape(mat.shape)
         np.testing.assert_allclose(mat, ref, atol=1e-10)
 
     def test_unknown_trial_ids(self, rng):
         m, enrol, test, scores, cohort = self._setup(rng)
-        bad = ScoreSet((ScoredTrial(Trial("missing", test.items[0].id, True), 0.0),))
+        bad = ScoreSet(make_trials([("missing", test.ids[0], True)]), [0.0])
         with pytest.raises(ValueError, match="unknown enrol id"):
             snorm(m, bad, enrol, test, cohort)
+
+    def test_unknown_test_id_names_its_first_trial(self, rng):
+        m, enrol, test, scores, cohort = self._setup(rng)
+        rows = [(enrol.ids[0], test.ids[0], True), (enrol.ids[1], "nope", False),
+                (enrol.ids[0], "nope", False)]
+        bad = ScoreSet(make_trials(rows), [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="^trial 1: unknown test id 'nope'$"):
+            snorm(m, bad, enrol, test, cohort)
+
+    def test_gathers_rows_by_id_from_shuffled_datasets_with_extra_rows(self, rng):
+        m = simple_model(rng)
+        enrol = make_dataset(rng.standard_normal((7, 4)), prefix="e")
+        test = make_dataset(rng.standard_normal((9, 4)), prefix="t")
+        cohort = Cohort(make_dataset(rng.standard_normal((11, 4)), prefix="c"), "c")
+        # trials use enrol rows 5, 1, 3 and test rows 8, 0, 6, 2, first seen in that order
+        rows = [
+            (enrol.ids[e], test.ids[t], (e + t) % 3 == 0)
+            for e in (5, 1, 3) for t in (8, 0, 6, 2) if (e, t) != (1, 6)
+        ]
+        raw = rng.standard_normal(len(rows))
+        scores = ScoreSet(make_trials(rows), raw)
+        assert scores.trial_list.enrol_ids == (enrol.ids[5], enrol.ids[1], enrol.ids[3])
+        out = snorm(m, scores, enrol, test, cohort)
+        # the per-trial formula on cohort-matrix rows picked by id
+        e_rows = dict(zip(enrol.ids, cohort_score_matrix(m, enrol, cohort)))
+        t_rows = dict(zip(test.ids, cohort_score_matrix(m, test, cohort)))
+        expected = []
+        for (e_id, t_id, _), s in zip(rows, raw.tolist()):
+            e, t = e_rows[e_id], t_rows[t_id]
+            mu_e, sd_e = float(e.mean()), float(e.std())
+            mu_t, sd_t = float(t.mean()), float(t.std())
+            expected.append(0.5 * ((s - mu_e) / sd_e + (s - mu_t) / sd_t))
+        assert out.values("normalized").tolist() == expected
+        assert np.array_equal(out.raw, raw)
 
 
 class TestMatchedLengthCohort:
@@ -186,7 +213,7 @@ class TestMatchedLengthCohort:
         b = matched_length_cohort(base, 25.0, noise, seed=5)
         assert a.vectors == b.vectors
         assert "25" in a.label
-        assert all(iv.duration_sec == 25.0 for iv in a.vectors.items)
+        assert (a.vectors.durations == 25.0).all()
 
     def test_added_noise_std_matches_model(self, rng):
         base = Cohort(make_dataset(np.zeros((1000, 128)), prefix="c"), "pool")
@@ -195,7 +222,5 @@ class TestMatchedLengthCohort:
         assert out.vectors.matrix().std() == pytest.approx(noise.sigma(25.0), rel=0.02)
 
     def test_empty_cohort_rejected(self):
-        from svbackend.dataset import Dataset
-
         with pytest.raises(ValueError, match="non-empty"):
-            Cohort(Dataset((), dim=3), "x")
+            Cohort(make_dataset(np.empty((0, 3))), "x")
