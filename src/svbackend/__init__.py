@@ -43,10 +43,9 @@ from .idv import (
 )
 from .lda import LdaTransform, apply_lda, load_lda, save_lda, scatter_matrices, train_lda
 from .metrics import DcfParams, DcfResult, det_points, eer, evaluate, min_dcf
-from .scorenorm import Cohort, matched_length_cohort, snorm, snorm_from_cohort_scores
+from .scorenorm import snorm, snorm_from_cohort_scores
 
 __all__ = [
-    "Cohort",
     "Dataset",
     "DcfParams",
     "DcfResult",
@@ -75,7 +74,6 @@ __all__ = [
     "load_plda",
     "load_trials",
     "marginal_loglik",
-    "matched_length_cohort",
     "min_dcf",
     "pair_llr",
     "read_scores",

@@ -38,7 +38,7 @@ from .gplda import (
 from .idv import apply_idv, estimate_modified_idv, estimate_original_idv, load_idv, save_idv
 from .lda import apply_lda, load_lda, save_lda, train_lda
 from .metrics import DcfParams, evaluate, write_metric_report
-from .scorenorm import Cohort, snorm
+from .scorenorm import snorm
 
 
 def _generator_from_args(args: argparse.Namespace) -> GeneratorConfig:
@@ -135,8 +135,7 @@ def _cmd_snorm(args: argparse.Namespace) -> int:
     scores = read_scores(args.scores)
     enrol = load_ivectors(args.enrol, args.format)
     test = load_ivectors(args.test, args.format)
-    cohort = Cohort(load_ivectors(args.cohort, args.format), label=args.cohort_label)
-    normalized = snorm(m, scores, enrol, test, cohort)
+    normalized = snorm(m, scores, enrol, test, load_ivectors(args.cohort, args.format))
     write_scores(normalized, args.output)
     print(f"normalized {len(normalized)} trials to {args.output}")
     return 0
@@ -279,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enrol", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--cohort", required=True, help="compensated cohort i-vectors")
-    p.add_argument("--cohort-label", default="cohort")
+    p.add_argument("--cohort-label", help=argparse.SUPPRESS)  # kept for old scripts; no effect
     p.add_argument("--output", required=True)
     add_format(p)
     p.set_defaults(fn=_cmd_snorm)

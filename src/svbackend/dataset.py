@@ -23,11 +23,13 @@ from array import array
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 IVEC_MAGIC = b"IVEC1"
+
+T = TypeVar("T")
 
 #: Default i-vector dimension of a full-scale telephone-speech system.
 DEFAULT_IVECTOR_DIM = 500
@@ -85,29 +87,10 @@ class Dataset:
     ) -> None:
         """Build a dataset from a copy of ``values`` (N, D) and one entry per row
         of the other columns; a ``speakers`` entry of None marks an unlabeled row."""
-        values = np.array(values, dtype=np.float64)
-        self._take(values, ids, speakers, domains, np.array(durations, dtype=np.float64))
+        durations = np.array(durations, dtype=np.float64)
+        self._build(np.array(values, dtype=np.float64), ids, speakers, domains, durations)
 
-    @classmethod
-    def _own(
-        cls,
-        values: np.ndarray,
-        ids: Sequence[str],
-        speakers: Sequence[str | None],
-        domains: Sequence[Domain],
-        durations: np.ndarray,
-        *,
-        where: Callable[[int], str] = _no_location,
-    ) -> "Dataset":
-        """The constructor, taking ownership of float64 ``values`` and ``durations``.
-
-        ``where(row)`` prefixes validation errors, e.g. with a file and record.
-        """
-        ds = object.__new__(cls)
-        ds._take(values, ids, speakers, domains, durations, where)
-        return ds
-
-    def _take(
+    def _build(
         self,
         values: np.ndarray,
         ids: Sequence[str],
@@ -115,8 +98,10 @@ class Dataset:
         domains: Sequence[Domain],
         durations: np.ndarray,
         where: Callable[[int], str] = _no_location,
-    ) -> None:
-        """Validate owned float64 columns and hold them."""
+    ) -> "Dataset":
+        """Validate float64 columns and own them, returning ``self``: the one
+        validating path, shared by the constructor, the loaders and synth.
+        ``where(row)`` prefixes errors, e.g. with a file and record."""
         if values.ndim != 2 or values.shape[1] < 1:
             raise ValueError(f"dataset values must be an (N, dim>=1) matrix, got {values.shape}")
         n = values.shape[0]
@@ -135,38 +120,37 @@ class Dataset:
                     raise ValueError(f"{where(row)}duplicate utterance id '{utt}'")
                 seen.add(utt)
         table = sorted({s for s in speakers if s is not None})
+        if table[:1] == [""]:  # the files store "" as unlabeled
+            row = list(speakers).index("")
+            raise ValueError(f"{where(row)}ivector '{ids[row]}': speaker label must be non-empty")
         code_of: dict[str | None, int] = {s: c for c, s in enumerate(table)}
         code_of[None] = -1
-        code = np.fromiter(map(code_of.__getitem__, speakers), np.intp, n)
-        self._hold(values, ids, tuple(table), code, domains, durations)
-
-    def _hold(
-        self,
-        values: np.ndarray,
-        ids: tuple[str, ...],
-        speakers: tuple[str, ...],
-        speaker_code: np.ndarray,
-        domains: tuple[Domain, ...],
-        durations: np.ndarray,
-    ) -> None:
-        """Hold already validated columns; its arrays become read-only."""
         self._values, self.dim = _read_only(values), values.shape[1]
-        self.ids, self.speakers, self.domains = ids, speakers, domains
-        self.speaker_code, self.durations = _read_only(speaker_code), _read_only(durations)
+        self.ids, self.speakers, self.domains = ids, tuple(table), domains
+        self.speaker_code = _read_only(np.fromiter(map(code_of.__getitem__, speakers), np.intp, n))
+        self.durations = _read_only(durations)
+        return self
 
-    def _with(
-        self, values: np.ndarray | None = None, durations: np.ndarray | None = None
+    def _derive(
+        self, values: np.ndarray, durations: np.ndarray, pos: np.ndarray | None = None
     ) -> "Dataset":
-        """The same rows with new, already validated, values or durations."""
+        """The one trusted path: the rows at valid ``pos`` (default: all) with
+        validated ``values`` and ``durations``; ids and domains are sliced
+        and speakers recoded to the labels the rows use, unchecked."""
         ds = object.__new__(Dataset)
-        ds._hold(
-            self._values if values is None else values,
-            self.ids,
-            self.speakers,
-            self.speaker_code,
-            self.domains,
-            self.durations if durations is None else durations,
-        )
+        ds.ids, ds.speakers, ds.speaker_code = self.ids, self.speakers, self.speaker_code
+        ds.domains = self.domains
+        if pos is not None:
+            picks = pos.tolist()
+            ds.ids = tuple([self.ids[p] for p in picks])
+            ds.domains = tuple([self.domains[p] for p in picks])
+            used, code = np.unique(self.speaker_code[pos], return_inverse=True)
+            if used.size and used[0] < 0:  # unlabeled rows keep code -1
+                used, code = used[1:], code - 1
+            ds.speakers = tuple([self.speakers[c] for c in used.tolist()])
+            ds.speaker_code = _read_only(code)
+        ds._values, ds.dim = _read_only(values), values.shape[1]
+        ds.durations = _read_only(durations)
         return ds
 
     def __len__(self) -> int:
@@ -224,20 +208,19 @@ class Dataset:
         if values.ndim != 2 or values.shape[0] != len(self) or values.shape[1] < 1:
             raise ValueError(f"expected a ({len(self)}, dim) matrix")
         _check_values(values, self.ids, _no_location)
-        return self._with(values=values)
+        return self._derive(values, self.durations)
 
     def subset(self, positions: Sequence[int]) -> "Dataset":
-        """The rows at ``positions``, in that order; a repeated row is a duplicate id."""
+        """The rows at ``positions``, in that order; a position outside
+        ``[0, N)`` or a repeated one (a duplicate id) raises ``ValueError``."""
         pos = np.asarray(positions, dtype=np.intp)
-        values, picks = self._values[pos], pos.tolist()
-        speakers = self.row_speakers()
-        return Dataset._own(
-            values,
-            [self.ids[p] for p in picks],
-            [speakers[p] for p in picks],
-            [self.domains[p] for p in picks],
-            self.durations[pos],
-        )
+        outside = np.flatnonzero((pos < 0) | (pos >= len(self)))
+        if outside.size:
+            raise ValueError(f"subset position {pos[outside[0]]} is outside [0, {len(self)})")
+        repeats = np.setdiff1d(np.arange(pos.size), np.unique(pos, return_index=True)[1])
+        if repeats.size:
+            raise ValueError(f"duplicate utterance id '{self.ids[pos[repeats[0]]]}'")
+        return self._derive(self._values[pos], self.durations[pos], pos)
 
 
 @dataclass(frozen=True)
@@ -427,7 +410,7 @@ def _synth_domain(
     speakers = [f"{prefix}-s{si:04d}" for si in range(n_spk) for _ in range(n_sess)]
     ids = [f"{prefix}-s{si:04d}-u{r:02d}" for si in range(n_spk) for r in range(n_sess)]
     durations = np.full(len(ids), cfg.duration_ref_sec, dtype=np.float64)
-    return Dataset._own(values, ids, speakers, (domain,) * len(ids), durations)
+    return object.__new__(Dataset)._build(values, ids, speakers, (domain,) * len(ids), durations)
 
 
 def synth_dataset(cfg: GeneratorConfig) -> tuple[Dataset, Dataset]:
@@ -467,11 +450,11 @@ def apply_duration_noise(
     sigma = noise.sigma(target_duration_sec)
     durations = np.full(len(ds), target_duration_sec, dtype=np.float64)
     if sigma == 0.0:
-        return ds._with(durations=durations)
+        return ds._derive(ds.matrix(), durations)
     rng = np.random.default_rng(seed)
     values = ds.matrix() + sigma * rng.standard_normal((len(ds), ds.dim))
     _check_values(values, ds.ids, _no_location)
-    return ds._with(values=values, durations=durations)
+    return ds._derive(values, durations)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +554,7 @@ def _load_binary(path: Path) -> Dataset:
         speakers.append(texts[1] or None)
     if off != len(data):
         raise ValueError(f"{path}: {len(data) - off} trailing bytes after record {count - 1}")
-    return Dataset._own(
+    return object.__new__(Dataset)._build(
         values, ids, speakers, domains, durations, where=lambda r: f"{path}: record {r}: "
     )
 
@@ -655,14 +638,54 @@ def _load_csv(path: Path) -> Dataset:
             ids.append(row[0])
             speakers.append(row[1] or None)
             lines.append(lineno)
-    return Dataset._own(
-        np.array(rows, dtype=np.float64).reshape(len(rows), dim),
-        ids,
-        speakers,
-        domains,
-        np.array(durations, dtype=np.float64),
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+    return object.__new__(Dataset)._build(
+        values, ids, speakers, domains, np.array(durations, dtype=np.float64),
         where=lambda r: f"{path}: line {lines[r]}: ",
     )
+
+
+def write_model_file(
+    path: str | Path, magic: bytes, header_format: str, header: tuple, arrays: Sequence[np.ndarray]
+) -> None:
+    """Write a model file: ``magic``, the ``struct``-packed header, then each
+    array as little-endian float64 in C order."""
+    parts = [magic, struct.pack(header_format, *header)]
+    parts += [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays]
+    Path(path).write_bytes(b"".join(parts))
+
+
+def read_model_file(
+    path: str | Path,
+    magic: bytes,
+    what: str,
+    header_format: str,
+    shapes: Callable[..., Sequence[tuple[int, ...]]],
+    build: Callable[..., T],
+) -> T:
+    """``build(header, arrays)`` of a ``write_model_file`` file, whose arrays
+    have the shapes ``shapes(*header)``.  A bad magic (not ``what``), a short
+    header, a wrong size, or a ``ValueError`` of ``shapes`` or ``build``
+    raises ``ValueError`` naming the file."""
+    data = Path(path).read_bytes()
+    if data[: len(magic)] != magic:
+        raise ValueError(f"{path}: bad magic, not {what}")
+    off = len(magic) + struct.calcsize(header_format)
+    if len(data) < off:
+        raise ValueError(f"{path}: truncated header")
+    header = struct.unpack_from(header_format, data, len(magic))
+    try:
+        sizes = [(shape, math.prod(shape)) for shape in shapes(*header)]
+        expected = off + 8 * sum(n for _, n in sizes)
+        if len(data) != expected:
+            raise ValueError(f"expected {expected} bytes, found {len(data)}")
+        arrays = []
+        for shape, n in sizes:
+            arrays.append(np.frombuffer(data, dtype="<f8", count=n, offset=off).reshape(shape))
+            off += 8 * n
+        return build(header, arrays)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 class TrialList:
@@ -759,7 +782,19 @@ def load_trials(path: str | Path) -> TrialList:
 
 
 def save_trials(trials: TrialList, path: str | Path) -> None:
-    """Write ``trials`` as lines ``enrol test target|nontarget``."""
+    """Write ``trials`` as lines ``enrol test target|nontarget``.
+
+    An id that ``load_trials`` could not read back as one token (empty,
+    or holding whitespace) raises ``ValueError`` naming its first trial.
+    """
+    e_ok = np.array([utt.split() == [utt] for utt in trials.enrol_ids], dtype=bool)
+    t_ok = np.array([utt.split() == [utt] for utt in trials.test_ids], dtype=bool)
+    bad = np.flatnonzero(~(e_ok[trials.enrol_code] & t_ok[trials.test_code]))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"{path}: trial {k} '{trials.trial_text(k)}': an id is empty or holds whitespace"
+        )
     enrol, test = trials.id_columns()
     labels = np.where(trials.is_target, "target", "nontarget")
     lines = map("{} {} {}\n".format, enrol.tolist(), test.tolist(), labels.tolist())

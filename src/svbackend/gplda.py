@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import math
-import struct
 from dataclasses import dataclass, field
 from array import array
 from functools import cached_property
@@ -43,6 +42,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .dataset import TRIAL_LABELS, Dataset, TrialList, csv_fields, naming_utf8_errors
+from .dataset import read_model_file, write_model_file
 
 PLDA_MAGIC = b"PLDA1"
 
@@ -436,37 +436,16 @@ def score_trials(
 
 
 def save_plda(m: PldaModel, path: str | Path) -> None:
-    parts = [
-        PLDA_MAGIC,
-        struct.pack("<II", m.dim, m.n_eigenvoices),
-        np.ascontiguousarray(m.mean, dtype="<f8").tobytes(),
-        np.ascontiguousarray(m.u1, dtype="<f8").tobytes(),
-        np.ascontiguousarray(m.lambda_prec, dtype="<f8").tobytes(),
-    ]
-    Path(path).write_bytes(b"".join(parts))
+    arrays = (m.mean, m.u1, m.lambda_prec)
+    write_model_file(path, PLDA_MAGIC, "<II", (m.dim, m.n_eigenvoices), arrays)
 
 
 def load_plda(path: str | Path) -> PldaModel:
     """Read a PLDA1 file; a malformed or invalid one raises ``ValueError`` naming it."""
-    data = Path(path).read_bytes()
-    if data[: len(PLDA_MAGIC)] != PLDA_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a PLDA model file")
-    off = len(PLDA_MAGIC) + 8
-    if len(data) < off:
-        raise ValueError(f"{path}: truncated header")
-    k, q = struct.unpack_from("<II", data, len(PLDA_MAGIC))
-    expected = off + 8 * (k + k * q + k * k)
-    if len(data) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(data)}")
-    mean = np.frombuffer(data, dtype="<f8", count=k, offset=off)
-    off += 8 * k
-    u1 = np.frombuffer(data, dtype="<f8", count=k * q, offset=off).reshape(k, q)
-    off += 8 * k * q
-    lam = np.frombuffer(data, dtype="<f8", count=k * k, offset=off).reshape(k, k)
-    try:
-        return PldaModel(mean, u1, lam)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    return read_model_file(
+        path, PLDA_MAGIC, "a PLDA model file", "<II", lambda k, q: [(k,), (k, q), (k, k)],
+        lambda header, arrays: PldaModel(*arrays),
+    )
 
 
 def save_loglik_trace(m: PldaModel, path: str | Path) -> None:

@@ -42,7 +42,7 @@ from .gplda import PldaModel, ScoreSet, length_normalize, score_trials, train_gp
 from .idv import IdvTransform, apply_idv, estimate_modified_idv, estimate_original_idv
 from .lda import LdaTransform, apply_lda, train_lda
 from .metrics import DcfParams, MetricReportRow, evaluate, write_metric_report
-from .scorenorm import Cohort, matched_length_cohort, snorm
+from .scorenorm import snorm
 
 # Seed-derivation offsets relative to each run seed.  Fixed so that the
 # individual pipeline stages can be replayed from the CLI.
@@ -226,14 +226,15 @@ class RunData:
     eval_in: Dataset
     nist_cohort: Dataset
     swb_cohort: Dataset
-    enrol_pos: tuple[int, ...]
-    test_pos: tuple[int, ...]
+    enrol_pos: np.ndarray
+    test_pos: np.ndarray
     trials: TrialList
 
 
-def build_trials(eval_ds: Dataset) -> tuple[tuple[int, ...], tuple[int, ...], TrialList]:
+def build_trials(eval_ds: Dataset) -> tuple[np.ndarray, np.ndarray, TrialList]:
     """First session of each speaker enrols; all remaining sessions are tested
-    against every enrolment (full cross trial list, enrolment-major)."""
+    against every enrolment (full cross trial list, enrolment-major).  Returns
+    their rows in ``eval_ds`` as read-only intp arrays, then the trials."""
     labeled = np.flatnonzero(eval_ds.speaker_code >= 0)
     pos = labeled[np.argsort(eval_ds.speaker_code[labeled], kind="stable")]
     code = eval_ds.speaker_code[pos]
@@ -249,7 +250,8 @@ def build_trials(eval_ds: Dataset) -> tuple[tuple[int, ...], tuple[int, ...], Tr
         np.tile(np.arange(n_t), n_e),
         (code[first][:, None] == code[~first][None, :]).ravel(),
     )
-    return tuple(enrol_pos.tolist()), tuple(test_pos.tolist()), trials
+    enrol_pos.flags.writeable = test_pos.flags.writeable = False
+    return enrol_pos, test_pos, trials
 
 
 def make_run_data(cfg: ExperimentConfig, seed: int) -> RunData:
@@ -282,7 +284,7 @@ def subsample(ds: Dataset, count: int | None, seed: int) -> Dataset:
         return ds
     rng = np.random.default_rng(seed)
     pos = np.sort(rng.choice(len(ds), size=count, replace=False))
-    return ds.subset(pos.tolist())
+    return ds.subset(pos)
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +373,12 @@ def evaluate_backend(
     scores = score_trials(backend.plda, enrol, test, data.trials)
     if cohort == "off":
         return scores, "raw"
-    raw_cohort = Cohort(data.swb_cohort if cohort == "swb-style" else data.nist_cohort, cohort)
+    raw_cohort = data.swb_cohort if cohort == "swb-style" else data.nist_cohort
     if matched and duration is not None:
-        raw_cohort = matched_length_cohort(
+        raw_cohort = apply_duration_noise(
             raw_cohort, duration, noise, seed + COHORT_NOISE_SEED_OFFSET + grid_index
         )
-    projected = Cohort(backend.project(raw_cohort.vectors), raw_cohort.label)
-    return snorm(backend.plda, scores, enrol, test, projected), "normalized"
+    return snorm(backend.plda, scores, enrol, test, backend.project(raw_cohort)), "normalized"
 
 
 # ---------------------------------------------------------------------------

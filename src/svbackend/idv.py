@@ -21,7 +21,6 @@ and is realized as the inverse transpose of the Cholesky factor of the
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .dataset import Dataset
+from .dataset import Dataset, read_model_file, write_model_file
 
 IDV_MAGIC = b"IDV1"
 
@@ -158,34 +157,22 @@ def apply_idv(t: IdvTransform, ds: Dataset) -> Dataset:
 
 
 def save_idv(t: IdvTransform, path: str | Path) -> None:
-    parts = [
-        IDV_MAGIC,
-        struct.pack("<BId", 1 if t.variant is IdvVariant.MODIFIED else 0, t.dim, t.ridge),
-        np.ascontiguousarray(t.s_idv, dtype="<f8").tobytes(),
-        np.ascontiguousarray(t.decorrelator, dtype="<f8").tobytes(),
-    ]
-    Path(path).write_bytes(b"".join(parts))
+    header = (1 if t.variant is IdvVariant.MODIFIED else 0, t.dim, t.ridge)
+    write_model_file(path, IDV_MAGIC, "<BId", header, (t.s_idv, t.decorrelator))
+
+
+def _idv_shapes(variant_byte: int, dim: int, ridge: float) -> list[tuple[int, int]]:
+    """Array shapes of an IDV1 header: variant byte (0 original, 1 modified), dim, ridge."""
+    if variant_byte > 1:
+        raise ValueError(f"unknown IDV variant byte {variant_byte}")
+    return [(dim, dim), (dim, dim)]
 
 
 def load_idv(path: str | Path) -> IdvTransform:
     """Read an IDV1 file; a malformed or invalid one raises ``ValueError`` naming it."""
-    data = Path(path).read_bytes()
-    if data[: len(IDV_MAGIC)] != IDV_MAGIC:
-        raise ValueError(f"{path}: bad magic, not an IDV transform file")
-    off = len(IDV_MAGIC) + struct.calcsize("<BId")
-    if len(data) < off:
-        raise ValueError(f"{path}: truncated header")
-    variant_byte, dim, ridge = struct.unpack_from("<BId", data, len(IDV_MAGIC))
-    if variant_byte > 1:
-        raise ValueError(f"{path}: unknown IDV variant byte {variant_byte}")
-    expected = off + 2 * dim * dim * 8
-    if len(data) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(data)}")
-    s = np.frombuffer(data, dtype="<f8", count=dim * dim, offset=off).reshape(dim, dim)
-    off += dim * dim * 8
-    d = np.frombuffer(data, dtype="<f8", count=dim * dim, offset=off).reshape(dim, dim)
-    variant = IdvVariant.MODIFIED if variant_byte else IdvVariant.ORIGINAL
-    try:
-        return IdvTransform(variant, s, d, ridge)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    return read_model_file(
+        path, IDV_MAGIC, "an IDV transform file", "<BId", _idv_shapes,
+        lambda header, arrays: IdvTransform(
+            IdvVariant.MODIFIED if header[0] else IdvVariant.ORIGINAL, *arrays, header[2]
+        ),
+    )

@@ -9,14 +9,13 @@ eigenvectors of (S_b, S_w + ridge*I) as columns.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
-from .dataset import Dataset
+from .dataset import Dataset, read_model_file, write_model_file
 
 LDA_MAGIC = b"LDA1"
 
@@ -152,31 +151,13 @@ def apply_lda(t: LdaTransform, ds: Dataset) -> Dataset:
 
 
 def save_lda(t: LdaTransform, path: str | Path) -> None:
-    parts = [
-        LDA_MAGIC,
-        struct.pack("<II", t.input_dim, t.output_dim),
-        np.ascontiguousarray(t.eigenvalues, dtype="<f8").tobytes(),
-        np.ascontiguousarray(t.a_matrix, dtype="<f8").tobytes(),
-    ]
-    Path(path).write_bytes(b"".join(parts))
+    header = (t.input_dim, t.output_dim)
+    write_model_file(path, LDA_MAGIC, "<II", header, (t.eigenvalues, t.a_matrix))
 
 
 def load_lda(path: str | Path) -> LdaTransform:
     """Read an LDA1 file; a malformed or invalid one raises ``ValueError`` naming it."""
-    data = Path(path).read_bytes()
-    if data[: len(LDA_MAGIC)] != LDA_MAGIC:
-        raise ValueError(f"{path}: bad magic, not an LDA transform file")
-    off = len(LDA_MAGIC) + 8
-    if len(data) < off:
-        raise ValueError(f"{path}: truncated header")
-    d, k = struct.unpack_from("<II", data, len(LDA_MAGIC))
-    expected = off + 8 * (k + d * k)
-    if len(data) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(data)}")
-    lam = np.frombuffer(data, dtype="<f8", count=k, offset=off)
-    off += 8 * k
-    a = np.frombuffer(data, dtype="<f8", count=d * k, offset=off).reshape(d, k)
-    try:
-        return LdaTransform(a, lam)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    return read_model_file(
+        path, LDA_MAGIC, "an LDA transform file", "<II", lambda d, k: [(k,), (d, k)],
+        lambda header, arrays: LdaTransform(arrays[1], arrays[0]),
+    )

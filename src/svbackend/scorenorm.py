@@ -6,41 +6,30 @@ averaged:
 
     s' = ((s - mu_e) / sigma_e + (s - mu_t) / sigma_t) / 2
 
-Cohort statistics use the population (1/N) standard deviation.  Cohort
-i-vectors must already live in the same compensated space as the
-evaluation data; a matched-length cohort is produced by running the
-duration-noise model over a raw cohort before re-applying the
-compensation chain.
+Cohort statistics use the population (1/N) standard deviation.  A
+cohort is a ``Dataset`` of impostor i-vectors that must already live in
+the same compensated space as the evaluation data; a matched-length
+cohort is produced by ``apply_duration_noise`` over a raw cohort before
+re-applying the compensation chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, DurationNoiseModel, apply_duration_noise
+from .dataset import Dataset
 from .gplda import PldaModel, ScoreSet, _dataset_rows, pair_llr
 
 
-@dataclass(frozen=True)
-class Cohort:
-    """Impostor utterances used only for score normalization."""
-
-    vectors: Dataset
-    label: str
-
-    def __post_init__(self) -> None:
-        if len(self.vectors) == 0:
-            raise ValueError("cohort must be non-empty")
-
-
-def cohort_score_matrix(m: PldaModel, ds: Dataset, cohort: Cohort) -> np.ndarray:
+def cohort_score_matrix(m: PldaModel, ds: Dataset, cohort: Dataset) -> np.ndarray:
     """LLR of every dataset item (rows) against every cohort item (columns)."""
-    if ds.dim != m.dim or cohort.vectors.dim != m.dim:
+    if len(cohort) == 0:
+        raise ValueError("cohort must be non-empty")
+    if ds.dim != m.dim or cohort.dim != m.dim:
         raise ValueError(f"model expects dimension {m.dim}")
-    return pair_llr(m, ds.matrix(), cohort.vectors.matrix())
+    return pair_llr(m, ds.matrix(), cohort.matrix())
 
 
 def _side_stats(
@@ -85,7 +74,7 @@ def snorm(
     scores: ScoreSet,
     enrol: Dataset,
     test: Dataset,
-    cohort: Cohort,
+    cohort: Dataset,
 ) -> ScoreSet:
     """Fill the normalized score of every trial; raw scores are untouched.
 
@@ -103,14 +92,3 @@ def snorm(
         side_scores("test", test, tl.test_ids, tl.test_code),
     )
 
-
-def matched_length_cohort(
-    base: Cohort, duration_sec: float, noise: DurationNoiseModel, seed: int
-) -> Cohort:
-    """Truncate a raw cohort to the evaluation duration via the noise model.
-
-    The result still needs the compensation chain applied before use;
-    the label records the target duration.
-    """
-    vectors = apply_duration_noise(base.vectors, duration_sec, noise, seed)
-    return Cohort(vectors, label=f"{base.label}@{duration_sec:g}s")

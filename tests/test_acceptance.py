@@ -36,7 +36,7 @@ from svbackend.harness import (
 from svbackend.idv import estimate_modified_idv, load_idv, save_idv
 from svbackend.lda import load_lda, save_lda, train_lda
 from svbackend.metrics import DcfParams, eer, min_dcf
-from svbackend.scorenorm import Cohort, cohort_score_matrix, snorm, snorm_from_cohort_scores
+from svbackend.scorenorm import cohort_score_matrix, snorm, snorm_from_cohort_scores
 
 from conftest import make_dataset, make_scoreset, make_trials
 from oracles import eer_brute, min_dcf_brute, modified_idv_scatter, plda_pair_llr
@@ -231,7 +231,7 @@ def test_criterion_8_snorm_affine_invariance():
         (e, t, (i + j) % 5 == 0) for i, e in enumerate(enrol.ids) for j, t in enumerate(test.ids)
     )
     raw = score_trials(m, enrol, test, trials)
-    cohort = Cohort(make_dataset(rng.standard_normal((30, k)), prefix="c"), "c")
+    cohort = make_dataset(rng.standard_normal((30, k)), prefix="c")
     # enrol and test rows are in id-table order
     e_table = cohort_score_matrix(m, enrol, cohort)
     t_table = cohort_score_matrix(m, test, cohort)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -238,6 +240,13 @@ class TestTrialsIO:
         save_trials(trials, path)
         assert load_trials(path) == trials
 
+    @pytest.mark.parametrize("bad", ["a b", "", "a\tb", "a\u2003b"])
+    def test_save_rejects_ids_that_do_not_read_back(self, tmp_path, bad):
+        trials = make_trials([("e", "t", True), ("e", bad, False)])
+        with pytest.raises(ValueError, match=re.escape(f"trial 1 '{trials.trial_text(1)}'")):
+            save_trials(trials, tmp_path / "t.txt")
+        assert not (tmp_path / "t.txt").exists()
+
     def test_columns_follow_first_appearance(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("b x target\n\na y nontarget\nb y nontarget\n")
@@ -332,8 +341,34 @@ class TestColumnarDataset:
         assert sub.ids == ("u4", "u1", "u0")
         assert sub.speakers == ("b", "c") and sub.speaker_code.tolist() == [1, -1, 0]
         assert np.array_equal(sub.matrix(), ds.matrix()[[4, 1, 0]])
+        assert not sub.speaker_code.flags.writeable
         with pytest.raises(ValueError, match="duplicate utterance id 'u1'"):
             ds.subset([1, 1])
+        for bad in ([-1], [0, 5]):
+            with pytest.raises(ValueError, match=rf"position {bad[-1]} is outside \[0, 5\)"):
+                ds.subset(bad)
+        assert ds.subset(np.arange(0)).speakers == () and len(ds.subset([])) == 0
+        # slicing and recoding equal a rebuild through the validating constructor
+        speakers = ds.row_speakers()
+        for pos in ([1, 3], [2, 0, 4, 3], [3, 0]):
+            rebuilt = Dataset(
+                ds.matrix()[pos], [ds.ids[p] for p in pos], [speakers[p] for p in pos],
+                [ds.domains[p] for p in pos], ds.durations[pos],
+            )
+            sub = ds.subset(pos)
+            assert sub == rebuilt and sub.speakers == rebuilt.speakers
+            assert sub.speaker_code.tolist() == rebuilt.speaker_code.tolist()
+
+    def test_empty_speaker_label_rejected_by_id(self, tmp_path):
+        dom = [Domain.IN_DOMAIN] * 2
+        with pytest.raises(ValueError, match="ivector 'b': speaker label must be non-empty"):
+            Dataset(np.ones((2, 2)), ["a", "b"], ["s", ""], dom, [1.0, 1.0])
+        # both file formats store an empty speaker field as unlabeled
+        ds = Dataset(np.ones((2, 2)), ["a", "b"], ["s", None], dom, [1.0, 1.0])
+        for fmt in ("binary", "csv"):
+            save_ivectors(ds, tmp_path / "x", fmt)
+            back = load_ivectors(tmp_path / "x", fmt)
+            assert back == ds and back.row_speakers() == ["s", None]
 
 
 _TEXT = st.text(
@@ -347,7 +382,7 @@ class TestColumnarFilesMatchPerRowWriters:
     )
     @given(
         ids=st.lists(_TEXT, min_size=0, max_size=6, unique=True),
-        labels=st.lists(st.one_of(st.none(), _TEXT), min_size=6, max_size=6),
+        labels=st.lists(st.one_of(st.none(), _TEXT.filter(bool)), min_size=6, max_size=6),
         dim=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import json
 import os
@@ -163,6 +164,8 @@ class TestRunData:
         assert len(data.enrol_pos) == cfg.eval_speakers
         n_test = cfg.eval_speakers * (cfg.eval_sessions - 1)
         assert len(data.test_pos) == n_test
+        for pos in (data.enrol_pos, data.test_pos):
+            assert pos.dtype == np.intp and not pos.flags.writeable
         assert len(data.trials) == cfg.eval_speakers * n_test
         n_targets = int(data.trials.is_target.sum())
         assert n_targets == n_test
@@ -339,6 +342,19 @@ def test_study_rows_across_config_matrix(tmp_path, kind, idv, snorm):
                         assert plotted.gain_pct == pytest.approx(gain, rel=1e-12, abs=1e-12)
 
 
+def test_default_study_csvs_match_the_benchmark_reference(tmp_path):
+    """Seed 0 of the calibrated default studies reproduces, byte for byte,
+    the CSVs whose hashes the benchmark's desk-studies reference holds."""
+    root = Path(__file__).resolve().parent.parent
+    reference = json.loads((root / "perfbench" / "reference" / "desk-studies.json").read_text())
+    run_experiment(default_experiment_config(seeds=(0,)), "all", tmp_path)
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.glob("*.csv"))
+    }
+    assert len(digests) == 8
+    assert digests == reference["seeds"]["0"]["files"]
+
+
 def test_study_csvs_identical_at_one_and_two_blas_threads(tmp_path):
     # sizes above OpenBLAS's single-thread cut-off, so two threads really split the products
     gen = replace(default_experiment_config().generator, n_speakers=150)
@@ -463,6 +479,15 @@ class TestCli:
                     "--cohort", f"{w}/cohort.ivec", "--output", f"{w}/snormed.csv"]) == 0
         assert cli(["eval", "--scores", f"{w}/snormed.csv", "--which", "normalized"]) == 0
         assert "n_target=5 n_nontarget=19" in capsys.readouterr().out
+        # --cohort-label is still accepted, hidden from --help, and changes no byte
+        assert cli(["snorm", "--model", f"{w}/m.plda", "--scores", f"{w}/scores.csv",
+                    "--enrol", f"{w}/enrol.ivec", "--test", f"{w}/test.ivec",
+                    "--cohort", f"{w}/cohort.ivec", "--cohort-label", "swb@10s",
+                    "--output", f"{w}/labeled.csv"]) == 0
+        assert (tmp_path / "labeled.csv").read_bytes() == (tmp_path / "snormed.csv").read_bytes()
+        assert cli(["snorm", "--help"]) == 0
+        help_text = capsys.readouterr().out
+        assert "--cohort " in help_text and "--cohort-label" not in help_text
         normalized = read_scores(tmp_path / "snormed.csv")
         assert normalized.trial_list == trials and normalized.has_normalized
 

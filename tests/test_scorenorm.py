@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from svbackend.dataset import DurationNoiseModel
+from svbackend.dataset import DurationNoiseModel, apply_duration_noise
 from svbackend.gplda import PldaModel, ScoreSet, score_trials
-from svbackend.scorenorm import (
-    Cohort,
-    cohort_score_matrix,
-    matched_length_cohort,
-    snorm,
-    snorm_from_cohort_scores,
-)
+from svbackend.scorenorm import cohort_score_matrix, snorm, snorm_from_cohort_scores
 
 from conftest import make_dataset, make_trials
 
@@ -24,6 +18,21 @@ def simple_model(rng, k=4, q=2):
     sw = r @ r.T + 0.4 * np.eye(k)
     lam = np.linalg.inv(sw)
     return PldaModel(rng.standard_normal(k), u1, (lam + lam.T) / 2)
+
+
+def snorm_setup(rng, n_cohort=20):
+    """Model, enrol and test sets, their scored full trial grid and a cohort."""
+    m = simple_model(rng)
+    enrol = make_dataset(rng.standard_normal((5, 4)), prefix="e")
+    test = make_dataset(rng.standard_normal((6, 4)), prefix="t")
+    trials = make_trials(
+        (e, t, (i + j) % 4 == 0)
+        for i, e in enumerate(enrol.ids)
+        for j, t in enumerate(test.ids)
+    )
+    scores = score_trials(m, enrol, test, trials)
+    cohort = make_dataset(rng.standard_normal((n_cohort, 4)), prefix="c")
+    return m, enrol, test, scores, cohort
 
 
 class TestFormula:
@@ -111,29 +120,15 @@ class TestFormula:
 
 
 class TestEndToEnd:
-    def _setup(self, rng, n_cohort=20):
-        m = simple_model(rng)
-        enrol = make_dataset(rng.standard_normal((5, 4)), prefix="e")
-        test = make_dataset(rng.standard_normal((6, 4)), prefix="t")
-        trials = make_trials(
-            (e, t, (i + j) % 4 == 0)
-            for i, e in enumerate(enrol.ids)
-            for j, t in enumerate(test.ids)
-        )
-        scores = score_trials(m, enrol, test, trials)
-        cohort = Cohort(make_dataset(rng.standard_normal((n_cohort, 4)), prefix="c"), "c")
-        return m, enrol, test, scores, cohort
-
     def test_fills_normalized_keeps_raw(self, rng):
-        m, enrol, test, scores, cohort = self._setup(rng)
+        m, enrol, test, scores, cohort = snorm_setup(rng)
         out = snorm(m, scores, enrol, test, cohort)
         assert out.has_normalized
         np.testing.assert_array_equal(out.values("raw"), scores.values("raw"))
 
     def test_cohort_permutation_invariance(self, rng):
-        m, enrol, test, scores, cohort = self._setup(rng)
-        perm = rng.permutation(len(cohort.vectors))
-        shuffled = Cohort(cohort.vectors.subset(perm.tolist()), "c2")
+        m, enrol, test, scores, cohort = snorm_setup(rng)
+        shuffled = cohort.subset(rng.permutation(len(cohort)))
         a = snorm(m, scores, enrol, test, cohort).values("normalized")
         b = snorm(m, scores, enrol, test, shuffled).values("normalized")
         np.testing.assert_allclose(a, b, atol=1e-12)
@@ -145,25 +140,25 @@ class TestEndToEnd:
         pool = make_dataset(rng.standard_normal((6, 4)), prefix="u")
         trials = make_trials([("u0000", "u0001", True), ("u0001", "u0000", True)])
         scores = score_trials(m, pool, pool, trials)
-        cohort = Cohort(make_dataset(rng.standard_normal((15, 4)), prefix="c"), "c")
+        cohort = make_dataset(rng.standard_normal((15, 4)), prefix="c")
         out = snorm(m, scores, pool, pool, cohort).values("normalized")
         assert out[0] == pytest.approx(out[1], abs=1e-10)
 
     def test_cohort_matrix_matches_score_trials(self, rng):
-        m, enrol, test, scores, cohort = self._setup(rng, n_cohort=4)
+        m, enrol, test, scores, cohort = snorm_setup(rng, n_cohort=4)
         mat = cohort_score_matrix(m, enrol, cohort)
-        trials = make_trials((e, c, False) for e in enrol.ids for c in cohort.vectors.ids)
-        ref = score_trials(m, enrol, cohort.vectors, trials).values("raw").reshape(mat.shape)
+        trials = make_trials((e, c, False) for e in enrol.ids for c in cohort.ids)
+        ref = score_trials(m, enrol, cohort, trials).values("raw").reshape(mat.shape)
         np.testing.assert_allclose(mat, ref, atol=1e-10)
 
     def test_unknown_trial_ids(self, rng):
-        m, enrol, test, scores, cohort = self._setup(rng)
+        m, enrol, test, scores, cohort = snorm_setup(rng)
         bad = ScoreSet(make_trials([("missing", test.ids[0], True)]), [0.0])
         with pytest.raises(ValueError, match="unknown enrol id"):
             snorm(m, bad, enrol, test, cohort)
 
     def test_unknown_test_id_names_its_first_trial(self, rng):
-        m, enrol, test, scores, cohort = self._setup(rng)
+        m, enrol, test, scores, cohort = snorm_setup(rng)
         rows = [(enrol.ids[0], test.ids[0], True), (enrol.ids[1], "nope", False),
                 (enrol.ids[0], "nope", False)]
         bad = ScoreSet(make_trials(rows), [0.0, 1.0, 2.0])
@@ -174,7 +169,7 @@ class TestEndToEnd:
         m = simple_model(rng)
         enrol = make_dataset(rng.standard_normal((7, 4)), prefix="e")
         test = make_dataset(rng.standard_normal((9, 4)), prefix="t")
-        cohort = Cohort(make_dataset(rng.standard_normal((11, 4)), prefix="c"), "c")
+        cohort = make_dataset(rng.standard_normal((11, 4)), prefix="c")
         # trials use enrol rows 5, 1, 3 and test rows 8, 0, 6, 2, first seen in that order
         rows = [
             (enrol.ids[e], test.ids[t], (e + t) % 3 == 0)
@@ -198,29 +193,39 @@ class TestEndToEnd:
 
 
 class TestMatchedLengthCohort:
-    def test_zero_noise_keeps_vectors(self, rng):
-        base = Cohort(make_dataset(rng.standard_normal((8, 3)), prefix="c"), "pool")
-        noise = DurationNoiseModel(0.0, 100.0)
-        out = matched_length_cohort(base, 100.0, noise, seed=3)
-        np.testing.assert_array_equal(out.vectors.matrix(), base.vectors.matrix())
-        out2 = matched_length_cohort(base, 10.0, noise, seed=3)
-        np.testing.assert_array_equal(out2.vectors.matrix(), base.vectors.matrix())
+    """A matched-length cohort is the raw cohort through ``apply_duration_noise``."""
 
-    def test_deterministic_and_label_records_duration(self, rng):
-        base = Cohort(make_dataset(rng.standard_normal((8, 3)), prefix="c"), "pool")
+    def test_zero_noise_keeps_vectors(self, rng):
+        m, enrol, test, scores, base = snorm_setup(rng)
+        noise = DurationNoiseModel(0.0, 100.0)
+        for duration in (100.0, 10.0):
+            out = apply_duration_noise(base, duration, noise, seed=3)
+            np.testing.assert_array_equal(out.matrix(), base.matrix())
+            a = snorm(m, scores, enrol, test, out).values("normalized")
+            assert a.tolist() == snorm(m, scores, enrol, test, base).values("normalized").tolist()
+
+    def test_deterministic_and_records_duration(self, rng):
+        m, enrol, test, scores, base = snorm_setup(rng)
         noise = DurationNoiseModel(0.4, 100.0)
-        a = matched_length_cohort(base, 25.0, noise, seed=5)
-        b = matched_length_cohort(base, 25.0, noise, seed=5)
-        assert a.vectors == b.vectors
-        assert "25" in a.label
-        assert (a.vectors.durations == 25.0).all()
+        a = apply_duration_noise(base, 25.0, noise, seed=5)
+        b = apply_duration_noise(base, 25.0, noise, seed=5)
+        assert a == b and a.ids == base.ids
+        assert (a.durations == 25.0).all()
+        same = [snorm(m, scores, enrol, test, c).values("normalized").tolist() for c in (a, b)]
+        assert same[0] == same[1]
+        c = apply_duration_noise(base, 25.0, noise, seed=6)
+        assert not np.array_equal(a.matrix(), c.matrix())
 
     def test_added_noise_std_matches_model(self, rng):
-        base = Cohort(make_dataset(np.zeros((1000, 128)), prefix="c"), "pool")
+        base = make_dataset(np.zeros((1000, 128)), prefix="c")
         noise = DurationNoiseModel(0.4, 100.0)
-        out = matched_length_cohort(base, 25.0, noise, seed=6)
-        assert out.vectors.matrix().std() == pytest.approx(noise.sigma(25.0), rel=0.02)
+        out = apply_duration_noise(base, 25.0, noise, seed=6)
+        assert out.matrix().std() == pytest.approx(noise.sigma(25.0), rel=0.02)
 
-    def test_empty_cohort_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            Cohort(make_dataset(np.empty((0, 3))), "x")
+    def test_empty_cohort_rejected(self, rng):
+        m, enrol, test, scores, _ = snorm_setup(rng)
+        empty = make_dataset(np.empty((0, 4)))
+        with pytest.raises(ValueError, match="cohort must be non-empty"):
+            cohort_score_matrix(m, enrol, empty)
+        with pytest.raises(ValueError, match="cohort must be non-empty"):
+            snorm(m, scores, enrol, test, empty)
