@@ -42,25 +42,17 @@ from .scorenorm import snorm
 
 
 def _generator_from_args(args: argparse.Namespace) -> GeneratorConfig:
-    if args.config:
-        try:
-            with open(args.config) as f:
-                cfg = generator_config_from_dict(json.load(f))
-        except ValueError as e:
-            raise ValueError(f"{args.config}: {e}") from None
-    else:
-        cfg = GeneratorConfig(dim=args.dim or 50, n_speakers=args.speakers or 20,
-                              sessions_per_speaker=args.sessions or 5,
-                              eigenvoice_dim=min(10, args.dim or 50))
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.config:
-        for name in ("dim", "speakers", "sessions"):
-            if getattr(args, name) is not None:
-                field = {"speakers": "n_speakers", "sessions": "sessions_per_speaker"}.get(name, name)
-                overrides[field] = getattr(args, name)
-    return replace(cfg, **overrides) if overrides else cfg
+    flags = dict(seed="seed", dim="dim", speakers="n_speakers", sessions="sessions_per_speaker")
+    overrides = {f: getattr(args, a) for a, f in flags.items() if getattr(args, a) is not None}
+    if not args.config:
+        fields = dict(dim=50, n_speakers=20, sessions_per_speaker=5) | overrides
+        return GeneratorConfig(**fields, eigenvoice_dim=min(10, fields["dim"]))
+    try:
+        with open(args.config) as f:
+            cfg = generator_config_from_dict(json.load(f))
+    except ValueError as e:
+        raise ValueError(f"{args.config}: {e}") from None
+    return replace(cfg, **overrides)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

@@ -51,6 +51,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integers(values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
+    """A new intp array of ``values``; a float, bool or object entry raises
+    ``ValueError`` naming ``what`` (an empty sequence passes)."""
+    arr = np.asarray(values)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"{what} must be integers, got {arr.dtype}")
+    return arr.astype(np.intp)
+
+
 def _no_location(row: int) -> str:
     return ""
 
@@ -211,9 +220,10 @@ class Dataset:
         return self._derive(values, self.durations)
 
     def subset(self, positions: Sequence[int]) -> "Dataset":
-        """The rows at ``positions``, in that order; a position outside
-        ``[0, N)`` or a repeated one (a duplicate id) raises ``ValueError``."""
-        pos = np.asarray(positions, dtype=np.intp)
+        """The rows at integer ``positions``, in that order; a non-integer
+        position, one outside ``[0, N)`` or a repeated one (a duplicate id)
+        raises ``ValueError``."""
+        pos = _integers(positions, "subset positions")
         outside = np.flatnonzero((pos < 0) | (pos >= len(self)))
         if outside.size:
             raise ValueError(f"subset position {pos[outside[0]]} is outside [0, {len(self)})")
@@ -693,7 +703,8 @@ class TrialList:
 
     ``enrol_ids`` and ``test_ids`` are id tables; trial ``k`` pairs
     ``enrol_ids[enrol_code[k]]`` with ``test_ids[test_code[k]]`` and is
-    a target trial when ``is_target[k]``.  Each id table holds an id once.
+    a target trial when ``is_target[k]``.  Codes are integers (a float,
+    bool or object code raises ``ValueError``); each id table holds an id once.
     """
 
     __slots__ = ("enrol_ids", "test_ids", "enrol_code", "test_code", "is_target")
@@ -709,8 +720,8 @@ class TrialList:
     ) -> None:
         self.enrol_ids = tuple(enrol_ids)
         self.test_ids = tuple(test_ids)
-        self.enrol_code = _read_only(np.array(enrol_code, dtype=np.intp))
-        self.test_code = _read_only(np.array(test_code, dtype=np.intp))
+        self.enrol_code = _read_only(_integers(enrol_code, "enrol_code"))
+        self.test_code = _read_only(_integers(test_code, "test_code"))
         self.is_target = _read_only(np.array(is_target, dtype=bool))
         n = self.is_target.shape
         if self.is_target.ndim != 1 or self.enrol_code.shape != n or self.test_code.shape != n:

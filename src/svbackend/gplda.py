@@ -58,6 +58,17 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
+def _chol_logdet(c: np.ndarray) -> float:
+    """Log-determinant of a matrix from its (upper or lower) Cholesky factor."""
+    return 2.0 * float(np.sum(np.log(np.diag(c))))
+
+
+def _cho_inverse(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Inverse and log-determinant of an SPD matrix from its one Cholesky factor."""
+    cf = cho_factor(m)
+    return _sym(cho_solve(cf, np.eye(m.shape[0]))), _chol_logdet(cf[0])
+
+
 def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
     """Invert a symmetric PSD matrix, ridging first if badly conditioned."""
     dim = m.shape[0]
@@ -66,15 +77,15 @@ def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
     if lo <= 0 or hi > _COND_LIMIT * lo:
         m = m + (_COND_RIDGE * np.trace(m) / dim) * np.eye(dim)
     try:
-        inv = cho_solve(cho_factor(m), np.eye(dim))
+        return _cho_inverse(m)[0]
     except np.linalg.LinAlgError as e:
         raise ValueError(f"{what} is not positive definite: {e}") from None
-    return _sym(inv)
 
 
 def _spd_logdet(m: np.ndarray) -> float:
-    chol = np.linalg.cholesky(m)
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+    """Log-determinant from numpy's (lower) Cholesky factor; scipy's upper
+    factor can differ in the last bits, which would move the EM trace."""
+    return _chol_logdet(np.linalg.cholesky(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,24 +121,14 @@ class PldaModel:
         if scale > 0 and np.linalg.norm(lam - lam.T) > 1e-10 * scale:
             raise ValueError("lambda_prec is not symmetric")
         try:
-            np.linalg.cholesky(lam)
+            sigma_within = _cho_inverse(lam)[0]
         except np.linalg.LinAlgError:
             raise ValueError("lambda_prec is not positive definite") from None
-        sigma_within = cho_solve(cho_factor(lam), np.eye(k))
-        sigma_within = _sym(sigma_within)
         sigma_between = _sym(u1 @ u1.T)
-        for name, arr in (
-            ("mean", mean),
-            ("u1", u1),
-            ("lambda_prec", lam),
-        ):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        for name, arr in (
-            ("sigma_within", sigma_within),
-            ("sigma_between", sigma_between),
-            ("sigma_total", sigma_within + sigma_between),
-        ):
+        for name, arr in dict(
+            mean=mean, u1=u1, lambda_prec=lam, sigma_within=sigma_within,
+            sigma_between=sigma_between, sigma_total=sigma_within + sigma_between,
+        ).items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -152,14 +153,12 @@ class PldaModel:
         sum/difference coordinates: the sum block is ``2*between + within``,
         the difference block is exactly ``within``.  Computed on first use.
         """
-        a = self.sigma_total
-        ab = a + self.sigma_between
-        a_inv = _sym(cho_solve(cho_factor(a), np.eye(self.dim)))
-        s = _sym(cho_solve(cho_factor(ab), np.eye(self.dim)))
+        a_inv, logdet_a = _cho_inverse(self.sigma_total)
+        s, logdet_ab = _cho_inverse(self.sigma_total + self.sigma_between)
         lam = self.lambda_prec
         q_mat = a_inv - 0.5 * (s + lam)
         p_mat = 0.5 * (lam - s)
-        const = -0.5 * (_spd_logdet(ab) + _spd_logdet(self.sigma_within) - 2.0 * _spd_logdet(a))
+        const = -0.5 * (logdet_ab + _spd_logdet(self.sigma_within) - 2.0 * logdet_a)
         q_mat.flags.writeable = False
         p_mat.flags.writeable = False
         return q_mat, p_mat, const
@@ -189,30 +188,37 @@ class _SpeakerStats:
 def _speaker_stats(ds: Dataset, center: np.ndarray) -> _SpeakerStats:
     mat = ds.matrix() - center
     f, ns = ds.speaker_sums(mat)
-    groups = tuple(
-        (int(n), np.flatnonzero(ns == n)) for n in np.unique(ns)
-    )
+    groups = tuple((int(n), np.flatnonzero(ns == n)) for n in np.unique(ns))
     return _SpeakerStats(f, ns, _sym(mat.T @ mat), mat.shape[0], groups)
 
 
-def _marginal_loglik(u1: np.ndarray, lam: np.ndarray, stats: _SpeakerStats) -> float:
-    k = lam.shape[0]
+def _e_step(
+    u1: np.ndarray, lam: np.ndarray, stats: _SpeakerStats
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Posterior means ``xhat`` (S, Q), latent moment sum ``r_xx`` and exact
+    marginal log-likelihood at (u1, lam), all from one Cholesky factor of
+    ``I + n g`` per session-count group (log-likelihood term of a group:
+    ``-len/2 * logdet(I + n g) + 1/2 * sum(b * xhat)``)."""
     q = u1.shape[1]
+    eye_q = np.eye(q)
     t = u1.T @ lam
     g = _sym(t @ u1)
     b = stats.f @ t.T
-    total = (
-        -0.5 * stats.n_total * k * _LOG_2PI
+    xhat = np.empty((stats.f.shape[0], q))
+    r_xx = np.zeros((q, q))
+    loglik = (
+        -0.5 * stats.n_total * lam.shape[0] * _LOG_2PI
         + 0.5 * stats.n_total * _spd_logdet(lam)
         - 0.5 * float(np.sum(lam * stats.s_phiphi))
     )
     for n, idx in stats.groups:
-        p = np.eye(q) + n * g
-        cf = cho_factor(p)
-        logdet_p = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
+        cf = cho_factor(eye_q + n * g)
         bb = b[idx]
-        total += -0.5 * len(idx) * logdet_p + 0.5 * float(np.sum(bb * cho_solve(cf, bb.T).T))
-    return total
+        xhat[idx] = cho_solve(cf, bb.T).T
+        r_xx += n * len(idx) * cho_solve(cf, eye_q)
+        loglik += -0.5 * len(idx) * _chol_logdet(cf[0]) + 0.5 * float(np.sum(bb * xhat[idx]))
+    r_xx += (xhat * stats.ns[:, None]).T @ xhat
+    return xhat, r_xx, loglik
 
 
 def marginal_loglik(model: PldaModel, ds: Dataset) -> float:
@@ -222,7 +228,7 @@ def marginal_loglik(model: PldaModel, ds: Dataset) -> float:
     if not ds.labeled:
         raise ValueError("marginal likelihood needs speaker labels")
     stats = _speaker_stats(ds, model.mean)
-    return _marginal_loglik(model.u1, model.lambda_prec, stats)
+    return _e_step(model.u1, model.lambda_prec, stats)[2]
 
 
 def train_gplda(ds: Dataset, q: int = 120, iters: int = 20, seed: int = 0) -> PldaModel:
@@ -251,19 +257,10 @@ def train_gplda(ds: Dataset, q: int = 120, iters: int = 20, seed: int = 0) -> Pl
     u1 = 0.1 * rng.standard_normal((k, q))
     lam = _spd_inverse(stats.s_phiphi / stats.n_total, "global covariance")
 
-    trace = [_marginal_loglik(u1, lam, stats)]
-    eye_q = np.eye(q)
+    trace = []
     for it in range(iters):
-        t = u1.T @ lam
-        g = _sym(t @ u1)
-        b = stats.f @ t.T
-        xhat = np.empty((stats.f.shape[0], q))
-        r_xx = np.zeros((q, q))
-        for n, idx in stats.groups:
-            cf = cho_factor(eye_q + n * g)
-            xhat[idx] = cho_solve(cf, b[idx].T).T
-            r_xx += n * len(idx) * cho_solve(cf, eye_q)
-        r_xx += (xhat * stats.ns[:, None]).T @ xhat
+        xhat, r_xx, loglik = _e_step(u1, lam, stats)
+        trace.append(loglik)
         r_fx = stats.f.T @ xhat
         try:
             u1 = np.linalg.solve(_sym(r_xx), r_fx.T).T
@@ -273,7 +270,7 @@ def train_gplda(ds: Dataset, q: int = 120, iters: int = 20, seed: int = 0) -> Pl
             stats.s_phiphi - r_fx @ u1.T - u1 @ r_fx.T + u1 @ _sym(r_xx) @ u1.T
         ) / stats.n_total
         lam = _spd_inverse(_sym(within), f"within covariance at iteration {it}")
-        trace.append(_marginal_loglik(u1, lam, stats))
+    trace.append(_e_step(u1, lam, stats)[2])
 
     return PldaModel(mean, u1, lam, loglik_trace=tuple(trace))
 

@@ -18,7 +18,7 @@ increasing transform of the scores leaves them unchanged.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -52,13 +52,6 @@ class DcfParams:
 class DcfResult(NamedTuple):
     min_dcf: float
     min_dcf_normalized: float
-
-
-def _tar_non(scores: ScoreSet, which: str) -> tuple[np.ndarray, np.ndarray]:
-    tar, non = scores.tar_non(which)
-    if tar.size == 0 or non.size == 0:
-        raise ValueError("score set needs at least one target and one nontarget trial")
-    return tar, non
 
 
 def _staircase(tar: np.ndarray, non: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,10 +118,23 @@ def _hull_eer(points: Sequence[tuple[float, float]]) -> float:
     raise AssertionError("no diagonal crossing on DET hull")
 
 
+def _staircase_of(scores: ScoreSet, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """``_staircase`` of one score column's target and nontarget scores."""
+    tar, non = scores.tar_non(which)
+    if tar.size == 0 or non.size == 0:
+        raise ValueError("score set needs at least one target and one nontarget trial")
+    return _staircase(tar, non)
+
+
+def _min_dcf(fa: np.ndarray, miss: np.ndarray, params: DcfParams) -> DcfResult:
+    costs = params.c_miss * params.p_target * miss + params.c_fa * (1.0 - params.p_target) * fa
+    value = float(costs.min())
+    return DcfResult(value, value / params.floor)
+
+
 def eer(scores: ScoreSet, which: str = "raw") -> float:
     """Equal error rate of the chosen score column, in [0, 1]."""
-    tar, non = _tar_non(scores, which)
-    return _hull_eer(_corners(*_staircase(tar, non)))
+    return _hull_eer(_corners(*_staircase_of(scores, which)))
 
 
 def min_dcf(scores: ScoreSet, params: DcfParams = DcfParams(), which: str = "raw") -> DcfResult:
@@ -137,11 +143,7 @@ def min_dcf(scores: ScoreSet, params: DcfParams = DcfParams(), which: str = "raw
     The normalized value divides by the better degenerate policy's cost,
     so 1.0 means the scores are useless for this operating point.
     """
-    tar, non = _tar_non(scores, which)
-    fa, miss = _staircase(tar, non)
-    costs = params.c_miss * params.p_target * miss + params.c_fa * (1.0 - params.p_target) * fa
-    value = float(costs.min())
-    return DcfResult(value, value / params.floor)
+    return _min_dcf(*_staircase_of(scores, which), params)
 
 
 def det_points(scores: ScoreSet, which: str = "raw") -> list[tuple[float, float]]:
@@ -149,8 +151,7 @@ def det_points(scores: ScoreSet, which: str = "raw") -> list[tuple[float, float]
 
     Consecutive duplicate points are collapsed.
     """
-    tar, non = _tar_non(scores, which)
-    fa, miss = _distinct(*_staircase(tar, non))
+    fa, miss = _distinct(*_staircase_of(scores, which))
     return list(zip(fa.tolist(), miss.tolist()))
 
 
@@ -169,15 +170,7 @@ class MetricReportRow:
     n_nontarget: int
 
 
-REPORT_COLUMNS = [
-    "condition",
-    "system",
-    "eer",
-    "min_dcf",
-    "min_dcf_normalized",
-    "n_target",
-    "n_nontarget",
-]
+REPORT_COLUMNS = [f.name for f in fields(MetricReportRow)]
 
 
 def evaluate(
@@ -187,33 +180,18 @@ def evaluate(
     params: DcfParams = DcfParams(),
     which: str = "raw",
 ) -> MetricReportRow:
-    """Bundle EER and minDCF of one score set into a report row."""
-    tar, non = _tar_non(scores, which)
-    dcf = min_dcf(scores, params, which)
+    """Bundle EER and minDCF of one score set, from one staircase, into a report row."""
+    fa, miss = _staircase_of(scores, which)
+    n_target = int(np.count_nonzero(scores.trial_list.is_target))
     return MetricReportRow(
-        condition=condition,
-        system=system,
-        eer=eer(scores, which),
-        min_dcf=dcf.min_dcf,
-        min_dcf_normalized=dcf.min_dcf_normalized,
-        n_target=int(tar.size),
-        n_nontarget=int(non.size),
+        condition, system, _hull_eer(_corners(fa, miss)), *_min_dcf(fa, miss, params),
+        n_target, len(scores) - n_target,
     )
 
 
 def write_metric_report(rows: Iterable[MetricReportRow], path: str | Path) -> None:
+    """One CSV row per report row, in ``REPORT_COLUMNS`` order, ``repr`` of each float."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(REPORT_COLUMNS)
-        for r in rows:
-            w.writerow(
-                [
-                    r.condition,
-                    r.system,
-                    repr(r.eer),
-                    repr(r.min_dcf),
-                    repr(r.min_dcf_normalized),
-                    r.n_target,
-                    r.n_nontarget,
-                ]
-            )
+        w.writerows([repr(v) if isinstance(v, float) else v for v in astuple(r)] for r in rows)

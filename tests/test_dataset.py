@@ -269,6 +269,13 @@ class TestTrialsIO:
         assert TrialList(["a"], ["b"], [0], [0], [True]) != make_trials([("a", "b", False)])
         with pytest.raises(ValueError, match="repeated id in the enrol id table"):
             TrialList(["a", "a"], ["b"], [0, 1], [0, 0], [True, False])
+        # codes are integers: a float or bool code is not truncated to one
+        with pytest.raises(ValueError, match="enrol_code must be integers, got float64"):
+            TrialList(["a", "b"], ["c"], [0.7, 1.9], [0, 0], [2, 0])
+        for bad in ([True], np.array([1], dtype=object)):
+            with pytest.raises(ValueError, match="test_code must be integers"):
+                TrialList(["a"], ["b", "c"], [0], bad, [True])
+        assert len(TrialList([], [], [], [], [])) == 0
 
 
 class TestColumnarDataset:
@@ -347,7 +354,13 @@ class TestColumnarDataset:
         for bad in ([-1], [0, 5]):
             with pytest.raises(ValueError, match=rf"position {bad[-1]} is outside \[0, 5\)"):
                 ds.subset(bad)
+        for bad, dtype in (([1.7], "float64"), ([True, False], "bool"), (["1"], "<U1")):
+            with pytest.raises(ValueError, match=f"subset positions must be integers, got {dtype}"):
+                ds.subset(bad)
+        with pytest.raises(ValueError, match="got object"):
+            ds.subset(np.array([1, 0], dtype=object))
         assert ds.subset(np.arange(0)).speakers == () and len(ds.subset([])) == 0
+        assert ds.subset(np.array([3, 1], dtype=np.uint8)).ids == ("u3", "u1")
         # slicing and recoding equal a rebuild through the validating constructor
         speakers = ds.row_speakers()
         for pos in ([1, 3], [2, 0, 4, 3], [3, 0]):

@@ -113,6 +113,22 @@ class TestTraining:
         assert len(trace) == 13
         assert np.all(np.diff(trace) >= -1e-8)
 
+    def test_trace_is_the_marginal_loglik_after_each_iteration(self, rng):
+        # sessions 2..5 per speaker: four session-count groups
+        values, speakers = [], []
+        for s in range(16):
+            center = rng.standard_normal(5)
+            for _ in range(2 + s % 4):
+                values.append(center + 0.6 * rng.standard_normal(5))
+                speakers.append(f"s{s:02d}")
+        ds = make_dataset(np.array(values), speakers=speakers)
+        assert len(_speaker_stats(ds, np.zeros(5)).groups) == 4
+        full = train_gplda(ds, q=3, iters=8, seed=2)
+        for k in (0, 1, 5, 8):
+            m = train_gplda(ds, q=3, iters=k, seed=2)
+            assert m.loglik_trace == full.loglik_trace[: k + 1]
+            assert m.loglik_trace[-1] == marginal_loglik(m, ds)
+
     def test_deterministic_given_seed(self, rng):
         ds = labeled_gaussian_dataset(rng)
         a = train_gplda(ds, q=2, iters=5, seed=7)

@@ -392,6 +392,21 @@ class TestCli:
         b = (tmp_path / "b" / "in_domain.ivec").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--dim", "0", "--speakers", "0", "--sessions", "0"], "dim"),
+            (["--speakers", "0"], "n_speakers"),
+            (["--sessions", "0"], "sessions_per_speaker"),
+        ],
+    )
+    def test_synth_zero_size_names_field(self, tmp_path, capsys, flags, field):
+        rc = cli(["synth", *flags, "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"svbackend synth: error: {field} must be an integer >= 1, got 0")
+        assert not (tmp_path / "out").exists()
+
     def test_eval_hand_case_prints_quarter(self, tmp_path, capsys):
         scores = make_scoreset([2.0, 3.0], [1.0, 2.5])
         path = tmp_path / "scores.csv"
