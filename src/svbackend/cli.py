@@ -49,10 +49,12 @@ def _generator_from_args(args: argparse.Namespace) -> GeneratorConfig:
         return GeneratorConfig(**fields, eigenvoice_dim=min(10, fields["dim"]))
     try:
         with open(args.config) as f:
-            cfg = generator_config_from_dict(json.load(f))
+            blob = json.load(f)
+        if isinstance(blob, dict):  # the flags replace the file's fields before any check
+            blob = blob | overrides
+        return generator_config_from_dict(blob)
     except ValueError as e:
         raise ValueError(f"{args.config}: {e}") from None
-    return replace(cfg, **overrides)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

@@ -23,7 +23,7 @@ from array import array
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -520,24 +520,22 @@ def _save_binary(ds: Dataset, path: Path) -> None:
     path.write_bytes(b"".join(parts))
 
 
+_DOMAINS = {d.value: d for d in Domain}
+
+
 def _load_binary(path: Path) -> Dataset:
     data = path.read_bytes()
+    end = len(data)
     if data[: len(IVEC_MAGIC)] != IVEC_MAGIC:
         raise ValueError(f"{path}: bad magic, not an i-vector file")
-    off = len(IVEC_MAGIC)
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(data):
-            raise ValueError(f"{path}: truncated {what}")
-        chunk = data[off : off + n]
-        off += n
-        return chunk
-
-    dim, count = struct.unpack("<IQ", take(12, "header"))
+    off = len(IVEC_MAGIC) + 12
+    if off > end:
+        raise ValueError(f"{path}: truncated header")
+    dim, count = struct.unpack_from("<IQ", data, len(IVEC_MAGIC))
     if dim < 1:
         raise ValueError(f"{path}: header dimension must be positive")
-    if count * (3 * 4 + 8 + 8 * dim) > len(data) - off:
+    step = 8 * dim
+    if count * (3 * 4 + 8 + step) > end - off:
         raise ValueError(
             f"{path}: header claims {count} records of dimension {dim}, more than the file holds"
         )
@@ -549,21 +547,33 @@ def _load_binary(path: Path) -> Dataset:
     for rec in range(count):
         texts = []
         for name in ("id", "speaker", "domain"):
-            (n,) = struct.unpack("<I", take(4, f"record {rec} {name} length"))
+            if off + 4 > end:
+                raise ValueError(f"{path}: truncated record {rec} {name} length")
+            (n,) = struct.unpack_from("<I", data, off)
+            off += 4
+            if off + n > end:
+                raise ValueError(f"{path}: truncated record {rec} {name}")
             try:
-                texts.append(take(n, f"record {rec} {name}").decode("utf-8"))
+                texts.append(data[off : off + n].decode("utf-8"))
             except UnicodeDecodeError:
                 raise ValueError(f"{path}: record {rec}: {name} is not valid UTF-8") from None
-        (durations[rec],) = struct.unpack("<d", take(8, f"record {rec} duration"))
-        values[rec] = np.frombuffer(take(8 * dim, f"record {rec} values"), dtype="<f8")
-        try:
-            domains.append(Domain(texts[2]))
-        except ValueError:
-            raise ValueError(f"{path}: record {rec}: unknown domain '{texts[2]}'") from None
+            off += n
+        if off + 8 > end:
+            raise ValueError(f"{path}: truncated record {rec} duration")
+        (durations[rec],) = struct.unpack_from("<d", data, off)
+        off += 8
+        if off + step > end:
+            raise ValueError(f"{path}: truncated record {rec} values")
+        values[rec] = np.frombuffer(data, dtype="<f8", count=dim, offset=off)
+        off += step
+        domain = _DOMAINS.get(texts[2])
+        if domain is None:
+            raise ValueError(f"{path}: record {rec}: unknown domain '{texts[2]}'")
+        domains.append(domain)
         ids.append(texts[0])
         speakers.append(texts[1] or None)
-    if off != len(data):
-        raise ValueError(f"{path}: {len(data) - off} trailing bytes after record {count - 1}")
+    if off != end:
+        raise ValueError(f"{path}: {end - off} trailing bytes after record {count - 1}")
     return object.__new__(Dataset)._build(
         values, ids, speakers, domains, durations, where=lambda r: f"{path}: record {r}: "
     )
@@ -665,6 +675,15 @@ def write_model_file(
     Path(path).write_bytes(b"".join(parts))
 
 
+def is_symmetric(m: np.ndarray, rtol: float = 1e-10) -> bool:
+    """Whether ``norm(m - m.T) <= rtol * norm(m)`` (Frobenius) for a finite
+    square ``m``.  The norms are taken on ``m`` scaled by a power of two,
+    which is exact, so that they cannot overflow."""
+    unit = np.ldexp(m, -np.frexp(np.abs(m).max())[1])
+    scale = np.linalg.norm(unit)
+    return not (scale > 0 and np.linalg.norm(unit - unit.T) > rtol * scale)
+
+
 def read_model_file(
     path: str | Path,
     magic: bytes,
@@ -704,7 +723,8 @@ class TrialList:
     ``enrol_ids`` and ``test_ids`` are id tables; trial ``k`` pairs
     ``enrol_ids[enrol_code[k]]`` with ``test_ids[test_code[k]]`` and is
     a target trial when ``is_target[k]``.  Codes are integers (a float,
-    bool or object code raises ``ValueError``); each id table holds an id once.
+    bool or object code raises ``ValueError``) and ``is_target`` holds
+    booleans (a label text or a number raises); each id table holds an id once.
     """
 
     __slots__ = ("enrol_ids", "test_ids", "enrol_code", "test_code", "is_target")
@@ -722,7 +742,10 @@ class TrialList:
         self.test_ids = tuple(test_ids)
         self.enrol_code = _read_only(_integers(enrol_code, "enrol_code"))
         self.test_code = _read_only(_integers(test_code, "test_code"))
-        self.is_target = _read_only(np.array(is_target, dtype=bool))
+        is_target = np.array(is_target)
+        if is_target.size and is_target.dtype != bool:
+            raise ValueError(f"is_target must be booleans, got {is_target.dtype}")
+        self.is_target = _read_only(is_target.astype(bool, copy=False))
         n = self.is_target.shape
         if self.is_target.ndim != 1 or self.enrol_code.shape != n or self.test_code.shape != n:
             raise ValueError("trial columns must be 1-D and of equal length")
@@ -768,28 +791,110 @@ class TrialList:
 TRIAL_LABELS = {"target": True, "nontarget": False}
 
 
+#: Characters read per step by ``text_blocks``.
+_READ_BLOCK = 1 << 20
+
+#: ASCII whitespace other than the space and the newline.
+_ODD_SPACE = "\t\v\f\r\x1c\x1d\x1e\x1f"
+
+
+def text_blocks(f: TextIO) -> Iterator[str]:
+    """The rest of text file ``f`` in blocks of whole lines, about
+    ``_READ_BLOCK`` characters each."""
+    while text := f.read(_READ_BLOCK):
+        yield text + f.readline()
+
+
+def block_fields(text: str, sep: str, width: int, empty_ok: bool) -> list[str] | None:
+    """The fields of every line of ``text``, row after row, if each line is
+    ``width`` fields joined by single ``sep`` characters; else None.
+
+    Also None when a field is empty (unless ``empty_ok``) or longer than
+    ``csv.field_size_limit()``.  Lines end in a newline, the last one
+    optionally.  The check is one pass over the separators' bytes.
+    """
+    if not text.endswith("\n"):
+        text += "\n"
+    a = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    at = np.flatnonzero((a == ord(sep)) | (a == ord("\n")))
+    if at.size % width:
+        return None
+    kinds = a[at].reshape(-1, width)
+    if (kinds[:, -1] != ord("\n")).any() or (kinds[:, :-1] != ord(sep)).any():
+        return None
+    sizes = np.diff(at, prepend=-1) - 1  # bytes per field
+    if sizes.max(initial=0) > csv.field_size_limit() or not (empty_ok or sizes.all()):
+        return None
+    fields = text.replace("\n", sep).split(sep)
+    fields.pop()  # after the last newline
+    return fields
+
+
+def append_codes(codes: array, index: dict[str, int], ids: list[str]) -> None:
+    """Append the code of each of ``ids`` in ``index`` to ``codes``;
+    ``index`` first takes in the unseen ids in first-seen order."""
+    for utt in dict.fromkeys(ids):
+        index.setdefault(utt, len(index))
+    codes.frombytes(np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)).tobytes())
+
+
+def _trial_tokens(path: str | Path, lines: list[str], lineno: int) -> list[str]:
+    """The tokens of each non-blank line of ``lines``, the first of which is
+    line ``lineno + 1``; a line of other than three tokens or with an
+    unknown label raises ``ValueError`` naming the file and line."""
+    tokens: list[str] = []
+    for lineno, line in enumerate(lines, start=lineno + 1):
+        row = line.split()
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ValueError(f"{path}: line {lineno}: expected 'enrol test target|nontarget'")
+        if row[2] not in TRIAL_LABELS:
+            raise ValueError(f"{path}: line {lineno}: unknown label '{row[2]}'")
+        tokens += row
+    return tokens
+
+
 def load_trials(path: str | Path) -> TrialList:
-    """Parse a trial list of lines ``enrol test target|nontarget``."""
+    """Parse a trial list of lines ``enrol test target|nontarget``.
+
+    The file is read in ``text_blocks``.  A block of ASCII lines of three
+    tokens split by single spaces is split at once; a block with other
+    whitespace, a blank line or non-ASCII text goes line by line through
+    ``str.split``.  Errors name the file and line.
+    """
     e_index: dict[str, int] = {}
     t_index: dict[str, int] = {}
-    e_code, t_code, labels = array("q"), array("q"), array("b")
+    e_code, t_code, is_target = array("q"), array("q"), array("b")
+    lineno = 0
     with open(path, encoding="utf-8") as f, naming_utf8_errors(path):
-        for lineno, line in enumerate(f, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) != 3:
+        for text in text_blocks(f):
+            tokens = None
+            if text.isascii() and not any(c in text for c in _ODD_SPACE):
+                tokens = block_fields(text, " ", 3, empty_ok=False)
+            if tokens is None:
+                lines = text.split("\n")
+                if not lines[-1]:
+                    lines.pop()  # after the last newline
+                tokens = _trial_tokens(path, lines, lineno)
+                n_lines = len(lines)
+            else:
+                n_lines = len(tokens) // 3
+            labels = tokens[2::3]
+            try:
+                is_target.extend(map(TRIAL_LABELS.__getitem__, labels))
+            except KeyError:  # a block split at once holds one trial per line
+                k = next(k for k, label in enumerate(labels) if label not in TRIAL_LABELS)
                 raise ValueError(
-                    f"{path}: line {lineno}: expected 'enrol test target|nontarget'"
-                )
-            enrol, test, label = tokens
-            is_target = TRIAL_LABELS.get(label)
-            if is_target is None:
-                raise ValueError(f"{path}: line {lineno}: unknown label '{label}'")
-            e_code.append(e_index.setdefault(enrol, len(e_index)))
-            t_code.append(t_index.setdefault(test, len(t_index)))
-            labels.append(is_target)
-    return TrialList(e_index, t_index, e_code, t_code, labels)
+                    f"{path}: line {lineno + k + 1}: unknown label '{labels[k]}'"
+                ) from None
+            append_codes(e_code, e_index, tokens[0::3])
+            append_codes(t_code, t_index, tokens[1::3])
+            lineno += n_lines
+    return TrialList(
+        e_index, t_index, np.frombuffer(e_code, dtype=np.int64),
+        np.frombuffer(t_code, dtype=np.int64), np.frombuffer(is_target, dtype=bool),
+    )
 
 
 def save_trials(trials: TrialList, path: str | Path) -> None:

@@ -30,19 +30,21 @@ closed form from the model covariances.
 from __future__ import annotations
 
 import csv
+import io
 import math
-from dataclasses import dataclass, field
 from array import array
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .dataset import TRIAL_LABELS, Dataset, TrialList, csv_fields, naming_utf8_errors
-from .dataset import read_model_file, write_model_file
+from .dataset import TRIAL_LABELS, Dataset, TrialList, append_codes, block_fields, csv_fields
+from .dataset import is_symmetric, naming_utf8_errors, read_model_file, text_blocks
+from .dataset import write_model_file
 
 PLDA_MAGIC = b"PLDA1"
 
@@ -117,17 +119,21 @@ class PldaModel:
         for name, arr in (("mean", mean), ("u1", u1), ("lambda_prec", lam)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has non-finite entries")
-        scale = np.linalg.norm(lam)
-        if scale > 0 and np.linalg.norm(lam - lam.T) > 1e-10 * scale:
+        if not is_symmetric(lam):
             raise ValueError("lambda_prec is not symmetric")
         try:
             sigma_within = _cho_inverse(lam)[0]
         except np.linalg.LinAlgError:
             raise ValueError("lambda_prec is not positive definite") from None
-        sigma_between = _sym(u1 @ u1.T)
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge u1 is reported below
+            sigma_between = _sym(u1 @ u1.T)
+            sigma_total = sigma_within + sigma_between
+        for name, arr in (("sigma_between", sigma_between), ("sigma_total", sigma_total)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has non-finite entries")
         for name, arr in dict(
             mean=mean, u1=u1, lambda_prec=lam, sigma_within=sigma_within,
-            sigma_between=sigma_between, sigma_total=sigma_within + sigma_between,
+            sigma_between=sigma_between, sigma_total=sigma_total,
         ).items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -279,12 +285,19 @@ def train_gplda(ds: Dataset, q: int = 120, iters: int = 20, seed: int = 0) -> Pl
 # scoring
 
 
+#: Entries of the ``qu + qv`` row block that ``pair_llr`` adds into its grid at once.
+_GRID_BLOCK = 1 << 16
+
+
 def pair_llr(m: PldaModel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Same-speaker log-likelihood ratio of every row of ``u`` against every row of ``v``.
 
     Returns the (n_u, n_v) grid whose entry (i, j) scores the pair
     ``(u[i], v[j])`` (see ``score_trial`` for the formula).  The cross
-    term of the whole grid is one matrix product.
+    term of the whole grid is one matrix product, and the grid is the one
+    array of that size held: each entry is ``(cross + (qu + qv)) + const``,
+    bit for bit ``((qu + qv) + cross) + const``, with ``qu + qv`` formed a
+    row block at a time.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -296,7 +309,13 @@ def pair_llr(m: PldaModel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = v - m.mean
     qu = 0.5 * np.einsum("ij,ij->i", u @ q_mat, u)
     qv = 0.5 * np.einsum("ij,ij->i", v @ q_mat, v)
-    return qu[:, None] + qv[None, :] + u @ (p_mat @ v.T) + const
+    grid = u @ (p_mat @ v.T)
+    step = max(1, _GRID_BLOCK // max(1, len(qv)))
+    for start in range(0, len(qu), step):
+        rows = slice(start, start + step)
+        grid[rows] += qu[rows, None] + qv[None, :]
+    grid += const
+    return grid
 
 
 def score_trial(m: PldaModel, w_enrol: np.ndarray, w_test: np.ndarray) -> float:
@@ -463,8 +482,8 @@ def save_loglik_trace(m: PldaModel, path: str | Path) -> None:
 SCORE_COLUMNS = ["enrol", "test", "label", "raw_llr", "norm_llr"]
 
 
-#: Rows formatted, or parsed, per step of ``write_scores`` and
-#: ``read_scores``; bounds the per-row strings held at once.
+#: Rows formatted per step of ``write_scores``; bounds the per-row strings
+#: held at once (``read_scores`` reads ``dataset.text_blocks``).
 _CSV_BLOCK = 1 << 14
 
 
@@ -472,7 +491,7 @@ def write_scores(scores: ScoreSet, path: str | Path) -> None:
     """CSV columns: enrol,test,label,raw_llr,norm_llr (norm blank if absent).
 
     The bytes are those of ``csv.writer`` rows of the ids, the label and
-    ``repr`` of each score.
+    ``repr`` of each score; only the scores present are formatted.
     """
     tl = scores.trial_list
     enrol_ids = np.array(csv_fields(tl.enrol_ids), dtype=object)
@@ -494,8 +513,11 @@ def write_scores(scores: ScoreSet, path: str | Path) -> None:
 
 def _score_texts(scores: np.ndarray) -> list[str]:
     """``repr`` of each score; blank where the score is NaN (absent)."""
-    texts = np.array(list(map(repr, scores.tolist())), dtype=object)
-    texts[np.isnan(scores)] = ""
+    absent = np.isnan(scores)
+    if not absent.any():
+        return list(map(repr, scores.tolist()))
+    texts = np.full(len(scores), "", dtype=object)
+    texts[~absent] = list(map(repr, scores[~absent].tolist()))
     return texts.tolist()
 
 
@@ -522,9 +544,17 @@ def _parse_scores(
     """Floats of one score column, for the data rows from ``first`` on.
 
     A blank reads as NaN when ``blank_ok``; every other value must be
-    finite.  Errors name the file and line.
+    finite.  Errors name the file and line.  An all-blank column costs
+    no per-item call, and only a column mixing blanks and values goes
+    through ``_float_or_nan``.
     """
-    parse = _float_or_nan if blank_ok else float
+    blank = None
+    if blank_ok:
+        if not any(texts):
+            return np.full(len(texts), math.nan)
+        if not all(texts):
+            blank = ~np.fromiter(map(bool, texts), bool, len(texts))
+    parse = float if blank is None else _float_or_nan
     try:
         vals = np.fromiter(map(parse, texts), np.float64, len(texts))
     except ValueError:
@@ -536,8 +566,8 @@ def _parse_scores(
                 raise ValueError(f"{path}: line {line}: malformed score") from None
         raise
     bad = ~np.isfinite(vals)
-    if blank_ok:
-        bad &= np.fromiter(map(bool, texts), bool, len(texts))
+    if blank is not None:
+        bad &= ~blank
     if bad.any():
         k = int(np.argmax(bad))
         line = _record_line(path, first + k)
@@ -545,51 +575,65 @@ def _parse_scores(
     return vals
 
 
+def _csv_rows(path: str | Path, text: str, f: TextIO, line_num: int) -> tuple[list[str], int]:
+    """The fields of as many records as ``text`` has lines, from its first
+    line on, row after row, read by ``csv.reader`` (a quoted field may run
+    on into ``f``), and the number of lines read.  Blank rows are skipped;
+    a row of other than 5 fields raises ``ValueError`` naming the file and
+    line (the first line of ``text`` is line ``line_num + 1``)."""
+    lines = io.StringIO(text, newline="").readlines()  # split as ``f`` splits
+    reader = csv.reader(chain(lines, f))
+    fields: list[str] = []
+    for row in islice(reader, len(lines)):
+        if len(row) == len(SCORE_COLUMNS):
+            fields += row
+        elif row:
+            raise ValueError(f"{path}: line {line_num + reader.line_num}: expected 5 fields")
+    return fields, reader.line_num
+
+
 def read_scores(path: str | Path) -> ScoreSet:
     """Read a score CSV written by ``write_scores``.
 
-    Rows stream into id and label codes, and their score texts are
-    parsed a block at a time; errors name the file and line.
+    The file is read in ``text_blocks``.  A block without quotes, carriage
+    returns or blank lines and with 5 fields on every line is split at
+    once; any other block goes through ``csv.reader``.  Ids become codes
+    and scores are parsed a block column at a time; errors name the file
+    and line.
     """
-    e_index: dict[str, int] = {}
-    t_index: dict[str, int] = {}
-    l_index: dict[str, int] = {}
-    e_code, t_code, l_code = array("q"), array("q"), array("q")
-    raw_parts, norm_parts = [np.empty(0)], [np.empty(0)]
+    width = len(SCORE_COLUMNS)
+    index: tuple[dict[str, int], ...] = ({}, {}, {})  # enrol, test, label
+    codes = (array("q"), array("q"), array("q"))
+    raw, norm = array("d"), array("d")
     with open(path, newline="", encoding="utf-8") as f, naming_utf8_errors(path):
         reader = csv.reader(f)
         if next(reader, None) != SCORE_COLUMNS:
             raise ValueError(f"{path}: missing or malformed score header")
-        while True:
-            line_num = reader.line_num
-            raws: list[str] = []
-            norms: list[str] = []
-            for row in islice(reader, _CSV_BLOCK):
-                try:
-                    enrol, test, label, raw, norm = row
-                except ValueError:
-                    if not row:  # blank line
-                        continue
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}: expected 5 fields"
-                    ) from None
-                e_code.append(e_index.setdefault(enrol, len(e_index)))
-                t_code.append(t_index.setdefault(test, len(t_index)))
-                l_code.append(l_index.setdefault(label, len(l_index)))
-                raws.append(raw)
-                norms.append(norm)
-            if reader.line_num == line_num:
-                break
-            first = len(e_code) - len(raws)
-            raw_parts.append(_parse_scores(path, raws, first, "raw", blank_ok=False))
-            norm_parts.append(_parse_scores(path, norms, first, "normalized", blank_ok=True))
-    labels = list(l_index)  # label text by code
-    codes = np.frombuffer(l_code, dtype=np.int64)
-    bad = ~np.array([label in TRIAL_LABELS for label in labels], dtype=bool)[codes]
+        line_num = reader.line_num
+        for text in text_blocks(f):
+            fields = None
+            if '"' not in text and "\r" not in text:
+                fields = block_fields(text, ",", width, empty_ok=True)
+            if fields is None:
+                fields, n_lines = _csv_rows(path, text, f, line_num)
+            else:
+                n_lines = len(fields) // width
+            del text
+            line_num += n_lines
+            for c in range(3):
+                append_codes(codes[c], index[c], fields[c::width])
+            first = len(raw)
+            raws = _parse_scores(path, fields[3::width], first, "raw", blank_ok=False)
+            norms = _parse_scores(path, fields[4::width], first, "normalized", blank_ok=True)
+            raw.frombytes(raws.tobytes())
+            norm.frombytes(norms.tobytes())
+    e_code, t_code, l_code = (np.frombuffer(c, dtype=np.int64) for c in codes)
+    labels = list(index[2])  # label text by code
+    bad = ~np.array([label in TRIAL_LABELS for label in labels], dtype=bool)[l_code]
     if bad.any():
         k = int(np.argmax(bad))
-        label = labels[codes[k]]
+        label = labels[l_code[k]]
         raise ValueError(f"{path}: line {_record_line(path, k)}: unknown label '{label}'")
-    is_target = np.array([TRIAL_LABELS.get(label) for label in labels], dtype=bool)[codes]
-    trials = TrialList(e_index, t_index, e_code, t_code, is_target)
-    return ScoreSet(trials, np.concatenate(raw_parts), np.concatenate(norm_parts))
+    is_target = np.array([TRIAL_LABELS.get(label) for label in labels], dtype=bool)[l_code]
+    trials = TrialList(index[0], index[1], e_code, t_code, is_target)
+    return ScoreSet(trials, np.frombuffer(raw), np.frombuffer(norm))

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .dataset import Dataset, read_model_file, write_model_file
+from .dataset import Dataset, is_symmetric, read_model_file, write_model_file
 
 IDV_MAGIC = b"IDV1"
 
@@ -66,12 +66,13 @@ class IdvTransform:
             raise ValueError("s_idv and decorrelator must be finite")
         if not 0 <= self.ridge < math.inf:
             raise ValueError("ridge must be finite and nonnegative")
-        scale = np.linalg.norm(s)
-        if scale > 0 and np.linalg.norm(s - s.T) > 1e-10 * scale:
+        if not is_symmetric(s):
             raise ValueError("s_idv is not symmetric")
         conditioned = s + self.ridge * np.eye(s.shape[0])
         inv = np.linalg.inv(conditioned)
-        if not np.linalg.norm(d @ d.T - inv) <= 1e-8 * np.linalg.norm(inv):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the test
+            whitens = np.linalg.norm(d @ d.T - inv) <= 1e-8 * np.linalg.norm(inv)
+        if not whitens:
             raise ValueError("decorrelator does not whiten s_idv + ridge*I")
         for name, arr in (("s_idv", s), ("decorrelator", d)):
             arr.flags.writeable = False

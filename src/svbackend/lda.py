@@ -53,7 +53,8 @@ class LdaTransform:
         if np.any(np.diff(lam) > 0):
             raise ValueError("eigenvalues must be sorted descending")
         peak = a[np.abs(a).argmax(axis=0), np.arange(a.shape[1])]
-        off_unit = np.abs(np.linalg.norm(a, axis=0) - 1.0) > UNIT_NORM_TOLERANCE
+        with np.errstate(over="ignore"):  # an overflowing norm is off unit length too
+            off_unit = np.abs(np.linalg.norm(a, axis=0) - 1.0) > UNIT_NORM_TOLERANCE
         bad = np.flatnonzero(off_unit | (peak <= 0))
         if bad.size:
             raise ValueError(

@@ -32,6 +32,12 @@ def cohort_score_matrix(m: PldaModel, ds: Dataset, cohort: Dataset) -> np.ndarra
     return pair_llr(m, ds.matrix(), cohort.matrix())
 
 
+#: Cohort scores per row block of ``_side_stats``: ``std`` holds a
+#: temporary of the block's size, not of the whole matrix.  Each row's
+#: statistics are reduced on their own, so blocking changes no bit.
+_STATS_BLOCK = 1 << 16
+
+
 def _side_stats(
     side: str, cohort_scores: np.ndarray, ids: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -42,7 +48,11 @@ def _side_stats(
             f"{side} cohort scores must be one row per {side} id ({len(ids)}), "
             f"got shape {cohort_scores.shape}"
         )
-    mu, sd = cohort_scores.mean(axis=1), cohort_scores.std(axis=1)
+    mu, sd = np.empty(len(ids)), np.empty(len(ids))
+    step = max(1, _STATS_BLOCK // max(1, cohort_scores.shape[1]))
+    for start in range(0, len(ids), step):
+        rows = slice(start, start + step)
+        mu[rows], sd[rows] = cohort_scores[rows].mean(axis=1), cohort_scores[rows].std(axis=1)
     flat = np.flatnonzero(sd == 0.0)
     if flat.size:
         raise ValueError(

@@ -146,6 +146,22 @@ def plda_pair_llr(
     )
 
 
+def pair_llr_two_grids(m, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The pair-LLR grid as one expression over whole grids: ``qu + qv``, then
+    the cross term, then the constant added to the full (n_u, n_v) sums."""
+    q_mat, p_mat, const = m._pair_llr_terms
+    u = np.asarray(u, dtype=np.float64) - m.mean
+    v = np.asarray(v, dtype=np.float64) - m.mean
+    qu = 0.5 * np.einsum("ij,ij->i", u @ q_mat, u)
+    qv = 0.5 * np.einsum("ij,ij->i", v @ q_mat, v)
+    return qu[:, None] + qv[None, :] + u @ (p_mat @ v.T) + const
+
+
+def row_mean_std(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std of every row, each over the whole matrix at once."""
+    return scores.mean(axis=1), scores.std(axis=1)
+
+
 def stacked_marginal_loglik(
     mean: np.ndarray, sigma_between: np.ndarray, sigma_within: np.ndarray,
     groups: list[np.ndarray],
@@ -159,6 +175,23 @@ def stacked_marginal_loglik(
         stacked = (rows - mean).ravel()
         total += multivariate_normal.logpdf(stacked, mean=np.zeros(n * k), cov=cov)
     return float(total)
+
+
+def trial_rows(path: Path) -> list[tuple[str, str, bool]]:
+    """(enrol, test, is target) of every non-blank line of a trial list, one
+    ``str.split`` per line; a malformed line raises the loader's message."""
+    rows = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            if len(tokens) != 3:
+                raise ValueError(f"{path}: line {lineno}: expected 'enrol test target|nontarget'")
+            if tokens[2] not in ("target", "nontarget"):
+                raise ValueError(f"{path}: line {lineno}: unknown label '{tokens[2]}'")
+            rows.append((tokens[0], tokens[1], tokens[2] == "target"))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from svbackend import dataset
 from svbackend.dataset import (
     Dataset,
     Domain,
@@ -22,7 +23,7 @@ from svbackend.dataset import (
 from svbackend.dataset import _seed_streams
 
 from conftest import make_dataset, make_trials
-from oracles import ivec_bytes_per_row, ivec_csv_per_row, speaker_rows, synth_matrix
+from oracles import ivec_bytes_per_row, ivec_csv_per_row, speaker_rows, synth_matrix, trial_rows
 
 
 class TestTypes:
@@ -276,6 +277,78 @@ class TestTrialsIO:
             with pytest.raises(ValueError, match="test_code must be integers"):
                 TrialList(["a"], ["b", "c"], [0], bad, [True])
         assert len(TrialList([], [], [], [], [])) == 0
+        # labels are booleans: a label text or a number is not truth-cast to one
+        for bad, dtype in ((["nontarget"], "<U9"), ([0.3], "float64"), ([0], "int64")):
+            with pytest.raises(ValueError, match=f"is_target must be booleans, got {dtype}"):
+                TrialList(["a"], ["b"], [0], [0], bad)
+
+
+_TOKENS = st.one_of(st.text("abx-", min_size=1, max_size=3), st.text("ab\u00e9", min_size=1))
+_SPACES = st.sampled_from([" ", " ", " ", "  ", "\t", " \t ", "\u2003"])
+
+
+@st.composite
+def trial_files(draw) -> str:
+    """Trial-list text mixing single spaces with tabs, runs of spaces, other
+    whitespace, blank lines, padded lines, CRLF and non-ASCII ids."""
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "  "])))
+            continue
+        label = draw(st.sampled_from(["target", "nontarget"]))
+        e, t = draw(_TOKENS), draw(_TOKENS)
+        pad = draw(st.sampled_from(["", "", "", " ", "\t"]))
+        lines.append(f"{pad}{e}{draw(_SPACES)}{t}{draw(_SPACES)}{label}{pad}")
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n"])) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""  # no newline after the last line
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestTrialBlocks:
+    """``load_trials`` splits plain blocks at once and every other block line
+    by line; with tiny blocks both kinds meet at every boundary."""
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=trial_files(), block=st.integers(1, 60))
+    def test_matches_one_split_per_line(self, tmp_path, monkeypatch, text, block):
+        monkeypatch.setattr(dataset, "_READ_BLOCK", block)
+        path = tmp_path / "trials.txt"
+        path.write_bytes(text.encode("utf-8"))
+        expected = make_trials(trial_rows(path))
+        trials = load_trials(path)
+        assert trials == expected
+        assert (trials.enrol_ids, trials.test_ids) == (expected.enrol_ids, expected.test_ids)
+
+    def test_token_counts_that_cancel_out_are_caught(self, tmp_path):
+        path = tmp_path / "trials.txt"
+        path.write_text("e1 t1 target x\ne2 t2\n")
+        with pytest.raises(ValueError, match="line 1: expected 'enrol test target|nontarget'"):
+            load_trials(path)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["e9 t9", "e9 t9 target x", "e9 t9 impostor", "e9\tt9  impostor", "e9 t9 Target",
+         "e9 t9\u2003x target", "e9 t\u00e9 impostor"],
+    )
+    @pytest.mark.parametrize("chars", [1, 20, 1 << 20])
+    def test_malformed_line_in_a_later_block_names_its_line(
+        self, tmp_path, monkeypatch, chars, bad
+    ):
+        monkeypatch.setattr(dataset, "_READ_BLOCK", chars)
+        path = tmp_path / "trials.txt"
+        path.write_text(
+            "e1 t1 target\n\ne2\tt2 nontarget\ne3 t3 target\ne4 t4 nontarget\n"
+            f"{bad}\ne5 t5 target\n"
+        )
+        with pytest.raises(ValueError) as expected:
+            trial_rows(path)
+        assert "line 6:" in str(expected.value)
+        with pytest.raises(ValueError) as err:
+            load_trials(path)
+        assert str(err.value) == str(expected.value)
 
 
 class TestColumnarDataset:

@@ -1,19 +1,24 @@
 import csv
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svbackend.dataset import Dataset, GeneratorConfig, ground_truth_subspace, synth_dataset
+from svbackend import dataset, gplda
+from svbackend.dataset import Dataset, GeneratorConfig, csv_fields, ground_truth_subspace
+from svbackend.dataset import synth_dataset
 from svbackend.gplda import (
+    SCORE_COLUMNS,
     PldaModel,
     ScoreSet,
     length_normalize,
     load_plda,
     marginal_loglik,
+    pair_llr,
     read_scores,
     save_loglik_trace,
     save_plda,
@@ -26,7 +31,8 @@ from svbackend.gplda import (
 from svbackend.gplda import _speaker_stats
 
 from conftest import make_dataset, make_trials, shuffled_labeled_datasets
-from oracles import plda_pair_llr, speaker_loop_stats, speaker_rows, stacked_marginal_loglik
+from oracles import pair_llr_two_grids, plda_pair_llr, speaker_loop_stats, speaker_rows
+from oracles import stacked_marginal_loglik
 
 
 def random_model(rng, k=3, q=2):
@@ -289,6 +295,24 @@ class TestBatchScoring:
             score_trials(m, enrol, test, make_trials([(enrol.ids[0], "nope", True)]))
 
 
+class TestOneGrid:
+    """``pair_llr`` adds ``qu + qv`` into the cross-term grid a row block at a
+    time; each entry must equal the two-grid expression bit for bit."""
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    @pytest.mark.parametrize(
+        "k, n_u, n_v", [(3, 0, 4), (3, 4, 0), (3, 1, 1), (5, 9, 5), (6, 40, 3), (20, 130, 300)]
+    )
+    def test_bit_identical_to_two_grid_expression(self, rng, monkeypatch, block, k, n_u, n_v):
+        monkeypatch.setattr(gplda, "_GRID_BLOCK", block)
+        m = random_model(rng, k=k, q=min(k, 4))
+        u = 3.0 * rng.standard_normal((n_u, k))
+        v = 3.0 * rng.standard_normal((n_v, k))
+        grid = pair_llr(m, u, v)
+        assert grid.shape == (n_u, n_v)
+        assert np.array_equal(grid, pair_llr_two_grids(m, u, v))
+
+
 class TestScoreSetAndPersistence:
     def test_scoreset_requires_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -351,6 +375,102 @@ def _seed_write_scores(scores, path):
 
 _IDS = st.text(alphabet='ab ,"x\'', max_size=5)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+_PLAIN_IDS = st.text("ab", min_size=1, max_size=3)
+_ODD_IDS = st.text('ab ,"x\n', max_size=4)
+
+
+@st.composite
+def score_files(draw) -> tuple[str, ScoreSet]:
+    """A score CSV's text and the score set it holds: runs of rows whose norm
+    column is all blank, all values or mixed, ids that need quotes (some
+    holding a newline) or not, blank lines and CRLF line ends."""
+    rows, norms = [], []
+    for kind in draw(st.lists(st.sampled_from(["blank", "value", "mixed"]), max_size=4)):
+        for e, t, y, raw, norm in draw(st.lists(
+            st.tuples(st.one_of(_PLAIN_IDS, _ODD_IDS), st.one_of(_PLAIN_IDS, _ODD_IDS),
+                      st.booleans(), _FINITE, st.one_of(st.none(), _FINITE)),
+            max_size=6,
+        )):
+            norm = {"blank": None, "value": raw if norm is None else norm}.get(kind, norm)
+            rows.append((e, t, y, raw))
+            norms.append(norm)
+    text = ",".join(SCORE_COLUMNS) + draw(st.sampled_from(["\n", "\r\n"]))
+    for (e, t, y, raw), norm in zip(rows, norms):
+        text += draw(st.sampled_from(["", "", "", "\n", "\r\n"]))  # a blank line
+        fields = [*csv_fields([e, t]), "target" if y else "nontarget", repr(raw)]
+        text += ",".join([*fields, "" if norm is None else repr(norm)])
+        text += draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    expected = ScoreSet(
+        make_trials((e, t, y) for e, t, y, _ in rows),
+        [raw for *_, raw in rows],
+        [np.nan if n is None else n for n in norms],
+    )
+    return text, expected
+
+
+class TestScoreBlocks:
+    """``read_scores`` splits plain blocks at once and reads every other block
+    with ``csv.reader``; with tiny blocks both kinds meet at every boundary."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(file=score_files(), chars=st.integers(1, 80), rows=st.integers(1, 4))
+    def test_round_trip_across_block_boundaries(self, file, chars, rows):
+        text, expected = file
+        with (
+            tempfile.TemporaryDirectory() as tmp,
+            patch.object(dataset, "_READ_BLOCK", chars),
+            patch.object(gplda, "_CSV_BLOCK", rows),
+        ):
+            path, ours, ref = (Path(tmp) / name for name in ("in.csv", "ours.csv", "ref.csv"))
+            path.write_bytes(text.encode("utf-8"))
+            loaded = read_scores(path)
+            assert loaded == expected
+            tl, tl_expected = loaded.trial_list, expected.trial_list
+            assert (tl.enrol_ids, tl.test_ids) == (tl_expected.enrol_ids, tl_expected.test_ids)
+            write_scores(loaded, ours)
+            _seed_write_scores(expected, ref)
+            assert ours.read_bytes() == ref.read_bytes()
+
+    def test_field_counts_that_cancel_out_are_caught(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "enrol,test,label,raw_llr,norm_llr\ne1,t1,target,0.5,,0.5\ne2,t2,nontarget,1.5\n"
+        )
+        with pytest.raises(ValueError) as err:
+            read_scores(path)
+        assert str(err.value) == f"{path}: line 2: expected 5 fields"
+
+    @pytest.mark.parametrize("chars", [1, 30, 1 << 20])
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("e9,t9,nontarget,1.0", "expected 5 fields"),
+            ("e9,t9,nontarget,1.0,,", "expected 5 fields"),
+            ("e9,t9,nontarget,1.x,", "malformed score"),
+            ("e9,t9,nontarget,nan,", "non-finite raw score 'nan'"),
+            ("e9,t9,nontarget,1.0,-inf", "non-finite normalized score '-inf'"),
+            ("e9,t9,nontarget,1.0,0.x", "malformed score"),
+            ("e9,t9,impostor,1.0,", "unknown label 'impostor'"),
+        ],
+    )
+    def test_malformed_row_in_a_later_block_names_its_line(
+        self, tmp_path, monkeypatch, chars, quoted, row, message
+    ):
+        monkeypatch.setattr(dataset, "_READ_BLOCK", chars)
+        if quoted:  # the row's block then goes through csv.reader
+            row = row.replace("e9", '"e 9"')
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "enrol,test,label,raw_llr,norm_llr\ne1,t1,target,0.5,\n\n"
+            '"e\n2",t2,nontarget,1.5,0.25\ne3,t3,nontarget,2.5,\ne4,t4,target,3.5,1.0\n'
+            f"{row}\ne5,t5,nontarget,4.5,\n"
+        )
+        with pytest.raises(ValueError) as err:
+            read_scores(path)
+        assert str(err.value) == f"{path}: line 8: {message}"
 
 
 class TestColumnarScores:

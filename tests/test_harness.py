@@ -426,6 +426,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert "score" in err and "error" in err
 
+    def test_synth_config_takes_flags_before_its_checks(self, tmp_path, capsys):
+        """``--dim`` resizes a config without ``domain_offset`` as if the file
+        said that dim; an explicit offset of the old length still fails."""
+        blob = {"dim": 50, "n_speakers": 3, "sessions_per_speaker": 2, "eigenvoice_dim": 4}
+        (tmp_path / "gen50.json").write_text(json.dumps(blob))
+        (tmp_path / "gen60.json").write_text(json.dumps(blob | {"dim": 60, "seed": 9}))
+        for name, flags in (("gen50", ["--dim", "60", "--seed", "9"]), ("gen60", [])):
+            assert cli(["synth", "--config", str(tmp_path / f"{name}.json"), *flags,
+                        "--out-dir", str(tmp_path / name)]) == 0
+        for dom in ("in_domain", "out_domain"):
+            ours = (tmp_path / "gen50" / f"{dom}.ivec").read_bytes()
+            assert ours == (tmp_path / "gen60" / f"{dom}.ivec").read_bytes()
+        assert load_ivectors(tmp_path / "gen50" / "in_domain.ivec").dim == 60
+        path = tmp_path / "offset.json"
+        path.write_text(json.dumps(blob | {"domain_offset": [0.0] * 50}))
+        capsys.readouterr()
+        rc = cli(["synth", "--config", str(path), "--dim", "60", "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"svbackend synth: error: {path}: invalid config: domain_offset must have length 60"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_synth_config_unknown_key_named(self, tmp_path, capsys):
         path = tmp_path / "gen.json"
         path.write_text(json.dumps({"dimm": 6, "n_speakers": 4}))
@@ -631,3 +655,66 @@ class TestManualComposition:
             row = list(csv.DictReader(f))[0]
         assert float(row["eer"]) == target_row.eer
         assert float(row["min_dcf"]) == target_row.min_dcf
+
+
+#: sha256 of the files the ``test_cli_chain_files_match_pinned_hashes`` chain writes.
+CLI_CHAIN_SHA256 = {
+    "scores.csv": "f4362220fba0299a2c198ac41b743563b138320160f208218813aa3dad463995",
+    "snormed.csv": "1cfa9a2b7e41b8def62458cb2fd752abb71a2218afaa3a84d5ea0d24d96c35d7",
+    "eval.csv": "ebb3a4a17ad0709488763fd34dbe42494e8ed0361c6e3e57776cc8fe30d4b094",
+}
+
+
+def test_cli_chain_files_match_pinned_hashes(tmp_path, capsys):
+    """synth -> train-idv/lda/plda -> transform -> score -> snorm -> eval through
+    the CLI writes score, S-normed and report CSVs with pinned bytes.  The
+    20k-trial score files span two read and write blocks."""
+    w = tmp_path
+    offset = np.linspace(-1.5, 1.5, 20).tolist()
+    (w / "gen.json").write_text(json.dumps(dict(
+        dim=20, n_speakers=40, sessions_per_speaker=4, eigenvoice_dim=6, channel_scale=0.7,
+        domain_offset=offset, seed=3, subspace_seed=11,
+    )))
+    gen = str(w / "gen.json")
+    steps = [
+        ["synth", "--config", gen, "--out-dir", f"{w}/train"],
+        ["synth", "--config", gen, "--seed", "104", "--speakers", "100", "--sessions", "3",
+         "--out-dir", f"{w}/eval"],
+        ["synth", "--config", gen, "--seed", "214", "--speakers", "30",
+         "--out-dir", f"{w}/cohort"],
+        ["train-idv", "--out-domain", f"{w}/train/out_domain.ivec",
+         "--in-domain", f"{w}/cohort/in_domain.ivec", "--output", f"{w}/idv.bin"],
+        ["transform", "--data", f"{w}/train/out_domain.ivec", "--idv", f"{w}/idv.bin",
+         "--output", f"{w}/train_comp.ivec"],
+        ["train-lda", "--data", f"{w}/train_comp.ivec", "--dim", "12", "--output", f"{w}/lda.bin"],
+        ["transform", "--data", f"{w}/train_comp.ivec", "--lda", f"{w}/lda.bin", "--length-norm",
+         "--output", f"{w}/train_proj.ivec"],
+        ["train-plda", "--data", f"{w}/train_proj.ivec", "--q", "6", "--iters", "5",
+         "--output", f"{w}/m.plda"],
+    ]
+    proj = ["--idv", f"{w}/idv.bin", "--lda", f"{w}/lda.bin", "--length-norm"]
+    for name, src in (("eval", "eval/in_domain"), ("cohort", "cohort/in_domain")):
+        steps.append(["transform", "--data", f"{w}/{src}.ivec", *proj,
+                      "--output", f"{w}/{name}_proj.ivec"])
+    for argv in steps:
+        assert cli(argv) == 0, argv
+    eval_proj = load_ivectors(w / "eval_proj.ivec")
+    enrol_pos, test_pos, trials = build_trials(eval_proj)
+    save_ivectors(eval_proj.subset(enrol_pos), w / "enrol.ivec")
+    save_ivectors(eval_proj.subset(test_pos), w / "test.ivec")
+    save_trials(trials, w / "trials.txt")
+    assert len(trials) == 20000
+    sides = ["--enrol", f"{w}/enrol.ivec", "--test", f"{w}/test.ivec"]
+    for argv in (
+        ["score", "--model", f"{w}/m.plda", *sides, "--trials", f"{w}/trials.txt",
+         "--output", f"{w}/scores.csv"],
+        ["snorm", "--model", f"{w}/m.plda", "--scores", f"{w}/scores.csv", *sides,
+         "--cohort", f"{w}/cohort_proj.ivec", "--output", f"{w}/snormed.csv"],
+        ["eval", "--scores", f"{w}/snormed.csv", "--which", "normalized",
+         "--condition", "snorm", "--system", "cli", "--report", f"{w}/eval.csv"],
+    ):
+        assert cli(argv) == 0, argv
+    capsys.readouterr()
+    digests = {name: hashlib.sha256((w / name).read_bytes()).hexdigest()
+               for name in CLI_CHAIN_SHA256}
+    assert digests == CLI_CHAIN_SHA256

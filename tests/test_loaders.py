@@ -5,6 +5,7 @@ import functools
 import math
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from svbackend.dataset import load_ivectors, load_trials, save_ivectors
 from svbackend.gplda import PldaModel, load_plda, read_scores, save_plda
-from svbackend.idv import estimate_modified_idv, load_idv, save_idv
+from svbackend.idv import IdvTransform, IdvVariant, estimate_modified_idv, load_idv, save_idv
 from svbackend.lda import (
     LDA_MAGIC,
     UNIT_NORM_TOLERANCE,
@@ -157,6 +158,37 @@ class TestContentErrorsNameTheFile:
         path.write_bytes(b"PLDA1" + struct.pack("<II", k, q) + blob)
         with _raises_naming(path, "more eigenvoices than dimensions"):
             load_plda(path)
+
+    def test_plda_overflowing_covariance_names_file(self, tmp_path):
+        """A finite ``u1`` whose ``u1 @ u1.T`` overflows is rejected when the
+        file loads, without a RuntimeWarning, not at scoring."""
+        path = tmp_path / "x.plda"
+        blob = np.zeros(2).tobytes() + np.array([[1e200], [1.0]]).tobytes() + np.eye(2).tobytes()
+        path.write_bytes(b"PLDA1" + struct.pack("<II", 2, 1) + blob)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with _raises_naming(path, "sigma_between has non-finite entries"):
+                load_plda(path)
+            with pytest.raises(ValueError, match="lambda_prec is not symmetric"):
+                PldaModel(np.zeros(2), np.zeros((2, 1)), [[1e300, 1e299], [0.0, 1e300]])
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: IdvTransform(IdvVariant.MODIFIED, [[1e300, 1e299], [0.0, 1e300]],
+                                  np.eye(2), 0.0), "s_idv is not symmetric"),
+            (lambda: IdvTransform(IdvVariant.MODIFIED, np.eye(2), 1e200 * np.eye(2), 0.0),
+             "decorrelator does not whiten"),
+            (lambda: LdaTransform([[1e300], [1e300]], [1.0]), "column 0 is not unit length"),
+        ],
+    )
+    def test_huge_finite_entries_fail_without_overflow_warnings(self, build, message):
+        """The overflowing norms and products of the fuzzed model files are
+        read as failed checks, without a RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                build()
 
     @pytest.mark.parametrize("loader", [load_ivectors, load_lda, load_idv, load_plda])
     def test_short_header(self, tmp_path, loader):

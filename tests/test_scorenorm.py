@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from svbackend import scorenorm
 from svbackend.dataset import DurationNoiseModel, apply_duration_noise
 from svbackend.gplda import PldaModel, ScoreSet, score_trials
 from svbackend.scorenorm import cohort_score_matrix, snorm, snorm_from_cohort_scores
 
 from conftest import make_dataset, make_trials
+from oracles import row_mean_std
 
 
 def two_trial_scores():
@@ -108,6 +110,16 @@ class TestFormula:
         message = rf"{side} cohort scores must be one row per {side} id \(2\), got shape \(1, 3\)"
         with pytest.raises(ValueError, match=message):
             snorm_from_cohort_scores(two_trial_scores(), short["enrol"], short["test"])
+
+    @pytest.mark.parametrize("block", [1, 40, 1 << 16])
+    @pytest.mark.parametrize("shape", [(1, 2), (37, 11), (9, 1500)])
+    def test_row_block_stats_bit_identical_to_whole_matrix(self, rng, monkeypatch, block, shape):
+        monkeypatch.setattr(scorenorm, "_STATS_BLOCK", block)
+        scale = 10.0 ** rng.integers(-3, 4, size=(shape[0], 1))
+        scores = scale * rng.standard_normal(shape) + 5.0
+        mu, sd = scorenorm._side_stats("enrol", scores, [f"e{i}" for i in range(shape[0])])
+        ref_mu, ref_sd = row_mean_std(scores)
+        assert np.array_equal(mu, ref_mu) and np.array_equal(sd, ref_sd)
 
     def test_degenerate_cohort_reports_side_and_id(self):
         scores = two_trial_scores()
