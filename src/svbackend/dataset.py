@@ -598,6 +598,30 @@ def naming_utf8_errors(path: str | Path) -> Iterator[None]:
         raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
 
 
+def csv_records(
+    path: str | Path, lines: Iterable[str], line_num: int = 0
+) -> Iterator[tuple[list[str], int]]:
+    """Each row ``csv.reader`` reads from ``lines`` (blank rows too) and the
+    line it ends on, the first of ``lines`` being line ``line_num + 1``.  A
+    ``csv.Error`` (say, a field over ``csv.field_size_limit()``) raises
+    ``ValueError`` naming the file and line."""
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            yield row, line_num + reader.line_num
+    except csv.Error as e:
+        raise ValueError(f"{path}: line {line_num + reader.line_num}: {e}") from None
+
+
+def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """A CSV table: the ``columns`` header, then ``rows`` as ``csv.writer``
+    renders them (a float as its ``repr``, None as a blank)."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows(rows)
+
+
 def csv_fields(texts: Iterable[str]) -> list[str]:
     """Each text as ``csv.writer`` renders it inside a row (quoted when needed)."""
     buf = io.StringIO()
@@ -630,17 +654,16 @@ def _load_csv(path: Path) -> Dataset:
     rows: list[list[float]] = []
     lines: list[int] = []
     with open(path, newline="", encoding="utf-8") as f, naming_utf8_errors(path):
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or header[:4] != _CSV_FIXED_COLUMNS:
+        records = csv_records(path, f)
+        header, _ = next(records, ([], 0))
+        if header[:4] != _CSV_FIXED_COLUMNS:
             raise ValueError(f"{path}: missing or malformed header")
         dim = len(header) - 4
         if dim < 1:
             raise ValueError(f"{path}: header carries no value columns")
-        for row in reader:
+        for row, lineno in records:
             if not row:
                 continue
-            lineno = reader.line_num
             if len(row) != 4 + dim:
                 raise ValueError(
                     f"{path}: line {lineno}: expected {4 + dim} fields, got {len(row)}"
@@ -791,6 +814,9 @@ class TrialList:
 TRIAL_LABELS = {"target": True, "nontarget": False}
 
 
+#: A block's fields (row after row), the line of each row and the block's last line.
+Block = tuple[list[str], Sequence[int], int]
+
 #: Characters read per step by ``text_blocks``.
 _READ_BLOCK = 1 << 20
 
@@ -805,9 +831,10 @@ def text_blocks(f: TextIO) -> Iterator[str]:
         yield text + f.readline()
 
 
-def block_fields(text: str, sep: str, width: int, empty_ok: bool) -> list[str] | None:
-    """The fields of every line of ``text``, row after row, if each line is
-    ``width`` fields joined by single ``sep`` characters; else None.
+def block_fields(text: str, sep: str, width: int, line_num: int, empty_ok: bool) -> Block | None:
+    """The fields of every line of ``text``, the first of which is line
+    ``line_num + 1``, if each line is ``width`` fields joined by single
+    ``sep`` characters; else None.
 
     Also None when a field is empty (unless ``empty_ok``) or longer than
     ``csv.field_size_limit()``.  Lines end in a newline, the last one
@@ -827,23 +854,49 @@ def block_fields(text: str, sep: str, width: int, empty_ok: bool) -> list[str] |
         return None
     fields = text.replace("\n", sep).split(sep)
     fields.pop()  # after the last newline
-    return fields
+    end = line_num + at.size // width
+    return fields, range(line_num + 1, end + 1), end
 
 
-def append_codes(codes: array, index: dict[str, int], ids: list[str]) -> None:
-    """Append the code of each of ``ids`` in ``index`` to ``codes``;
-    ``index`` first takes in the unseen ids in first-seen order."""
-    for utt in dict.fromkeys(ids):
-        index.setdefault(utt, len(index))
-    codes.frombytes(np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)).tobytes())
+class TrialColumns:
+    """A ``TrialList`` read a block at a time: ``add`` takes the fields and
+    lines of a ``Block`` of ``width``-field records, enrol id, test id and
+    label first; ``trial_list`` builds the list, ids in first-seen order."""
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = path
+        self.index: tuple[dict[str, int], dict[str, int]] = ({}, {})  # enrol, test
+        self.codes, self.is_target = (array("q"), array("q")), array("b")
+
+    def add(self, fields: list[str], width: int, lines: Sequence[int]) -> None:
+        """Append a block's trials; an unknown label raises ``ValueError``
+        naming the file and the line of its record."""
+        labels = fields[2::width]
+        try:
+            self.is_target.extend(map(TRIAL_LABELS.__getitem__, labels))
+        except KeyError:
+            k = next(k for k, label in enumerate(labels) if label not in TRIAL_LABELS)
+            raise ValueError(
+                f"{self.path}: line {lines[k]}: unknown label '{labels[k]}'"
+            ) from None
+        for side, (index, codes) in enumerate(zip(self.index, self.codes)):
+            ids = fields[side::width]
+            for utt in dict.fromkeys(ids):
+                index.setdefault(utt, len(index))
+            codes.frombytes(np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)).tobytes())
+
+    def trial_list(self) -> TrialList:
+        e_code, t_code = (np.frombuffer(c, dtype=np.int64) for c in self.codes)
+        return TrialList(*self.index, e_code, t_code, np.frombuffer(self.is_target, dtype=bool))
 
 
-def _trial_tokens(path: str | Path, lines: list[str], lineno: int) -> list[str]:
-    """The tokens of each non-blank line of ``lines``, the first of which is
+def _trial_tokens(path: str | Path, text: str, lineno: int) -> Block:
+    """The tokens of each non-blank line of ``text``, the first of which is
     line ``lineno + 1``; a line of other than three tokens or with an
     unknown label raises ``ValueError`` naming the file and line."""
     tokens: list[str] = []
-    for lineno, line in enumerate(lines, start=lineno + 1):
+    kept: list[int] = []
+    for lineno, line in enumerate(io.StringIO(text), start=lineno + 1):
         row = line.split()
         if not row:
             continue
@@ -852,7 +905,8 @@ def _trial_tokens(path: str | Path, lines: list[str], lineno: int) -> list[str]:
         if row[2] not in TRIAL_LABELS:
             raise ValueError(f"{path}: line {lineno}: unknown label '{row[2]}'")
         tokens += row
-    return tokens
+        kept.append(lineno)
+    return tokens, kept, lineno
 
 
 def load_trials(path: str | Path) -> TrialList:
@@ -863,38 +917,17 @@ def load_trials(path: str | Path) -> TrialList:
     whitespace, a blank line or non-ASCII text goes line by line through
     ``str.split``.  Errors name the file and line.
     """
-    e_index: dict[str, int] = {}
-    t_index: dict[str, int] = {}
-    e_code, t_code, is_target = array("q"), array("q"), array("b")
+    trials = TrialColumns(path)
     lineno = 0
     with open(path, encoding="utf-8") as f, naming_utf8_errors(path):
         for text in text_blocks(f):
-            tokens = None
+            split = None
             if text.isascii() and not any(c in text for c in _ODD_SPACE):
-                tokens = block_fields(text, " ", 3, empty_ok=False)
-            if tokens is None:
-                lines = text.split("\n")
-                if not lines[-1]:
-                    lines.pop()  # after the last newline
-                tokens = _trial_tokens(path, lines, lineno)
-                n_lines = len(lines)
-            else:
-                n_lines = len(tokens) // 3
-            labels = tokens[2::3]
-            try:
-                is_target.extend(map(TRIAL_LABELS.__getitem__, labels))
-            except KeyError:  # a block split at once holds one trial per line
-                k = next(k for k, label in enumerate(labels) if label not in TRIAL_LABELS)
-                raise ValueError(
-                    f"{path}: line {lineno + k + 1}: unknown label '{labels[k]}'"
-                ) from None
-            append_codes(e_code, e_index, tokens[0::3])
-            append_codes(t_code, t_index, tokens[1::3])
-            lineno += n_lines
-    return TrialList(
-        e_index, t_index, np.frombuffer(e_code, dtype=np.int64),
-        np.frombuffer(t_code, dtype=np.int64), np.frombuffer(is_target, dtype=bool),
-    )
+                split = block_fields(text, " ", 3, lineno, empty_ok=False)
+            tokens, lines, lineno = split or _trial_tokens(path, text, lineno)
+            trials.add(tokens, 3, lines)
+            del tokens, split  # before the next block is split
+    return trials.trial_list()
 
 
 def save_trials(trials: TrialList, path: str | Path) -> None:

@@ -29,7 +29,6 @@ closed form from the model covariances.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from array import array
@@ -42,9 +41,9 @@ from typing import Sequence, TextIO
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .dataset import TRIAL_LABELS, Dataset, TrialList, append_codes, block_fields, csv_fields
+from .dataset import Block, Dataset, TrialColumns, TrialList, block_fields, csv_fields
 from .dataset import is_symmetric, naming_utf8_errors, read_model_file, text_blocks
-from .dataset import write_model_file
+from .dataset import csv_records, write_csv, write_model_file
 
 PLDA_MAGIC = b"PLDA1"
 
@@ -468,11 +467,7 @@ def save_loglik_trace(m: PldaModel, path: str | Path) -> None:
     """Write the training log-likelihood trace as a two-column CSV."""
     if m.loglik_trace is None:
         raise ValueError("model carries no log-likelihood trace")
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["iteration", "loglik"])
-        for i, ll in enumerate(m.loglik_trace):
-            w.writerow([i, repr(ll)])
+    write_csv(path, ["iteration", "loglik"], enumerate(m.loglik_trace))
 
 
 # ---------------------------------------------------------------------------
@@ -521,27 +516,14 @@ def _score_texts(scores: np.ndarray) -> list[str]:
     return texts.tolist()
 
 
-def _record_line(path: str | Path, k: int) -> int:
-    """Line number of the ``k``-th (0-based) non-blank data row of a score CSV."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        next(reader, None)
-        for row in reader:
-            if row:
-                if k == 0:
-                    return reader.line_num
-                k -= 1
-    raise IndexError("score CSV has fewer rows than expected")
-
-
 def _float_or_nan(text: str) -> float:
     return float(text) if text else math.nan
 
 
 def _parse_scores(
-    path: str | Path, texts: list[str], first: int, what: str, blank_ok: bool
+    path: str | Path, texts: list[str], lines: Sequence[int], what: str, blank_ok: bool
 ) -> np.ndarray:
-    """Floats of one score column, for the data rows from ``first`` on.
+    """Floats of one score column of a block, ``lines[k]`` the line of ``texts[k]``.
 
     A blank reads as NaN when ``blank_ok``; every other value must be
     finite.  Errors name the file and line.  An all-blank column costs
@@ -562,34 +544,33 @@ def _parse_scores(
             try:
                 parse(text)
             except ValueError:
-                line = _record_line(path, first + k)
-                raise ValueError(f"{path}: line {line}: malformed score") from None
+                raise ValueError(f"{path}: line {lines[k]}: malformed score") from None
         raise
     bad = ~np.isfinite(vals)
     if blank is not None:
         bad &= ~blank
     if bad.any():
         k = int(np.argmax(bad))
-        line = _record_line(path, first + k)
-        raise ValueError(f"{path}: line {line}: non-finite {what} score '{texts[k]}'")
+        raise ValueError(f"{path}: line {lines[k]}: non-finite {what} score '{texts[k]}'")
     return vals
 
 
-def _csv_rows(path: str | Path, text: str, f: TextIO, line_num: int) -> tuple[list[str], int]:
-    """The fields of as many records as ``text`` has lines, from its first
-    line on, row after row, read by ``csv.reader`` (a quoted field may run
-    on into ``f``), and the number of lines read.  Blank rows are skipped;
-    a row of other than 5 fields raises ``ValueError`` naming the file and
-    line (the first line of ``text`` is line ``line_num + 1``)."""
+def _csv_rows(path: str | Path, text: str, f: TextIO, line_num: int) -> Block:
+    """As many records as ``text`` has lines, from its first line on, read
+    by ``csv.reader`` (a quoted field may run on into ``f``); a record's
+    line is the one it ends on.  Blank rows are skipped; a row of other
+    than 5 fields raises ``ValueError`` naming the file and line (the
+    first line of ``text`` is line ``line_num + 1``)."""
     lines = io.StringIO(text, newline="").readlines()  # split as ``f`` splits
-    reader = csv.reader(chain(lines, f))
     fields: list[str] = []
-    for row in islice(reader, len(lines)):
+    kept: list[int] = []
+    for row, line_num in islice(csv_records(path, chain(lines, f), line_num), len(lines)):
         if len(row) == len(SCORE_COLUMNS):
             fields += row
+            kept.append(line_num)
         elif row:
-            raise ValueError(f"{path}: line {line_num + reader.line_num}: expected 5 fields")
-    return fields, reader.line_num
+            raise ValueError(f"{path}: line {line_num}: expected 5 fields")
+    return fields, kept, line_num
 
 
 def read_scores(path: str | Path) -> ScoreSet:
@@ -597,43 +578,28 @@ def read_scores(path: str | Path) -> ScoreSet:
 
     The file is read in ``text_blocks``.  A block without quotes, carriage
     returns or blank lines and with 5 fields on every line is split at
-    once; any other block goes through ``csv.reader``.  Ids become codes
-    and scores are parsed a block column at a time; errors name the file
-    and line.
+    once; any other block goes through ``csv.reader``.  Scores are parsed
+    and trials added (``dataset.TrialColumns``) a block at a time, each
+    record with its line, so errors name the file and line without a
+    second read.
     """
     width = len(SCORE_COLUMNS)
-    index: tuple[dict[str, int], ...] = ({}, {}, {})  # enrol, test, label
-    codes = (array("q"), array("q"), array("q"))
+    trials = TrialColumns(path)
     raw, norm = array("d"), array("d")
     with open(path, newline="", encoding="utf-8") as f, naming_utf8_errors(path):
-        reader = csv.reader(f)
-        if next(reader, None) != SCORE_COLUMNS:
+        header, line_num = next(csv_records(path, f), (None, 0))
+        if header != SCORE_COLUMNS:
             raise ValueError(f"{path}: missing or malformed score header")
-        line_num = reader.line_num
         for text in text_blocks(f):
-            fields = None
+            split = None
             if '"' not in text and "\r" not in text:
-                fields = block_fields(text, ",", width, empty_ok=True)
-            if fields is None:
-                fields, n_lines = _csv_rows(path, text, f, line_num)
-            else:
-                n_lines = len(fields) // width
-            del text
-            line_num += n_lines
-            for c in range(3):
-                append_codes(codes[c], index[c], fields[c::width])
-            first = len(raw)
-            raws = _parse_scores(path, fields[3::width], first, "raw", blank_ok=False)
-            norms = _parse_scores(path, fields[4::width], first, "normalized", blank_ok=True)
+                split = block_fields(text, ",", width, line_num, empty_ok=True)
+            fields, lines, line_num = split or _csv_rows(path, text, f, line_num)
+            del text, split
+            raws = _parse_scores(path, fields[3::width], lines, "raw", blank_ok=False)
+            norms = _parse_scores(path, fields[4::width], lines, "normalized", blank_ok=True)
+            trials.add(fields, width, lines)
             raw.frombytes(raws.tobytes())
             norm.frombytes(norms.tobytes())
-    e_code, t_code, l_code = (np.frombuffer(c, dtype=np.int64) for c in codes)
-    labels = list(index[2])  # label text by code
-    bad = ~np.array([label in TRIAL_LABELS for label in labels], dtype=bool)[l_code]
-    if bad.any():
-        k = int(np.argmax(bad))
-        label = labels[l_code[k]]
-        raise ValueError(f"{path}: line {_record_line(path, k)}: unknown label '{label}'")
-    is_target = np.array([TRIAL_LABELS.get(label) for label in labels], dtype=bool)[l_code]
-    trials = TrialList(index[0], index[1], e_code, t_code, is_target)
-    return ScoreSet(trials, np.frombuffer(raw), np.frombuffer(norm))
+            del fields  # before the next block is split
+    return ScoreSet(trials.trial_list(), np.frombuffer(raw), np.frombuffer(norm))

@@ -14,15 +14,14 @@ the individual CLI subcommands by hand.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
 from collections import defaultdict
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from numbers import Real
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .dataset import (
     generator_config_from_dict,
     reject_unknown_keys,
     synth_dataset,
+    write_csv,
 )
 from .gplda import PldaModel, ScoreSet, length_normalize, score_trials, train_gplda
 from .idv import IdvTransform, apply_idv, estimate_modified_idv, estimate_original_idv
@@ -467,13 +467,6 @@ class PlotRow:
     gain_pct: float | None
 
 
-def _write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(columns)
-        w.writerows(rows)
-
-
 @dataclass(frozen=True)
 class ExperimentResult:
     report_rows: tuple[MetricReportRow, ...]
@@ -543,13 +536,10 @@ def run_study(
                     plot.append(PlotRow(dur, name, metric, val, gain))
     files = [out / f"{study.stem}_report.csv", out / f"{study.stem}_plot.csv"]
     write_metric_report(report, files[0])
-    _write_csv(files[1], PLOT_COLUMNS, (
-        (r.duration, r.system, r.metric, repr(r.value),
-         "" if r.gain_pct is None else repr(r.gain_pct)) for r in plot
-    ))
+    write_csv(files[1], PLOT_COLUMNS, map(astuple, plot))
     if study.reference is not None:
         files.append(out / f"{study.stem}_reference_full_scale.csv")
-        _write_csv(files[-1], *study.reference)
+        write_csv(files[-1], *study.reference)
     return ExperimentResult(tuple(report), tuple(plot), tuple(files))
 
 

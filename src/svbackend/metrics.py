@@ -17,14 +17,13 @@ increasing transform of the scores leaves them unchanged.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import check_fields
+from .dataset import check_fields, write_csv
 from .gplda import ScoreSet
 
 
@@ -191,7 +190,4 @@ def evaluate(
 
 def write_metric_report(rows: Iterable[MetricReportRow], path: str | Path) -> None:
     """One CSV row per report row, in ``REPORT_COLUMNS`` order, ``repr`` of each float."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(REPORT_COLUMNS)
-        w.writerows([repr(v) if isinstance(v, float) else v for v in astuple(r)] for r in rows)
+    write_csv(path, REPORT_COLUMNS, map(astuple, rows))

@@ -344,6 +344,7 @@ class TestScoreSetAndPersistence:
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,loglik"
         assert len(lines) == 1 + 4
+        assert lines[1:] == [f"{i},{ll!r}" for i, ll in enumerate(m.loglik_trace)]
 
     def test_scores_csv_round_trip(self, rng, tmp_path):
         trials = make_trials([("e1", "t1", True), ("e2", "t2", False)])
@@ -443,7 +444,7 @@ class TestScoreBlocks:
         assert str(err.value) == f"{path}: line 2: expected 5 fields"
 
     @pytest.mark.parametrize("chars", [1, 30, 1 << 20])
-    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("quoted", [False, True, "over two lines"])
     @pytest.mark.parametrize(
         "row, message",
         [
@@ -460,8 +461,17 @@ class TestScoreBlocks:
         self, tmp_path, monkeypatch, chars, quoted, row, message
     ):
         monkeypatch.setattr(dataset, "_READ_BLOCK", chars)
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(gplda, "open", counting_open, raising=False)
+        line = 8
         if quoted:  # the row's block then goes through csv.reader
-            row = row.replace("e9", '"e 9"')
+            row = row.replace("e9", '"e 9"' if quoted is True else '"e\n9"')
+            line += quoted is not True  # a record's line is the one it ends on
         path = tmp_path / "scores.csv"
         path.write_text(
             "enrol,test,label,raw_llr,norm_llr\ne1,t1,target,0.5,\n\n"
@@ -470,7 +480,8 @@ class TestScoreBlocks:
         )
         with pytest.raises(ValueError) as err:
             read_scores(path)
-        assert str(err.value) == f"{path}: line 8: {message}"
+        assert str(err.value) == f"{path}: line {line}: {message}"
+        assert opened == [path]  # the error is located without a second read
 
 
 class TestColumnarScores:

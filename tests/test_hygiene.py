@@ -5,11 +5,8 @@ from pathlib import Path
 
 import pytest
 
-MODULES = sorted(
-    p
-    for p in (Path(__file__).resolve().parent.parent / "src" / "svbackend").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = sorted((Path(__file__).resolve().parent.parent / "src" / "svbackend").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,3 +40,41 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (``_x``, not dunder) that no module of
+    ``sources`` (file name to source) reads, by name or as an attribute."""
+    defined: list[tuple[str, int, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            private = [n for n in names if n.startswith("_") and not n.startswith("__")]
+            defined += [(module, node.lineno, n) for n in private]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module} line {line}: {name}" for module, line, name in defined if name not in read]
+
+
+def test_checker_flags_an_unreferenced_private_name():
+    sources = {
+        "a.py": "_N = 1\n_M: int = 2\ndef _f():\n    return _N\ndef __dir__():\n    pass\n",
+        "b.py": "from . import a\nclass _C:\n    pass\nx = a._M\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py line 3: _f", "b.py line 2: _C"]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unreferenced_private_names(sources) == []

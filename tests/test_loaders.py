@@ -1,8 +1,10 @@
 """Binary and CSV loaders: invalid contents name the file, and fuzzed files
 fail only with a ``ValueError`` naming the file or load as valid objects."""
 
+import csv
 import functools
 import math
+import re
 import struct
 import tempfile
 import warnings
@@ -34,6 +36,12 @@ def _ivec_record(utt: bytes, spk: bytes, dom: bytes, duration: float, values) ->
 
 def _ivec_file(path, *records: bytes, dim: int = 2) -> None:
     path.write_bytes(b"IVEC1" + struct.pack("<IQ", dim, len(records)) + b"".join(records))
+
+
+_SCORE_HEAD = "enrol,test,label,raw_llr,norm_llr"
+
+#: An id longer than ``csv.field_size_limit()``.
+_LONG = "u" * 200_000
 
 
 def _raises_naming(path, pattern: str):
@@ -133,6 +141,28 @@ class TestContentErrorsNameTheFile:
         path = tmp_path / name
         path.write_bytes(b"\n".join(lines) + b"\n")
         with _raises_naming(path, f"line {len(lines)}: not valid UTF-8"):
+            loader(path)
+
+    @pytest.mark.parametrize(
+        "name, lines, loader",
+        [
+            ("scores.csv", [_SCORE_HEAD, "e1,t1,target,1.0,", f"{_LONG},t2,nontarget,0.5,"],
+             read_scores),
+            ("scores.csv", [_SCORE_HEAD, "e1,t1,target,1.0,", f'"{_LONG}",t2,nontarget,0.5,'],
+             read_scores),
+            ("scores.csv", [_SCORE_HEAD, f'e1,"t\n{_LONG}",target,1.0,'], read_scores),
+            ("scores.csv", [f"enrol,test,label,raw_llr,{_LONG}"], read_scores),
+            ("x.csv", ["id,speaker,domain,duration,v0", "a,s,in,1.0,1.0", f"{_LONG},s,in,1.0,2.0"],
+             functools.partial(load_ivectors, format="csv")),
+        ],
+        ids=["score-id", "score-quoted-id", "score-multiline-id", "score-header", "ivector-id"],
+    )
+    def test_csv_field_over_the_size_limit_names_the_line(self, tmp_path, name, lines, loader):
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        n_lines = sum(line.count("\n") + 1 for line in lines)
+        message = f"field larger than field limit ({csv.field_size_limit()})"
+        with _raises_naming(path, f"line {n_lines}: {re.escape(message)}$"):
             loader(path)
 
     def test_idv_non_whitening_decorrelator(self, tmp_path):
