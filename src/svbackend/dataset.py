@@ -248,8 +248,7 @@ class DurationNoiseModel:
     exponent: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.sigma0 < 0:
-            raise ValueError("sigma0 must be nonnegative")
+        check_fields(self, dict(sigma0=0.0))
         if not self.duration_ref_sec > 0:
             raise ValueError("duration_ref_sec must be positive")
 
@@ -304,8 +303,7 @@ class GeneratorConfig:
             raise ValueError("invalid config: scales must be nonnegative")
         if self.out_channel_scale is not None and self.out_channel_scale < 0:
             raise ValueError("invalid config: scales must be nonnegative")
-        if not self.duration_ref_sec > 0:
-            raise ValueError("invalid config: duration_ref_sec must be positive")
+        self.noise_model  # checks the duration-noise fields
         offset = self.domain_offset
         if offset is None:
             offset = np.zeros(self.dim)

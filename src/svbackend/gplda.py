@@ -399,11 +399,6 @@ class ScoreSet:
             return self.normalized
         raise ValueError(f"unknown score kind '{which}'")
 
-    def tar_non(self, which: str = "raw") -> tuple[np.ndarray, np.ndarray]:
-        vals = self.values(which)
-        labels = self.trial_list.is_target
-        return vals[labels], vals[~labels]
-
     def with_normalized(self, normalized: Sequence[float] | np.ndarray) -> "ScoreSet":
         if len(normalized) != len(self):
             raise ValueError("need one normalized score per trial")
@@ -412,7 +407,7 @@ class ScoreSet:
         return ScoreSet(self.trial_list, self.raw, normalized)
 
 
-def _dataset_rows(ds: Dataset, ids: Sequence[str], code: np.ndarray, side: str) -> np.ndarray:
+def dataset_rows(ds: Dataset, ids: Sequence[str], code: np.ndarray, side: str) -> np.ndarray:
     """Positions in ``ds`` of an id table; unknown ids name their first trial."""
     index = {utt: i for i, utt in enumerate(ds.ids)}
     rows = np.empty(len(ids), dtype=np.intp)
@@ -440,8 +435,8 @@ def score_trials(
     """
     if enrol.dim != m.dim or test.dim != m.dim:
         raise ValueError(f"model expects dimension {m.dim}")
-    e_rows = _dataset_rows(enrol, trials.enrol_ids, trials.enrol_code, "enrol")
-    t_rows = _dataset_rows(test, trials.test_ids, trials.test_code, "test")
+    e_rows = dataset_rows(enrol, trials.enrol_ids, trials.enrol_code, "enrol")
+    t_rows = dataset_rows(test, trials.test_ids, trials.test_code, "test")
     grid = pair_llr(m, enrol.matrix()[e_rows], test.matrix()[t_rows])
     return ScoreSet(trials, grid[trials.enrol_code, trials.test_code])
 

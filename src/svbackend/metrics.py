@@ -2,7 +2,8 @@
 
 Threshold semantics: a trial is accepted as "target" when its score is
 at least the threshold; candidate thresholds are the distinct score
-values plus both infinities, so ties are evaluated at the tied value.
+values plus +inf (-inf would repeat the lowest score's point), so ties
+are evaluated at the tied value.
 Each threshold yields an operating point (false-alarm rate, miss rate).
 
 EER is read off the lower convex hull of the operating points in the
@@ -53,35 +54,32 @@ class DcfResult(NamedTuple):
     min_dcf_normalized: float
 
 
-def _staircase(tar: np.ndarray, non: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Operating points (FA, MISS) for every candidate threshold, ascending.
+def _staircase(values: np.ndarray, is_target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Operating points (FA, MISS) at each distinct score, ascending, then at +inf.
 
-    Returned as two arrays; the first point is (1, 0) and the last (0, 1).
+    Counted from the pooled scores: the number of targets and nontargets
+    below each threshold.  The first point, the lowest score, accepts every
+    trial and is (1, 0); the last is (0, 1).  Each distinct score moves at
+    least one count, so no two consecutive points are equal.
     """
-    thresholds = np.unique(np.concatenate([tar, non]))
-    tar_sorted = np.sort(tar)
-    non_sorted = np.sort(non)
-    fa = (non.size - np.searchsorted(non_sorted, thresholds, side="left")) / non.size
-    miss = np.searchsorted(tar_sorted, thresholds, side="left") / tar.size
-    return np.concatenate([[1.0], fa, [0.0]]), np.concatenate([[0.0], miss, [1.0]])
-
-
-def _distinct(fa: np.ndarray, miss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The staircase with consecutive duplicate points collapsed."""
-    new = np.ones(fa.size, dtype=bool)
-    new[1:] = (fa[1:] != fa[:-1]) | (miss[1:] != miss[:-1])
-    return fa[new], miss[new]
+    thresholds, at = np.unique(values, return_counts=True)
+    tar_values, tar_counts = np.unique(values[is_target], return_counts=True)
+    tar_at = np.zeros_like(at)
+    tar_at[np.searchsorted(thresholds, tar_values)] = tar_counts
+    tar_below = np.concatenate([[0], np.cumsum(tar_at)])
+    non_below = np.concatenate([[0], np.cumsum(at - tar_at)])
+    n_tar, n_non = tar_below[-1], non_below[-1]
+    return (n_non - non_below) / n_non, tar_below / n_tar
 
 
 def _corners(fa: np.ndarray, miss: np.ndarray) -> list[tuple[float, float]]:
-    """Distinct staircase points without the interior points of horizontal
-    and vertical runs.
+    """Staircase points without the interior points of horizontal and
+    vertical runs.
 
     Such an interior point is exactly collinear with its neighbours (the
     cross product in ``_lower_hull`` is exactly 0), so the hull pops it
     anyway: dropping it first leaves the hull, and the EER, unchanged.
     """
-    fa, miss = _distinct(fa, miss)
     keep = np.ones(fa.size, dtype=bool)
     keep[1:-1] = ~(
         ((fa[:-2] == fa[1:-1]) & (fa[1:-1] == fa[2:]))
@@ -118,11 +116,11 @@ def _hull_eer(points: Sequence[tuple[float, float]]) -> float:
 
 
 def _staircase_of(scores: ScoreSet, which: str) -> tuple[np.ndarray, np.ndarray]:
-    """``_staircase`` of one score column's target and nontarget scores."""
-    tar, non = scores.tar_non(which)
-    if tar.size == 0 or non.size == 0:
+    """``_staircase`` of one score column."""
+    values, is_target = scores.values(which), scores.trial_list.is_target
+    if is_target.all() or not is_target.any():
         raise ValueError("score set needs at least one target and one nontarget trial")
-    return _staircase(tar, non)
+    return _staircase(values, is_target)
 
 
 def _min_dcf(fa: np.ndarray, miss: np.ndarray, params: DcfParams) -> DcfResult:
@@ -146,11 +144,9 @@ def min_dcf(scores: ScoreSet, params: DcfParams = DcfParams(), which: str = "raw
 
 
 def det_points(scores: ScoreSet, which: str = "raw") -> list[tuple[float, float]]:
-    """DET staircase: (FA, MISS) per threshold, FA non-increasing.
-
-    Consecutive duplicate points are collapsed.
-    """
-    fa, miss = _distinct(*_staircase_of(scores, which))
+    """DET staircase: (FA, MISS) per threshold, FA non-increasing, no two
+    consecutive points equal."""
+    fa, miss = _staircase_of(scores, which)
     return list(zip(fa.tolist(), miss.tolist()))
 
 

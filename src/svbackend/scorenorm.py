@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .gplda import PldaModel, ScoreSet, _dataset_rows, pair_llr
+from .gplda import PldaModel, ScoreSet, dataset_rows, pair_llr
 
 
 def cohort_score_matrix(m: PldaModel, ds: Dataset, cohort: Dataset) -> np.ndarray:
@@ -94,7 +94,7 @@ def snorm(
     tl = scores.trial_list
 
     def side_scores(side: str, ds: Dataset, ids: Sequence[str], code: np.ndarray) -> np.ndarray:
-        return cohort_score_matrix(m, ds.subset(_dataset_rows(ds, ids, code, side)), cohort)
+        return cohort_score_matrix(m, ds.subset(dataset_rows(ds, ids, code, side)), cohort)
 
     return snorm_from_cohort_scores(
         scores,

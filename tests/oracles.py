@@ -212,6 +212,18 @@ def operating_points(tar: np.ndarray, non: np.ndarray) -> list[tuple[float, floa
     return points
 
 
+def sorted_staircase(tar: np.ndarray, non: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(FA, MISS) arrays by searching the thresholds in each sorted class,
+    with the (1, 0) point prepended and consecutive duplicates collapsed."""
+    thresholds = np.unique(np.concatenate([tar, non]))
+    fa = (non.size - np.searchsorted(np.sort(non), thresholds, side="left")) / non.size
+    miss = np.searchsorted(np.sort(tar), thresholds, side="left") / tar.size
+    fa, miss = np.concatenate([[1.0], fa, [0.0]]), np.concatenate([[0.0], miss, [1.0]])
+    new = np.ones(fa.size, dtype=bool)
+    new[1:] = (fa[1:] != fa[:-1]) | (miss[1:] != miss[:-1])
+    return fa[new], miss[new]
+
+
 def eer_brute(tar: np.ndarray, non: np.ndarray) -> float:
     """Smallest achievable FA == MISS rate over all threshold pairs.
 

@@ -108,6 +108,8 @@ class TestGenerator:
             GeneratorConfig(dim=4, eigenvoice_dim=2, speaker_scale=-1.0)
         with pytest.raises(ValueError, match="domain_offset"):
             GeneratorConfig(dim=4, eigenvoice_dim=2, domain_offset=np.zeros(3))
+        with pytest.raises(ValueError, match="^duration_ref_sec must be positive"):
+            GeneratorConfig(dim=4, eigenvoice_dim=2, duration_ref_sec=0.0)
 
     def test_subspace_shared_across_seeds(self):
         a = GeneratorConfig(dim=6, eigenvoice_dim=3, n_speakers=2, seed=1, subspace_seed=42)
@@ -158,6 +160,21 @@ class TestDurationNoise:
         ds = make_dataset(np.zeros((1, 2)))
         with pytest.raises(ValueError, match="positive"):
             apply_duration_noise(ds, 0.0, DurationNoiseModel(0.1, 60.0), seed=0)
+
+    @pytest.mark.parametrize(
+        "field, args",
+        [
+            ("sigma0", (float("nan"), 100.0)),
+            ("sigma0", (-0.1, 100.0)),
+            ("duration_ref_sec", (0.1, float("inf"))),
+            ("duration_ref_sec", (0.1, 0.0)),
+            ("exponent", (0.1, 100.0, float("inf"))),
+            ("exponent", (0.1, 100.0, float("nan"))),
+        ],
+    )
+    def test_rejects_bad_parameters(self, field, args):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            DurationNoiseModel(*args)
 
 
 class TestIvectorIO:

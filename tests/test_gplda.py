@@ -28,7 +28,7 @@ from svbackend.gplda import (
     write_scores,
 )
 
-from svbackend.gplda import _speaker_stats
+from svbackend.gplda import _speaker_stats, _spd_inverse
 
 from conftest import make_dataset, make_trials, shuffled_labeled_datasets
 from oracles import pair_llr_two_grids, plda_pair_llr, speaker_loop_stats, speaker_rows
@@ -190,6 +190,21 @@ class TestTraining:
             np.linalg.norm(m.sigma_between - moment_between) / np.linalg.norm(moment_between)
             <= 0.05
         )
+
+    def test_constant_coordinate_is_ridged_not_fatal(self, rng):
+        # column 4 never varies, so every covariance EM forms is singular
+        ds = labeled_gaussian_dataset(rng, n_speakers=20, sessions=4, dim=5)
+        values = ds.matrix().copy()
+        values[:, 4] = 1.0
+        ds = make_dataset(values, speakers=ds.row_speakers())
+        m = train_gplda(ds, q=2, iters=3, seed=0)
+        for a in (m.mean, m.u1, m.lambda_prec, m.sigma_within, np.array(m.loglik_trace)):
+            assert np.all(np.isfinite(a))
+        assert np.linalg.eigvalsh(m.sigma_within)[0] > 0
+
+    def test_indefinite_matrix_names_itself(self):
+        with pytest.raises(ValueError, match="^test matrix is not positive definite"):
+            _spd_inverse(np.diag([1.0, -1.0]), "test matrix")
 
     def test_full_q_matches_total_covariance(self, rng):
         ds = labeled_gaussian_dataset(rng, n_speakers=40, sessions=6, dim=4)

@@ -78,3 +78,32 @@ def test_checker_flags_an_unreferenced_private_name():
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unreferenced_private_names(sources) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Private names (``_x``, not dunder) a module imports from a module of
+    its own package, relatively or as ``svbackend.<module>``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "svbackend"
+        ):
+            found += [
+                f"line {node.lineno}: {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.startswith("__")
+            ]
+    return found
+
+
+def test_checker_flags_a_private_import():
+    source = (
+        "from .gplda import _rows, pair_llr\nfrom os import _exit\n"
+        "from svbackend.dataset import _seed\nfrom . import __version__\n"
+    )
+    assert private_imports(source) == ["line 1: _rows", "line 3: _seed"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_private_name_crosses_modules(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

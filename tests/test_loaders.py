@@ -98,6 +98,25 @@ class TestContentErrorsNameTheFile:
         with _raises_naming(path, "line 2: ivector 'a': duration_sec must be positive"):
             load_ivectors(path, "csv")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "missing or malformed header"),
+            ("id,speaker,dom,duration,v0\n", "missing or malformed header"),
+            ("id,speaker,domain,duration\n", "header carries no value columns"),
+            ("id,speaker,domain,duration,v0\na,s,far,1.0,1.0\n", "line 2: unknown domain 'far'"),
+            ("id,speaker,domain,duration,v0\na,s,in,1.0,x\n", "line 2: malformed number"),
+            # the skipped blank row still counts as a line
+            ("id,speaker,domain,duration,v0\na,s,in,1.0,1.0\n\nb,s,in,,1.0\n",
+             "line 4: malformed number"),
+        ],
+    )
+    def test_csv_structure_names_the_line(self, tmp_path, text, message):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        with _raises_naming(path, re.escape(message) + "$"):
+            load_ivectors(path, "csv")
+
     def test_lda_invalid_transform(self, tmp_path):
         path = tmp_path / "x.lda"
         d, k = 2, 3

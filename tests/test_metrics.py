@@ -19,7 +19,7 @@ from svbackend.metrics import (
 )
 
 from conftest import make_scoreset
-from oracles import eer_brute, min_dcf_brute, operating_points
+from oracles import eer_brute, min_dcf_brute, operating_points, sorted_staircase
 
 
 class TestPinnedCases:
@@ -110,7 +110,7 @@ class TestColumnarMetrics:
         # ties on the half-integer grid make long horizontal, vertical and
         # diagonal runs in the staircase
         ss = make_scoreset(tar, non)
-        fa, miss = _staircase(np.array(tar), np.array(non))
+        fa, miss = _staircase(ss.raw, ss.trial_list.is_target)
         full = list(zip(fa.tolist(), miss.tolist()))
         assert eer(ss) == _hull_eer(full)
         p = DcfParams()
@@ -120,9 +120,26 @@ class TestColumnarMetrics:
         assert min_dcf(ss, p).min_dcf == min(loop_costs)
 
     def test_separated_staircase_prunes_to_three_corners(self):
-        fa, miss = _staircase(np.arange(100.0) + 100.0, np.arange(100.0))
-        assert fa.size == 202
+        fa, miss = _staircase(np.arange(200.0), np.arange(200) >= 100)
+        assert fa.size == 201
         assert _corners(fa, miss) == [(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(tar=_HALF_INTEGERS, non=_HALF_INTEGERS)
+    def test_counted_staircase_equals_sorted_staircase(self, tar, non):
+        ss = make_scoreset(tar, non)
+        fa, miss = _staircase(ss.raw, ss.trial_list.is_target)
+        ref_fa, ref_miss = sorted_staircase(np.array(tar), np.array(non))
+        assert np.array_equal(fa, ref_fa) and np.array_equal(miss, ref_miss)
+
+    @pytest.mark.parametrize("target_share", [0.01, 0.5])
+    def test_counted_staircase_equals_sorted_staircase_at_scale(self, rng, target_share):
+        # 250k interleaved trials on a 0.01 grid: most thresholds are tied
+        is_target = rng.random(250_000) < target_share
+        values = np.round(rng.standard_normal(is_target.size) + 2.0 * is_target, 2)
+        fa, miss = _staircase(values, is_target)
+        ref_fa, ref_miss = sorted_staircase(values[is_target], values[~is_target])
+        assert np.array_equal(fa, ref_fa) and np.array_equal(miss, ref_miss)
 
 
 class TestInvariance:
