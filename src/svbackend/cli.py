@@ -48,8 +48,7 @@ def _generator_from_args(args: argparse.Namespace) -> GeneratorConfig:
         fields = dict(dim=50, n_speakers=20, sessions_per_speaker=5) | overrides
         return GeneratorConfig(**fields, eigenvoice_dim=min(10, fields["dim"]))
     try:
-        with open(args.config) as f:
-            blob = json.load(f)
+        blob = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if isinstance(blob, dict):  # the flags replace the file's fields before any check
             blob = blob | overrides
         return generator_config_from_dict(blob)
@@ -151,13 +150,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    if args.config:
-        try:
-            cfg = harness.load_config(args.config)
-        except ValueError as e:
-            raise ValueError(f"{args.config}: {e}") from None
-    else:
-        cfg = harness.default_experiment_config()
+    cfg = harness.load_config(args.config) if args.config else harness.default_experiment_config()
     overrides = {}
     if args.out_dir:
         overrides["output_dir"] = args.out_dir
@@ -195,10 +188,6 @@ def _comma_list(parse: Callable[[str], object], expected: str) -> Callable[[str]
         return tuple(values)
 
     return parse_list
-
-
-def _duration(tok: str) -> float | None:
-    return None if tok == "full" else float(tok)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="override the config's output directory")
     p.add_argument("--seeds", type=_comma_list(int, "an integer"),
                    help="comma-separated run seeds override")
-    p.add_argument("--durations", type=_comma_list(_duration, "a number or 'full'"),
+    p.add_argument("--durations", type=_comma_list(harness.parse_duration, "a number or 'full'"),
                    help="comma-separated durations override ('full' allowed)")
     p.add_argument("--snorm", choices=list(harness.SNORM_CHOICES))
     p.set_defaults(fn=_cmd_experiment)

@@ -13,7 +13,6 @@ operation is a pure function of its inputs and an explicit seed.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import math
@@ -23,7 +22,7 @@ from array import array
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -580,33 +579,26 @@ def _load_binary(path: Path) -> Dataset:
 _CSV_FIXED_COLUMNS = ["id", "speaker", "domain", "duration"]
 
 
-@contextlib.contextmanager
-def naming_utf8_errors(path: str | Path) -> Iterator[None]:
-    """Turn a ``UnicodeDecodeError`` raised while reading the text file
-    ``path`` into a ``ValueError`` naming it and its first non-UTF-8 line."""
-    try:
-        yield
-    except UnicodeDecodeError:
-        with open(path, "rb") as f:
-            for lineno, line in enumerate(f, start=1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError:
-                    break
-        raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
-
-
 def csv_records(
-    path: str | Path, lines: Iterable[str], line_num: int = 0
-) -> Iterator[tuple[list[str], int]]:
-    """Each row ``csv.reader`` reads from ``lines`` (blank rows too) and the
-    line it ends on, the first of ``lines`` being line ``line_num + 1``.  A
-    ``csv.Error`` (say, a field over ``csv.field_size_limit()``) raises
-    ``ValueError`` naming the file and line."""
-    reader = csv.reader(lines)
+    path: str | Path, texts: Iterable[str], line_num: int = 0
+) -> Iterator[tuple[list[str], int, bool]]:
+    """Each row ``csv.reader`` reads from the lines of ``texts`` (split as by a
+    file opened with ``newline=""``; blank rows too), the line it ends on (the
+    first is ``line_num + 1``) and whether that line ends a text.  A
+    ``csv.Error`` raises ``ValueError`` naming the file and line."""
+    read = 0  # lines in the texts begun so far
+
+    def lines() -> Iterator[str]:
+        nonlocal read
+        for text in texts:
+            text_lines = io.StringIO(text, newline="").readlines()
+            read += len(text_lines)
+            yield from text_lines
+
+    reader = csv.reader(lines())
     try:
         for row in reader:
-            yield row, line_num + reader.line_num
+            yield row, line_num + reader.line_num, reader.line_num == read
     except csv.Error as e:
         raise ValueError(f"{path}: line {line_num + reader.line_num}: {e}") from None
 
@@ -651,15 +643,15 @@ def _load_csv(path: Path) -> Dataset:
     durations: list[float] = []
     rows: list[list[float]] = []
     lines: list[int] = []
-    with open(path, newline="", encoding="utf-8") as f, naming_utf8_errors(path):
-        records = csv_records(path, f)
-        header, _ = next(records, ([], 0))
+    with open(path, "rb") as f:
+        records = csv_records(path, (text for _, text in line_blocks(path, f)))
+        header, _, _ = next(records, ([], 0, True))
         if header[:4] != _CSV_FIXED_COLUMNS:
             raise ValueError(f"{path}: missing or malformed header")
         dim = len(header) - 4
         if dim < 1:
             raise ValueError(f"{path}: header carries no value columns")
-        for row, lineno in records:
+        for row, lineno, _ in records:
             if not row:
                 continue
             if len(row) != 4 + dim:
@@ -815,32 +807,43 @@ TRIAL_LABELS = {"target": True, "nontarget": False}
 #: A block's fields (row after row), the line of each row and the block's last line.
 Block = tuple[list[str], Sequence[int], int]
 
-#: Characters read per step by ``text_blocks``.
+#: Bytes read per step by ``line_blocks``.
 _READ_BLOCK = 1 << 20
 
 #: ASCII whitespace other than the space and the newline.
 _ODD_SPACE = "\t\v\f\r\x1c\x1d\x1e\x1f"
 
 
-def text_blocks(f: TextIO) -> Iterator[str]:
-    """The rest of text file ``f`` in blocks of whole lines, about
-    ``_READ_BLOCK`` characters each."""
-    while text := f.read(_READ_BLOCK):
-        yield text + f.readline()
+def line_blocks(path: str | Path, f: BinaryIO) -> Iterator[tuple[bytes, str]]:
+    """The rest of binary file ``f`` in blocks of whole ``\\n``-ended lines,
+    about ``_READ_BLOCK`` bytes each, as read and as decoded from UTF-8; a
+    bad byte raises ``ValueError`` naming the file and its ``\\n``-counted line."""
+    line_num = 0
+    while data := f.read(_READ_BLOCK):
+        data += f.readline()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = line_num + data.count(b"\n", 0, e.start) + 1
+            raise ValueError(f"{path}: line {line}: not valid UTF-8") from None
+        line_num += np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+        yield data, text
 
 
-def block_fields(text: str, sep: str, width: int, line_num: int, empty_ok: bool) -> Block | None:
-    """The fields of every line of ``text``, the first of which is line
-    ``line_num + 1``, if each line is ``width`` fields joined by single
-    ``sep`` characters; else None.
+def block_fields(
+    data: bytes, text: str, sep: str, width: int, line_num: int, empty_ok: bool
+) -> Block | None:
+    """The fields of every line of block ``text``, decoded from ``data``, the
+    first of which is line ``line_num + 1``, if each line is ``width`` fields
+    joined by single ``sep`` characters; else None.
 
     Also None when a field is empty (unless ``empty_ok``) or longer than
     ``csv.field_size_limit()``.  Lines end in a newline, the last one
     optionally.  The check is one pass over the separators' bytes.
     """
-    if not text.endswith("\n"):
-        text += "\n"
-    a = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    if not data.endswith(b"\n"):
+        data, text = data + b"\n", text + "\n"
+    a = np.frombuffer(data, dtype=np.uint8)
     at = np.flatnonzero((a == ord(sep)) | (a == ord("\n")))
     if at.size % width:
         return None
@@ -894,7 +897,7 @@ def _trial_tokens(path: str | Path, text: str, lineno: int) -> Block:
     unknown label raises ``ValueError`` naming the file and line."""
     tokens: list[str] = []
     kept: list[int] = []
-    for lineno, line in enumerate(io.StringIO(text), start=lineno + 1):
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=lineno + 1):
         row = line.split()
         if not row:
             continue
@@ -910,18 +913,20 @@ def _trial_tokens(path: str | Path, text: str, lineno: int) -> Block:
 def load_trials(path: str | Path) -> TrialList:
     """Parse a trial list of lines ``enrol test target|nontarget``.
 
-    The file is read in ``text_blocks``.  A block of ASCII lines of three
+    The file is read in ``line_blocks``.  A block of ASCII lines of three
     tokens split by single spaces is split at once; a block with other
     whitespace, a blank line or non-ASCII text goes line by line through
     ``str.split``.  Errors name the file and line.
     """
     trials = TrialColumns(path)
     lineno = 0
-    with open(path, encoding="utf-8") as f, naming_utf8_errors(path):
-        for text in text_blocks(f):
+    with open(path, "rb") as f:
+        for data, text in line_blocks(path, f):
+            if "\r" in text and data.count(b"\r") == data.count(b"\r\n"):  # CRLF only
+                data, text = data.replace(b"\r", b""), text.replace("\r", "")
             split = None
             if text.isascii() and not any(c in text for c in _ODD_SPACE):
-                split = block_fields(text, " ", 3, lineno, empty_ok=False)
+                split = block_fields(data, text, " ", 3, lineno, empty_ok=False)
             tokens, lines, lineno = split or _trial_tokens(path, text, lineno)
             trials.add(tokens, 3, lines)
             del tokens, split  # before the next block is split

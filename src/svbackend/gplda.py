@@ -34,16 +34,16 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .dataset import Block, Dataset, TrialColumns, TrialList, block_fields, csv_fields
-from .dataset import is_symmetric, naming_utf8_errors, read_model_file, text_blocks
-from .dataset import csv_records, write_csv, write_model_file
+from .dataset import csv_records, is_symmetric, line_blocks, read_model_file, write_csv
+from .dataset import write_model_file
 
 PLDA_MAGIC = b"PLDA1"
 
@@ -473,7 +473,7 @@ SCORE_COLUMNS = ["enrol", "test", "label", "raw_llr", "norm_llr"]
 
 
 #: Rows formatted per step of ``write_scores``; bounds the per-row strings
-#: held at once (``read_scores`` reads ``dataset.text_blocks``).
+#: held at once (``read_scores`` reads ``dataset.line_blocks``).
 _CSV_BLOCK = 1 << 14
 
 
@@ -550,47 +550,51 @@ def _parse_scores(
     return vals
 
 
-def _csv_rows(path: str | Path, text: str, f: TextIO, line_num: int) -> Block:
-    """As many records as ``text`` has lines, from its first line on, read
-    by ``csv.reader`` (a quoted field may run on into ``f``); a record's
-    line is the one it ends on.  Blank rows are skipped; a row of other
-    than 5 fields raises ``ValueError`` naming the file and line (the
-    first line of ``text`` is line ``line_num + 1``)."""
-    lines = io.StringIO(text, newline="").readlines()  # split as ``f`` splits
+def _csv_rows(path: str | Path, texts: Iterator[str], line_num: int) -> Block:
+    """The records in ``texts``, a block and the ones after it, up to the first
+    block end that is also a record end, each with the line it ends on (the
+    block's first is ``line_num + 1``).  Blank rows are skipped; a row of
+    other than 5 fields raises ``ValueError`` naming the file and line."""
     fields: list[str] = []
     kept: list[int] = []
-    for row, line_num in islice(csv_records(path, chain(lines, f), line_num), len(lines)):
+    for row, line_num, block_end in csv_records(path, texts, line_num):
         if len(row) == len(SCORE_COLUMNS):
             fields += row
             kept.append(line_num)
         elif row:
             raise ValueError(f"{path}: line {line_num}: expected 5 fields")
+        if block_end:
+            break
     return fields, kept, line_num
 
 
 def read_scores(path: str | Path) -> ScoreSet:
     """Read a score CSV written by ``write_scores``.
 
-    The file is read in ``text_blocks``.  A block without quotes, carriage
-    returns or blank lines and with 5 fields on every line is split at
-    once; any other block goes through ``csv.reader``.  Scores are parsed
-    and trials added (``dataset.TrialColumns``) a block at a time, each
-    record with its line, so errors name the file and line without a
-    second read.
+    The file is read in ``dataset.line_blocks``.  A block without quotes,
+    carriage returns or blank lines and with 5 fields on every line is
+    split at once; any other block goes through ``csv.reader``.  Scores
+    are parsed and trials added (``dataset.TrialColumns``) a block at a
+    time, each record with its line, so errors name the file and line
+    without a second read.
     """
     width = len(SCORE_COLUMNS)
     trials = TrialColumns(path)
     raw, norm = array("d"), array("d")
-    with open(path, newline="", encoding="utf-8") as f, naming_utf8_errors(path):
-        header, line_num = next(csv_records(path, f), (None, 0))
+    with open(path, "rb") as f:
+        blocks = line_blocks(path, f)
+        data, text = next(blocks, (b"", ""))
+        head = io.StringIO(text, newline="").readline()
+        header, line_num, _ = next(csv_records(path, [head]), (None, 0, True))
         if header != SCORE_COLUMNS:
             raise ValueError(f"{path}: missing or malformed score header")
-        for text in text_blocks(f):
+        texts = (t for _, t in blocks)  # for _csv_rows, which may read on
+        for data, text in chain([(data[len(head) :], text[len(head) :])], blocks):
             split = None
-            if '"' not in text and "\r" not in text:
-                split = block_fields(text, ",", width, line_num, empty_ok=True)
-            fields, lines, line_num = split or _csv_rows(path, text, f, line_num)
-            del text, split
+            if b'"' not in data and b"\r" not in data:
+                split = block_fields(data, text, ",", width, line_num, empty_ok=True)
+            fields, lines, line_num = split or _csv_rows(path, chain([text], texts), line_num)
+            del data, text, split
             raws = _parse_scores(path, fields[3::width], lines, "raw", blank_ok=False)
             norms = _parse_scores(path, fields[4::width], lines, "normalized", blank_ok=True)
             trials.add(fields, width, lines)

@@ -165,7 +165,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return d
 
 
-def _parse_duration(x: object) -> float | None:
+def parse_duration(x: object) -> float | None:
     if x is None or x == "full":
         return None
     try:
@@ -196,21 +196,23 @@ def config_from_dict(d: Mapping) -> ExperimentConfig:
     dcf = DcfParams(**dcf_d)
     durations = d.pop("durations", ["full"])
     if isinstance(durations, (list, tuple)):
-        durations = [_parse_duration(x) for x in durations]
+        durations = [parse_duration(x) for x in durations]
     return ExperimentConfig(
         generator=gen, durations=durations, seeds=d.pop("seeds", [0]), dcf=dcf, **d
     )
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    with open(path) as f:
-        return config_from_dict(json.load(f))
+    """The config in JSON file ``path``; a bad one raises ``ValueError`` naming it."""
+    try:
+        return config_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    with open(path, "w") as f:
-        json.dump(config_to_dict(cfg), f, indent=2, sort_keys=True)
-        f.write("\n")
+    text = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,48 @@ class TestTrialBlocks:
         with pytest.raises(ValueError, match="line 1: expected 'enrol test target|nontarget'"):
             load_trials(path)
 
+    @pytest.mark.parametrize("chars", [1, 7, 1 << 20])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"e1 t1 target\re2 t2 nontarget\r\re3 t3 target\r",
+            b"e1 t1 target\r\ne2 t2 nontarget\re3 t3 target\n\r\n",
+            b"\re1 t1 target\re2\tt2 nontarget\r\ne3 t3 target",
+        ],
+        ids=["cr", "mixed", "mixed-no-final-end"],
+    )
+    def test_lone_carriage_returns_end_lines(self, tmp_path, monkeypatch, chars, text):
+        monkeypatch.setattr(dataset, "_READ_BLOCK", chars)
+        path = tmp_path / "trials.txt"
+        path.write_bytes(text)
+        expected = make_trials([("e1", "t1", True), ("e2", "t2", False), ("e3", "t3", True)])
+        assert make_trials(trial_rows(path)) == expected
+        assert load_trials(path) == expected
+
+    @pytest.mark.parametrize("chars", [1, 7, 1 << 20])
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n", b"\n"])
+    def test_malformed_line_after_carriage_returns_names_its_line(
+        self, tmp_path, monkeypatch, chars, end
+    ):
+        monkeypatch.setattr(dataset, "_READ_BLOCK", chars)
+        path = tmp_path / "trials.txt"
+        path.write_bytes(b"e1 t1 target\r\re2 t2 nontarget\r\ne3 t3" + end + b"e4 t4 target" + end)
+        with pytest.raises(ValueError) as err:
+            load_trials(path)
+        assert str(err.value) == f"{path}: line 4: expected 'enrol test target|nontarget'"
+
+    @pytest.mark.parametrize("chars", [1, 7, 1 << 20])
+    def test_crlf_blocks_are_split_at_once(self, tmp_path, monkeypatch, chars):
+        def line_by_line(*args):
+            raise AssertionError("a CRLF block went line by line")
+
+        monkeypatch.setattr(dataset, "_READ_BLOCK", chars)
+        monkeypatch.setattr(dataset, "_trial_tokens", line_by_line)
+        path = tmp_path / "trials.txt"
+        path.write_bytes(b"e1 t1 target\r\ne2 t2 nontarget\r\ne1 t2 nontarget")
+        expected = make_trials([("e1", "t1", True), ("e2", "t2", False), ("e1", "t2", False)])
+        assert load_trials(path) == expected
+
     @pytest.mark.parametrize(
         "bad",
         ["e9 t9", "e9 t9 target x", "e9 t9 impostor", "e9\tt9  impostor", "e9 t9 Target",

@@ -458,6 +458,41 @@ class TestScoreBlocks:
             read_scores(path)
         assert str(err.value) == f"{path}: line 2: expected 5 fields"
 
+    @pytest.mark.parametrize("chars", [1, 7, 1 << 20])
+    @pytest.mark.parametrize(
+        "text, first",
+        [
+            (b"enrol,test,label,raw_llr,norm_llr\re1,t1,target,0.5,\r\r"
+             b"e2,t2,nontarget,-1.5,0.25\r", "e1"),
+            (b"enrol,test,label,raw_llr,norm_llr\r\ne1,t1,target,0.5,\r\n\r"
+             b"e2,t2,nontarget,-1.5,0.25\n", "e1"),
+            (b'enrol,test,label,raw_llr,norm_llr\n"e\n1",t1,target,0.5,\r'
+             b"e2,t2,nontarget,-1.5,0.25", "e\n1"),
+        ],
+        ids=["cr", "mixed", "quoted-then-cr"],
+    )
+    def test_lone_carriage_returns_end_lines(self, tmp_path, monkeypatch, chars, text, first):
+        monkeypatch.setattr(dataset, "_READ_BLOCK", chars)
+        path = tmp_path / "scores.csv"
+        path.write_bytes(text)
+        trials = make_trials([(first, "t1", True), ("e2", "t2", False)])
+        assert read_scores(path) == ScoreSet(trials, [0.5, -1.5], [np.nan, 0.25])
+
+    @pytest.mark.parametrize("chars", [1, 7, 1 << 20])
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n", b"\n"])
+    def test_malformed_row_after_carriage_returns_names_its_line(
+        self, tmp_path, monkeypatch, chars, end
+    ):
+        monkeypatch.setattr(dataset, "_READ_BLOCK", chars)
+        path = tmp_path / "scores.csv"
+        path.write_bytes(
+            b'enrol,test,label,raw_llr,norm_llr\re1,t1,target,0.5,\r\r"e\n2",t2,nontarget,1.5,'
+            + end + b"e3,t3,target,x," + end
+        )
+        with pytest.raises(ValueError) as err:
+            read_scores(path)
+        assert str(err.value) == f"{path}: line 6: malformed score"
+
     @pytest.mark.parametrize("chars", [1, 30, 1 << 20])
     @pytest.mark.parametrize("quoted", [False, True, "over two lines"])
     @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import svbackend
-from svbackend.cli import cli
+from svbackend.cli import build_parser, cli
 from svbackend.dataset import (
     GeneratorConfig,
     TrialList,
@@ -146,6 +146,23 @@ class TestConfig:
         assert set(d) == {f.name for f in fields(ExperimentConfig)}
         assert set(d["generator"]) == {f.name for f in fields(GeneratorConfig)}
         assert set(d["dcf"]) == {"c_miss", "c_fa", "p_target"}
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"seeds": [0],}', "Expecting property name"),
+            (b'{"bogus": 1}', "unknown experiment config key(s): bogus"),
+            (b'{"output_dir": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+            (b"[]", "experiment config must be a JSON object"),
+        ],
+        ids=["bad-json", "unknown-key", "bad-utf8", "json-list"],
+    )
+    def test_load_config_errors_name_the_file(self, tmp_path, content, message):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value).startswith(f"{path}: {message}")
 
     def test_duration_label(self):
         assert duration_label(None) == "full"
@@ -491,6 +508,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: argument {flag}: invalid entry {token}" in err
         assert not (tmp_path / "out").exists()
+
+    def test_durations_flag_parses_as_the_config_does(self, tmp_path, capsys):
+        assert cli(["experiment", "--durations", "x", "--out-dir", str(tmp_path)]) == 2
+        assert "invalid entry 'x', expected a number or 'full'" in capsys.readouterr().err
+        args = build_parser().parse_args(["experiment", "--durations", "full,10,2.5"])
+        assert args.durations == (None, 10.0, 2.5)
 
     def test_score_snorm_eval_build_no_per_trial_objects(self, tmp_path, capsys):
         rng = np.random.default_rng(5)

@@ -107,3 +107,40 @@ def test_checker_flags_a_private_import():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_private_name_crosses_modules(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def text_mode_opens(source: str) -> list[str]:
+    """Calls of ``open`` (a function or a method), ``read_text`` and
+    ``write_text`` that neither use a binary mode nor pass ``encoding=``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in ("open", "read_text", "write_text"):
+            continue
+        if any(kw.arg == "encoding" for kw in node.keywords):
+            continue
+        modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+        if name == "open":  # open(path, mode) or path.open(mode)
+            modes += node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+        if not any(isinstance(m, ast.Constant) and "b" in str(m.value) for m in modes):
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_checker_flags_a_text_mode_open():
+    source = (
+        'open(p)\nopen(p, "rb")\nopen(p, "w", encoding="utf-8")\nopen(p, mode="wb")\n'
+        'Path(p).read_text()\nPath(p).write_text(s, encoding="utf-8")\np.open("r")\n'
+        'p.open("rb")\nPath(p).write_text(s)\n'
+    )
+    assert text_mode_opens(source) == [
+        "line 1: open", "line 5: read_text", "line 7: open", "line 9: write_text"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_text_file_names_its_encoding(path):
+    assert text_mode_opens(path.read_text(encoding="utf-8")) == []

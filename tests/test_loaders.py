@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from svbackend import dataset, gplda
 from svbackend.dataset import load_ivectors, load_trials, save_ivectors
 from svbackend.gplda import PldaModel, load_plda, read_scores, save_plda
 from svbackend.idv import IdvTransform, IdvVariant, estimate_modified_idv, load_idv, save_idv
@@ -161,6 +162,55 @@ class TestContentErrorsNameTheFile:
         path.write_bytes(b"\n".join(lines) + b"\n")
         with _raises_naming(path, f"line {len(lines)}: not valid UTF-8"):
             loader(path)
+
+    @pytest.mark.parametrize("chars", [1, 30, 1 << 20])
+    @pytest.mark.parametrize(
+        "head, row, loader",
+        [
+            ([], "e{0} t{0} target", load_trials),
+            ([_SCORE_HEAD], "e{0},t{0},target,1.0,", read_scores),
+            (["id,speaker,domain,duration,v0"], "u{0},s,in,1.0,1.0",
+             functools.partial(load_ivectors, format="csv")),
+        ],
+        ids=["trials", "scores", "ivectors"],
+    )
+    def test_invalid_utf8_in_a_later_block_is_named_from_one_open(
+        self, tmp_path, monkeypatch, chars, head, row, loader
+    ):
+        monkeypatch.setattr(dataset, "_READ_BLOCK", chars)
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        for module in (dataset, gplda):
+            monkeypatch.setattr(module, "open", counting_open, raising=False)
+        lines = [line.encode() for line in head + [row.format(k) for k in range(60)]]
+        lines[50] = b"\xff" + lines[50]
+        path = tmp_path / "file"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with _raises_naming(path, "line 51: not valid UTF-8$"):
+            loader(path)
+        assert opened == [path]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "enrol,test,label,raw,norm_llr\ne1,t1,target,1.0,\n",
+            "enrol,test,label,raw_llr\ne1,t1,target,1.0,\n",
+            "enrol,test,label,raw_llr,norm_llr,x\ne1,t1,target,1.0,\n",
+            "\nenrol,test,label,raw_llr,norm_llr\ne1,t1,target,1.0,\n",
+            'enrol,test,label,raw_llr,"norm\n_llr"\ne1,t1,target,1.0,\n',
+        ],
+        ids=["empty", "wrong-names", "4-fields", "6-fields", "blank-first-line", "quoted-2-lines"],
+    )
+    def test_score_header_must_be_the_five_columns(self, tmp_path, text):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(text.encode())
+        with _raises_naming(path, "missing or malformed score header$"):
+            read_scores(path)
 
     @pytest.mark.parametrize(
         "name, lines, loader",
