@@ -27,7 +27,6 @@ from .gplda import (
     pair_llr,
     read_scores,
     save_plda,
-    score_trial,
     score_trials,
     train_gplda,
     write_scores,
@@ -42,13 +41,12 @@ from .idv import (
     save_idv,
 )
 from .lda import LdaTransform, apply_lda, load_lda, save_lda, scatter_matrices, train_lda
-from .metrics import DcfParams, DcfResult, det_points, eer, evaluate, min_dcf
+from .metrics import DcfParams, det_points, evaluate
 from .scorenorm import snorm, snorm_from_cohort_scores
 
 __all__ = [
     "Dataset",
     "DcfParams",
-    "DcfResult",
     "Domain",
     "DurationNoiseModel",
     "GeneratorConfig",
@@ -62,7 +60,6 @@ __all__ = [
     "apply_idv",
     "apply_lda",
     "det_points",
-    "eer",
     "estimate_modified_idv",
     "estimate_original_idv",
     "evaluate",
@@ -74,7 +71,6 @@ __all__ = [
     "load_plda",
     "load_trials",
     "marginal_loglik",
-    "min_dcf",
     "pair_llr",
     "read_scores",
     "save_idv",
@@ -83,7 +79,6 @@ __all__ = [
     "save_plda",
     "save_trials",
     "scatter_matrices",
-    "score_trial",
     "score_trials",
     "snorm",
     "snorm_from_cohort_scores",

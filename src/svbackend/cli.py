@@ -35,7 +35,8 @@ from .gplda import (
     train_gplda,
     write_scores,
 )
-from .idv import apply_idv, estimate_modified_idv, estimate_original_idv, load_idv, save_idv
+from .idv import IdvVariant, apply_idv, estimate_modified_idv, estimate_original_idv, load_idv
+from .idv import save_idv
 from .lda import apply_lda, load_lda, save_lda, train_lda
 from .metrics import DcfParams, evaluate, write_metric_report
 from .scorenorm import snorm
@@ -71,7 +72,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_train_idv(args: argparse.Namespace) -> int:
     out_ds = load_ivectors(args.out_domain, args.format)
     in_ds = load_ivectors(args.in_domain, args.format)
-    estimate = estimate_modified_idv if args.variant == "modified" else estimate_original_idv
+    modified = IdvVariant(args.variant) is IdvVariant.MODIFIED
+    estimate = estimate_modified_idv if modified else estimate_original_idv
     t = estimate(out_ds, in_ds, args.ridge)
     save_idv(t, args.output)
     print(f"wrote {args.variant} IDV transform (dim {t.dim}, ridge {t.ridge:g}) to {args.output}")
@@ -214,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-idv", help="estimate an IDV compensation transform")
     p.add_argument("--out-domain", required=True)
     p.add_argument("--in-domain", required=True)
-    p.add_argument("--variant", choices=["original", "modified"], default="modified")
+    p.add_argument("--variant", choices=[v.value for v in IdvVariant],
+                   default=IdvVariant.MODIFIED.value)
     p.add_argument("--ridge", type=float, default=1e-6, help="relative diagonal ridge")
     p.add_argument("--output", required=True)
     add_format(p)
@@ -274,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-target", type=float, default=0.01)
     p.add_argument("--condition", default="-")
     p.add_argument("--system", default="-")
-    p.add_argument("--report", help="also append a metric report CSV here")
+    p.add_argument("--report", help="also write a metric report CSV here (overwrites the file)")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("experiment", help="run a full synthetic study")

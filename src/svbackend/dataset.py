@@ -776,7 +776,7 @@ class TrialList:
 
     def trial_text(self, k: int) -> str:
         """Trial ``k`` as its trial-file line, ``enrol test target|nontarget``."""
-        label = "target" if self.is_target[k] else "nontarget"
+        label = LABEL_TEXT[int(self.is_target[k])]
         return f"{self.enrol_ids[self.enrol_code[k]]} {self.test_ids[self.test_code[k]]} {label}"
 
     def id_columns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -800,8 +800,9 @@ class TrialList:
         return f"TrialList({len(self)} trials over {n_e} enrol x {n_t} test ids)"
 
 
-#: Trial label text and whether it marks a target trial.
-TRIAL_LABELS = {"target": True, "nontarget": False}
+#: Trial label text by ``is_target`` (False, True), and the reverse map.
+LABEL_TEXT = ("nontarget", "target")
+TRIAL_LABELS = {text: bool(i) for i, text in enumerate(LABEL_TEXT)}
 
 
 #: A block's fields (row after row), the line of each row and the block's last line.
@@ -948,6 +949,6 @@ def save_trials(trials: TrialList, path: str | Path) -> None:
             f"{path}: trial {k} '{trials.trial_text(k)}': an id is empty or holds whitespace"
         )
     enrol, test = trials.id_columns()
-    labels = np.where(trials.is_target, "target", "nontarget")
-    lines = map("{} {} {}\n".format, enrol.tolist(), test.tolist(), labels.tolist())
+    labels = map(LABEL_TEXT.__getitem__, trials.is_target.tolist())
+    lines = map("{} {} {}\n".format, enrol.tolist(), test.tolist(), labels)
     Path(path).write_text("".join(lines), encoding="utf-8")

@@ -41,7 +41,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .dataset import Block, Dataset, TrialColumns, TrialList, block_fields, csv_fields
+from .dataset import LABEL_TEXT, Block, Dataset, TrialColumns, TrialList, block_fields, csv_fields
 from .dataset import csv_records, is_symmetric, line_blocks, read_model_file, write_csv
 from .dataset import write_model_file
 
@@ -292,7 +292,10 @@ def pair_llr(m: PldaModel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Same-speaker log-likelihood ratio of every row of ``u`` against every row of ``v``.
 
     Returns the (n_u, n_v) grid whose entry (i, j) scores the pair
-    ``(u[i], v[j])`` (see ``score_trial`` for the formula).  The cross
+    ``(u[i], v[j])`` of same speaker against independent speakers:
+    ``ln N([a; b]; 0, [[T, B], [B, T]]) - ln N(a; 0, T) - ln N(b; 0, T)``
+    with a, b the mean-centered rows, T the total and B the
+    between-speaker covariance, so it is symmetric in the pair.  The cross
     term of the whole grid is one matrix product, and the grid is the one
     array of that size held: each entry is ``(cross + (qu + qv)) + const``,
     bit for bit ``((qu + qv) + cross) + const``, with ``qu + qv`` formed a
@@ -315,20 +318,6 @@ def pair_llr(m: PldaModel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         grid[rows] += qu[rows, None] + qv[None, :]
     grid += const
     return grid
-
-
-def score_trial(m: PldaModel, w_enrol: np.ndarray, w_test: np.ndarray) -> float:
-    """Log-likelihood ratio of same-speaker vs independent for one pair.
-
-    Equals ``ln N([u; v]; 0, [[T, B], [B, T]]) - ln N(u; 0, T) - ln N(v; 0, T)``
-    with u, v the mean-centered inputs, T the total and B the
-    between-speaker covariance.  Symmetric in its arguments.
-    """
-    w_enrol = np.asarray(w_enrol, dtype=np.float64)
-    w_test = np.asarray(w_test, dtype=np.float64)
-    if w_enrol.shape != (m.dim,) or w_test.shape != (m.dim,):
-        raise ValueError(f"model expects vectors of dimension {m.dim}")
-    return float(pair_llr(m, w_enrol[None, :], w_test[None, :])[0, 0])
 
 
 def _check_scores(trials: TrialList, bad: np.ndarray, what: str) -> None:
@@ -424,7 +413,7 @@ def dataset_rows(ds: Dataset, ids: Sequence[str], code: np.ndarray, side: str) -
 def score_trials(
     m: PldaModel, enrol: Dataset, test: Dataset, trials: TrialList
 ) -> ScoreSet:
-    """Score a trial list; each score is within 1e-10 of ``score_trial``.
+    """Score a trial list; each score is within 1e-10 of ``pair_llr`` of its pair alone.
 
     ``pair_llr`` scores the grid of enrol-table rows against test-table
     rows once and each trial gathers its entry, so the cost is one
@@ -486,7 +475,7 @@ def write_scores(scores: ScoreSet, path: str | Path) -> None:
     tl = scores.trial_list
     enrol_ids = np.array(csv_fields(tl.enrol_ids), dtype=object)
     test_ids = np.array(csv_fields(tl.test_ids), dtype=object)
-    labels = np.array(["nontarget", "target"], dtype=object)
+    labels = np.array(LABEL_TEXT, dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(SCORE_COLUMNS) + "\n")
         for start in range(0, len(tl), _CSV_BLOCK):

@@ -39,7 +39,7 @@ from .dataset import (
     write_csv,
 )
 from .gplda import PldaModel, ScoreSet, length_normalize, score_trials, train_gplda
-from .idv import IdvTransform, apply_idv, estimate_modified_idv, estimate_original_idv
+from .idv import IdvTransform, IdvVariant, apply_idv, estimate_modified_idv, estimate_original_idv
 from .lda import LdaTransform, apply_lda, train_lda
 from .metrics import DcfParams, MetricReportRow, evaluate, write_metric_report
 from .scorenorm import snorm
@@ -53,7 +53,7 @@ DURATION_NOISE_SEED_OFFSET = 401  # + duration grid index
 COHORT_NOISE_SEED_OFFSET = 601  # + duration grid index
 IDV_SUBSET_SEED_OFFSET = 701
 
-IDV_CHOICES = ("off", "original", "modified")
+IDV_CHOICES = ("off", *(v.value for v in IdvVariant))
 SNORM_CHOICES = ("off", "swb-style", "nist-style", "matched-length")
 
 SYSTEM_OUT = "out-domain"
@@ -148,6 +148,11 @@ class ExperimentConfig:
             check_number("seeds", s, 0, integer=True)
         object.__setattr__(self, "durations", tuple(self.durations))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        for name, keys in (("durations", [*map(duration_label, self.durations)]),
+                           ("seeds", self.seeds)):
+            repeated = [k for i, k in enumerate(keys) if k in keys[:i]]
+            if repeated:  # each would add report rows and count twice in the plot means
+                raise ValueError(f"{name}: {repeated[0]!r} is repeated")
 
 
 def duration_label(d: float | None) -> str:
@@ -340,11 +345,9 @@ def estimate_idv_for_run(
     the in-domain normalization cohort, both speaker-unlabeled."""
     out_ds = subsample(data.train_out, cfg.idv_out_count, seed + IDV_SUBSET_SEED_OFFSET)
     in_ds = subsample(data.nist_cohort, cfg.idv_in_count, seed + IDV_SUBSET_SEED_OFFSET + 1)
-    if variant == "original":
-        return estimate_original_idv(out_ds, in_ds, cfg.idv_ridge)
-    if variant == "modified":
-        return estimate_modified_idv(out_ds, in_ds, cfg.idv_ridge)
-    raise ValueError(f"unknown IDV variant '{variant}'")
+    modified = IdvVariant(variant) is IdvVariant.MODIFIED
+    estimate = estimate_modified_idv if modified else estimate_original_idv
+    return estimate(out_ds, in_ds, cfg.idv_ridge)
 
 
 def evaluate_backend(
@@ -589,22 +592,5 @@ def default_experiment_config(**overrides) -> ExperimentConfig:
         duration_noise_exponent=0.5,
         seed=0,
     )
-    base = dict(
-        generator=gen,
-        idv="off",
-        lda_dim=20,
-        snorm="off",
-        plda_q=10,
-        plda_iters=15,
-        durations=(None, 50.0, 40.0, 30.0, 20.0, 10.0),
-        seeds=(0, 1, 2, 3, 4),
-        eval_speakers=100,
-        eval_sessions=5,
-        cohort_speakers=150,
-        cohort_sessions=10,
-        swb_cohort_size=1500,
-        idv_out_count=None,
-        idv_in_count=None,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    base = dict(generator=gen, idv="off", lda_dim=20, plda_q=10, plda_iters=15)
+    return ExperimentConfig(**base | overrides)

@@ -38,8 +38,14 @@ _RIDGE_LADDER = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
 
 class IdvVariant(Enum):
+    """The estimator; an IDV1 file stores its position in this order."""
+
     ORIGINAL = "original"
     MODIFIED = "modified"
+
+
+#: IDV1 variant byte -> variant.
+_VARIANT_BYTES = tuple(IdvVariant)
 
 
 @dataclass(frozen=True)
@@ -158,13 +164,13 @@ def apply_idv(t: IdvTransform, ds: Dataset) -> Dataset:
 
 
 def save_idv(t: IdvTransform, path: str | Path) -> None:
-    header = (1 if t.variant is IdvVariant.MODIFIED else 0, t.dim, t.ridge)
+    header = (_VARIANT_BYTES.index(t.variant), t.dim, t.ridge)
     write_model_file(path, IDV_MAGIC, "<BId", header, (t.s_idv, t.decorrelator))
 
 
 def _idv_shapes(variant_byte: int, dim: int, ridge: float) -> list[tuple[int, int]]:
-    """Array shapes of an IDV1 header: variant byte (0 original, 1 modified), dim, ridge."""
-    if variant_byte > 1:
+    """Array shapes of an IDV1 header: variant byte (``_VARIANT_BYTES``), dim, ridge."""
+    if variant_byte >= len(_VARIANT_BYTES):
         raise ValueError(f"unknown IDV variant byte {variant_byte}")
     return [(dim, dim), (dim, dim)]
 
@@ -173,7 +179,5 @@ def load_idv(path: str | Path) -> IdvTransform:
     """Read an IDV1 file; a malformed or invalid one raises ``ValueError`` naming it."""
     return read_model_file(
         path, IDV_MAGIC, "an IDV transform file", "<BId", _idv_shapes,
-        lambda header, arrays: IdvTransform(
-            IdvVariant.MODIFIED if header[0] else IdvVariant.ORIGINAL, *arrays, header[2]
-        ),
+        lambda header, arrays: IdvTransform(_VARIANT_BYTES[header[0]], *arrays, header[2]),
     )

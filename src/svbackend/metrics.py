@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,11 +47,6 @@ class DcfParams:
     def floor(self) -> float:
         """Cost of the better degenerate policy (accept all / reject all)."""
         return min(self.c_miss * self.p_target, self.c_fa * (1.0 - self.p_target))
-
-
-class DcfResult(NamedTuple):
-    min_dcf: float
-    min_dcf_normalized: float
 
 
 def _staircase(values: np.ndarray, is_target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,24 +118,12 @@ def _staircase_of(scores: ScoreSet, which: str) -> tuple[np.ndarray, np.ndarray]
     return _staircase(values, is_target)
 
 
-def _min_dcf(fa: np.ndarray, miss: np.ndarray, params: DcfParams) -> DcfResult:
+def _min_dcf(fa: np.ndarray, miss: np.ndarray, params: DcfParams) -> tuple[float, float]:
+    """Minimum detection cost over the operating points, raw and divided by
+    the better degenerate policy's cost (1.0: the scores are useless here)."""
     costs = params.c_miss * params.p_target * miss + params.c_fa * (1.0 - params.p_target) * fa
     value = float(costs.min())
-    return DcfResult(value, value / params.floor)
-
-
-def eer(scores: ScoreSet, which: str = "raw") -> float:
-    """Equal error rate of the chosen score column, in [0, 1]."""
-    return _hull_eer(_corners(*_staircase_of(scores, which)))
-
-
-def min_dcf(scores: ScoreSet, params: DcfParams = DcfParams(), which: str = "raw") -> DcfResult:
-    """Minimum detection cost over all thresholds, raw and normalized.
-
-    The normalized value divides by the better degenerate policy's cost,
-    so 1.0 means the scores are useless for this operating point.
-    """
-    return _min_dcf(*_staircase_of(scores, which), params)
+    return value, value / params.floor
 
 
 def det_points(scores: ScoreSet, which: str = "raw") -> list[tuple[float, float]]:
@@ -170,12 +153,13 @@ REPORT_COLUMNS = [f.name for f in fields(MetricReportRow)]
 
 def evaluate(
     scores: ScoreSet,
-    condition: str,
-    system: str,
+    condition: str = "-",
+    system: str = "-",
     params: DcfParams = DcfParams(),
     which: str = "raw",
 ) -> MetricReportRow:
-    """Bundle EER and minDCF of one score set, from one staircase, into a report row."""
+    """EER (in [0, 1]) and minDCF, raw and normalized, of the chosen score
+    column, from one staircase, as a report row."""
     fa, miss = _staircase_of(scores, which)
     n_target = int(np.count_nonzero(scores.trial_list.is_target))
     return MetricReportRow(

@@ -17,8 +17,8 @@ from svbackend.gplda import (
     PldaModel,
     ScoreSet,
     load_plda,
+    pair_llr,
     save_plda,
-    score_trial,
     score_trials,
     train_gplda,
 )
@@ -35,7 +35,7 @@ from svbackend.harness import (
 )
 from svbackend.idv import estimate_modified_idv, load_idv, save_idv
 from svbackend.lda import load_lda, save_lda, train_lda
-from svbackend.metrics import DcfParams, eer, min_dcf
+from svbackend.metrics import DcfParams, evaluate
 from svbackend.scorenorm import cohort_score_matrix, snorm, snorm_from_cohort_scores
 
 from conftest import make_dataset, make_scoreset, make_trials
@@ -43,7 +43,7 @@ from oracles import eer_brute, min_dcf_brute, modified_idv_scatter, plda_pair_ll
 
 
 def test_criterion_1_metric_oracle_equivalence():
-    """eer/min_dcf match the exhaustive-threshold oracle on 200 small sets."""
+    """evaluate's EER and minDCF match the exhaustive-threshold oracle on 200 small sets."""
     rng = np.random.default_rng(101)
     params = DcfParams()
     start = time.monotonic()
@@ -59,8 +59,9 @@ def test_criterion_1_metric_oracle_equivalence():
             non = rng.standard_normal(n_non).tolist()
         ss = make_scoreset(tar, non)
         t, n = np.array(tar), np.array(non)
-        assert eer(ss) == pytest.approx(eer_brute(t, n), abs=1e-12)
-        assert min_dcf(ss, params).min_dcf == pytest.approx(
+        row = evaluate(ss, params=params)
+        assert row.eer == pytest.approx(eer_brute(t, n), abs=1e-12)
+        assert row.min_dcf == pytest.approx(
             min_dcf_brute(t, n, params.c_miss, params.c_fa, params.p_target), abs=1e-12
         )
     elapsed = time.monotonic() - start
@@ -69,7 +70,7 @@ def test_criterion_1_metric_oracle_equivalence():
 
 
 def test_criterion_2_plda_scoring_oracle():
-    """score_trial matches the joint-Gaussian log-density oracle, 1e-8."""
+    """pair_llr matches the joint-Gaussian log-density oracle, 1e-8."""
     rng = np.random.default_rng(202)
     worst = 0.0
     for case in range(100):
@@ -83,7 +84,7 @@ def test_criterion_2_plda_scoring_oracle():
         m = PldaModel(mean, u1, (lam + lam.T) / 2)
         a = mean + rng.standard_normal(k)
         b = mean + rng.standard_normal(k)
-        got = score_trial(m, a, b)
+        got = pair_llr(m, a[None], b[None])[0, 0]
         ref = plda_pair_llr(m.mean, m.sigma_between, m.sigma_within, a, b)
         worst = max(worst, abs(got - ref))
         assert got == pytest.approx(ref, abs=1e-8)
@@ -248,8 +249,9 @@ def test_criterion_8_snorm_affine_invariance():
         np.argsort(base.values("normalized"), kind="stable"),
         np.argsort(remapped.values("normalized"), kind="stable"),
     )
-    assert eer(base, "normalized") == eer(remapped, "normalized")
-    assert min_dcf(base, which="normalized") == min_dcf(remapped, which="normalized")
+    b_row, r_row = (evaluate(s, which="normalized") for s in (base, remapped))
+    assert b_row.eer == r_row.eer
+    assert (b_row.min_dcf, b_row.min_dcf_normalized) == (r_row.min_dcf, r_row.min_dcf_normalized)
     print("\nACCEPTANCE 8 PASS: S-norm affine-invariant; normalized metrics bit-identical")
 
 

@@ -22,7 +22,6 @@ from svbackend.gplda import (
     read_scores,
     save_loglik_trace,
     save_plda,
-    score_trial,
     score_trials,
     train_gplda,
     write_scores,
@@ -239,42 +238,42 @@ class TestScoring:
         k = 3
         m = PldaModel(np.zeros(k), np.zeros((k, 1)), np.eye(k))
         for _ in range(5):
-            assert abs(score_trial(m, rng.standard_normal(k), rng.standard_normal(k))) < 1e-10
+            u, v = rng.standard_normal((2, 1, k))
+            assert abs(pair_llr(m, u, v)[0, 0]) < 1e-10
 
     def test_symmetry(self, rng):
         m = random_model(rng)
-        a, b = rng.standard_normal(3), rng.standard_normal(3)
-        assert score_trial(m, a, b) == pytest.approx(score_trial(m, b, a), abs=1e-10)
+        a, b = rng.standard_normal((1, 3)), rng.standard_normal((1, 3))
+        assert pair_llr(m, a, b)[0, 0] == pytest.approx(pair_llr(m, b, a)[0, 0], abs=1e-10)
 
     def test_hand_model_matches_joint_gaussian_oracle(self, rng):
         m = random_model(rng, k=2, q=1)
         for _ in range(10):
             a, b = rng.standard_normal(2), rng.standard_normal(2)
             ref = plda_pair_llr(m.mean, m.sigma_between, m.sigma_within, a, b)
-            assert score_trial(m, a, b) == pytest.approx(ref, abs=1e-8)
+            assert pair_llr(m, a[None], b[None])[0, 0] == pytest.approx(ref, abs=1e-8)
 
     def test_same_vector_dominates_far_pairs(self, rng):
         m = random_model(rng, k=4, q=2)
-        w = rng.standard_normal(4)
-        own = score_trial(m, w, w)
-        far = [
-            score_trial(m, w, w + 10.0 * rng.standard_normal(4)) for _ in range(1000)
-        ]
+        w = rng.standard_normal((1, 4))
+        own = pair_llr(m, w, w)[0, 0]
+        far = pair_llr(m, w, w + 10.0 * rng.standard_normal((1000, 4)))
         assert np.mean(far) < own
 
     def test_shift_of_data_and_mean_preserves_llr(self, rng):
         m = random_model(rng)
         shift = rng.standard_normal(3)
         shifted = PldaModel(m.mean + shift, m.u1, m.lambda_prec)
-        a, b = rng.standard_normal(3), rng.standard_normal(3)
-        assert score_trial(m, a, b) == pytest.approx(
-            score_trial(shifted, a + shift, b + shift), abs=1e-10
+        a, b = rng.standard_normal((1, 3)), rng.standard_normal((1, 3))
+        assert pair_llr(m, a, b)[0, 0] == pytest.approx(
+            pair_llr(shifted, a + shift, b + shift)[0, 0], abs=1e-10
         )
 
     def test_dim_mismatch(self, rng):
         m = random_model(rng)
-        with pytest.raises(ValueError, match="dimension"):
-            score_trial(m, np.zeros(4), np.zeros(3))
+        expected = r"^u: model expects \(n, 3\) rows, got shape \(1, 4\)$"
+        with pytest.raises(ValueError, match=expected):
+            pair_llr(m, np.zeros((1, 4)), np.zeros((1, 3)))
 
 
 class TestBatchScoring:
@@ -295,7 +294,7 @@ class TestBatchScoring:
         e_map = dict(zip(enrol.ids, enrol.matrix()))
         t_map = dict(zip(test.ids, test.matrix()))
         for e, t, raw in zip(*ss.trial_list.id_columns(), ss.raw):
-            ref = score_trial(m, e_map[e], t_map[t])
+            ref = pair_llr(m, e_map[e][None], t_map[t][None])[0, 0]
             assert raw == pytest.approx(ref, abs=1e-10)
 
     def test_empty_trials(self, rng):

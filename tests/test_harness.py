@@ -97,6 +97,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed"):
             tiny_config(seeds=())
 
+    @pytest.mark.parametrize(
+        "field, values, repeated",
+        [
+            ("durations", ["full", 50.0, 50], "'50'"),
+            ("durations", [None, "full"], "'full'"),
+            ("seeds", [0, 1, 0], "0"),
+        ],
+    )
+    def test_repeated_duration_or_seed_named(self, field, values, repeated):
+        """A repeat would write its report rows twice and count twice in the plot means."""
+        d = config_to_dict(tiny_config()) | {field: values}
+        with pytest.raises(ValueError, match=f"^{field}: {repeated} is repeated$"):
+            config_from_dict(d)
+
     def test_unknown_keys_named(self):
         with pytest.raises(ValueError, match="unknown experiment config key.*bogus"):
             config_from_dict({"bogus": 1})
@@ -433,6 +447,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "eer=0.25" in out
 
+    def test_eval_report_is_overwritten(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        write_scores(make_scoreset([2.0, 3.0], [1.0, 2.5]), scores)
+        report = tmp_path / "report.csv"
+        for system in ("first", "second"):
+            argv = ["eval", "--scores", str(scores), "--system", system, "--report", str(report)]
+            assert cli(argv) == 0
+        lines = report.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2
+        assert lines[0] == ",".join(REPORT_COLUMNS)
+        assert lines[1].startswith("-,second,0.25,")
+
     def test_missing_input_names_stage(self, tmp_path, capsys):
         rc = cli([
             "score", "--model", str(tmp_path / "nope.plda"),
@@ -601,6 +627,39 @@ class TestCli:
         expected = replace(tiny_config(durations=(None,)), seeds=(1,), output_dir=str(out))
         assert load_config(out / "experiment_config.json") == expected
         assert f"config snapshot: {out / 'experiment_config.json'}" in capsys.readouterr().out
+
+    def test_experiment_durations_and_snorm_overrides_reach_the_outputs(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(tiny_config(durations=(None,)), cfg_path)
+        out = tmp_path / "out"
+        rc = cli(["experiment", "--config", str(cfg_path), "--kind", "in-vs-out",
+                  "--out-dir", str(out), "--durations", "full,20", "--snorm", "nist-style"])
+        assert rc == 0
+        expected = tiny_config(durations=(None, 20.0), snorm="nist-style", output_dir=str(out))
+        assert load_config(out / "experiment_config.json") == expected
+        report = (out / "in_vs_out_report.csv").read_bytes()
+        with open(out / "in_vs_out_report.csv", newline="", encoding="utf-8") as f:
+            conditions = {row["condition"] for row in csv.DictReader(f)}
+        assert conditions == {"seed=0/dur=full", "seed=0/dur=20"}
+        # the S-norm override changes every score: the rows are those of a
+        # nist-style run, not of the config file's raw scoring
+        for snorm, same in (("nist-style", True), ("off", False)):
+            run_experiment(replace(expected, snorm=snorm), "in-vs-out", tmp_path / snorm)
+            assert ((tmp_path / snorm / "in_vs_out_report.csv").read_bytes() == report) is same
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seeds", "0,0", "seeds: 0 is repeated"),
+        ("--durations", "full,20,20.0", "durations: '20' is repeated"),
+    ])
+    def test_experiment_repeated_entry_named(self, tmp_path, capsys, flag, value, message):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(tiny_config(), cfg_path)
+        out = tmp_path / "out"
+        rc = cli(["experiment", "--config", str(cfg_path), "--kind", "in-vs-out",
+                  "--out-dir", str(out), flag, value])
+        assert rc == 1
+        assert f"svbackend experiment: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_experiment_config_errors_name_the_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

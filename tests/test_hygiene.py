@@ -1,9 +1,13 @@
 """Source hygiene checks over the library modules."""
 
 import ast
+import os
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import svbackend
 
 PACKAGE = sorted((Path(__file__).resolve().parent.parent / "src" / "svbackend").glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -144,3 +148,24 @@ def test_checker_flags_a_text_mode_open():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_text_file_names_its_encoding(path):
     assert text_mode_opens(path.read_text(encoding="utf-8")) == []
+
+
+def all_mismatches(namespace: dict) -> list[str]:
+    """Public non-module names of a package namespace that its ``__all__``
+    leaves out, and ``__all__`` entries it does not bind or lists twice."""
+    public = {
+        n for n, v in namespace.items() if not n.startswith("_") and not isinstance(v, ModuleType)
+    }
+    listed = list(namespace.get("__all__", ()))
+    found = [f"not in __all__: {n}" for n in sorted(public - set(listed))]
+    found += [f"not bound: {n}" for n in sorted(set(listed) - public)]
+    return found + [f"repeated: {n}" for n in sorted({n for n in listed if listed.count(n) > 1})]
+
+
+def test_checker_flags_an_all_mismatch():
+    namespace = {"__all__": ["f", "g", "f"], "f": len, "h": len, "os": os, "_p": len}
+    assert all_mismatches(namespace) == ["not in __all__: h", "not bound: g", "repeated: f"]
+
+
+def test_all_lists_the_public_bindings():
+    assert all_mismatches(vars(svbackend)) == []

@@ -83,6 +83,37 @@ class TestContentErrorsNameTheFile:
         with _raises_naming(path, "record 1: duplicate utterance id 'a'"):
             load_ivectors(path)
 
+    def test_ivec_zero_dimension(self, tmp_path):
+        path = tmp_path / "x.ivec"
+        _ivec_file(path, dim=0)
+        with _raises_naming(path, "header dimension must be positive$"):
+            load_ivectors(path)
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            (b"\x01\x00", "truncated record 1 id length"),
+            (_ivec_record(b"b", b"s", b"in", 1.0, [])[:-4], "truncated record 1 duration"),
+        ],
+    )
+    def test_ivec_truncated_later_record(self, tmp_path, second, message):
+        """Record 0's long id lets the file pass the header's minimum-size
+        check, so the cut is found while record 1 is read."""
+        path = tmp_path / "x.ivec"
+        _ivec_file(path, _ivec_record(b"a" * 100, b"s", b"in", 1.0, [1.0, 2.0]), second)
+        with _raises_naming(path, f"{message}$"):
+            load_ivectors(path)
+
+    def test_ivec_unknown_domain(self, tmp_path):
+        path = tmp_path / "x.ivec"
+        _ivec_file(
+            path,
+            _ivec_record(b"a", b"s", b"in", 1.0, [1.0, 2.0]),
+            _ivec_record(b"b", b"s", b"mars", 1.0, [1.0, 2.0]),
+        )
+        with _raises_naming(path, "record 1: unknown domain 'mars'$"):
+            load_ivectors(path)
+
     def test_ivec_count_beyond_file_size(self, tmp_path):
         path = tmp_path / "x.ivec"
         path.write_bytes(b"IVEC1" + struct.pack("<IQ", 4, 2**60))

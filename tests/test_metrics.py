@@ -12,9 +12,7 @@ from svbackend.metrics import (
     _hull_eer,
     _staircase,
     det_points,
-    eer,
     evaluate,
-    min_dcf,
     write_metric_report,
 )
 
@@ -26,20 +24,21 @@ class TestPinnedCases:
     def test_worked_example(self):
         # targets {2, 3} vs nontargets {1, 2.5}: interpolating between the
         # thresholds at 2 and 3 reaches FA == MISS == 1/4
-        assert eer(make_scoreset([2.0, 3.0], [1.0, 2.5])) == pytest.approx(0.25, abs=1e-12)
+        row = evaluate(make_scoreset([2.0, 3.0], [1.0, 2.5]))
+        assert row.eer == pytest.approx(0.25, abs=1e-12)
 
     def test_perfect_separation(self):
         ss = make_scoreset([3.0, 4.0], [1.0, 2.0])
-        assert eer(ss) == 0.0
-        assert min_dcf(ss).min_dcf == 0.0
+        assert evaluate(ss).eer == 0.0
+        assert evaluate(ss).min_dcf == 0.0
 
     def test_chance_on_ties(self):
         ss = make_scoreset([1.0, 1.0], [1.0, 1.0])
-        assert eer(ss) == pytest.approx(0.5, abs=1e-12)
+        assert evaluate(ss).eer == pytest.approx(0.5, abs=1e-12)
 
     def test_all_equal_min_dcf_is_degenerate_floor(self):
         ss = make_scoreset([1.0, 1.0], [1.0, 1.0])
-        res = min_dcf(ss)
+        res = evaluate(ss)
         assert res.min_dcf == pytest.approx(0.1, abs=1e-12)
         assert res.min_dcf_normalized == pytest.approx(1.0, abs=1e-12)
 
@@ -56,9 +55,10 @@ class TestOracleEquivalence:
         tar = rng.standard_normal(20).tolist()
         non = (rng.standard_normal(30) - 0.5).tolist()
         ss = make_scoreset(tar, non)
-        assert eer(ss) == pytest.approx(eer_brute(np.array(tar), np.array(non)), abs=1e-12)
         p = DcfParams()
-        assert min_dcf(ss, p).min_dcf == pytest.approx(
+        row = evaluate(ss, params=p)
+        assert row.eer == pytest.approx(eer_brute(np.array(tar), np.array(non)), abs=1e-12)
+        assert row.min_dcf == pytest.approx(
             min_dcf_brute(np.array(tar), np.array(non), p.c_miss, p.c_fa, p.p_target),
             abs=1e-12,
         )
@@ -78,9 +78,9 @@ class TestOracleEquivalence:
         # half-integer grid forces plenty of ties across the two classes
         ss = make_scoreset(tar, non)
         t, n = np.array(tar), np.array(non)
-        assert eer(ss) == pytest.approx(eer_brute(t, n), abs=1e-12)
+        assert evaluate(ss).eer == pytest.approx(eer_brute(t, n), abs=1e-12)
         p = DcfParams()
-        assert min_dcf(ss, p).min_dcf == pytest.approx(
+        assert evaluate(ss, params=p).min_dcf == pytest.approx(
             min_dcf_brute(t, n, p.c_miss, p.c_fa, p.p_target), abs=1e-12
         )
 
@@ -91,10 +91,10 @@ class TestOracleEquivalence:
     )
     def test_bounds_hold(self, tar, non):
         ss = make_scoreset(tar, non)
-        e = eer(ss)
+        e = evaluate(ss).eer
         assert 0.0 <= e <= 1.0
         p = DcfParams()
-        res = min_dcf(ss, p)
+        res = evaluate(ss, params=p)
         assert 0.0 <= res.min_dcf <= p.floor + 1e-12
 
 
@@ -112,12 +112,12 @@ class TestColumnarMetrics:
         ss = make_scoreset(tar, non)
         fa, miss = _staircase(ss.raw, ss.trial_list.is_target)
         full = list(zip(fa.tolist(), miss.tolist()))
-        assert eer(ss) == _hull_eer(full)
+        assert evaluate(ss).eer == _hull_eer(full)
         p = DcfParams()
         loop_costs = [
             p.c_miss * p.p_target * m + p.c_fa * (1.0 - p.p_target) * f for f, m in full
         ]
-        assert min_dcf(ss, p).min_dcf == min(loop_costs)
+        assert evaluate(ss, params=p).min_dcf == min(loop_costs)
 
     def test_separated_staircase_prunes_to_three_corners(self):
         fa, miss = _staircase(np.arange(200.0), np.arange(200) >= 100)
@@ -149,10 +149,10 @@ class TestInvariance:
         base = make_scoreset(tar, non)
         affine = make_scoreset([2 * s + 3 for s in tar], [2 * s + 3 for s in non])
         tanh = make_scoreset([math.tanh(s) for s in tar], [math.tanh(s) for s in non])
-        assert eer(base) == pytest.approx(eer(affine), abs=1e-12)
-        assert eer(base) == pytest.approx(eer(tanh), abs=1e-12)
-        assert min_dcf(base).min_dcf == pytest.approx(min_dcf(affine).min_dcf, abs=1e-12)
-        assert min_dcf(base).min_dcf == pytest.approx(min_dcf(tanh).min_dcf, abs=1e-12)
+        assert evaluate(base).eer == pytest.approx(evaluate(affine).eer, abs=1e-12)
+        assert evaluate(base).eer == pytest.approx(evaluate(tanh).eer, abs=1e-12)
+        assert evaluate(base).min_dcf == pytest.approx(evaluate(affine).min_dcf, abs=1e-12)
+        assert evaluate(base).min_dcf == pytest.approx(evaluate(tanh).min_dcf, abs=1e-12)
 
 
 class TestDetPoints:
@@ -188,16 +188,16 @@ class TestDetPoints:
 class TestErrorsAndReport:
     def test_one_class_rejected(self):
         with pytest.raises(ValueError, match="at least one target"):
-            eer(make_scoreset([], [1.0]))
+            evaluate(make_scoreset([], [1.0]))
         with pytest.raises(ValueError, match="at least one target"):
-            min_dcf(make_scoreset([1.0], []))
+            evaluate(make_scoreset([1.0], []))
 
     def test_which_normalized_requires_normalized(self):
         ss = make_scoreset([1.0], [0.0])
         with pytest.raises(ValueError, match="no normalized"):
-            eer(ss, which="normalized")
+            evaluate(ss, which="normalized")
         ss2 = ss.with_normalized([2.0, 1.0])
-        assert eer(ss2, which="normalized") == 0.0
+        assert evaluate(ss2, which="normalized").eer == 0.0
 
     def test_report_csv(self, tmp_path):
         row = evaluate(make_scoreset([2.0, 3.0], [1.0, 2.5]), "cond", "sys")
