@@ -306,10 +306,12 @@ class GeneratorConfig:
         offset = self.domain_offset
         if offset is None:
             offset = np.zeros(self.dim)
-        try:
-            offset = np.array(offset, dtype=np.float64, copy=True)
-        except (TypeError, ValueError):
-            raise ValueError("invalid config: domain_offset must be a list of numbers") from None
+        entries = offset.tolist() if isinstance(offset, np.ndarray) else offset
+        if not isinstance(entries, (list, tuple)) or any(  # no bools, no numeric strings
+            isinstance(x, bool) or not isinstance(x, numbers.Real) for x in entries
+        ):
+            raise ValueError("invalid config: domain_offset must be a list of numbers")
+        offset = np.array(entries, dtype=np.float64)
         if offset.shape != (self.dim,):
             raise ValueError(f"invalid config: domain_offset must have length {self.dim}")
         if not np.all(np.isfinite(offset)):

@@ -38,7 +38,7 @@ from .dataset import (
     synth_dataset,
     write_csv,
 )
-from .gplda import PldaModel, ScoreSet, length_normalize, score_trials, train_gplda
+from .gplda import PldaModel, length_normalize, score_trials, train_gplda
 from .idv import IdvTransform, IdvVariant, apply_idv, estimate_modified_idv, estimate_original_idv
 from .lda import LdaTransform, apply_lda, train_lda
 from .metrics import DcfParams, MetricReportRow, evaluate, write_metric_report
@@ -173,10 +173,12 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def parse_duration(x: object) -> float | None:
     if x is None or x == "full":
         return None
-    try:
-        return float(x)  # config_to_dict writes durations as text
-    except (TypeError, ValueError):
-        raise ValueError(f"durations: invalid entry {x!r}") from None
+    if not isinstance(x, bool):  # float(True) would read as a 1-s duration
+        try:
+            return float(x)  # config_to_dict writes durations as text
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"durations: invalid entry {x!r}")
 
 
 def config_from_dict(d: Mapping) -> ExperimentConfig:
@@ -350,42 +352,6 @@ def estimate_idv_for_run(
     return estimate(out_ds, in_ds, cfg.idv_ridge)
 
 
-def evaluate_backend(
-    cfg: ExperimentConfig,
-    backend: Backend,
-    data: RunData,
-    duration: float | None,
-    grid_index: int,
-    seed: int,
-    cohort: str,
-    matched: bool = False,
-) -> tuple[ScoreSet, str]:
-    """Score the evaluation trials at one duration; returns the score set
-    and which score column ("raw" or "normalized") carries the result.
-
-    ``cohort`` is "off" for raw scores, else the S-norm cohort style
-    ("swb-style" or "nist-style"); ``matched`` first truncates that
-    cohort to the evaluation duration."""
-    noise = cfg.generator.noise_model
-    eval_ds = data.eval_in
-    if duration is not None:
-        eval_ds = apply_duration_noise(
-            eval_ds, duration, noise, seed + DURATION_NOISE_SEED_OFFSET + grid_index
-        )
-    proj = backend.project(eval_ds)
-    enrol = proj.subset(data.enrol_pos)
-    test = proj.subset(data.test_pos)
-    scores = score_trials(backend.plda, enrol, test, data.trials)
-    if cohort == "off":
-        return scores, "raw"
-    raw_cohort = data.swb_cohort if cohort == "swb-style" else data.nist_cohort
-    if matched and duration is not None:
-        raw_cohort = apply_duration_noise(
-            raw_cohort, duration, noise, seed + COHORT_NOISE_SEED_OFFSET + grid_index
-        )
-    return snorm(backend.plda, scores, enrol, test, backend.project(raw_cohort)), "normalized"
-
-
 # ---------------------------------------------------------------------------
 # studies
 
@@ -485,78 +451,113 @@ class ExperimentResult:
         raise KeyError((duration, system, metric))
 
 
-def _scoring(cfg: ExperimentConfig, study: Study, v: Variant) -> tuple[str, str, bool]:
-    """A variant's label suffix, cohort and matching under ``cfg``."""
-    matched = cfg.snorm == "matched-length" if v.matched is CONFIGURED else v.matched
-    cohort = v.cohort
-    if cohort is CONFIGURED:
-        cohort = "nist-style" if cfg.snorm == "matched-length" else cfg.snorm
-        cohort = study.off_cohort if cohort == "off" else cohort
-    return v.suffix.format(style="matched-length" if matched else cohort), cohort, matched
-
-
-def run_study(
-    cfg: ExperimentConfig, study: Study, out_dir: str | Path | None = None
-) -> ExperimentResult:
-    """Train each system once per seed and score it at every duration under
-    every variant; write the report, the seed-mean plot table (with each
-    member's gain over its group's first) and the reference table."""
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _plan(cfg: ExperimentConfig, study: Study) -> tuple:
+    """``study``; its durations; per variant under ``cfg`` its label suffix,
+    cohort, cohort matching and system names; each system's backend key, its
+    (training domain, IDV variant); and its report rows by (duration, name),
+    empty until scored."""
     durations = [d for d in cfg.durations if d is not None or not study.finite_only]
     if not durations:
         raise ValueError(f"{study.stem} study needs at least one finite duration")
-    variants = [_scoring(cfg, study, v) for v in study.variants]
-    names = [[s.name + (sfx and f"|{sfx}") for s in study.systems] for sfx, _, _ in variants]
-    report: list[MetricReportRow] = []
-    by_key: dict[tuple[str, str], list[MetricReportRow]] = defaultdict(list)
-    for seed in cfg.seeds:
-        data = make_run_data(cfg, seed)
-        backends = []
-        for s in study.systems:
-            idv = cfg.idv if s.idv is CONFIGURED else s.idv
-            t = None if idv == "off" else estimate_idv_for_run(cfg, data, seed, idv)
-            train = data.train_in if s.domain is Domain.IN_DOMAIN else data.train_out
-            backends.append(train_backend(cfg, train, t, seed))
-        for gi, duration in enumerate(durations):
-            dur = duration_label(duration)
-            for (sfx, cohort, matched), row_names in zip(variants, names):
-                for backend, name in zip(backends, row_names):
-                    scores, which = evaluate_backend(
-                        cfg, backend, data, duration, gi, seed, cohort, matched
-                    )
-                    condition = f"seed={seed}/dur={dur}" + (sfx and f"/{sfx}")
-                    report.append(evaluate(scores, condition, name, cfg.dcf, which))
-                    by_key[dur, name].append(report[-1])
-    plot: list[PlotRow] = []
-    for group in zip(*names) if study.compare_variants else names:
-        for dur in map(duration_label, durations):
-            for metric in ("eer", "min_dcf"):
-                means = [
-                    float(np.mean([getattr(r, metric) for r in by_key[dur, n]])) for n in group
-                ]
-                base = means[0]
-                for i, (name, val) in enumerate(zip(group, means)):
-                    gain = 100.0 * (base - val) / base if i and base else None
-                    plot.append(PlotRow(dur, name, metric, val, gain))
-    files = [out / f"{study.stem}_report.csv", out / f"{study.stem}_plot.csv"]
-    write_metric_report(report, files[0])
-    write_csv(files[1], PLOT_COLUMNS, map(astuple, plot))
-    if study.reference is not None:
-        files.append(out / f"{study.stem}_reference_full_scale.csv")
-        write_csv(files[-1], *study.reference)
-    return ExperimentResult(tuple(report), tuple(plot), tuple(files))
+    variants = []
+    for v in study.variants:
+        matched = cfg.snorm == "matched-length" if v.matched is CONFIGURED else v.matched
+        cohort = v.cohort
+        if cohort is CONFIGURED:
+            cohort = "nist-style" if cfg.snorm == "matched-length" else cfg.snorm
+            cohort = study.off_cohort if cohort == "off" else cohort
+        sfx = v.suffix.format(style="matched-length" if matched else cohort)
+        names = [s.name + (sfx and f"|{sfx}") for s in study.systems]
+        variants.append((sfx, cohort, matched, names))
+    keys = [(s.domain, cfg.idv if s.idv is CONFIGURED else s.idv) for s in study.systems]
+    return study, durations, variants, keys, defaultdict(list)
+
+
+def _score_study(
+    cfg: ExperimentConfig, plan: tuple, data: RunData, backends: dict, seed: int
+) -> None:
+    """Add one seed's rows to a study's ``plan``.  At each duration the
+    evaluation set is noised once and each system's ``backends[key]`` scores
+    it once; every variant evaluates those raw scores or S-normalizes them."""
+    _, durations, variants, keys, rows = plan
+    noise = cfg.generator.noise_model
+    for gi, duration in enumerate(durations):
+        dur = duration_label(duration)
+        eval_ds = data.eval_in
+        if duration is not None:
+            eval_ds = apply_duration_noise(
+                eval_ds, duration, noise, seed + DURATION_NOISE_SEED_OFFSET + gi
+            )
+        for j, backend in enumerate(backends[key] for key in keys):
+            proj = backend.project(eval_ds)
+            enrol, test = proj.subset(data.enrol_pos), proj.subset(data.test_pos)
+            raw = score_trials(backend.plda, enrol, test, data.trials)
+            for sfx, cohort, matched, names in variants:
+                scores, which = raw, "raw"
+                if cohort != "off":
+                    co = data.swb_cohort if cohort == "swb-style" else data.nist_cohort
+                    if matched and duration is not None:
+                        co = apply_duration_noise(
+                            co, duration, noise, seed + COHORT_NOISE_SEED_OFFSET + gi
+                        )
+                    scores = snorm(backend.plda, raw, enrol, test, backend.project(co))
+                    which = "normalized"
+                condition = f"seed={seed}/dur={dur}" + (sfx and f"/{sfx}")
+                rows[dur, names[j]].append(evaluate(scores, condition, names[j], cfg.dcf, which))
 
 
 def run_experiment(
     cfg: ExperimentConfig, kind: str, out_dir: str | Path | None = None
 ) -> dict[str, ExperimentResult]:
-    """Run one study kind, or every study for 'all'."""
+    """Run one study kind, or every study for 'all', in one pass per seed.
+
+    Every study's durations are checked before any work.  Each seed's
+    datasets are drawn, and each distinct (training domain, IDV variant)
+    backend trained, once for all studies.  Each study writes its report
+    (seed -> duration -> variant -> system), its seed-mean plot table (with
+    each member's gain over its group's first) and its reference table."""
     if kind != "all" and kind not in STUDIES:
         choices = EXPERIMENT_KINDS + ("all",)
         raise ValueError(f"unknown experiment kind '{kind}' (choose from {choices})")
-    kinds = EXPERIMENT_KINDS if kind == "all" else (kind,)
-    return {k: run_study(cfg, STUDIES[k], out_dir) for k in kinds}
+    plans = {k: _plan(cfg, STUDIES[k]) for k in (EXPERIMENT_KINDS if kind == "all" else (kind,))}
+    for seed in cfg.seeds:
+        data = make_run_data(cfg, seed)
+        backends = {}
+        for domain, idv in dict.fromkeys(key for p in plans.values() for key in p[3]):
+            t = None if idv == "off" else estimate_idv_for_run(cfg, data, seed, idv)
+            train = data.train_in if domain is Domain.IN_DOMAIN else data.train_out
+            backends[domain, idv] = train_backend(cfg, train, t, seed)
+        for plan in plans.values():
+            _score_study(cfg, plan, data, backends, seed)
+    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    results = {}
+    for k, (study, durations, variants, _, by_key) in plans.items():
+        durs = [duration_label(d) for d in durations]
+        names = [v[3] for v in variants]
+        report = [
+            by_key[d, n][i] for i in range(len(cfg.seeds)) for d in durs for ns in names for n in ns
+        ]
+        plot: list[PlotRow] = []
+        for group in zip(*names) if study.compare_variants else names:
+            for dur in durs:
+                for metric in ("eer", "min_dcf"):
+                    means = [
+                        float(np.mean([getattr(r, metric) for r in by_key[dur, n]]))
+                        for n in group
+                    ]
+                    base = means[0]
+                    for i, (name, val) in enumerate(zip(group, means)):
+                        gain = 100.0 * (base - val) / base if i and base else None
+                        plot.append(PlotRow(dur, name, metric, val, gain))
+        files = [out / f"{study.stem}_report.csv", out / f"{study.stem}_plot.csv"]
+        write_metric_report(report, files[0])
+        write_csv(files[1], PLOT_COLUMNS, map(astuple, plot))
+        if study.reference is not None:
+            files.append(out / f"{study.stem}_reference_full_scale.csv")
+            write_csv(files[-1], *study.reference)
+        results[k] = ExperimentResult(tuple(report), tuple(plot), tuple(files))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,16 @@ def _side_stats(
             f"{side} cohort scores must be one row per {side} id ({len(ids)}), "
             f"got shape {cohort_scores.shape}"
         )
+    if len(ids) and cohort_scores.shape[1] == 0:
+        raise ValueError(f"empty cohort: no scores on {side} side for '{ids[0]}'")
     mu, sd = np.empty(len(ids)), np.empty(len(ids))
     step = max(1, _STATS_BLOCK // max(1, cohort_scores.shape[1]))
     for start in range(0, len(ids), step):
         rows = slice(start, start + step)
+        finite = np.isfinite(cohort_scores[rows]).all(axis=1)
+        if not finite.all():  # checked first: the std of such a row would only warn
+            bad = ids[start + int(np.argmin(finite))]
+            raise ValueError(f"non-finite cohort score on {side} side for '{bad}'")
         mu[rows], sd[rows] = cohort_scores[rows].mean(axis=1), cohort_scores[rows].std(axis=1)
     flat = np.flatnonzero(sd == 0.0)
     if flat.size:
@@ -69,7 +75,7 @@ def snorm_from_cohort_scores(
     Row i of ``enrol_cohort`` (``test_cohort``) holds the cohort scores
     of ``scores.trial_list.enrol_ids[i]`` (``test_ids[i]``).  Invariant
     under a shared positive affine map of raw and cohort scores.  Raises
-    when a row's cohort scores have zero variance.
+    when a row's cohort scores are empty, non-finite or of zero variance.
     """
     tl = scores.trial_list
     mu_e, sd_e = _side_stats("enrol", enrol_cohort, tl.enrol_ids)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import svbackend
+from svbackend import harness
 from svbackend.cli import build_parser, cli
 from svbackend.dataset import (
     GeneratorConfig,
@@ -129,10 +130,17 @@ class TestConfig:
             ({"lda_dim": "20"}, "lda_dim"),
             ({"durations": 5}, "durations"),
             ({"durations": ["full", "x"]}, "durations"),
+            ({"durations": [True]}, "durations"),
             ({"seeds": 3}, "seeds"),
             ({"seeds": [1.5]}, "seeds"),
             ({"generator": []}, "generator"),
             ({"generator": {"dim": "5"}}, "dim"),
+            ({"generator": {"dim": 2, "eigenvoice_dim": 1, "domain_offset": [True, False]}},
+             "domain_offset"),
+            ({"generator": {"dim": 2, "eigenvoice_dim": 1, "domain_offset": [1.5, True]}},
+             "domain_offset"),
+            ({"generator": {"dim": 2, "eigenvoice_dim": 1, "domain_offset": ["1.5", "2"]}},
+             "domain_offset"),
             ({"dcf": {"c_miss": "x"}}, "c_miss"),
             ({"cohort_sessions": 0}, "cohort_sessions"),
             ({"plda_iters": 0}, "plda_iters"),
@@ -301,6 +309,34 @@ class TestExperiments:
         assert set(results) == {"in-vs-out", "idv-comparison", "matched-snorm"}
         with pytest.raises(ValueError, match="unknown experiment kind"):
             run_experiment(cfg, "bogus", tmp_path)
+
+    def test_all_draws_trains_and_scores_each_thing_once(self, tmp_path, monkeypatch):
+        """Per seed: one draw, one training per distinct (domain, IDV variant)
+        of the studies' systems, one scoring per study, system and duration."""
+        calls = {name: 0 for name in ("make_run_data", "train_backend", "score_trials")}
+
+        def counted(name):
+            original = getattr(harness, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(harness, name, counted(name))
+        cfg = tiny_config(seeds=(0, 1))  # idv "off", durations full and 15
+        run_experiment(cfg, "all", tmp_path)
+        # backends: out-domain, in-domain, idv and modified-idv (shared by two studies);
+        # scorings: in-vs-out 2 systems x 2 durations, idv-comparison 3 x 2,
+        # matched-snorm 1 x 1 (finite durations only)
+        assert calls == {"make_run_data": 2, "train_backend": 2 * 4, "score_trials": 2 * 11}
+
+    def test_all_checks_every_study_before_any_work(self, tmp_path):
+        with pytest.raises(ValueError, match="matched_snorm study needs at least one finite"):
+            run_experiment(tiny_config(durations=(None,)), "all", tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_in_vs_out_honours_idv_flag(self, tmp_path):
         cfg = tiny_config(seeds=(0, 1), durations=(None,))
@@ -506,6 +542,8 @@ class TestCli:
         [
             ('{"dim": 6,}', "Expecting property name enclosed in double quotes"),
             ("[6, 4]", "generator must be a JSON object, got [6, 4]"),
+            ('{"dim": 2, "eigenvoice_dim": 1, "domain_offset": ["1.5", "2"]}',
+             "invalid config: domain_offset must be a list of numbers"),
         ],
     )
     def test_synth_config_malformed_file_named(self, tmp_path, capsys, text, message):

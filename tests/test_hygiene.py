@@ -1,6 +1,7 @@
 """Source hygiene checks over the library modules."""
 
 import ast
+import importlib
 import os
 from pathlib import Path
 from types import ModuleType
@@ -169,3 +170,28 @@ def test_checker_flags_an_all_mismatch():
 
 def test_all_lists_the_public_bindings():
     assert all_mismatches(vars(svbackend)) == []
+
+
+#: Traced names the package no longer has; their benchmark layers read 0
+#: until the tracer's table drops them.
+RETIRED_TRACED = {"metrics.eer", "metrics.min_dcf"}
+
+
+def test_every_traced_function_exists():
+    """The benchmark tracer wraps svbackend functions by (module, name) and
+    skips a missing one with a note, so a rename would zero its layer.  Its
+    ``TRACED`` keys are read from the source, which is not run."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    table = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TRACED"
+    )
+    traced = [ast.literal_eval(key) for key in table.keys]
+    assert traced
+    missing = {
+        f"{module}.{name}"
+        for module, name in traced
+        if not callable(getattr(importlib.import_module(f"svbackend.{module}"), name, None))
+    }
+    assert missing <= RETIRED_TRACED

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,25 @@ class TestFormula:
             snorm_from_cohort_scores(scores, np.array([flat, ok]), np.array([ok, ok]))
         with pytest.raises(ValueError, match="test side for 't2'"):
             snorm_from_cohort_scores(scores, np.array([ok, ok]), np.array([ok, flat]))
+
+    @pytest.mark.parametrize(
+        "enrol, test, message",
+        [
+            (np.empty((2, 0)), [[0.0, 1.0]] * 2, "empty cohort: no scores on enrol side for 'e1'"),
+            ([[0.0, 1.0]] * 2, np.empty((2, 0)), "empty cohort: no scores on test side for 't1'"),
+            ([[0.0, 1.0], [np.inf, 1.0]], [[0.0, 1.0]] * 2,
+             "non-finite cohort score on enrol side for 'e2'"),
+            ([[0.0, 1.0]] * 2, [[0.0, 1.0], [2.0, np.nan]],
+             "non-finite cohort score on test side for 't2'"),
+        ],
+        ids=["empty-enrol", "empty-test", "inf-enrol", "nan-test"],
+    )
+    def test_empty_or_non_finite_cohort_named_without_warnings(self, enrol, test, message):
+        """Raised before any statistic, so numpy warns of no empty slice or inf - inf."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                snorm_from_cohort_scores(two_trial_scores(), np.array(enrol), np.array(test))
 
 
 class TestEndToEnd:
