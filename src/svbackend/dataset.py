@@ -59,6 +59,15 @@ def _integers(values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
     return arr.astype(np.intp)
 
 
+def _check_kinds(column: str, items: tuple, *kinds: type) -> None:
+    """Raise ``ValueError`` naming ``column`` and its first entry that is no ``kinds``."""
+    if not set(map(type, items)).issubset(kinds):
+        for row, x in enumerate(items):
+            if not isinstance(x, kinds):
+                names = " or ".join("None" if k is type(None) else k.__name__ for k in kinds)
+                raise ValueError(f"{column}: entry {row} is {x!r}, not a {names}")
+
+
 def _no_location(row: int) -> str:
     return ""
 
@@ -75,11 +84,12 @@ class Dataset:
     """An ordered collection of same-dimension i-vectors, held as columns.
 
     ``matrix()`` is the read-only (N, D) float64 value matrix; ``ids``
-    (unique), ``domains`` and ``durations`` (positive, read-only) hold
-    one entry per row.  ``speakers`` is the table of speaker labels in
-    sorted order and ``speaker_code[i]`` is row i's position in it, or
-    -1 for an unlabeled row.  Rows are validated once, when a dataset is
-    built; derived datasets share the columns they do not change.
+    (unique ``str``), ``domains`` (``Domain``) and ``durations`` (positive,
+    read-only) hold one entry per row.  ``speakers`` is the table of
+    ``str`` speaker labels in sorted order and ``speaker_code[i]`` is row
+    i's position in it, or -1 for an unlabeled row.  Rows are validated
+    once, when a dataset is built; derived datasets share the columns they
+    do not change.
     """
 
     __slots__ = ("dim", "ids", "speakers", "speaker_code", "domains", "durations", "_values")
@@ -113,9 +123,12 @@ class Dataset:
         if values.ndim != 2 or values.shape[1] < 1:
             raise ValueError(f"dataset values must be an (N, dim>=1) matrix, got {values.shape}")
         n = values.shape[0]
-        ids, domains = tuple(ids), tuple(domains)
+        ids, speakers, domains = tuple(ids), tuple(speakers), tuple(domains)
         if not len(ids) == len(speakers) == len(domains) == n or durations.shape != (n,):
             raise ValueError(f"dataset columns must have one entry per row ({n})")
+        _check_kinds("dataset ids", ids, str)
+        _check_kinds("dataset speakers", speakers, str, type(None))
+        _check_kinds("dataset domains", domains, Domain)
         _check_values(values, ids, where)
         bad = np.flatnonzero(~(durations > 0))
         if bad.size:
@@ -129,7 +142,7 @@ class Dataset:
                 seen.add(utt)
         table = sorted({s for s in speakers if s is not None})
         if table[:1] == [""]:  # the files store "" as unlabeled
-            row = list(speakers).index("")
+            row = speakers.index("")
             raise ValueError(f"{where(row)}ivector '{ids[row]}': speaker label must be non-empty")
         code_of: dict[str | None, int] = {s: c for c, s in enumerate(table)}
         code_of[None] = -1
@@ -739,7 +752,8 @@ class TrialList:
     ``enrol_ids[enrol_code[k]]`` with ``test_ids[test_code[k]]`` and is
     a target trial when ``is_target[k]``.  Codes are integers (a float,
     bool or object code raises ``ValueError``) and ``is_target`` holds
-    booleans (a label text or a number raises); each id table holds an id once.
+    booleans (a label text or a number raises); each id table holds distinct
+    ``str`` ids.
     """
 
     __slots__ = ("enrol_ids", "test_ids", "enrol_code", "test_code", "is_target")
@@ -770,6 +784,7 @@ class TrialList:
         ):
             if code.size and not 0 <= code.min() <= code.max() < len(ids):
                 raise ValueError(f"{side} code out of range of the {side} id table")
+            _check_kinds(f"{side} id table", ids, str)
             if len(set(ids)) != len(ids):
                 raise ValueError(f"repeated id in the {side} id table")
 

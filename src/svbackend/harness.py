@@ -355,78 +355,67 @@ def estimate_idv_for_run(
 # ---------------------------------------------------------------------------
 # studies
 
-#: Stands for the configured value in the study table: ``cfg.idv`` as a
-#: system's IDV variant, the cohort or the cohort matching of ``cfg.snorm``
-#: in a scoring variant.
-CONFIGURED = None
-
-
-@dataclass(frozen=True)
-class System:
-    """A backend trained once per seed on one domain behind an IDV variant."""
-
-    name: str
-    domain: Domain = Domain.OUT_DOMAIN
-    idv: str | None = "off"
-
-
-@dataclass(frozen=True)
-class Variant:
-    """One scoring of every system: ``cohort`` is "off" (raw scores) or an
-    S-norm cohort style, ``matched`` truncates the cohort to each duration.
-    ``suffix``, with "{style}" set to the resulting S-norm style, extends
-    the condition ("/…") and system ("|…") labels."""
-
-    suffix: str = ""
-    cohort: str | None = CONFIGURED
-    matched: bool | None = CONFIGURED
-
 
 @dataclass(frozen=True)
 class Study:
-    """One paper experiment, writing ``<stem>_report.csv``, ``<stem>_plot.csv``
-    and, given ``reference`` (columns, rows), ``<stem>_reference_full_scale.csv``.
+    """One paper experiment under one config, writing ``<stem>_report.csv``,
+    ``<stem>_plot.csv`` and, given ``reference`` (columns, rows),
+    ``<stem>_reference_full_scale.csv``.
 
-    Every system is scored under every variant at every duration (finite
-    ones only if ``finite_only``).  A plot group compares the systems of
-    one variant, or with ``compare_variants`` the variants of one system,
-    against its first member.  A configured S-norm of "off" reads as the
-    cohort ``off_cohort``."""
+    Each system is (name, training domain, IDV variant) and each scoring
+    variant (label suffix, S-norm cohort style or "off", matched), where a
+    matched cohort is noised to each duration.  Every system is scored
+    under every variant at every duration (finite ones only if
+    ``finite_only``); the suffix extends the condition ("/…") and system
+    ("|…") labels.  A plot group compares the systems of one variant, or
+    with ``compare_variants`` the variants of one system, against its first
+    member."""
 
     stem: str
-    systems: tuple[System, ...]
-    variants: tuple[Variant, ...] = (Variant(),)
+    systems: tuple[tuple[str, Domain, str], ...]
+    variants: tuple[tuple[str, str, bool], ...]
     compare_variants: bool = False
     finite_only: bool = False
-    off_cohort: str = "off"
     reference: tuple[tuple[str, ...], tuple[tuple, ...]] | None = None
 
 
-STUDIES = {
-    "in-vs-out": Study(
-        "in_vs_out", (System(SYSTEM_OUT, idv=CONFIGURED), System(SYSTEM_IN, Domain.IN_DOMAIN))
-    ),
-    "idv-comparison": Study(
-        "idv_comparison",
-        (System(SYSTEM_OUT), System(SYSTEM_IDV, idv="original"),
-         System(SYSTEM_MODIFIED_IDV, idv="modified")),
-        (Variant("snorm={style}", "off", False), Variant("snorm={style}")),
-        off_cohort="nist-style",
-        reference=(("system", "eer_pct_without_snorm", "eer_pct_with_snorm"),
-                   FULL_SCALE_IDV_REFERENCE),
-    ),
-    "matched-snorm": Study(
-        "matched_snorm",
-        (System(SYSTEM_MODIFIED_IDV, idv="modified"),),
-        (Variant("cohort=full-length", matched=False), Variant("cohort=matched", matched=True)),
-        compare_variants=True,
-        finite_only=True,
-        off_cohort="nist-style",
-        reference=(("duration_sec", "eer_pct_full_length_cohort", "eer_pct_matched_cohort"),
-                   FULL_SCALE_MATCHED_SNORM_REFERENCE),
-    ),
-}
-EXPERIMENT_KINDS = tuple(STUDIES)
+EXPERIMENT_KINDS = ("in-vs-out", "idv-comparison", "matched-snorm")
+
+
+def studies(cfg: ExperimentConfig) -> dict[str, Study]:
+    """The study of each kind in ``EXPERIMENT_KINDS`` under ``cfg``.
+
+    ``cfg.idv`` compensates in-vs-out's out-domain system.  ``cfg.snorm``
+    normalizes in-vs-out (unless "off") and is the normalized variant of the
+    other studies, which read "off" as NIST-style; "matched-length" is a
+    NIST-style cohort noised to each duration."""
+    matched = cfg.snorm == "matched-length"
+    cohort = "nist-style" if cfg.snorm in ("off", "matched-length") else cfg.snorm
+    out, modified = Domain.OUT_DOMAIN, (SYSTEM_MODIFIED_IDV, Domain.OUT_DOMAIN, "modified")
+    return {
+        "in-vs-out": Study(
+            "in_vs_out",
+            ((SYSTEM_OUT, out, cfg.idv), (SYSTEM_IN, Domain.IN_DOMAIN, "off")),
+            (("", "off" if cfg.snorm == "off" else cohort, matched),),
+        ),
+        "idv-comparison": Study(
+            "idv_comparison",
+            ((SYSTEM_OUT, out, "off"), (SYSTEM_IDV, out, "original"), modified),
+            (("snorm=off", "off", False),
+             ("snorm=" + ("matched-length" if matched else cohort), cohort, matched)),
+            reference=(("system", "eer_pct_without_snorm", "eer_pct_with_snorm"),
+                       FULL_SCALE_IDV_REFERENCE),
+        ),
+        "matched-snorm": Study(
+            "matched_snorm",
+            (modified,),
+            (("cohort=full-length", cohort, False), ("cohort=matched", cohort, True)),
+            compare_variants=True,
+            finite_only=True,
+            reference=(("duration_sec", "eer_pct_full_length_cohort", "eer_pct_matched_cohort"),
+                       FULL_SCALE_MATCHED_SNORM_REFERENCE),
+        ),
+    }
 
 
 @dataclass(frozen=True)
@@ -451,90 +440,80 @@ class ExperimentResult:
         raise KeyError((duration, system, metric))
 
 
-def _plan(cfg: ExperimentConfig, study: Study) -> tuple:
-    """``study``; its durations; per variant under ``cfg`` its label suffix,
-    cohort, cohort matching and system names; each system's backend key, its
-    (training domain, IDV variant); and its report rows by (duration, name),
-    empty until scored."""
-    durations = [d for d in cfg.durations if d is not None or not study.finite_only]
-    if not durations:
-        raise ValueError(f"{study.stem} study needs at least one finite duration")
-    variants = []
-    for v in study.variants:
-        matched = cfg.snorm == "matched-length" if v.matched is CONFIGURED else v.matched
-        cohort = v.cohort
-        if cohort is CONFIGURED:
-            cohort = "nist-style" if cfg.snorm == "matched-length" else cfg.snorm
-            cohort = study.off_cohort if cohort == "off" else cohort
-        sfx = v.suffix.format(style="matched-length" if matched else cohort)
-        names = [s.name + (sfx and f"|{sfx}") for s in study.systems]
-        variants.append((sfx, cohort, matched, names))
-    keys = [(s.domain, cfg.idv if s.idv is CONFIGURED else s.idv) for s in study.systems]
-    return study, durations, variants, keys, defaultdict(list)
-
-
-def _score_study(
-    cfg: ExperimentConfig, plan: tuple, data: RunData, backends: dict, seed: int
-) -> None:
-    """Add one seed's rows to a study's ``plan``.  At each duration the
-    evaluation set is noised once and each system's ``backends[key]`` scores
-    it once; every variant evaluates those raw scores or S-normalizes them."""
-    _, durations, variants, keys, rows = plan
-    noise = cfg.generator.noise_model
-    for gi, duration in enumerate(durations):
-        dur = duration_label(duration)
-        eval_ds = data.eval_in
-        if duration is not None:
-            eval_ds = apply_duration_noise(
-                eval_ds, duration, noise, seed + DURATION_NOISE_SEED_OFFSET + gi
-            )
-        for j, backend in enumerate(backends[key] for key in keys):
-            proj = backend.project(eval_ds)
-            enrol, test = proj.subset(data.enrol_pos), proj.subset(data.test_pos)
-            raw = score_trials(backend.plda, enrol, test, data.trials)
-            for sfx, cohort, matched, names in variants:
-                scores, which = raw, "raw"
-                if cohort != "off":
-                    co = data.swb_cohort if cohort == "swb-style" else data.nist_cohort
-                    if matched and duration is not None:
-                        co = apply_duration_noise(
-                            co, duration, noise, seed + COHORT_NOISE_SEED_OFFSET + gi
-                        )
-                    scores = snorm(backend.plda, raw, enrol, test, backend.project(co))
-                    which = "normalized"
-                condition = f"seed={seed}/dur={dur}" + (sfx and f"/{sfx}")
-                rows[dur, names[j]].append(evaluate(scores, condition, names[j], cfg.dcf, which))
-
-
 def run_experiment(
     cfg: ExperimentConfig, kind: str, out_dir: str | Path | None = None
 ) -> dict[str, ExperimentResult]:
     """Run one study kind, or every study for 'all', in one pass per seed.
 
-    Every study's durations are checked before any work.  Each seed's
-    datasets are drawn, and each distinct (training domain, IDV variant)
-    backend trained, once for all studies.  Each study writes its report
-    (seed -> duration -> variant -> system), its seed-mean plot table (with
-    each member's gain over its group's first) and its reference table."""
-    if kind != "all" and kind not in STUDIES:
+    Every study's durations are checked before any work.  Per seed, the
+    datasets are drawn and each distinct (training domain, IDV variant)
+    backend trained once for all studies.  Each distinct (duration grid
+    index, duration) noises the evaluation set once, and each backend used
+    there projects and scores it once for every study, system and variant
+    using it; each backend projects each unmatched cohort once.  Each study
+    writes its report (seed -> duration -> variant -> system), its seed-mean
+    plot table (with each member's gain over its group's first) and its
+    reference table."""
+    if kind != "all" and kind not in EXPERIMENT_KINDS:
         choices = EXPERIMENT_KINDS + ("all",)
         raise ValueError(f"unknown experiment kind '{kind}' (choose from {choices})")
-    plans = {k: _plan(cfg, STUDIES[k]) for k in (EXPERIMENT_KINDS if kind == "all" else (kind,))}
+    chosen = {k: s for k, s in studies(cfg).items() if kind in ("all", k)}
+    # uses: (grid index, duration) -> backend key -> each (kind, system name) using it
+    grids, uses = {}, defaultdict(lambda: defaultdict(list))
+    for k, study in chosen.items():
+        grids[k] = [d for d in cfg.durations if d is not None or not study.finite_only]
+        if not grids[k]:
+            raise ValueError(f"{study.stem} study needs at least one finite duration")
+        for gi, duration in enumerate(grids[k]):
+            for name, domain, idv in study.systems:
+                uses[gi, duration][domain, idv].append((k, name))
+    rows = {k: defaultdict(list) for k in chosen}
+    noise = cfg.generator.noise_model
     for seed in cfg.seeds:
         data = make_run_data(cfg, seed)
-        backends = {}
-        for domain, idv in dict.fromkeys(key for p in plans.values() for key in p[3]):
+        backends, cohorts = {}, {}
+        for domain, idv in dict.fromkeys(key for by_key in uses.values() for key in by_key):
             t = None if idv == "off" else estimate_idv_for_run(cfg, data, seed, idv)
             train = data.train_in if domain is Domain.IN_DOMAIN else data.train_out
             backends[domain, idv] = train_backend(cfg, train, t, seed)
-        for plan in plans.values():
-            _score_study(cfg, plan, data, backends, seed)
+        for (gi, duration), by_key in uses.items():
+            dur = duration_label(duration)
+            eval_ds = data.eval_in
+            if duration is not None:
+                eval_ds = apply_duration_noise(
+                    eval_ds, duration, noise, seed + DURATION_NOISE_SEED_OFFSET + gi
+                )
+            for key, users in by_key.items():
+                backend = backends[key]
+                proj = backend.project(eval_ds)
+                enrol, test = proj.subset(data.enrol_pos), proj.subset(data.test_pos)
+                raw = score_trials(backend.plda, enrol, test, data.trials)
+                for k, name in users:
+                    for sfx, style, matched in chosen[k].variants:
+                        scores, which = raw, "raw"
+                        if style != "off":
+                            co = data.swb_cohort if style == "swb-style" else data.nist_cohort
+                            if matched and duration is not None:
+                                co = backend.project(apply_duration_noise(
+                                    co, duration, noise, seed + COHORT_NOISE_SEED_OFFSET + gi
+                                ))
+                            else:
+                                if (key, style) not in cohorts:
+                                    cohorts[key, style] = backend.project(co)
+                                co = cohorts[key, style]
+                            scores = snorm(backend.plda, raw, enrol, test, co)
+                            which = "normalized"
+                        label = name + (sfx and f"|{sfx}")
+                        condition = f"seed={seed}/dur={dur}" + (sfx and f"/{sfx}")
+                        row = evaluate(scores, condition, label, cfg.dcf, which)
+                        rows[k][dur, label].append(row)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = {}
-    for k, (study, durations, variants, _, by_key) in plans.items():
-        durs = [duration_label(d) for d in durations]
-        names = [v[3] for v in variants]
+    for k, study in chosen.items():
+        by_key = rows[k]
+        durs = [duration_label(d) for d in grids[k]]
+        names = [[s[0] + (sfx and f"|{sfx}") for s in study.systems] for sfx, *_ in study.variants]
         report = [
             by_key[d, n][i] for i in range(len(cfg.seeds)) for d in durs for ns in names for n in ns
         ]
@@ -574,7 +553,7 @@ def default_experiment_config(**overrides) -> ExperimentConfig:
     """Desk-scale defaults calibrated for visible domain-mismatch trends.
 
     Dimension 50 with a 10-dimensional speaker subspace keeps a full
-    sweep in minutes.  The out-domain population is shifted by a norm-12
+    sweep of every study within seconds.  The out-domain population is shifted by a norm-12
     offset and carries heavier session noise (1.0 vs 0.65), so training
     on it costs roughly half the in-domain EER at full length; the
     duration-noise scale 0.75 washes that gap out by the 10-second

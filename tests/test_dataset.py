@@ -294,6 +294,11 @@ class TestTrialsIO:
             with pytest.raises(ValueError, match="test_code must be integers"):
                 TrialList(["a"], ["b", "c"], [0], bad, [True])
         assert len(TrialList([], [], [], [], [])) == 0
+        # ids are str: nothing fails later in a writer or is written as another type
+        with pytest.raises(ValueError, match="enrol id table: entry 0 is 1, not a str"):
+            TrialList([1], ["b"], [0], [0], [True])
+        with pytest.raises(ValueError, match=r"test id table: entry 1 is \['c'\], not a str"):
+            TrialList(["a"], ["b", ["c"]], [0], [1], [True])
         # labels are booleans: a label text or a number is not truth-cast to one
         for bad, dtype in ((["nontarget"], "<U9"), ([0.3], "float64"), ([0], "int64")):
             with pytest.raises(ValueError, match=f"is_target must be booleans, got {dtype}"):
@@ -460,6 +465,17 @@ class TestColumnarDataset:
             Dataset(values, ["a", "b"], [None, None], dom, [1.0, np.nan])
         with pytest.raises(ValueError, match="one entry per row"):
             Dataset(values, ["a"], [None], dom[:1], [1.0])
+        # ids and speaker labels are str, domains Domain: nothing fails later in a writer
+        for ids, speakers, domains, message in (
+            (["a", 7], [None, None], dom, "dataset ids: entry 1 is 7, not a str"),
+            (["a", "b"], ["s", 5], dom, "dataset speakers: entry 1 is 5, not a str or None"),
+            (["a", "b"], [None, None], [Domain.IN_DOMAIN, "in"],
+             "dataset domains: entry 1 is 'in', not a Domain"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                Dataset(values, ids, speakers, domains, [1.0, 1.0])
+        with pytest.raises(ValueError, match="dataset domains: entry 0 is 'in', not a Domain"):
+            Dataset(np.ones((1, 2)), ["a"], ["s"], ["in"], [1.0])
 
     def test_constructor_rejects_nonfinite_values_and_nonpositive_durations(self):
         dom = [Domain.IN_DOMAIN] * 2

@@ -312,8 +312,12 @@ class TestExperiments:
 
     def test_all_draws_trains_and_scores_each_thing_once(self, tmp_path, monkeypatch):
         """Per seed: one draw, one training per distinct (domain, IDV variant)
-        of the studies' systems, one scoring per study, system and duration."""
-        calls = {name: 0 for name in ("make_run_data", "train_backend", "score_trials")}
+        of the studies' systems, one noising of the evaluation set per
+        (duration grid index, duration) and one scoring per backend there,
+        one projection per unmatched cohort and backend."""
+        names = ("make_run_data", "train_backend", "score_trials", "apply_lda",
+                 "apply_duration_noise")
+        calls = {name: 0 for name in names}
 
         def counted(name):
             original = getattr(harness, name)
@@ -326,12 +330,31 @@ class TestExperiments:
 
         for name in calls:
             monkeypatch.setattr(harness, name, counted(name))
-        cfg = tiny_config(seeds=(0, 1))  # idv "off", durations full and 15
+        cfg = tiny_config(seeds=(0, 1))  # idv "off", snorm "off", durations full and 15
         run_experiment(cfg, "all", tmp_path)
         # backends: out-domain, in-domain, idv and modified-idv (shared by two studies);
-        # scorings: in-vs-out 2 systems x 2 durations, idv-comparison 3 x 2,
-        # matched-snorm 1 x 1 (finite durations only)
-        assert calls == {"make_run_data": 2, "train_backend": 2 * 4, "score_trials": 2 * 11}
+        # noisings: grid index 1 (in-vs-out, idv-comparison) and matched-snorm's index 0,
+        # plus matched-snorm's matched cohort;
+        # scorings: in-vs-out and idv-comparison share out-domain, so 4 backends x 2
+        # durations, plus matched-snorm 1 x 1 (finite durations only);
+        # LDA: 4 trainings, 9 scorings, the NIST cohort once per idv-comparison backend,
+        # and the matched cohort once
+        assert calls == {
+            "make_run_data": 2, "train_backend": 2 * 4, "score_trials": 2 * 9,
+            "apply_lda": 2 * (4 + 9 + 3 + 1), "apply_duration_noise": 2 * 3,
+        }
+
+    @pytest.mark.parametrize("idv", ["off", "modified"])
+    @pytest.mark.parametrize("snorm", SNORM_CHOICES)
+    def test_all_writes_the_bytes_of_each_study_run_alone(self, tmp_path, snorm, idv):
+        """Sharing work across studies leaves every study's CSVs as it alone
+        writes them; matched-snorm's noise seeds differ from the others' at the
+        same duration, since each study keeps its own duration grid index."""
+        cfg = tiny_config(seeds=(0, 1), durations=(None, 15.0, 10.0), snorm=snorm, idv=idv)
+        run_experiment(cfg, "all", tmp_path / "all")
+        for kind in harness.EXPERIMENT_KINDS:
+            for path in run_experiment(cfg, kind, tmp_path / kind)[kind].files:
+                assert path.read_bytes() == (tmp_path / "all" / path.name).read_bytes(), path.name
 
     def test_all_checks_every_study_before_any_work(self, tmp_path):
         with pytest.raises(ValueError, match="matched_snorm study needs at least one finite"):
@@ -445,6 +468,43 @@ def test_study_csvs_identical_at_one_and_two_blas_threads(tmp_path):
         outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
     assert len(outputs["1"]) == 2
     assert outputs["1"] == outputs["2"]
+
+
+def test_perfbench_tracer_reaches_every_harness_layer(tmp_path, monkeypatch, capsys):
+    """The benchmark's tracer wraps functions where svbackend modules bind
+    them, so the harness must call each through its module globals.  One
+    traced "all" run reaches every layer and counts the work it shares."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer_module)  # its dataclasses look it up
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        run_experiment(tiny_config(snorm="nist-style", idv="modified"), "all", tmp_path)
+    finally:
+        tracer.uninstall()
+    missing = [line for line in capsys.readouterr().err.splitlines() if "not found" in line]
+    assert set(missing) <= {f"tracer: svbackend.metrics.{f} not found" for f in ("eer", "min_dcf")}
+    m = tracer.layer_metrics()
+    layers = ("dataset.synth", "dataset.duration_noise", "idv.estimate", "idv.apply", "lda.train",
+              "lda.apply", "gplda.length_norm", "gplda.train", "gplda.score", "scorenorm.snorm",
+              "scorenorm.cohort_matrix", "metrics.evaluate")
+    assert [layer for layer in layers if not m.get(f"{layer}_s", 0) > 0] == []
+    counts = {k: m[k] for k in (
+        "scorenorm.cohort_scores", "scorenorm.snorm_trials", "metrics.trials_evaluated",
+        "harness.conditions", "lda.apply_vectors", "gplda.length_norm_vectors",
+        "idv.apply_vectors", "dataset.duration_noise_vectors", "gplda.trials_scored",
+    )}
+    # the out-domain system of in-vs-out and idv-comparison is noised, projected and
+    # scored once per duration, and each unmatched cohort projected once per backend
+    assert counts == {
+        "scorenorm.cohort_scores": 19440, "scorenorm.snorm_trials": 5400,
+        "metrics.trials_evaluated": 8100, "harness.conditions": 18,
+        "lda.apply_vectors": 885, "gplda.length_norm_vectors": 885, "idv.apply_vectors": 483,
+        "dataset.duration_noise_vectors": 126, "gplda.trials_scored": 4050,
+    }
 
 
 class TestCli:
