@@ -40,7 +40,15 @@ from .idv import (
     load_idv,
     save_idv,
 )
-from .lda import LdaTransform, apply_lda, load_lda, save_lda, scatter_matrices, train_lda
+from .lda import (
+    LdaTransform,
+    apply_lda,
+    lda_from_scatter,
+    load_lda,
+    save_lda,
+    scatter_matrices,
+    train_lda,
+)
 from .metrics import DcfParams, det_points, evaluate
 from .scorenorm import snorm, snorm_from_cohort_scores
 
@@ -64,6 +72,7 @@ __all__ = [
     "estimate_original_idv",
     "evaluate",
     "ground_truth_subspace",
+    "lda_from_scatter",
     "length_normalize",
     "load_idv",
     "load_ivectors",

@@ -928,6 +928,13 @@ def _trial_tokens(path: str | Path, text: str, lineno: int) -> Block:
     return tokens, kept, lineno
 
 
+def _lone_cr(data: bytes) -> bool:
+    """Whether ``data`` holds a ``\\r`` that does not start a ``\\r\\n``."""
+    a = np.frombuffer(data, dtype=np.uint8)
+    cr = np.flatnonzero(a[:-1] == ord("\r"))
+    return bool(a[-1] == ord("\r") or (a[cr + 1] != ord("\n")).any())
+
+
 def load_trials(path: str | Path) -> TrialList:
     """Parse a trial list of lines ``enrol test target|nontarget``.
 
@@ -940,7 +947,7 @@ def load_trials(path: str | Path) -> TrialList:
     lineno = 0
     with open(path, "rb") as f:
         for data, text in line_blocks(path, f):
-            if "\r" in text and data.count(b"\r") == data.count(b"\r\n"):  # CRLF only
+            if "\r" in text and not _lone_cr(data):  # CRLF only
                 data, text = data.replace(b"\r", b""), text.replace("\r", "")
             split = None
             if text.isascii() and not any(c in text for c in _ODD_SPACE):

@@ -39,8 +39,8 @@ from .dataset import (
     write_csv,
 )
 from .gplda import PldaModel, length_normalize, score_trials, train_gplda
-from .idv import IdvTransform, IdvVariant, apply_idv, estimate_modified_idv, estimate_original_idv
-from .lda import LdaTransform, apply_lda, train_lda
+from .idv import IdvTransform, IdvVariant, estimate_modified_idv, estimate_original_idv
+from .lda import LdaTransform, lda_from_scatter, scatter_matrices
 from .metrics import DcfParams, MetricReportRow, evaluate, write_metric_report
 from .scorenorm import snorm
 
@@ -302,42 +302,54 @@ def subsample(ds: Dataset, count: int | None, seed: int) -> Dataset:
 
 @dataclass(frozen=True)
 class Backend:
-    """A trained compensation chain plus its PLDA scoring model."""
+    """A trained compensation chain plus its PLDA scoring model.
+
+    ``projection`` is the chain's one (D, K) linear map: the IDV
+    decorrelator (when trained) times the LDA matrix."""
 
     idv: IdvTransform | None
     lda: LdaTransform
     plda: PldaModel
+    projection: np.ndarray
 
     def project(self, ds: Dataset) -> Dataset:
-        """IDV (when trained), then LDA, then length normalization."""
-        if self.idv is not None:
-            ds = apply_idv(self.idv, ds)
-        return length_normalize(apply_lda(self.lda, ds))
+        """``projection``, then length normalization."""
+        return _project(self.projection, ds)
+
+
+def _project(projection: np.ndarray, ds: Dataset) -> Dataset:
+    return length_normalize(ds.with_values(ds.matrix() @ projection))
 
 
 def train_backend(
     cfg: ExperimentConfig,
     train: Dataset,
+    scatter: tuple[np.ndarray, np.ndarray],
     idv_transform: IdvTransform | None,
     seed: int,
 ) -> Backend:
     """Train LDA and PLDA on the (optionally IDV-compensated) training data.
 
-    The configured LDA dimension and eigenvoice count are clamped to
-    what the training data can support, with a warning."""
-    compensated = apply_idv(idv_transform, train) if idv_transform is not None else train
+    ``scatter`` is ``scatter_matrices(train)``.  With IDV, LDA is solved
+    from the compensated data's scatter ``D.T @ S @ D`` (``D`` the
+    decorrelator), so no compensated copy of ``train`` is made.  The
+    configured LDA dimension and eigenvoice count are clamped to what the
+    training data can support, with a warning."""
     k = min(cfg.lda_dim, train.dim, len(train.speakers) - 1)
     if k < cfg.lda_dim:
         warnings.warn(
             f"LDA dimension clamped from {cfg.lda_dim} to {k} (rank limit)", stacklevel=2
         )
-    lda_t = train_lda(compensated, k, cfg.lda_ridge)
-    plda_train = length_normalize(apply_lda(lda_t, compensated))
+    d = None if idv_transform is None else idv_transform.decorrelator
+    if d is not None:
+        scatter = [d.T @ s @ d for s in scatter]
+    lda_t = lda_from_scatter(*scatter, k, cfg.lda_ridge)
+    projection = lda_t.a_matrix if d is None else d @ lda_t.a_matrix
     q = min(cfg.plda_q, k)
     if q < cfg.plda_q:
         warnings.warn(f"eigenvoice count clamped from {cfg.plda_q} to {q}", stacklevel=2)
-    plda = train_gplda(plda_train, q=q, iters=cfg.plda_iters, seed=seed)
-    return Backend(idv_transform, lda_t, plda)
+    plda = train_gplda(_project(projection, train), q=q, iters=cfg.plda_iters, seed=seed)
+    return Backend(idv_transform, lda_t, plda, projection)
 
 
 def estimate_idv_for_run(
@@ -446,11 +458,14 @@ def run_experiment(
     """Run one study kind, or every study for 'all', in one pass per seed.
 
     Every study's durations are checked before any work.  Per seed, the
-    datasets are drawn and each distinct (training domain, IDV variant)
-    backend trained once for all studies.  Each distinct (duration grid
-    index, duration) noises the evaluation set once, and each backend used
-    there projects and scores it once for every study, system and variant
-    using it; each backend projects each unmatched cohort once.  Each study
+    datasets are drawn, each training set's scatter computed once, and each
+    distinct (training domain, IDV variant) backend trained once for all
+    studies.  Each distinct (duration grid index, duration) noises the
+    evaluation set once, and each backend used there projects and scores it
+    once for every study, system and variant using it.  Each backend
+    projects each unmatched cohort once; each matched cohort is noised once
+    per (cohort style, duration, noise seed) and projected once per backend
+    there.  Each study
     writes its report (seed -> duration -> variant -> system), its seed-mean
     plot table (with each member's gain over its group's first) and its
     reference table."""
@@ -471,11 +486,13 @@ def run_experiment(
     noise = cfg.generator.noise_model
     for seed in cfg.seeds:
         data = make_run_data(cfg, seed)
-        backends, cohorts = {}, {}
+        backends, scatters, noised, cohorts = {}, {}, {}, {}
         for domain, idv in dict.fromkeys(key for by_key in uses.values() for key in by_key):
             t = None if idv == "off" else estimate_idv_for_run(cfg, data, seed, idv)
             train = data.train_in if domain is Domain.IN_DOMAIN else data.train_out
-            backends[domain, idv] = train_backend(cfg, train, t, seed)
+            if domain not in scatters:
+                scatters[domain] = scatter_matrices(train)
+            backends[domain, idv] = train_backend(cfg, train, scatters[domain], t, seed)
         for (gi, duration), by_key in uses.items():
             dur = duration_label(duration)
             eval_ds = data.eval_in
@@ -493,15 +510,20 @@ def run_experiment(
                         scores, which = raw, "raw"
                         if style != "off":
                             co = data.swb_cohort if style == "swb-style" else data.nist_cohort
+                            # (duration, noise seed) of a matched cohort, never the grid
+                            # index alone: studies index the same duration differently
+                            noising = None
                             if matched and duration is not None:
-                                co = backend.project(apply_duration_noise(
-                                    co, duration, noise, seed + COHORT_NOISE_SEED_OFFSET + gi
-                                ))
-                            else:
-                                if (key, style) not in cohorts:
-                                    cohorts[key, style] = backend.project(co)
-                                co = cohorts[key, style]
-                            scores = snorm(backend.plda, raw, enrol, test, co)
+                                noising = duration, seed + COHORT_NOISE_SEED_OFFSET + gi
+                                if (style, noising) not in noised:
+                                    noised[style, noising] = apply_duration_noise(
+                                        co, duration, noise, noising[1]
+                                    )
+                                co = noised[style, noising]
+                            use = key, style, noising
+                            if use not in cohorts:
+                                cohorts[use] = backend.project(co)
+                            scores = snorm(backend.plda, raw, enrol, test, cohorts[use])
                             which = "normalized"
                         label = name + (sfx and f"|{sfx}")
                         condition = f"seed={seed}/dur={dur}" + (sfx and f"/{sfx}")

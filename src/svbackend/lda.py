@@ -116,21 +116,30 @@ def scatter_matrices(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return (s_b + s_b.T) / 2.0, (s_w + s_w.T) / 2.0
 
 
-def train_lda(ds: Dataset, k: int, ridge: float = 1e-6) -> LdaTransform:
+def lda_from_scatter(
+    s_b: np.ndarray, s_w: np.ndarray, k: int, ridge: float = 1e-6
+) -> LdaTransform:
     """Solve S_b v = lambda (S_w + ridge*I) v and keep the top-k directions.
 
+    ``s_b`` and ``s_w`` are (D, D) between- and within-class scatters, of
+    which the symmetric parts are used: ``scatter_matrices`` of a dataset,
+    or ``M.T @ S @ M`` for the dataset mapped by a matrix ``M``.
     ``ridge`` is relative to trace(S_w)/D; within-class scatter is
     singular whenever speakers have few sessions.  Each retained column
     is renormalized to unit Euclidean length with a deterministic sign.
     """
+    s_b, s_w = np.asarray(s_b, dtype=np.float64), np.asarray(s_w, dtype=np.float64)
+    if s_b.ndim != 2 or s_b.shape[0] != s_b.shape[1] or s_w.shape != s_b.shape:
+        raise ValueError("s_b and s_w must be square matrices of one shape")
+    dim = s_b.shape[0]
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k > ds.dim:
-        raise ValueError(f"k={k} exceeds i-vector dimension {ds.dim}")
+    if k > dim:
+        raise ValueError(f"k={k} exceeds i-vector dimension {dim}")
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    s_b, s_w = scatter_matrices(ds)
-    conditioned = s_w + (ridge * np.trace(s_w) / ds.dim) * np.eye(ds.dim)
+    s_b, s_w = (s_b + s_b.T) / 2.0, (s_w + s_w.T) / 2.0
+    conditioned = s_w + (ridge * np.trace(s_w) / dim) * np.eye(dim)
     try:
         eigvals, eigvecs = scipy.linalg.eigh(s_b, conditioned)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as e:
@@ -142,6 +151,11 @@ def train_lda(ds: Dataset, k: int, ridge: float = 1e-6) -> LdaTransform:
     flip = np.sign(a[np.abs(a).argmax(axis=0), np.arange(k)])
     a = a * flip
     return LdaTransform(a, lam, s_b=s_b, s_w=s_w)
+
+
+def train_lda(ds: Dataset, k: int, ridge: float = 1e-6) -> LdaTransform:
+    """``lda_from_scatter`` of the dataset's ``scatter_matrices``."""
+    return lda_from_scatter(*scatter_matrices(ds), k, ridge)
 
 
 def apply_lda(t: LdaTransform, ds: Dataset) -> Dataset:

@@ -34,7 +34,7 @@ from svbackend.harness import (
     train_backend,
 )
 from svbackend.idv import estimate_modified_idv, load_idv, save_idv
-from svbackend.lda import load_lda, save_lda, train_lda
+from svbackend.lda import load_lda, save_lda, scatter_matrices, train_lda
 from svbackend.metrics import DcfParams, evaluate
 from svbackend.scorenorm import cohort_score_matrix, snorm, snorm_from_cohort_scores
 
@@ -278,7 +278,7 @@ def test_criterion_9_determinism_and_round_trips(tmp_path):
 
     data = make_run_data(cfg, 0)
     idv_t = estimate_modified_idv(data.train_out, data.nist_cohort)
-    backend = train_backend(cfg, data.train_out, idv_t, 0)
+    backend = train_backend(cfg, data.train_out, scatter_matrices(data.train_out), idv_t, 0)
     save_idv(idv_t, tmp_path / "t.idv")
     loaded_idv = load_idv(tmp_path / "t.idv")
     assert np.array_equal(loaded_idv.s_idv, idv_t.s_idv)

@@ -21,7 +21,7 @@ from svbackend.dataset import (
     save_ivectors,
     save_trials,
 )
-from svbackend.gplda import PldaModel, read_scores, save_plda, write_scores
+from svbackend.gplda import PldaModel, length_normalize, read_scores, save_plda, write_scores
 from svbackend.harness import (
     EVAL_SEED_OFFSET,
     RETIRED_KEYS,
@@ -41,6 +41,8 @@ from svbackend.harness import (
     subsample,
     train_backend,
 )
+from svbackend.idv import apply_idv
+from svbackend.lda import apply_lda, scatter_matrices
 from svbackend.metrics import REPORT_COLUMNS
 
 from conftest import make_dataset, make_scoreset, make_trials
@@ -245,9 +247,25 @@ class TestRunData:
         cfg = tiny_config(lda_dim=500, plda_q=200)
         data = make_run_data(cfg, 0)
         with pytest.warns(UserWarning, match="clamped"):
-            backend = train_backend(cfg, data.train_out, None, 0)
+            backend = train_backend(cfg, data.train_out, scatter_matrices(data.train_out), None, 0)
         assert backend.lda.output_dim == min(cfg.generator.dim, len(data.train_out.speakers) - 1)
         assert backend.plda.n_eigenvoices == backend.lda.output_dim
+
+    def test_backend_projection_is_the_composed_chain(self):
+        """One product by ``projection`` equals IDV, then LDA, then length
+        normalization: bit for bit without IDV, within rounding with it."""
+        cfg = tiny_config()
+        data = make_run_data(cfg, 0)
+        scatter = scatter_matrices(data.train_out)
+        idv_t = harness.estimate_idv_for_run(cfg, data, 0, "modified")
+        plain = train_backend(cfg, data.train_out, scatter, None, 0)
+        compensated = train_backend(cfg, data.train_out, scatter, idv_t, 0)
+        for ds in (data.eval_in, data.nist_cohort):
+            chain = length_normalize(apply_lda(plain.lda, ds)).matrix()
+            assert np.array_equal(plain.project(ds).matrix(), chain)
+            chain = length_normalize(apply_lda(compensated.lda, apply_idv(idv_t, ds))).matrix()
+            got = compensated.project(ds).matrix()
+            assert np.linalg.norm(got - chain) <= 1e-9 * np.linalg.norm(chain)
 
 
 class TestExperiments:
@@ -311,25 +329,12 @@ class TestExperiments:
             run_experiment(cfg, "bogus", tmp_path)
 
     def test_all_draws_trains_and_scores_each_thing_once(self, tmp_path, monkeypatch):
-        """Per seed: one draw, one training per distinct (domain, IDV variant)
-        of the studies' systems, one noising of the evaluation set per
-        (duration grid index, duration) and one scoring per backend there,
-        one projection per unmatched cohort and backend."""
-        names = ("make_run_data", "train_backend", "score_trials", "apply_lda",
-                 "apply_duration_noise")
-        calls = {name: 0 for name in names}
-
-        def counted(name):
-            original = getattr(harness, name)
-
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return call
-
-        for name in calls:
-            monkeypatch.setattr(harness, name, counted(name))
+        """Per seed: one draw, one scatter per training set, one training per
+        distinct (domain, IDV variant) of the studies' systems, one noising of
+        the evaluation set per (duration grid index, duration) and one scoring
+        per backend there, one projection per unmatched cohort and backend."""
+        calls = _count_calls(monkeypatch, "make_run_data", "scatter_matrices", "train_backend",
+                             "score_trials", "length_normalize", "apply_duration_noise")
         cfg = tiny_config(seeds=(0, 1))  # idv "off", snorm "off", durations full and 15
         run_experiment(cfg, "all", tmp_path)
         # backends: out-domain, in-domain, idv and modified-idv (shared by two studies);
@@ -337,11 +342,26 @@ class TestExperiments:
         # plus matched-snorm's matched cohort;
         # scorings: in-vs-out and idv-comparison share out-domain, so 4 backends x 2
         # durations, plus matched-snorm 1 x 1 (finite durations only);
-        # LDA: 4 trainings, 9 scorings, the NIST cohort once per idv-comparison backend,
-        # and the matched cohort once
+        # projections: 4 trainings, 9 scorings, the NIST cohort once per idv-comparison
+        # backend, and the matched cohort once
         assert calls == {
-            "make_run_data": 2, "train_backend": 2 * 4, "score_trials": 2 * 9,
-            "apply_lda": 2 * (4 + 9 + 3 + 1), "apply_duration_noise": 2 * 3,
+            "make_run_data": 2, "scatter_matrices": 2 * 2, "train_backend": 2 * 4,
+            "score_trials": 2 * 9, "length_normalize": 2 * (4 + 9 + 3 + 1),
+            "apply_duration_noise": 2 * 3,
+        }
+
+    def test_all_noises_each_matched_cohort_once(self, tmp_path, monkeypatch):
+        """A matched cohort is noised once per (style, duration, noise seed) and
+        projected once per backend there, whichever studies and systems use it."""
+        calls = _count_calls(monkeypatch, "apply_duration_noise", "length_normalize")
+        cfg = tiny_config(seeds=(0, 1), snorm="matched-length")  # durations full and 15
+        run_experiment(cfg, "all", tmp_path)
+        # noisings: the evaluation set and the NIST cohort at 15 s, each once at
+        # grid index 1 (in-vs-out, idv-comparison) and once at matched-snorm's index 0;
+        # projections: 4 trainings, 9 scorings, the full-length cohort once per
+        # backend, the cohort noised at index 1 once per backend and at index 0 once
+        assert calls == {
+            "apply_duration_noise": 2 * (2 + 2), "length_normalize": 2 * (4 + 9 + 4 + 4 + 1),
         }
 
     @pytest.mark.parametrize("idv", ["off", "modified"])
@@ -374,6 +394,24 @@ class TestExperiments:
         assert compensated.mean_value("full", SYSTEM_IN, "eer") == plain.mean_value(
             "full", SYSTEM_IN, "eer"
         )
+
+
+def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
+    """Count the calls the harness makes to each of its module globals ``names``."""
+    calls = {name: 0 for name in names}
+
+    def counted(name):
+        original = getattr(harness, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(harness, name, counted(name))
+    return calls
 
 
 def _expected_study_rows(kind: str, snorm: str) -> tuple[list[str], list[list[tuple[str, str]]]]:
@@ -449,7 +487,7 @@ def test_study_csvs_identical_at_one_and_two_blas_threads(tmp_path):
     # sizes above OpenBLAS's single-thread cut-off, so two threads really split the products
     gen = replace(default_experiment_config().generator, n_speakers=150)
     cfg = default_experiment_config(
-        generator=gen, seeds=(0,), durations=(None, 20.0), snorm="nist-style",
+        generator=gen, seeds=(0,), durations=(None, 20.0), snorm="nist-style", idv="modified",
         eval_speakers=40, eval_sessions=3, cohort_speakers=60, cohort_sessions=5,
         swb_cohort_size=200, plda_iters=5,
     )
@@ -488,11 +526,14 @@ def test_perfbench_tracer_reaches_every_harness_layer(tmp_path, monkeypatch, cap
     missing = [line for line in capsys.readouterr().err.splitlines() if "not found" in line]
     assert set(missing) <= {f"tracer: svbackend.metrics.{f} not found" for f in ("eer", "min_dcf")}
     m = tracer.layer_metrics()
-    layers = ("dataset.synth", "dataset.duration_noise", "idv.estimate", "idv.apply", "lda.train",
-              "lda.apply", "gplda.length_norm", "gplda.train", "gplda.score", "scorenorm.snorm",
+    layers = ("dataset.synth", "dataset.duration_noise", "idv.estimate", "lda.train",
+              "gplda.length_norm", "gplda.train", "gplda.score", "scorenorm.snorm",
               "scorenorm.cohort_matrix", "metrics.evaluate")
     assert [layer for layer in layers if not m.get(f"{layer}_s", 0) > 0] == []
-    counts = {k: m[k] for k in (
+    # the harness projects through each backend's composed matrix: applying IDV
+    # and LDA files one after the other is left to the command line
+    assert [m.get(f"{layer}_s", 0) for layer in ("idv.apply", "lda.apply")] == [0, 0]
+    counts = {k: m.get(k, 0) for k in (
         "scorenorm.cohort_scores", "scorenorm.snorm_trials", "metrics.trials_evaluated",
         "harness.conditions", "lda.apply_vectors", "gplda.length_norm_vectors",
         "idv.apply_vectors", "dataset.duration_noise_vectors", "gplda.trials_scored",
@@ -502,7 +543,7 @@ def test_perfbench_tracer_reaches_every_harness_layer(tmp_path, monkeypatch, cap
     assert counts == {
         "scorenorm.cohort_scores": 19440, "scorenorm.snorm_trials": 5400,
         "metrics.trials_evaluated": 8100, "harness.conditions": 18,
-        "lda.apply_vectors": 885, "gplda.length_norm_vectors": 885, "idv.apply_vectors": 483,
+        "lda.apply_vectors": 0, "gplda.length_norm_vectors": 885, "idv.apply_vectors": 0,
         "dataset.duration_noise_vectors": 126, "gplda.trials_scored": 4050,
     }
 

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from svbackend.dataset import Dataset
 from svbackend import lda
+from svbackend.idv import apply_idv, estimate_modified_idv
 from svbackend.lda import (
     UNIT_NORM_TOLERANCE,
     LdaTransform,
     apply_lda,
+    lda_from_scatter,
     load_lda,
     save_lda,
     scatter_matrices,
@@ -118,6 +120,29 @@ class TestTraining:
             train_lda(ds, k=5)
         with pytest.raises(ValueError, match="at least 1"):
             train_lda(ds, k=0)
+
+    def test_solver_of_mapped_scatters_matches_training_on_mapped_data(self, rng):
+        """The scatters of ``ds @ D`` are ``D.T @ S @ D``: solving those
+        projects like LDA trained on the IDV-compensated vectors."""
+        ds, _ = grouped_dataset(rng, n_speakers=12, sessions=6, dim=6)
+        other = make_dataset(rng.standard_normal((30, 6)) + 2.0)
+        idv_t = estimate_modified_idv(other, ds)
+        d = idv_t.decorrelator
+        composed = lda_from_scatter(*[d.T @ s @ d for s in scatter_matrices(ds)], k=4)
+        sequential = train_lda(apply_idv(idv_t, ds), k=4)
+        want = apply_lda(sequential, apply_idv(idv_t, ds)).matrix()
+        got = ds.matrix() @ (d @ composed.a_matrix)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_solver_validation(self):
+        with pytest.raises(ValueError, match="square matrices of one shape"):
+            lda_from_scatter(np.eye(3), np.eye(2), k=1)
+        with pytest.raises(ValueError, match="square matrices of one shape"):
+            lda_from_scatter(np.ones((2, 3)), np.ones((2, 3)), k=1)
+        with pytest.raises(ValueError, match="exceeds"):
+            lda_from_scatter(np.eye(2), np.eye(2), k=3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            lda_from_scatter(np.eye(2), np.eye(2), k=1, ridge=-1.0)
 
     def test_item_permutation_keeps_projection(self, rng):
         ds, _ = grouped_dataset(rng, n_speakers=5, sessions=4, dim=5)
