@@ -84,10 +84,10 @@ class Dataset:
     """An ordered collection of same-dimension i-vectors, held as columns.
 
     ``matrix()`` is the read-only (N, D) float64 value matrix; ``ids``
-    (unique ``str``), ``domains`` (``Domain``) and ``durations`` (positive,
-    read-only) hold one entry per row.  ``speakers`` is the table of
-    ``str`` speaker labels in sorted order and ``speaker_code[i]`` is row
-    i's position in it, or -1 for an unlabeled row.  Rows are validated
+    (unique ``str``), ``domains`` (``Domain``) and ``durations`` (positive
+    and finite, read-only) hold one entry per row.  ``speakers`` is the
+    table of ``str`` speaker labels in sorted order and ``speaker_code[i]``
+    is row i's position in it, or -1 for an unlabeled row.  Rows are validated
     once, when a dataset is built; derived datasets share the columns they
     do not change.
     """
@@ -130,10 +130,12 @@ class Dataset:
         _check_kinds("dataset speakers", speakers, str, type(None))
         _check_kinds("dataset domains", domains, Domain)
         _check_values(values, ids, where)
-        bad = np.flatnonzero(~(durations > 0))
+        bad = np.flatnonzero(~((durations > 0) & np.isfinite(durations)))
         if bad.size:
             row = int(bad[0])
-            raise ValueError(f"{where(row)}ivector '{ids[row]}': duration_sec must be positive")
+            raise ValueError(
+                f"{where(row)}ivector '{ids[row]}': duration_sec must be positive and finite"
+            )
         if len(set(ids)) != n:
             seen: set[str] = set()
             for row, utt in enumerate(ids):
@@ -277,12 +279,13 @@ _GENERATOR_MINIMA = dict(
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GeneratorConfig:
     """Knobs of the synthetic two-domain i-vector generator.
 
-    ``domain_offset`` (length ``dim``; None means zero) is the mean
-    shift of the out-domain population relative to the in-domain one.
+    ``domain_offset`` (``dim`` floats, stored as a tuple; None means zero)
+    is the mean shift of the out-domain population relative to the
+    in-domain one.
     ``out_channel_scale`` optionally gives the out-domain population its
     own session-noise level (None reuses ``channel_scale``), modeling
     corpora whose recording conditions differ in spread and not just
@@ -299,7 +302,7 @@ class GeneratorConfig:
     eigenvoice_dim: int = 50
     speaker_scale: float = 1.0
     channel_scale: float = 1.0
-    domain_offset: np.ndarray | None = None
+    domain_offset: tuple[float, ...] | None = None
     out_channel_scale: float | None = None
     duration_ref_sec: float = 120.0
     duration_noise_scale: float = 0.0
@@ -316,9 +319,7 @@ class GeneratorConfig:
         if self.out_channel_scale is not None and self.out_channel_scale < 0:
             raise ValueError("invalid config: scales must be nonnegative")
         self.noise_model  # checks the duration-noise fields
-        offset = self.domain_offset
-        if offset is None:
-            offset = np.zeros(self.dim)
+        offset = (0.0,) * self.dim if self.domain_offset is None else self.domain_offset
         entries = offset.tolist() if isinstance(offset, np.ndarray) else offset
         if not isinstance(entries, (list, tuple)) or any(  # no bools, no numeric strings
             isinstance(x, bool) or not isinstance(x, numbers.Real) for x in entries
@@ -329,23 +330,12 @@ class GeneratorConfig:
             raise ValueError(f"invalid config: domain_offset must have length {self.dim}")
         if not np.all(np.isfinite(offset)):
             raise ValueError("invalid config: domain_offset has non-finite entries")
-        offset.flags.writeable = False
-        object.__setattr__(self, "domain_offset", offset)
+        object.__setattr__(self, "domain_offset", tuple(offset.tolist()))
 
     @property
     def noise_model(self) -> DurationNoiseModel:
         return DurationNoiseModel(
             self.duration_noise_scale, self.duration_ref_sec, self.duration_noise_exponent
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GeneratorConfig):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f), getattr(other, f))
-            if f == "domain_offset"
-            else getattr(self, f) == getattr(other, f)
-            for f in self.__dataclass_fields__
         )
 
 
@@ -467,8 +457,8 @@ def apply_duration_noise(
     sigma at the target duration and rewrites the duration metadata.
     With ``sigma0 == 0`` the values are returned bit-identical.
     """
-    if not target_duration_sec > 0:
-        raise ValueError("target duration must be positive")
+    if not 0 < target_duration_sec < math.inf:
+        raise ValueError("target duration must be positive and finite")
     sigma = noise.sigma(target_duration_sec)
     durations = np.full(len(ds), target_duration_sec, dtype=np.float64)
     if sigma == 0.0:

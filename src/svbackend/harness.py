@@ -40,7 +40,7 @@ from .dataset import (
 )
 from .gplda import PldaModel, length_normalize, score_trials, train_gplda
 from .idv import IdvTransform, IdvVariant, estimate_modified_idv, estimate_original_idv
-from .lda import LdaTransform, lda_from_scatter, scatter_matrices
+from .lda import lda_from_scatter, scatter_matrices
 from .metrics import DcfParams, MetricReportRow, evaluate, write_metric_report
 from .scorenorm import snorm
 
@@ -165,7 +165,6 @@ def duration_label(d: float | None) -> str:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     d = asdict(cfg)
-    d["generator"]["domain_offset"] = cfg.generator.domain_offset.tolist()
     d["durations"] = [duration_label(x) for x in cfg.durations]
     return d
 
@@ -302,13 +301,10 @@ def subsample(ds: Dataset, count: int | None, seed: int) -> Dataset:
 
 @dataclass(frozen=True)
 class Backend:
-    """A trained compensation chain plus its PLDA scoring model.
+    """A trained compensation chain's PLDA scoring model and one (D, K)
+    linear map, ``projection``: the IDV decorrelator (when trained) times
+    the LDA matrix."""
 
-    ``projection`` is the chain's one (D, K) linear map: the IDV
-    decorrelator (when trained) times the LDA matrix."""
-
-    idv: IdvTransform | None
-    lda: LdaTransform
     plda: PldaModel
     projection: np.ndarray
 
@@ -343,13 +339,13 @@ def train_backend(
     d = None if idv_transform is None else idv_transform.decorrelator
     if d is not None:
         scatter = [d.T @ s @ d for s in scatter]
-    lda_t = lda_from_scatter(*scatter, k, cfg.lda_ridge)
-    projection = lda_t.a_matrix if d is None else d @ lda_t.a_matrix
+    a = lda_from_scatter(*scatter, k, cfg.lda_ridge).a_matrix
+    projection = a if d is None else d @ a
     q = min(cfg.plda_q, k)
     if q < cfg.plda_q:
         warnings.warn(f"eigenvoice count clamped from {cfg.plda_q} to {q}", stacklevel=2)
     plda = train_gplda(_project(projection, train), q=q, iters=cfg.plda_iters, seed=seed)
-    return Backend(idv_transform, lda_t, plda, projection)
+    return Backend(plda, projection)
 
 
 def estimate_idv_for_run(

@@ -120,13 +120,22 @@ def _cholesky_decorrelator(s: np.ndarray, ridge_factor: float) -> tuple[np.ndarr
     )
 
 
-def _check_pair(out_domain: Dataset, in_domain: Dataset) -> None:
+def _estimate_idv(
+    variant: IdvVariant, out_domain: Dataset, in_domain: Dataset, ridge: float
+) -> IdvTransform:
+    """The original scatter, plus for ``MODIFIED`` its mirrored term, and its whitening."""
     if len(out_domain) == 0 or len(in_domain) == 0:
         raise ValueError("both datasets must be non-empty")
     if out_domain.dim != in_domain.dim:
         raise ValueError(
             f"dimension mismatch: out-domain {out_domain.dim} vs in-domain {in_domain.dim}"
         )
+    out_m, in_m = out_domain.matrix(), in_domain.matrix()
+    s = _mismatch_scatter(out_m, in_m.mean(axis=0))
+    if variant is IdvVariant.MODIFIED:
+        s = s + _mismatch_scatter(in_m, out_m.mean(axis=0))
+    decorrelator, used = _cholesky_decorrelator(s, ridge)
+    return IdvTransform(variant, s, decorrelator, used)
 
 
 def estimate_modified_idv(
@@ -139,21 +148,14 @@ def estimate_modified_idv(
     i-vectors around the out-domain mean; it is symmetric under swapping
     the two datasets.  ``ridge`` is relative to trace(S)/dim.
     """
-    _check_pair(out_domain, in_domain)
-    out_m, in_m = out_domain.matrix(), in_domain.matrix()
-    s = _mismatch_scatter(out_m, in_m.mean(axis=0)) + _mismatch_scatter(in_m, out_m.mean(axis=0))
-    decorrelator, used = _cholesky_decorrelator(s, ridge)
-    return IdvTransform(IdvVariant.MODIFIED, s, decorrelator, used)
+    return _estimate_idv(IdvVariant.MODIFIED, out_domain, in_domain, ridge)
 
 
 def estimate_original_idv(
     out_domain: Dataset, in_domain: Dataset, ridge: float = 1e-6
 ) -> IdvTransform:
     """Single-sided variant: out-domain scatter around the in-domain mean only."""
-    _check_pair(out_domain, in_domain)
-    s = _mismatch_scatter(out_domain.matrix(), in_domain.matrix().mean(axis=0))
-    decorrelator, used = _cholesky_decorrelator(s, ridge)
-    return IdvTransform(IdvVariant.ORIGINAL, s, decorrelator, used)
+    return _estimate_idv(IdvVariant.ORIGINAL, out_domain, in_domain, ridge)
 
 
 def apply_idv(t: IdvTransform, ds: Dataset) -> Dataset:

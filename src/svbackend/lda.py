@@ -28,16 +28,12 @@ UNIT_NORM_TOLERANCE = 1e-9
 class LdaTransform:
     """A trained projection: ``a_matrix`` is (D, K), columns sorted by
     descending eigenvalue, each unit length (within ``UNIT_NORM_TOLERANCE``)
-    with its largest-magnitude entry (the first, on ties) positive.
-
-    Scatter matrices are kept for inspection when produced by training;
-    transforms loaded from disk carry None there.
+    with its largest-magnitude entry (the first, on ties) positive.  These
+    two arrays are what an LDA1 file stores.
     """
 
     a_matrix: np.ndarray
     eigenvalues: np.ndarray
-    s_b: np.ndarray | None = None
-    s_w: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         a = np.array(self.a_matrix, dtype=np.float64, copy=True)
@@ -65,14 +61,6 @@ class LdaTransform:
         lam.flags.writeable = False
         object.__setattr__(self, "a_matrix", a)
         object.__setattr__(self, "eigenvalues", lam)
-        for name in ("s_b", "s_w"):
-            m = getattr(self, name)
-            if m is not None:
-                m = np.array(m, dtype=np.float64, copy=True)
-                if m.shape != (a.shape[0], a.shape[0]):
-                    raise ValueError(f"{name} must be (D, D)")
-                m.flags.writeable = False
-                object.__setattr__(self, name, m)
 
     @property
     def input_dim(self) -> int:
@@ -150,7 +138,7 @@ def lda_from_scatter(
     a = a / np.linalg.norm(a, axis=0)
     flip = np.sign(a[np.abs(a).argmax(axis=0), np.arange(k)])
     a = a * flip
-    return LdaTransform(a, lam, s_b=s_b, s_w=s_w)
+    return LdaTransform(a, lam)
 
 
 def train_lda(ds: Dataset, k: int, ridge: float = 1e-6) -> LdaTransform:

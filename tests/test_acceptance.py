@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
-The trend criteria (6 and 7) run the calibrated desk-scale study used
+The trend criteria (6, 7, 10 and 11) run the calibrated desk-scale study used
 throughout the docs: dimension 50, 200 training speakers per domain,
 five seeds.
 """
@@ -150,10 +150,11 @@ def test_criterion_5_lda_residual_and_analytic_case():
         # be checked ridge-free (the default ridge adds a known lambda*ridge
         # bias on top of solver error)
         t = train_lda(ds, k=4, ridge=0.0)
-        scale = np.linalg.norm(t.s_b)
+        s_b, s_w = scatter_matrices(ds)
+        scale = np.linalg.norm(s_b)
         for j in range(t.output_dim):
             v = t.a_matrix[:, j]
-            resid = np.linalg.norm(t.s_b @ v - t.eigenvalues[j] * (t.s_w @ v)) / scale
+            resid = np.linalg.norm(s_b @ v - t.eigenvalues[j] * (s_w @ v)) / scale
             worst = max(worst, resid)
             assert resid <= 1e-6
     values = np.array([[-1.0, -0.4], [-1.0, 0.4], [1.0, -0.4], [1.0, 0.4]])
@@ -284,13 +285,55 @@ def test_criterion_9_determinism_and_round_trips(tmp_path):
     assert np.array_equal(loaded_idv.s_idv, idv_t.s_idv)
     assert np.array_equal(loaded_idv.decorrelator, idv_t.decorrelator)
     assert loaded_idv.ridge == idv_t.ridge and loaded_idv.variant == idv_t.variant
-    save_lda(backend.lda, tmp_path / "t.lda")
+    lda_t = train_lda(data.train_out, cfg.lda_dim, cfg.lda_ridge)
+    save_lda(lda_t, tmp_path / "t.lda")
     loaded_lda = load_lda(tmp_path / "t.lda")
-    assert np.array_equal(loaded_lda.a_matrix, backend.lda.a_matrix)
-    assert np.array_equal(loaded_lda.eigenvalues, backend.lda.eigenvalues)
+    assert np.array_equal(loaded_lda.a_matrix, lda_t.a_matrix)
+    assert np.array_equal(loaded_lda.eigenvalues, lda_t.eigenvalues)
     save_plda(backend.plda, tmp_path / "t.plda")
     loaded_plda = load_plda(tmp_path / "t.plda")
     assert np.array_equal(loaded_plda.mean, backend.plda.mean)
     assert np.array_equal(loaded_plda.u1, backend.plda.u1)
     assert np.array_equal(loaded_plda.lambda_prec, backend.plda.lambda_prec)
     print(f"\nACCEPTANCE 9 PASS: {n_files} CSVs byte-identical on rerun; persistence exact")
+
+
+def _idv_gain(res, duration: str, variant: str) -> tuple[float, float]:
+    """Relative EER gain (%) of ``idv`` over ``out-domain`` under ``variant``,
+    and the absolute EER gap."""
+    out_v, idv_v = (
+        res.mean_value(duration, f"{s}|{variant}", "eer") for s in (SYSTEM_OUT, SYSTEM_IDV)
+    )
+    return 100.0 * (out_v - idv_v) / out_v, out_v - idv_v
+
+
+def test_criterion_10_trend_idv_gain_over_duration(tmp_path):
+    """IDV gain over out-domain (no S-norm) positive at full length, decaying
+    to <= 5% at 10s, with criterion 6's allowance of one adjacent inversion."""
+    cfg = default_experiment_config()
+    res = run_experiment(cfg, "idv-comparison", tmp_path)["idv-comparison"]
+    labels = [duration_label(d) for d in cfg.durations]
+    gains, gaps = zip(*(_idv_gain(res, lbl, "snorm=off") for lbl in labels))
+    assert gains[0] > 0.0
+    inversions = [i for i in range(len(gains) - 1) if gains[i + 1] > gains[i] + 1e-9]
+    assert len(inversions) <= 1
+    for i in inversions:
+        assert gaps[i + 1] - gaps[i] <= 0.01
+    assert gains[-1] <= 5.0
+    series = " ".join(f"{l}:{g:+.2f}%" for l, g in zip(labels, gains))
+    print(f"\nACCEPTANCE 10 PASS: IDV gain series {series}")
+
+
+def test_criterion_11_idv_gain_swb_snorm_exceeds_nist(tmp_path):
+    """At full length the IDV gain with swb-style S-norm exceeds the gain
+    with nist-style S-norm."""
+    gains = {}
+    for style in ("swb-style", "nist-style"):
+        cfg = replace(default_experiment_config(), durations=(None,), snorm=style)
+        res = run_experiment(cfg, "idv-comparison", tmp_path / style)["idv-comparison"]
+        gains[style] = _idv_gain(res, "full", f"snorm={style}")[0]
+    assert gains["swb-style"] > gains["nist-style"]
+    print(
+        f"\nACCEPTANCE 11 PASS: IDV gain at full length swb-style {gains['swb-style']:.1f}%"
+        f" > nist-style {gains['nist-style']:.1f}%"
+    )

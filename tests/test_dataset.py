@@ -161,6 +161,11 @@ class TestDurationNoise:
         with pytest.raises(ValueError, match="positive"):
             apply_duration_noise(ds, 0.0, DurationNoiseModel(0.1, 60.0), seed=0)
 
+    def test_rejects_infinite_duration(self):
+        ds = make_dataset(np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="^target duration must be positive and finite$"):
+            apply_duration_noise(ds, float("inf"), DurationNoiseModel(0.1, 60.0), seed=0)
+
     @pytest.mark.parametrize(
         "field, args",
         [
@@ -489,6 +494,11 @@ class TestColumnarDataset:
         ds = Dataset(values, ["a", "b"], [None, None], dom, [1.0, 1.0])
         values[0, 0] = 7.0  # the dataset holds a copy
         assert ds.matrix()[0, 0] == 1.0
+
+    def test_constructor_rejects_infinite_duration_by_row(self):
+        dom = [Domain.IN_DOMAIN] * 2
+        with pytest.raises(ValueError, match="^ivector 'b': duration_sec must be positive and"):
+            Dataset(np.ones((2, 2)), ["a", "b"], [None, None], dom, [1.0, float("inf")])
 
     def test_subset_recodes_speakers(self):
         ds = self._ds()

@@ -42,7 +42,7 @@ from svbackend.harness import (
     train_backend,
 )
 from svbackend.idv import apply_idv
-from svbackend.lda import apply_lda, scatter_matrices
+from svbackend.lda import apply_lda, scatter_matrices, train_lda
 from svbackend.metrics import REPORT_COLUMNS
 
 from conftest import make_dataset, make_scoreset, make_trials
@@ -248,22 +248,27 @@ class TestRunData:
         data = make_run_data(cfg, 0)
         with pytest.warns(UserWarning, match="clamped"):
             backend = train_backend(cfg, data.train_out, scatter_matrices(data.train_out), None, 0)
-        assert backend.lda.output_dim == min(cfg.generator.dim, len(data.train_out.speakers) - 1)
-        assert backend.plda.n_eigenvoices == backend.lda.output_dim
+        k = backend.projection.shape[1]
+        assert k == min(cfg.generator.dim, len(data.train_out.speakers) - 1)
+        assert backend.plda.n_eigenvoices == k
 
     def test_backend_projection_is_the_composed_chain(self):
-        """One product by ``projection`` equals IDV, then LDA, then length
-        normalization: bit for bit without IDV, within rounding with it."""
+        """One product by ``projection`` equals the CLI's sequential route (IDV,
+        then LDA trained on the compensated set, then length normalization):
+        bit for bit without IDV, within rounding with it."""
         cfg = tiny_config()
         data = make_run_data(cfg, 0)
-        scatter = scatter_matrices(data.train_out)
+        train, k, ridge = data.train_out, cfg.lda_dim, cfg.lda_ridge
+        scatter = scatter_matrices(train)
         idv_t = harness.estimate_idv_for_run(cfg, data, 0, "modified")
-        plain = train_backend(cfg, data.train_out, scatter, None, 0)
-        compensated = train_backend(cfg, data.train_out, scatter, idv_t, 0)
+        plain = train_backend(cfg, train, scatter, None, 0)
+        compensated = train_backend(cfg, train, scatter, idv_t, 0)
+        lda_plain = train_lda(train, k, ridge)
+        lda_compensated = train_lda(apply_idv(idv_t, train), k, ridge)
         for ds in (data.eval_in, data.nist_cohort):
-            chain = length_normalize(apply_lda(plain.lda, ds)).matrix()
+            chain = length_normalize(apply_lda(lda_plain, ds)).matrix()
             assert np.array_equal(plain.project(ds).matrix(), chain)
-            chain = length_normalize(apply_lda(compensated.lda, apply_idv(idv_t, ds))).matrix()
+            chain = length_normalize(apply_lda(lda_compensated, apply_idv(idv_t, ds))).matrix()
             got = compensated.project(ds).matrix()
             assert np.linalg.norm(got - chain) <= 1e-9 * np.linalg.norm(chain)
 

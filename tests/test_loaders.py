@@ -1,5 +1,6 @@
-"""Binary and CSV loaders: invalid contents name the file, and fuzzed files
-fail only with a ``ValueError`` naming the file or load as valid objects."""
+"""Binary and CSV loaders: invalid contents name the file, fuzzed files
+fail only with a ``ValueError`` naming the file or load as valid objects,
+and a trained model's file copy equals it field by field."""
 
 import csv
 import functools
@@ -8,6 +9,7 @@ import re
 import struct
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,15 +18,30 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from svbackend import dataset, gplda
-from svbackend.dataset import load_ivectors, load_trials, save_ivectors
-from svbackend.gplda import PldaModel, load_plda, read_scores, save_plda
+from svbackend.dataset import (
+    GeneratorConfig,
+    load_ivectors,
+    load_trials,
+    save_ivectors,
+    synth_dataset,
+)
+from svbackend.gplda import (
+    PldaModel,
+    length_normalize,
+    load_plda,
+    read_scores,
+    save_plda,
+    train_gplda,
+)
 from svbackend.idv import IdvTransform, IdvVariant, estimate_modified_idv, load_idv, save_idv
 from svbackend.lda import (
     LDA_MAGIC,
     UNIT_NORM_TOLERANCE,
     LdaTransform,
+    apply_lda,
     load_lda,
     save_lda,
+    train_lda,
 )
 
 from conftest import make_dataset
@@ -64,6 +81,16 @@ class TestContentErrorsNameTheFile:
         path = tmp_path / "x.ivec"
         _ivec_file(path, _ivec_record(b"a", b"s", b"in", 0.0, [1.0, 2.0]))
         with _raises_naming(path, "record 0: ivector 'a': duration_sec must be positive"):
+            load_ivectors(path)
+
+    def test_ivec_infinite_duration(self, tmp_path):
+        path = tmp_path / "x.ivec"
+        _ivec_file(
+            path,
+            _ivec_record(b"a", b"s", b"in", 1.0, [1.0, 2.0]),
+            _ivec_record(b"b", b"s", b"in", math.inf, [1.0, 2.0]),
+        )
+        with _raises_naming(path, "record 1: ivector 'b': duration_sec must be positive and"):
             load_ivectors(path)
 
     def test_ivec_invalid_utf8(self, tmp_path):
@@ -138,6 +165,8 @@ class TestContentErrorsNameTheFile:
             ("id,speaker,domain,duration\n", "header carries no value columns"),
             ("id,speaker,domain,duration,v0\na,s,far,1.0,1.0\n", "line 2: unknown domain 'far'"),
             ("id,speaker,domain,duration,v0\na,s,in,1.0,x\n", "line 2: malformed number"),
+            ("id,speaker,domain,duration,v0\na,s,in,1.0,1.0\nb,s,in,inf,1.0\n",
+             "line 3: ivector 'b': duration_sec must be positive and finite"),
             # the skipped blank row still counts as a line
             ("id,speaker,domain,duration,v0\na,s,in,1.0,1.0\n\nb,s,in,,1.0\n",
              "line 4: malformed number"),
@@ -408,3 +437,26 @@ def test_fuzzed_binary_files_fail_by_name_or_load_valid(tmp_path, kind, cut, fli
         assert str(e).startswith(f"{path}: "), str(e)
         return
     _check_loaded(kind, obj, bytes(raw), tmp_path)
+
+
+def test_trained_models_equal_their_file_copies_field_by_field(tmp_path):
+    """Every field of a trained IDV, LDA and PLDA model is one its file
+    stores; the PLDA log-likelihood trace alone is not persisted."""
+    gen = GeneratorConfig(
+        dim=6, n_speakers=12, sessions_per_speaker=4, eigenvoice_dim=3,
+        domain_offset=[1.0, -1.0] * 3, seed=5,
+    )
+    in_ds, out_ds = synth_dataset(gen)
+    lda_t = train_lda(out_ds, 4)
+    plda = train_gplda(length_normalize(apply_lda(lda_t, out_ds)), q=2, iters=3)
+    for model, save, load in (
+        (estimate_modified_idv(out_ds, in_ds), save_idv, load_idv),
+        (lda_t, save_lda, load_lda),
+        (plda, save_plda, load_plda),
+    ):
+        path = tmp_path / load.__name__
+        save(model, path)
+        copy = load(path)
+        for f in fields(model):
+            if f.name != "loglik_trace":
+                assert np.array_equal(getattr(copy, f.name), getattr(model, f.name)), f.name
