@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -269,7 +269,16 @@ class DurationNoiseModel:
     def sigma(self, duration_sec: float) -> float:
         if not duration_sec > 0:
             raise ValueError("duration must be positive")
-        return self.sigma0 * (self.duration_ref_sec / duration_sec) ** self.exponent
+        try:
+            sigma = self.sigma0 * (self.duration_ref_sec / duration_sec) ** self.exponent
+        except (OverflowError, ZeroDivisionError):  # 0.0 ** -x at an infinite duration
+            sigma = math.inf
+        if not math.isfinite(sigma):
+            raise ValueError(
+                f"duration noise overflows at duration {duration_sec:g} s "
+                f"with exponent {self.exponent:g}"
+            )
+        return sigma
 
 
 #: Smallest accepted value of each numeric ``GeneratorConfig`` field with one.
@@ -407,12 +416,12 @@ def _synth_domain(
     cfg: GeneratorConfig,
     u: np.ndarray,
     domain: Domain,
+    n_spk: int,
     mean: np.ndarray,
     channel_scale: float,
     rng: np.random.Generator,
-    prefix: str,
 ) -> Dataset:
-    n_spk, n_sess = cfg.n_speakers, cfg.sessions_per_speaker
+    n_sess, prefix = cfg.sessions_per_speaker, domain.value
     values = np.empty((n_spk * n_sess, cfg.dim))
     for si in range(n_spk):
         x = rng.standard_normal(cfg.eigenvoice_dim)
@@ -425,7 +434,9 @@ def _synth_domain(
     return object.__new__(Dataset)._build(values, ids, speakers, (domain,) * len(ids), durations)
 
 
-def synth_dataset(cfg: GeneratorConfig) -> tuple[Dataset, Dataset]:
+def synth_dataset(
+    cfg: GeneratorConfig, domains: Collection[Domain] = tuple(Domain)
+) -> tuple[Dataset, Dataset]:
     """Draw one in-domain and one out-domain dataset from the generator.
 
     Every i-vector is ``m_domain + speaker_scale * U @ x_s + eps_r`` with
@@ -433,17 +444,25 @@ def synth_dataset(cfg: GeneratorConfig) -> tuple[Dataset, Dataset]:
     (``c`` is the domain's channel scale), the in-domain mean at zero
     and the out-domain mean at ``domain_offset``.  Deterministic given
     the config; all items carry ``duration_ref_sec``.
+
+    Only the ``domains`` given (default: both) are synthesized; one left
+    out comes back as a 0-row dataset of dimension ``dim``.  Each domain
+    draws from its own random stream, so a one-domain draw holds exactly
+    the rows of that domain in the two-domain draw.
     """
+    if not set(domains) <= set(Domain):
+        raise ValueError(f"domains must be Domain members, got {domains!r}")
     u = ground_truth_subspace(cfg)
     in_rng, out_rng = _seed_streams(cfg)
+    n_in, n_out = (cfg.n_speakers if d in domains else 0 for d in Domain)
     out_channel = (
         cfg.channel_scale if cfg.out_channel_scale is None else cfg.out_channel_scale
     )
     in_ds = _synth_domain(
-        cfg, u, Domain.IN_DOMAIN, np.zeros(cfg.dim), cfg.channel_scale, in_rng, "in"
+        cfg, u, Domain.IN_DOMAIN, n_in, np.zeros(cfg.dim), cfg.channel_scale, in_rng
     )
     out_ds = _synth_domain(
-        cfg, u, Domain.OUT_DOMAIN, np.asarray(cfg.domain_offset), out_channel, out_rng, "out"
+        cfg, u, Domain.OUT_DOMAIN, n_out, np.asarray(cfg.domain_offset), out_channel, out_rng
     )
     return in_ds, out_ds
 

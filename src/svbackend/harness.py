@@ -21,7 +21,7 @@ from collections import defaultdict
 from dataclasses import asdict, astuple, dataclass, replace
 from numbers import Real
 from pathlib import Path
-from typing import Mapping
+from typing import Collection, Mapping
 
 import numpy as np
 
@@ -142,6 +142,8 @@ class ExperimentConfig:
                 isinstance(d, bool) or not isinstance(d, Real) or not 0 < d < math.inf
             ):
                 raise ValueError(f"durations must be positive (None means full length), got {d!r}")
+            if d is not None:
+                self.generator.noise_model.sigma(d)  # raises if the noise level overflows
         if not self.seeds:
             raise ValueError("need at least one seed")
         for s in self.seeds:
@@ -227,7 +229,8 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class RunData:
-    """All datasets of one experiment repetition (one run seed)."""
+    """All datasets of one experiment repetition (one run seed); a training
+    set the run does not train on holds 0 rows."""
 
     train_in: Dataset
     train_out: Dataset
@@ -262,23 +265,31 @@ def build_trials(eval_ds: Dataset) -> tuple[np.ndarray, np.ndarray, TrialList]:
     return enrol_pos, test_pos, trials
 
 
-def make_run_data(cfg: ExperimentConfig, seed: int) -> RunData:
+def make_run_data(
+    cfg: ExperimentConfig, seed: int, train_domains: Collection[Domain] = tuple(Domain)
+) -> RunData:
     """Draw training, evaluation, and cohort datasets for one run seed.
 
-    All draws share the run's ground-truth subspace; evaluation and
-    cohort speakers are fresh."""
+    Only the training sets of ``train_domains`` (default: both) are drawn;
+    one left out is a 0-row dataset.  The evaluation set and the NIST
+    cohort are drawn in-domain only, the SWB cohort out-domain only.  All
+    draws share the run's ground-truth subspace; evaluation and cohort
+    speakers are fresh."""
     base = replace(cfg.generator, seed=seed, subspace_seed=seed)
 
-    def draw(offset: int, speakers: int, sessions: int) -> tuple[Dataset, Dataset]:
+    def draw(offset: int, speakers: int, sessions: int, domain: Domain) -> tuple[Dataset, Dataset]:
         return synth_dataset(
-            replace(base, seed=seed + offset, n_speakers=speakers, sessions_per_speaker=sessions)
+            replace(base, seed=seed + offset, n_speakers=speakers, sessions_per_speaker=sessions),
+            (domain,),
         )
 
-    train_in, train_out = synth_dataset(base)
-    eval_in, _ = draw(EVAL_SEED_OFFSET, cfg.eval_speakers, cfg.eval_sessions)
-    nist_cohort, _ = draw(NIST_COHORT_SEED_OFFSET, cfg.cohort_speakers, cfg.cohort_sessions)
+    train_in, train_out = synth_dataset(base, train_domains)
+    eval_in, _ = draw(EVAL_SEED_OFFSET, cfg.eval_speakers, cfg.eval_sessions, Domain.IN_DOMAIN)
+    nist_cohort, _ = draw(
+        NIST_COHORT_SEED_OFFSET, cfg.cohort_speakers, cfg.cohort_sessions, Domain.IN_DOMAIN
+    )
     swb_speakers = math.ceil(cfg.swb_cohort_size / cfg.cohort_sessions)
-    _, swb_all = draw(SWB_COHORT_SEED_OFFSET, swb_speakers, cfg.cohort_sessions)
+    _, swb_all = draw(SWB_COHORT_SEED_OFFSET, swb_speakers, cfg.cohort_sessions, Domain.OUT_DOMAIN)
     swb_cohort = swb_all.subset(range(cfg.swb_cohort_size))
     enrol_pos, test_pos, trials = build_trials(eval_in)
     return RunData(
@@ -454,17 +465,18 @@ def run_experiment(
     """Run one study kind, or every study for 'all', in one pass per seed.
 
     Every study's durations are checked before any work.  Per seed, the
-    datasets are drawn, each training set's scatter computed once, and each
-    distinct (training domain, IDV variant) backend trained once for all
-    studies.  Each distinct (duration grid index, duration) noises the
-    evaluation set once, and each backend used there projects and scores it
-    once for every study, system and variant using it.  Each backend
-    projects each unmatched cohort once; each matched cohort is noised once
-    per (cohort style, duration, noise seed) and projected once per backend
-    there.  Each study
-    writes its report (seed -> duration -> variant -> system), its seed-mean
-    plot table (with each member's gain over its group's first) and its
-    reference table."""
+    datasets are drawn: only the training sets of the domains the studies'
+    systems train on (IDV also reads the out-domain one), and one domain
+    per evaluation and cohort draw.  Each training set's scatter is
+    computed once, and each distinct (training domain, IDV variant)
+    backend trained once for all studies.  Each distinct (duration grid
+    index, duration) noises the evaluation set once, and each backend used
+    there projects and scores it once for every study, system and variant
+    using it.  Each backend projects each unmatched cohort once; each
+    matched cohort is noised once per (cohort style, duration, noise seed)
+    and projected once per backend there.  Each study writes its report
+    (seed -> duration -> variant -> system), its seed-mean plot table (with
+    each member's gain over its group's first) and its reference table."""
     if kind != "all" and kind not in EXPERIMENT_KINDS:
         choices = EXPERIMENT_KINDS + ("all",)
         raise ValueError(f"unknown experiment kind '{kind}' (choose from {choices})")
@@ -478,12 +490,15 @@ def run_experiment(
         for gi, duration in enumerate(grids[k]):
             for name, domain, idv in study.systems:
                 uses[gi, duration][domain, idv].append((k, name))
+    keys = dict.fromkeys(key for by_key in uses.values() for key in by_key)
+    # IDV is estimated on the out-domain training set, whichever set its backend trains on
+    train_domains = {d for d, _ in keys} | {Domain.OUT_DOMAIN for _, idv in keys if idv != "off"}
     rows = {k: defaultdict(list) for k in chosen}
     noise = cfg.generator.noise_model
     for seed in cfg.seeds:
-        data = make_run_data(cfg, seed)
+        data = make_run_data(cfg, seed, train_domains)
         backends, scatters, noised, cohorts = {}, {}, {}, {}
-        for domain, idv in dict.fromkeys(key for by_key in uses.values() for key in by_key):
+        for domain, idv in keys:
             t = None if idv == "off" else estimate_idv_for_run(cfg, data, seed, idv)
             train = data.train_in if domain is Domain.IN_DOMAIN else data.train_out
             if domain not in scatters:

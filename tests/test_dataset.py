@@ -119,6 +119,23 @@ class TestGenerator:
         in_b, _ = synth_dataset(b)
         assert not np.array_equal(in_a.matrix(), in_b.matrix())
 
+    def test_one_domain_draw_is_that_half_of_the_two_domain_draw(self):
+        cfg = GeneratorConfig(
+            dim=6, n_speakers=5, sessions_per_speaker=3, eigenvoice_dim=2, channel_scale=0.6,
+            out_channel_scale=1.4, domain_offset=[1.5, -0.5, 0.0, 2.0, -1.0, 0.25], seed=13,
+        )
+        both = synth_dataset(cfg)
+        for kept, domain in enumerate(Domain):
+            drawn = synth_dataset(cfg, (domain,))
+            assert drawn[kept] == both[kept]
+            empty = drawn[1 - kept]
+            assert (len(empty), empty.dim) == (0, cfg.dim)
+            assert empty == Dataset(np.empty((0, cfg.dim)), [], [], [], [])
+        assert synth_dataset(cfg, set(Domain)) == both
+        assert [len(ds) for ds in synth_dataset(cfg, ())] == [0, 0]
+        with pytest.raises(ValueError, match="^domains must be Domain members"):
+            synth_dataset(cfg, ("in",))
+
 
 class TestDurationNoise:
     def test_sigma_law_exact(self):
@@ -165,6 +182,20 @@ class TestDurationNoise:
         ds = make_dataset(np.zeros((1, 2)))
         with pytest.raises(ValueError, match="^target duration must be positive and finite$"):
             apply_duration_noise(ds, float("inf"), DurationNoiseModel(0.1, 60.0), seed=0)
+
+    def test_overflowing_noise_level_is_a_value_error(self):
+        m = DurationNoiseModel(0.5, 120.0, exponent=50.0)
+        message = "^duration noise overflows at duration 1e-10 s with exponent 50$"
+        with pytest.raises(ValueError, match=message):
+            m.sigma(1e-10)
+        with pytest.raises(ValueError, match=message):
+            apply_duration_noise(make_dataset(np.zeros((2, 3))), 1e-10, m, seed=0)
+        # a finite power times a huge sigma0 overflows without an OverflowError
+        with pytest.raises(ValueError, match="^duration noise overflows at duration 1e-10 s"):
+            DurationNoiseModel(1e300, 120.0, exponent=1.0).sigma(1e-10)
+        # a negative exponent makes the level grow without bound as the duration does
+        with pytest.raises(ValueError, match="^duration noise overflows at duration inf s"):
+            DurationNoiseModel(0.5, 120.0, exponent=-1.0).sigma(float("inf"))
 
     @pytest.mark.parametrize(
         "field, args",

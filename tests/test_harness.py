@@ -100,6 +100,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed"):
             tiny_config(seeds=())
 
+    def test_overflowing_duration_noise_rejected(self):
+        """A duration whose noise level overflows fails when the config is
+        built, naming the duration and the exponent, before any work."""
+        gen = replace(tiny_config().generator, duration_noise_exponent=50.0)
+        with pytest.raises(ValueError, match="^duration noise overflows at duration 1e-10 s "
+                                             "with exponent 50$"):
+            tiny_config(generator=gen, durations=(None, 1e-10))
+        assert tiny_config(generator=gen, durations=(None, 1.0)).durations == (None, 1.0)
+
     @pytest.mark.parametrize(
         "field, values, repeated",
         [
@@ -513,16 +522,75 @@ def test_study_csvs_identical_at_one_and_two_blas_threads(tmp_path):
     assert outputs["1"] == outputs["2"]
 
 
-def test_perfbench_tracer_reaches_every_harness_layer(tmp_path, monkeypatch, capsys):
-    """The benchmark's tracer wraps functions where svbackend modules bind
-    them, so the harness must call each through its module globals.  One
-    traced "all" run reaches every layer and counts the work it shares."""
+@pytest.mark.parametrize("kind", [*harness.EXPERIMENT_KINDS, "all"])
+def test_each_run_draws_only_the_domains_it_uses(tmp_path, monkeypatch, kind):
+    """Per seed, the training draw holds in-domain rows only where a study
+    trains an in-domain system, and each evaluation and cohort draw holds
+    rows of the one domain it keeps."""
+    drawn = {}  # (run seed, seed offset) -> (in-domain rows, out-domain rows) of each draw
+    original = harness.synth_dataset
+
+    def recorded(gen, *args):
+        pair = original(gen, *args)
+        drawn.setdefault((gen.subspace_seed, gen.seed - gen.subspace_seed), []).append(
+            (len(pair[0]), len(pair[1]))
+        )
+        return pair
+
+    monkeypatch.setattr(harness, "synth_dataset", recorded)
+    cfg = tiny_config(seeds=(0, 1), idv="modified", snorm="swb-style")
+    run_experiment(cfg, kind, tmp_path)
+    train = cfg.generator.n_speakers * cfg.generator.sessions_per_speaker
+    per_seed = {
+        0: (train if kind in ("in-vs-out", "all") else 0, train),
+        EVAL_SEED_OFFSET: (cfg.eval_speakers * cfg.eval_sessions, 0),
+        harness.NIST_COHORT_SEED_OFFSET: (cfg.cohort_speakers * cfg.cohort_sessions, 0),
+        harness.SWB_COHORT_SEED_OFFSET: (0, cfg.swb_cohort_size),  # 10 speakers x 3 sessions
+    }
+    assert drawn == {(seed, k): [rows] for seed in cfg.seeds for k, rows in per_seed.items()}
+
+
+def _perfbench_tracer(monkeypatch):
+    """A ``Tracer`` from the benchmark's ``perfbench/tracer.py``, loaded read-only."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer_module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer_module)  # its dataclasses look it up
     spec.loader.exec_module(tracer_module)
-    tracer = tracer_module.Tracer()
+    return tracer_module.Tracer()
+
+
+def test_perfbench_tracer_counts_the_draws_of_a_study_without_in_domain_system(
+    tmp_path, monkeypatch
+):
+    """The benchmark's traced mode runs idv-comparison, whose draws leave the
+    in-domain training set and the discarded evaluation and cohort domains
+    empty: the run completes and the synth counter reads the rows drawn."""
+    tracer = _perfbench_tracer(monkeypatch)
+    tracer.install()
+    cfg = tiny_config(seeds=(0, 1), snorm="swb-style")
+    try:
+        res = run_experiment(cfg, "idv-comparison", tmp_path)["idv-comparison"]
+    finally:
+        tracer.uninstall()
+    assert all(path.exists() for path in res.files)
+    m = tracer.layer_metrics()
+    assert m["dataset.synth_s"] > 0
+    # per seed: out-domain training, in-domain evaluation and NIST cohort, out-domain SWB
+    per_seed = (
+        cfg.generator.n_speakers * cfg.generator.sessions_per_speaker
+        + cfg.eval_speakers * cfg.eval_sessions
+        + cfg.cohort_speakers * cfg.cohort_sessions
+        + cfg.swb_cohort_size  # 10 speakers x 3 sessions
+    )
+    assert m["dataset.synth_vectors"] == len(cfg.seeds) * per_seed == 2 * 186
+
+
+def test_perfbench_tracer_reaches_every_harness_layer(tmp_path, monkeypatch, capsys):
+    """The benchmark's tracer wraps functions where svbackend modules bind
+    them, so the harness must call each through its module globals.  One
+    traced "all" run reaches every layer and counts the work it shares."""
+    tracer = _perfbench_tracer(monkeypatch)
     tracer.install()
     try:
         run_experiment(tiny_config(snorm="nist-style", idv="modified"), "all", tmp_path)
