@@ -45,18 +45,79 @@ class Domain(Enum):
     OUT_DOMAIN = "out"
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only: how a caller hands an array it made over to a
+    container (see ``owned``)."""
     a.flags.writeable = False
     return a
 
 
+def owned(values: Sequence | np.ndarray, dtype: type) -> np.ndarray:
+    """The ownership rule of every column container: a read-only ``dtype``
+    array is taken as given, anything else is copied into a new read-only
+    array.  A read-only array is its maker's promise not to change it."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
+    return read_only(np.array(values, dtype=dtype))
+
+
 def _integers(values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
-    """A new intp array of ``values``; a float, bool or object entry raises
-    ``ValueError`` naming ``what`` (an empty sequence passes)."""
+    """``values`` as a read-only intp array (``owned``); a float, bool or
+    object entry raises ``ValueError`` naming ``what`` (an empty sequence
+    passes)."""
     arr = np.asarray(values)
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"{what} must be integers, got {arr.dtype}")
-    return arr.astype(np.intp)
+    return owned(arr, np.intp)
+
+
+#: Rows per step of every reduction over a training-size (N, D) matrix:
+#: Gram sums, row norms and finiteness checks hold one (_ROW_BLOCK, D)
+#: block at a time, never a temporary of the whole matrix.
+_ROW_BLOCK = 2048
+
+
+def row_blocks(n: int) -> Iterator[slice]:
+    """Slices of at most ``_ROW_BLOCK`` consecutive rows covering ``range(n)`` in order."""
+    step = _ROW_BLOCK
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
+
+
+def centered_gram(
+    values: np.ndarray,
+    center: np.ndarray,
+    code: np.ndarray | None = None,
+    sums: np.ndarray | None = None,
+) -> np.ndarray:
+    """``c.T @ c`` for the centered rows ``c = values - center``, without an
+    (N, D) temporary.
+
+    ``center`` is one (D,) row, or a table of rows of which row i of
+    ``values`` takes ``center[code[i]]``; every code must be a row of the
+    tables (an unlabeled row's -1 is not).  Given a table ``sums``, each
+    centered row i is also added to ``sums[code[i]]``, one row at a time in
+    row order, so every sum is bit for bit the one a loop over its rows
+    makes.  Rows are centered ``row_blocks`` at a time in one reused buffer
+    and the block products are summed in order: up to ``_ROW_BLOCK`` rows
+    the result is the single product, above it the sum is reordered.
+    """
+    n, dim = values.shape
+    buf = np.empty((min(n, _ROW_BLOCK), dim))
+    gram = np.zeros((dim, dim)) if n == 0 else None
+    for rows in row_blocks(n):
+        c = buf[: rows.stop - rows.start]
+        if center.ndim == 1:
+            np.subtract(values[rows], center, out=c)
+        else:  # codes are valid table rows; "clip" keeps take from buffering
+            np.take(center, code[rows], axis=0, out=c, mode="clip")
+            np.subtract(values[rows], c, out=c)
+        if sums is not None:
+            np.add.at(sums, code[rows], c)
+        if gram is None:
+            gram = c.T @ c
+        else:
+            gram += c.T @ c
+    return gram
 
 
 def _check_kinds(column: str, items: tuple, *kinds: type) -> None:
@@ -74,10 +135,11 @@ def _no_location(row: int) -> str:
 
 def _check_values(values: np.ndarray, ids: Sequence[str], where: Callable[[int], str]) -> None:
     """Raise ``ValueError`` naming the first row of ``values`` with a non-finite entry."""
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if bad.size:
-        row = int(bad[0])
-        raise ValueError(f"{where(row)}ivector '{ids[row]}': values contain non-finite entries")
+    for rows in row_blocks(values.shape[0]):
+        bad = np.flatnonzero(~np.isfinite(values[rows]).all(axis=1))
+        if bad.size:
+            row = rows.start + int(bad[0])
+            raise ValueError(f"{where(row)}ivector '{ids[row]}': values contain non-finite entries")
 
 
 class Dataset:
@@ -148,10 +210,10 @@ class Dataset:
             raise ValueError(f"{where(row)}ivector '{ids[row]}': speaker label must be non-empty")
         code_of: dict[str | None, int] = {s: c for c, s in enumerate(table)}
         code_of[None] = -1
-        self._values, self.dim = _read_only(values), values.shape[1]
+        self._values, self.dim = read_only(values), values.shape[1]
         self.ids, self.speakers, self.domains = ids, tuple(table), domains
-        self.speaker_code = _read_only(np.fromiter(map(code_of.__getitem__, speakers), np.intp, n))
-        self.durations = _read_only(durations)
+        self.speaker_code = read_only(np.fromiter(map(code_of.__getitem__, speakers), np.intp, n))
+        self.durations = read_only(durations)
         return self
 
     def _derive(
@@ -171,9 +233,9 @@ class Dataset:
             if used.size and used[0] < 0:  # unlabeled rows keep code -1
                 used, code = used[1:], code - 1
             ds.speakers = tuple([self.speakers[c] for c in used.tolist()])
-            ds.speaker_code = _read_only(code)
-        ds._values, ds.dim = _read_only(values), values.shape[1]
-        ds.durations = _read_only(durations)
+            ds.speaker_code = read_only(code)
+        ds._values, ds.dim = read_only(values), values.shape[1]
+        ds.durations = read_only(durations)
         return ds
 
     def __len__(self) -> int:
@@ -207,8 +269,8 @@ class Dataset:
         """The read-only (N, D) float64 value matrix itself (not a copy)."""
         return self._values
 
-    def speaker_sums(self, values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Per-speaker row sums of ``values`` (default: the matrix) and row counts.
+    def speaker_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-speaker row sums of the matrix and row counts.
 
         Both follow ``speakers`` order and skip unlabeled rows.  Each sum
         adds its speaker's rows one at a time in dataset order, as a loop
@@ -216,18 +278,20 @@ class Dataset:
         """
         import scipy.sparse  # here, not at module level: ~60 ms of import only training needs
 
-        values = self._values if values is None else values
         rows = np.flatnonzero(self.speaker_code >= 0)
         code = self.speaker_code[rows]
         n_spk = len(self.speakers)
         members = scipy.sparse.csr_matrix(
             (np.ones(rows.size), (code, rows)), shape=(n_spk, len(self))
         )
-        return members @ values, np.bincount(code, minlength=n_spk)
+        return members @ self._values, np.bincount(code, minlength=n_spk)
 
     def with_values(self, values: np.ndarray) -> "Dataset":
-        """Same metadata, a copy of new values; used by transforms (possibly new dim)."""
-        values = np.array(values, dtype=np.float64)
+        """Same metadata, new values (possibly of a new dim); used by transforms.
+
+        The values follow ``owned``: a read-only float64 matrix is held as
+        given, anything else is copied."""
+        values = owned(values, np.float64)
         if values.ndim != 2 or values.shape[0] != len(self) or values.shape[1] < 1:
             raise ValueError(f"expected a ({len(self)}, dim) matrix")
         _check_values(values, self.ids, _no_location)
@@ -762,7 +826,8 @@ class TrialList:
     a target trial when ``is_target[k]``.  Codes are integers (a float,
     bool or object code raises ``ValueError``) and ``is_target`` holds
     booleans (a label text or a number raises); each id table holds distinct
-    ``str`` ids.
+    ``str`` ids.  The columns follow ``owned``: read-only intp codes and a
+    read-only bool ``is_target`` are held as given, anything else is copied.
     """
 
     __slots__ = ("enrol_ids", "test_ids", "enrol_code", "test_code", "is_target")
@@ -778,12 +843,12 @@ class TrialList:
     ) -> None:
         self.enrol_ids = tuple(enrol_ids)
         self.test_ids = tuple(test_ids)
-        self.enrol_code = _read_only(_integers(enrol_code, "enrol_code"))
-        self.test_code = _read_only(_integers(test_code, "test_code"))
-        is_target = np.array(is_target)
+        self.enrol_code = _integers(enrol_code, "enrol_code")
+        self.test_code = _integers(test_code, "test_code")
+        is_target = np.asarray(is_target)
         if is_target.size and is_target.dtype != bool:
             raise ValueError(f"is_target must be booleans, got {is_target.dtype}")
-        self.is_target = _read_only(is_target.astype(bool, copy=False))
+        self.is_target = owned(is_target, bool)
         n = self.is_target.shape
         if self.is_target.ndim != 1 or self.enrol_code.shape != n or self.test_code.shape != n:
             raise ValueError("trial columns must be 1-D and of equal length")
@@ -914,8 +979,9 @@ class TrialColumns:
             codes.frombytes(np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)).tobytes())
 
     def trial_list(self) -> TrialList:
-        e_code, t_code = (np.frombuffer(c, dtype=np.int64) for c in self.codes)
-        return TrialList(*self.index, e_code, t_code, np.frombuffer(self.is_target, dtype=bool))
+        e_code, t_code = (read_only(np.frombuffer(c, dtype=np.int64)) for c in self.codes)
+        is_target = read_only(np.frombuffer(self.is_target, dtype=bool))
+        return TrialList(*self.index, e_code, t_code, is_target)
 
 
 def _trial_tokens(path: str | Path, text: str, lineno: int) -> Block:

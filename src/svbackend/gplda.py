@@ -42,8 +42,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .dataset import LABEL_TEXT, Block, Dataset, TrialColumns, TrialList, block_fields, csv_fields
-from .dataset import csv_records, is_symmetric, line_blocks, read_model_file, write_csv
-from .dataset import write_model_file
+from .dataset import centered_gram, csv_records, is_symmetric, line_blocks, owned, read_model_file
+from .dataset import read_only, row_blocks, write_csv, write_model_file
 
 PLDA_MAGIC = b"PLDA1"
 
@@ -169,14 +169,24 @@ class PldaModel:
         return q_mat, p_mat, const
 
 
-def length_normalize(ds: Dataset) -> Dataset:
-    """Project every i-vector onto the unit sphere."""
-    mat = ds.matrix()
-    norms = np.linalg.norm(mat, axis=1)
+def length_normalize(ds: Dataset, projection: np.ndarray | None = None) -> Dataset:
+    """Project every i-vector onto the unit sphere, after mapping it by the
+    (D, K) ``projection`` when one is given.
+
+    The result's matrix is the one array made: the mapped rows, or a new
+    array, divided in place by their norms.  Norms are taken ``row_blocks``
+    at a time and each row is reduced alone, so every row is bit for bit
+    ``w / np.linalg.norm(w)``.
+    """
+    mapped = ds.matrix() if projection is None else ds.matrix() @ projection
+    norms = np.empty(len(ds))
+    for rows in row_blocks(len(ds)):
+        norms[rows] = np.linalg.norm(mapped[rows], axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"cannot length-normalize zero vector '{ds.ids[zero[0]]}'")
-    return ds.with_values(mat / norms[:, None])
+    out = mapped if mapped.flags.writeable else np.empty_like(mapped)  # the dataset's is read-only
+    return ds.with_values(read_only(np.divide(mapped, norms[:, None], out=out)))
 
 
 @dataclass(frozen=True)
@@ -191,10 +201,13 @@ class _SpeakerStats:
 
 
 def _speaker_stats(ds: Dataset, center: np.ndarray) -> _SpeakerStats:
-    mat = ds.matrix() - center
-    f, ns = ds.speaker_sums(mat)
+    """Statistics of a labeled dataset's rows around ``center``, from one
+    ``centered_gram`` pass that also adds up each speaker's centered rows."""
+    f = np.zeros((len(ds.speakers), ds.dim))
+    s_phiphi = centered_gram(ds.matrix(), center, ds.speaker_code, f)
+    ns = np.bincount(ds.speaker_code, minlength=len(ds.speakers))
     groups = tuple((int(n), np.flatnonzero(ns == n)) for n in np.unique(ns))
-    return _SpeakerStats(f, ns, _sym(mat.T @ mat), mat.shape[0], groups)
+    return _SpeakerStats(f, ns, _sym(s_phiphi), len(ds), groups)
 
 
 def _e_step(
@@ -333,7 +346,8 @@ class ScoreSet:
     ``trial_list`` holds the trials; ``raw`` and ``normalized`` are
     read-only float arrays with one entry per trial, where NaN in
     ``normalized`` means the trial has no normalized score; ``normalized``
-    None means no trial has one.
+    None means no trial has one.  The score columns follow ``owned``: a
+    read-only float64 column is held as given, anything else is copied.
     """
 
     __slots__ = ("trial_list", "raw", "normalized")
@@ -346,16 +360,15 @@ class ScoreSet:
         normalized: Sequence[float] | np.ndarray | None = None,
     ) -> None:
         n = len(trial_list)
-        raw = np.array(raw, dtype=np.float64)
+        raw = owned(raw, np.float64)
         normalized = (
-            np.full(n, math.nan) if normalized is None else np.array(normalized, dtype=np.float64)
+            read_only(np.full(n, math.nan)) if normalized is None
+            else owned(normalized, np.float64)
         )
         if raw.shape != (n,) or normalized.shape != (n,):
             raise ValueError(f"need one raw and one normalized score per trial ({n})")
         _check_scores(trial_list, ~np.isfinite(raw), "raw")
         _check_scores(trial_list, np.isinf(normalized), "normalized")
-        raw.flags.writeable = False
-        normalized.flags.writeable = False
         self.trial_list = trial_list
         self.raw = raw
         self.normalized = normalized
@@ -427,7 +440,7 @@ def score_trials(
     e_rows = dataset_rows(enrol, trials.enrol_ids, trials.enrol_code, "enrol")
     t_rows = dataset_rows(test, trials.test_ids, trials.test_code, "test")
     grid = pair_llr(m, enrol.matrix()[e_rows], test.matrix()[t_rows])
-    return ScoreSet(trials, grid[trials.enrol_code, trials.test_code])
+    return ScoreSet(trials, read_only(grid[trials.enrol_code, trials.test_code]))
 
 
 # ---------------------------------------------------------------------------
@@ -590,4 +603,5 @@ def read_scores(path: str | Path) -> ScoreSet:
             raw.frombytes(raws.tobytes())
             norm.frombytes(norms.tobytes())
             del fields  # before the next block is split
-    return ScoreSet(trials.trial_list(), np.frombuffer(raw), np.frombuffer(norm))
+    raw_col, norm_col = (read_only(np.frombuffer(c)) for c in (raw, norm))
+    return ScoreSet(trials.trial_list(), raw_col, norm_col)

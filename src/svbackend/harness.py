@@ -34,6 +34,7 @@ from .dataset import (
     check_fields,
     check_number,
     generator_config_from_dict,
+    read_only,
     reject_unknown_keys,
     synth_dataset,
     write_csv,
@@ -257,9 +258,9 @@ def build_trials(eval_ds: Dataset) -> tuple[np.ndarray, np.ndarray, TrialList]:
     trials = TrialList(
         [ids[e] for e in enrol_pos.tolist()],
         [ids[t] for t in test_pos.tolist()],
-        np.repeat(np.arange(n_e), n_t),
-        np.tile(np.arange(n_t), n_e),
-        (code[first][:, None] == code[~first][None, :]).ravel(),
+        read_only(np.repeat(np.arange(n_e), n_t)),
+        read_only(np.tile(np.arange(n_t), n_e)),
+        read_only((code[first][:, None] == code[~first][None, :]).ravel()),
     )
     enrol_pos.flags.writeable = test_pos.flags.writeable = False
     return enrol_pos, test_pos, trials
@@ -325,7 +326,7 @@ class Backend:
 
 
 def _project(projection: np.ndarray, ds: Dataset) -> Dataset:
-    return length_normalize(ds.with_values(ds.matrix() @ projection))
+    return length_normalize(ds, projection)
 
 
 def train_backend(

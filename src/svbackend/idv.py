@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .dataset import Dataset, is_symmetric, read_model_file, write_model_file
+from .dataset import Dataset, centered_gram, is_symmetric, read_model_file, read_only
+from .dataset import write_model_file
 
 IDV_MAGIC = b"IDV1"
 
@@ -90,8 +91,7 @@ class IdvTransform:
 
 
 def _mismatch_scatter(vectors: np.ndarray, center: np.ndarray) -> np.ndarray:
-    diffs = vectors - center
-    s = diffs.T @ diffs / vectors.shape[0]
+    s = centered_gram(vectors, center) / vectors.shape[0]
     return (s + s.T) / 2.0
 
 
@@ -162,7 +162,7 @@ def apply_idv(t: IdvTransform, ds: Dataset) -> Dataset:
     """Map every i-vector w to ``decorrelator.T @ w``; metadata is preserved."""
     if ds.dim != t.dim:
         raise ValueError(f"dimension mismatch: transform {t.dim}, dataset {ds.dim}")
-    return ds.with_values(ds.matrix() @ t.decorrelator)
+    return ds.with_values(read_only(ds.matrix() @ t.decorrelator))
 
 
 def save_idv(t: IdvTransform, path: str | Path) -> None:

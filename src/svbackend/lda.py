@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .dataset import Dataset, read_model_file, write_model_file
+from .dataset import Dataset, centered_gram, read_model_file, read_only, write_model_file
 
 LDA_MAGIC = b"LDA1"
 
@@ -71,20 +71,15 @@ class LdaTransform:
         return self.a_matrix.shape[1]
 
 
-#: Rows centered per step of the within-class accumulation, so the
-#: centered temporary is one block, never the whole (N, D) matrix.
-_ROW_BLOCK = 2048
-
-
 def scatter_matrices(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Between- and within-class scatter of a labeled dataset.
 
     Speaker means come from one pass over ``ds.speaker_code``.  S_b is
-    one count-weighted product of the mean deviations; S_w accumulates
-    ``c.T @ c`` over blocks of ``_ROW_BLOCK`` rows in dataset order, with
-    ``c`` the block's rows minus their speaker means.  The sums are
-    therefore taken in row-block order, not per sorted speaker, and
-    deterministic for a fixed dataset order.
+    one count-weighted product of the mean deviations; S_w is the
+    ``centered_gram`` of the rows around their speaker means, summed over
+    row blocks in dataset order.  The sums are therefore taken in
+    row-block order, not per sorted speaker, and deterministic for a fixed
+    dataset order.
     """
     if not ds.labeled:
         unlabeled = ds.ids[int(np.argmax(ds.speaker_code < 0))]
@@ -92,15 +87,11 @@ def scatter_matrices(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     if len(ds.speakers) < 2:
         raise ValueError("scatter estimation needs at least two speakers")
     mat = ds.matrix()
-    sums, counts = ds.speaker_sums()
-    means = sums / counts[:, None]
+    means, counts = ds.speaker_sums()
+    means /= counts[:, None]
+    s_w = centered_gram(mat, means, ds.speaker_code)
     d = means - mat.mean(axis=0)
     s_b = (d * counts[:, None]).T @ d
-    s_w = np.zeros((ds.dim, ds.dim))
-    for start in range(0, len(ds), _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        c = mat[block] - means[ds.speaker_code[block]]
-        s_w += c.T @ c
     return (s_b + s_b.T) / 2.0, (s_w + s_w.T) / 2.0
 
 
@@ -150,7 +141,7 @@ def apply_lda(t: LdaTransform, ds: Dataset) -> Dataset:
     """Project every i-vector to ``a_matrix.T @ w``; output dim is K."""
     if ds.dim != t.input_dim:
         raise ValueError(f"dimension mismatch: transform expects {t.input_dim}, dataset has {ds.dim}")
-    return ds.with_values(ds.matrix() @ t.a_matrix)
+    return ds.with_values(read_only(ds.matrix() @ t.a_matrix))
 
 
 def save_lda(t: LdaTransform, path: str | Path) -> None:

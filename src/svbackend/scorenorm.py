@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, read_only
 from .gplda import PldaModel, ScoreSet, dataset_rows, pair_llr
 
 
@@ -82,7 +82,8 @@ def snorm_from_cohort_scores(
     mu_t, sd_t = _side_stats("test", test_cohort, tl.test_ids)
     s = scores.raw
     e, t = tl.enrol_code, tl.test_code
-    return scores.with_normalized(0.5 * ((s - mu_e[e]) / sd_e[e] + (s - mu_t[t]) / sd_t[t]))
+    normalized = 0.5 * ((s - mu_e[e]) / sd_e[e] + (s - mu_t[t]) / sd_t[t])
+    return scores.with_normalized(read_only(normalized))
 
 
 def snorm(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svbackend.dataset import Dataset
-from svbackend import lda
+from svbackend import dataset
 from svbackend.idv import apply_idv, estimate_modified_idv
 from svbackend.lda import (
     UNIT_NORM_TOLERANCE,
@@ -66,7 +66,7 @@ class TestScattersAgainstSpeakerLoop:
     @given(ds=shuffled_labeled_datasets(), block=st.integers(1, 7))
     def test_vectorized_matches_per_speaker_loop(self, ds, block):
         # small row blocks put block boundaries inside speakers
-        with mock.patch.object(lda, "_ROW_BLOCK", block):
+        with mock.patch.object(dataset, "_ROW_BLOCK", block):
             s_b, s_w = scatter_matrices(ds)
         b_ref, w_ref = speaker_loop_scatters(ds)
         assert np.linalg.norm(s_b - b_ref) <= 1e-12 * np.linalg.norm(b_ref)
