@@ -6,9 +6,10 @@ fixed mean offset between the out-domain and in-domain populations.
 Short utterances are simulated by adding isotropic noise whose standard
 deviation grows as the active-speech duration shrinks.
 
-All types are immutable after construction (arrays are stored
-read-only) and safe to share across threads; every randomized
-operation is a pure function of its inputs and an explicit seed.
+All types are immutable after construction: their arrays are read-only
+and share memory with no writable array (see ``owned``), so they are
+safe to share across threads.  Every randomized operation is a pure
+function of its inputs and an explicit seed.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from array import array
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
+from types import ModuleType
 from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -54,11 +56,34 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 def owned(values: Sequence | np.ndarray, dtype: type) -> np.ndarray:
     """The ownership rule of every column container: a read-only ``dtype``
-    array is taken as given, anything else is copied into a new read-only
-    array.  A read-only array is its maker's promise not to change it."""
-    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
-        return values
+    array whose memory no writable array reaches is taken as given,
+    anything else is copied into a new read-only array.  A read-only array
+    is its maker's promise not to change it; a read-only view of a writable
+    array is no such promise, so every ndarray on the ``base`` chain must
+    be read-only too (the walk stops at a non-array base, such as the
+    ``memoryview`` under ``np.frombuffer``)."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype:
+        a = values
+        while isinstance(a, np.ndarray) and not a.flags.writeable:
+            a = a.base
+        if not isinstance(a, np.ndarray):
+            return values
     return read_only(np.array(values, dtype=dtype))
+
+
+def scipy_linalg() -> ModuleType:
+    """``scipy.linalg``, imported on first call.
+
+    The package imports scipy only where it runs: a factorization calls
+    this, and ``Dataset.speaker_sums`` imports ``scipy.sparse`` in its
+    body.  No module imports scipy at module level, so ``import svbackend``
+    and the commands that factorize nothing (``synth``, ``transform``,
+    ``eval``) load none of it; ``scipy.linalg`` alone takes ~0.25 s to
+    import, most of it scipy's array-API shim loading ``numpy.testing``.
+    """
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 def _integers(values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
@@ -276,7 +301,7 @@ class Dataset:
         adds its speaker's rows one at a time in dataset order, as a loop
         over that speaker's rows would.
         """
-        import scipy.sparse  # here, not at module level: ~60 ms of import only training needs
+        import scipy.sparse  # imported where it runs: see ``scipy_linalg``
 
         rows = np.flatnonzero(self.speaker_code >= 0)
         code = self.speaker_code[rows]

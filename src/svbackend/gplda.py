@@ -39,11 +39,10 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .dataset import LABEL_TEXT, Block, Dataset, TrialColumns, TrialList, block_fields, csv_fields
 from .dataset import centered_gram, csv_records, is_symmetric, line_blocks, owned, read_model_file
-from .dataset import read_only, row_blocks, write_csv, write_model_file
+from .dataset import read_only, row_blocks, scipy_linalg, write_csv, write_model_file
 
 PLDA_MAGIC = b"PLDA1"
 
@@ -66,8 +65,9 @@ def _chol_logdet(c: np.ndarray) -> float:
 
 def _cho_inverse(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Inverse and log-determinant of an SPD matrix from its one Cholesky factor."""
-    cf = cho_factor(m)
-    return _sym(cho_solve(cf, np.eye(m.shape[0]))), _chol_logdet(cf[0])
+    la = scipy_linalg()
+    cf = la.cho_factor(m)
+    return _sym(la.cho_solve(cf, np.eye(m.shape[0]))), _chol_logdet(cf[0])
 
 
 def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
@@ -217,6 +217,7 @@ def _e_step(
     marginal log-likelihood at (u1, lam), all from one Cholesky factor of
     ``I + n g`` per session-count group (log-likelihood term of a group:
     ``-len/2 * logdet(I + n g) + 1/2 * sum(b * xhat)``)."""
+    la = scipy_linalg()
     q = u1.shape[1]
     eye_q = np.eye(q)
     t = u1.T @ lam
@@ -230,10 +231,10 @@ def _e_step(
         - 0.5 * float(np.sum(lam * stats.s_phiphi))
     )
     for n, idx in stats.groups:
-        cf = cho_factor(eye_q + n * g)
+        cf = la.cho_factor(eye_q + n * g)
         bb = b[idx]
-        xhat[idx] = cho_solve(cf, bb.T).T
-        r_xx += n * len(idx) * cho_solve(cf, eye_q)
+        xhat[idx] = la.cho_solve(cf, bb.T).T
+        r_xx += n * len(idx) * la.cho_solve(cf, eye_q)
         loglik += -0.5 * len(idx) * _chol_logdet(cf[0]) + 0.5 * float(np.sum(bb * xhat[idx]))
     r_xx += (xhat * stats.ns[:, None]).T @ xhat
     return xhat, r_xx, loglik

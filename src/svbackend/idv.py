@@ -26,10 +26,9 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .dataset import Dataset, centered_gram, is_symmetric, read_model_file, read_only
-from .dataset import write_model_file
+from .dataset import scipy_linalg, write_model_file
 
 IDV_MAGIC = b"IDV1"
 
@@ -113,7 +112,7 @@ def _cholesky_decorrelator(s: np.ndarray, ridge_factor: float) -> tuple[np.ndarr
             chol = np.linalg.cholesky(s + ridge * np.eye(dim))
         except np.linalg.LinAlgError:
             continue
-        inv_chol = solve_triangular(chol, np.eye(dim), lower=True)
+        inv_chol = scipy_linalg().solve_triangular(chol, np.eye(dim), lower=True)
         return inv_chol.T, ridge
     raise ValueError(
         f"mismatch scatter could not be factorized even with ridge {_RIDGE_LADDER[-1]:g}*trace/dim"

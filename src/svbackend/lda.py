@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
-from .dataset import Dataset, centered_gram, read_model_file, read_only, write_model_file
+from .dataset import Dataset, centered_gram, read_model_file, read_only, scipy_linalg
+from .dataset import write_model_file
 
 LDA_MAGIC = b"LDA1"
 
@@ -120,8 +120,8 @@ def lda_from_scatter(
     s_b, s_w = (s_b + s_b.T) / 2.0, (s_w + s_w.T) / 2.0
     conditioned = s_w + (ridge * np.trace(s_w) / dim) * np.eye(dim)
     try:
-        eigvals, eigvecs = scipy.linalg.eigh(s_b, conditioned)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as e:
+        eigvals, eigvecs = scipy_linalg().eigh(s_b, conditioned)
+    except np.linalg.LinAlgError as e:  # scipy.linalg raises numpy's class
         raise ValueError(f"generalized eigendecomposition failed: {e}") from None
     order = np.argsort(eigvals)[::-1][:k]
     lam = eigvals[order]

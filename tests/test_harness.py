@@ -959,6 +959,61 @@ CLI_CHAIN_SHA256 = {
 }
 
 
+#: Run in a fresh interpreter: imports the package, then runs CLI steps
+#: (argv lists, as JSON in argv[1]) and prints, as JSON, the scipy modules
+#: loaded after each stage.
+STARTUP_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+loaded = []
+import svbackend
+loaded.append(scipy_modules())
+from svbackend.cli import cli
+loaded.append(scipy_modules())
+for argv in json.loads(sys.argv[1]):
+    assert cli(argv) == 0, argv
+    loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_that_factorize_nothing_load_no_scipy(tmp_path, capsys):
+    """In a fresh interpreter, importing the package and the CLI and running
+    synth, transform and eval load no scipy module; train-plda then loads
+    ``scipy.linalg`` and writes the model the test process writes."""
+    w = tmp_path
+    synth = ["synth", "--dim", "8", "--speakers", "12", "--sessions", "3", "--seed", "5"]
+    assert cli([*synth, "--out-dir", f"{w}/train"]) == 0
+    out_domain, in_domain = f"{w}/train/out_domain.ivec", f"{w}/train/in_domain.ivec"
+    assert cli(["train-idv", "--out-domain", out_domain, "--in-domain", in_domain,
+                "--output", f"{w}/idv.bin"]) == 0
+    assert cli(["train-lda", "--data", out_domain, "--dim", "4", "--output", f"{w}/lda.bin"]) == 0
+    write_scores(make_scoreset([2.0, 3.0], [1.0, 2.5]), w / "scores.csv")
+    plda = ["train-plda", "--data", f"{w}/proj.ivec", "--q", "2", "--iters", "3", "--output"]
+    steps = [
+        [*synth, "--out-dir", f"{w}/fresh"],
+        ["transform", "--data", out_domain, "--idv", f"{w}/idv.bin", "--lda", f"{w}/lda.bin",
+         "--length-norm", "--output", f"{w}/proj.ivec"],
+        ["eval", "--scores", f"{w}/scores.csv"],
+        [*plda, f"{w}/fresh.plda"],
+    ]
+    src = str(Path(svbackend.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, json.dumps(steps)],
+        env=env, check=True, capture_output=True, text=True, timeout=120,
+    )
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded[:5] == [[]] * 5  # import svbackend, import svbackend.cli, synth, transform, eval
+    assert "scipy.linalg" in loaded[5]
+    assert cli([*plda, f"{w}/here.plda"]) == 0
+    capsys.readouterr()
+    assert (w / "fresh.plda").read_bytes() == (w / "here.plda").read_bytes()
+
+
 def test_cli_chain_files_match_pinned_hashes(tmp_path, capsys):
     """synth -> train-idv/lda/plda -> transform -> score -> snorm -> eval through
     the CLI writes score, S-normed and report CSVs with pinned bytes.  The

@@ -85,6 +85,42 @@ def test_every_private_name_is_referenced():
     assert unreferenced_private_names(sources) == []
 
 
+def module_level_scipy_imports(source: str) -> list[str]:
+    """Imports of ``scipy`` or a submodule that run when the module is
+    imported: any outside a function body, in a class or ``try`` included."""
+    found, nodes = [], [ast.parse(source)]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+            nodes += reversed(list(ast.iter_child_nodes(node)))  # popped in source order
+        found += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    return found
+
+
+def test_checker_flags_a_module_level_scipy_import():
+    source = (
+        "import scipy.linalg\nfrom scipy.sparse import csr_matrix\nimport scipyx\n"
+        "def f():\n    import scipy.linalg\nclass C:\n    from scipy import linalg\n"
+        "    def g(self):\n        import scipy\ntry:\n    import numpy, scipy as sp\n"
+        "except ImportError:\n    pass\nfrom . import scipy\n"
+    )
+    assert module_level_scipy_imports(source) == [
+        "line 1: scipy.linalg", "line 2: scipy.sparse", "line 7: scipy", "line 11: scipy"
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_imports_scipy_at_module_level(path):
+    assert module_level_scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
 def private_imports(source: str) -> list[str]:
     """Private names (``_x``, not dunder) a module imports from a module of
     its own package, relatively or as ``svbackend.<module>``."""

@@ -16,8 +16,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from svbackend.dataset import TrialList, centered_gram
-from svbackend.gplda import ScoreSet, _speaker_stats, length_normalize
+from svbackend import dataset, gplda
+from svbackend.dataset import TrialList, centered_gram, load_trials, owned, save_trials
+from svbackend.gplda import PldaModel, ScoreSet, _speaker_stats, length_normalize, read_scores
+from svbackend.gplda import score_trials, write_scores
+from svbackend.harness import build_trials
 from svbackend.idv import estimate_modified_idv, estimate_original_idv
 from svbackend.lda import scatter_matrices
 
@@ -147,14 +150,16 @@ class TestMemoryBounds:
 
 
 class TestOwnership:
-    """A read-only array of the container's dtype is held as given; any
-    other is copied, so the caller's later edits do not leak in."""
+    """A read-only array of the container's dtype that no writable array
+    reaches is held as given; any other is copied, so the caller's later
+    edits do not leak in."""
 
     def test_with_values_shares_read_only_and_copies_writable(self):
         ds = make_dataset(np.zeros((3, 2)))
         frozen = np.ones((3, 4))
         frozen.flags.writeable = False
         assert np.shares_memory(ds.with_values(frozen).matrix(), frozen)
+        assert ds.with_values(frozen[:, 1:]).matrix().base is frozen  # a view of read-only memory
         writable = np.ones((3, 4))
         out = ds.with_values(writable)
         writable[0, 0] = 7.0
@@ -199,3 +204,46 @@ class TestOwnership:
         assert not np.shares_memory(normed.normalized, norm)
         norm.flags.writeable = False
         assert ScoreSet(trials, raw, norm).normalized is norm
+
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        ds = make_dataset(np.zeros((3, 2)))
+        x = np.ones((3, 4))
+        v = x.view()
+        v.flags.writeable = False
+        out = ds.with_values(v)
+        x[0, 0] = 7.0
+        assert out.matrix()[0, 0] == 1.0 and not np.shares_memory(out.matrix(), x)
+        trials = TrialList(["a"], ["x", "y"], [0, 0], [0, 1], [True, False])
+        raw = np.array([1.0, -1.0, 3.0])
+        head = raw[:2]
+        head.flags.writeable = False
+        scores = ScoreSet(trials, head)
+        raw[0] = 9.0
+        assert scores.raw[0] == 1.0 and not np.shares_memory(scores.raw, raw)
+
+    def test_the_library_hands_its_arrays_over_uncopied(self, rng, tmp_path, monkeypatch):
+        """``read_scores`` and ``load_trials`` columns, ``length_normalize``'s
+        output, ``score_trials``' gather and ``build_trials``' columns all
+        reach their container as made, as do ``subset``'s positions."""
+        handed = []
+
+        def spy(values, dtype):
+            held = owned(values, dtype)
+            handed.append(held is values)
+            return held
+
+        monkeypatch.setattr(dataset, "owned", spy)
+        monkeypatch.setattr(gplda, "owned", spy)
+        ds = make_dataset(rng.standard_normal((6, 3)), speakers=list("aabbcc"))
+        normed = length_normalize(ds)
+        length_normalize(ds, rng.standard_normal((3, 2)))
+        enrol_pos, test_pos, trials = build_trials(normed)
+        model = PldaModel(np.zeros(3), 0.5 * np.ones((3, 1)), np.eye(3))
+        scores = score_trials(model, normed.subset(enrol_pos), normed.subset(test_pos), trials)
+        write_scores(scores, tmp_path / "scores.csv")
+        save_trials(trials, tmp_path / "trials.txt")
+        read_scores(tmp_path / "scores.csv")
+        load_trials(tmp_path / "trials.txt")
+        # 2 normalized sets, 3 trial columns, 2 subsets' positions, 1 score
+        # column, then 2 score and 3 trial columns read, 3 trial columns loaded
+        assert handed == [True] * 16
