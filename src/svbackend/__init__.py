@@ -49,7 +49,7 @@ from .lda import (
     scatter_matrices,
     train_lda,
 )
-from .metrics import DcfParams, det_points, evaluate
+from .metrics import DcfParams, evaluate
 from .scorenorm import snorm, snorm_from_cohort_scores
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "apply_duration_noise",
     "apply_idv",
     "apply_lda",
-    "det_points",
     "estimate_modified_idv",
     "estimate_original_idv",
     "evaluate",

@@ -347,8 +347,9 @@ class ScoreSet:
     ``trial_list`` holds the trials; ``raw`` and ``normalized`` are
     read-only float arrays with one entry per trial, where NaN in
     ``normalized`` means the trial has no normalized score; ``normalized``
-    None means no trial has one.  The score columns follow ``owned``: a
-    read-only float64 column is held as given, anything else is copied.
+    None means no trial has one, held as an all-NaN broadcast view that
+    takes no memory per trial.  The given score columns follow ``owned``:
+    a read-only float64 column is held as given, anything else is copied.
     """
 
     __slots__ = ("trial_list", "raw", "normalized")
@@ -363,8 +364,7 @@ class ScoreSet:
         n = len(trial_list)
         raw = owned(raw, np.float64)
         normalized = (
-            read_only(np.full(n, math.nan)) if normalized is None
-            else owned(normalized, np.float64)
+            np.broadcast_to(math.nan, n) if normalized is None else owned(normalized, np.float64)
         )
         if raw.shape != (n,) or normalized.shape != (n,):
             raise ValueError(f"need one raw and one normalized score per trial ({n})")

@@ -324,11 +324,7 @@ class Backend:
 
     def project(self, ds: Dataset) -> Dataset:
         """``projection``, then length normalization."""
-        return _project(self.projection, ds)
-
-
-def _project(projection: np.ndarray, ds: Dataset) -> Dataset:
-    return length_normalize(ds, projection)
+        return length_normalize(ds, self.projection)
 
 
 def train_backend(
@@ -358,7 +354,7 @@ def train_backend(
     q = min(cfg.plda_q, k)
     if q < cfg.plda_q:
         warnings.warn(f"eigenvoice count clamped from {cfg.plda_q} to {q}", stacklevel=2)
-    plda = train_gplda(_project(projection, train), q=q, iters=cfg.plda_iters, seed=seed)
+    plda = train_gplda(length_normalize(train, projection), q=q, iters=cfg.plda_iters, seed=seed)
     return Backend(plda, projection)
 
 

@@ -1,16 +1,18 @@
 """Detection metrics: equal error rate and minimum detection cost.
 
 Threshold semantics: a trial is accepted as "target" when its score is
-at least the threshold; candidate thresholds are the distinct score
-values plus +inf (-inf would repeat the lowest score's point), so ties
-are evaluated at the tied value.
-Each threshold yields an operating point (false-alarm rate, miss rate).
+at least the threshold, so ties are evaluated at the tied value.  Each
+threshold yields an operating point (false-alarm rate, miss rate); the
+thresholds from the lowest score up to +inf trace the DET staircase from
+(1, 0) to (0, 1).
 
 EER is read off the lower convex hull of the operating points in the
 (FA, MISS) plane: the hull is the set of error-rate pairs achievable by
 interpolating between thresholds, and its crossing with FA == MISS is
 the smallest achievable equal error rate.  minDCF is the minimum of the
-weighted detection cost over the operating points themselves.
+weighted detection cost over the operating points themselves.  Both
+depend only on the staircase's corners, so they are taken from the
+points at and just above each distinct target score, plus both ends.
 
 Both metrics depend only on the ordering of scores, so any strictly
 increasing transform of the scores leaves them unchanged.
@@ -49,38 +51,32 @@ class DcfParams:
         return min(self.c_miss * self.p_target, self.c_fa * (1.0 - self.p_target))
 
 
-def _staircase(values: np.ndarray, is_target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Operating points (FA, MISS) at each distinct score, ascending, then at +inf.
+def _corner_candidates(values: np.ndarray, is_target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(FA, MISS) points in staircase order holding every corner of the DET
+    staircase: (1, 0), the points at and just above each distinct target
+    score, and (0, 1).
 
-    Counted from the pooled scores: the number of targets and nontargets
-    below each threshold.  The first point, the lowest score, accepts every
-    trial and is (1, 0); the last is (0, 1).  Each distinct score moves at
-    least one count, so no two consecutive points are equal.
+    Every other staircase point lies inside a horizontal run, where only
+    nontargets pass: the hull pops it (the cross product in
+    ``_lower_hull`` is exactly 0), and a positively weighted linear cost
+    is lowest at the run's end.  So EER and minDCF are the full
+    staircase's, from the same integer counts.
     """
-    thresholds, at = np.unique(values, return_counts=True)
-    tar_values, tar_counts = np.unique(values[is_target], return_counts=True)
-    tar_at = np.zeros_like(at)
-    tar_at[np.searchsorted(thresholds, tar_values)] = tar_counts
-    tar_below = np.concatenate([[0], np.cumsum(tar_at)])
-    non_below = np.concatenate([[0], np.cumsum(at - tar_at)])
-    n_tar, n_non = tar_below[-1], non_below[-1]
-    return (n_non - non_below) / n_non, tar_below / n_tar
-
-
-def _corners(fa: np.ndarray, miss: np.ndarray) -> list[tuple[float, float]]:
-    """Staircase points without the interior points of horizontal and
-    vertical runs.
-
-    Such an interior point is exactly collinear with its neighbours (the
-    cross product in ``_lower_hull`` is exactly 0), so the hull pops it
-    anyway: dropping it first leaves the hull, and the EER, unchanged.
-    """
-    keep = np.ones(fa.size, dtype=bool)
-    keep[1:-1] = ~(
-        ((fa[:-2] == fa[1:-1]) & (fa[1:-1] == fa[2:]))
-        | ((miss[:-2] == miss[1:-1]) & (miss[1:-1] == miss[2:]))
+    n_tar = int(np.count_nonzero(is_target))
+    n_non = values.size - n_tar
+    if n_tar == 0 or n_non == 0:
+        raise ValueError("score set needs at least one target and one nontarget trial")
+    tar = values[is_target]
+    tar.sort()
+    at = np.unique(tar)
+    # targets and scores below and up to each distinct target score, interleaved
+    tar_below, all_below = (
+        np.stack([np.searchsorted(a, at, side) for side in ("left", "right")], axis=1).ravel()
+        for a in (tar, np.sort(values))
     )
-    return list(zip(fa[keep].tolist(), miss[keep].tolist()))
+    fa = np.concatenate([[1.0], (n_non - (all_below - tar_below)) / n_non, [0.0]])
+    miss = np.concatenate([[0.0], tar_below / n_tar, [1.0]])
+    return fa, miss
 
 
 def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -110,27 +106,12 @@ def _hull_eer(points: Sequence[tuple[float, float]]) -> float:
     raise AssertionError("no diagonal crossing on DET hull")
 
 
-def _staircase_of(scores: ScoreSet, which: str) -> tuple[np.ndarray, np.ndarray]:
-    """``_staircase`` of one score column."""
-    values, is_target = scores.values(which), scores.trial_list.is_target
-    if is_target.all() or not is_target.any():
-        raise ValueError("score set needs at least one target and one nontarget trial")
-    return _staircase(values, is_target)
-
-
 def _min_dcf(fa: np.ndarray, miss: np.ndarray, params: DcfParams) -> tuple[float, float]:
     """Minimum detection cost over the operating points, raw and divided by
     the better degenerate policy's cost (1.0: the scores are useless here)."""
     costs = params.c_miss * params.p_target * miss + params.c_fa * (1.0 - params.p_target) * fa
     value = float(costs.min())
     return value, value / params.floor
-
-
-def det_points(scores: ScoreSet, which: str = "raw") -> list[tuple[float, float]]:
-    """DET staircase: (FA, MISS) per threshold, FA non-increasing, no two
-    consecutive points equal."""
-    fa, miss = _staircase_of(scores, which)
-    return list(zip(fa.tolist(), miss.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +140,13 @@ def evaluate(
     which: str = "raw",
 ) -> MetricReportRow:
     """EER (in [0, 1]) and minDCF, raw and normalized, of the chosen score
-    column, from one staircase, as a report row."""
-    fa, miss = _staircase_of(scores, which)
-    n_target = int(np.count_nonzero(scores.trial_list.is_target))
+    column, from the staircase's corner candidates, as a report row."""
+    is_target = scores.trial_list.is_target
+    fa, miss = _corner_candidates(scores.values(which), is_target)
+    n_target = int(np.count_nonzero(is_target))
     return MetricReportRow(
-        condition, system, _hull_eer(_corners(fa, miss)), *_min_dcf(fa, miss, params),
-        n_target, len(scores) - n_target,
+        condition, system, _hull_eer(list(zip(fa.tolist(), miss.tolist()))),
+        *_min_dcf(fa, miss, params), n_target, len(scores) - n_target,
     )
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from typing import Iterable
 
 import numpy as np
@@ -46,6 +48,20 @@ def make_scoreset(tar: list[float], non: list[float]) -> ScoreSet:
         + [(f"e-n{i}", f"t-n{i}", False) for i in range(len(non))]
     )
     return ScoreSet(trials, [float(s) for s in [*tar, *non]])
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes ``fn(*args)`` allocates at its peak, on top of what was live
+    before; a warm-up call first keeps lazy imports out of the count."""
+    fn(*args)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

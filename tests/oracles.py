@@ -224,6 +224,17 @@ def sorted_staircase(tar: np.ndarray, non: np.ndarray) -> tuple[np.ndarray, np.n
     return fa[new], miss[new]
 
 
+def staircase_corners(fa: np.ndarray, miss: np.ndarray) -> list[tuple[float, float]]:
+    """Staircase points without the interior points of horizontal and
+    vertical runs: the corners, in staircase order."""
+    keep = np.ones(fa.size, dtype=bool)
+    keep[1:-1] = ~(
+        ((fa[:-2] == fa[1:-1]) & (fa[1:-1] == fa[2:]))
+        | ((miss[:-2] == miss[1:-1]) & (miss[1:-1] == miss[2:]))
+    )
+    return list(zip(fa[keep].tolist(), miss[keep].tolist()))
+
+
 def eer_brute(tar: np.ndarray, non: np.ndarray) -> float:
     """Smallest achievable FA == MISS rate over all threshold pairs.
 

@@ -5,19 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svbackend.dataset import TrialList
+from svbackend.gplda import ScoreSet
 from svbackend.metrics import (
     DcfParams,
     MetricReportRow,
-    _corners,
+    _corner_candidates,
     _hull_eer,
-    _staircase,
-    det_points,
     evaluate,
     write_metric_report,
 )
 
-from conftest import make_scoreset
-from oracles import eer_brute, min_dcf_brute, operating_points, sorted_staircase
+from conftest import make_scoreset, traced_peak
+from oracles import (
+    eer_brute,
+    min_dcf_brute,
+    operating_points,
+    sorted_staircase,
+    staircase_corners,
+)
 
 
 class TestPinnedCases:
@@ -103,43 +109,64 @@ _HALF_INTEGERS = st.lists(
 )
 
 
-class TestColumnarMetrics:
+def pooled_scoreset(values: np.ndarray, is_target: np.ndarray) -> ScoreSet:
+    """Scores of one enrol/test id pair per trial, built without per-trial ids."""
+    code = np.zeros(values.size, dtype=np.intp)
+    return ScoreSet(TrialList(["e"], ["t"], code, code, is_target), values)
+
+
+def candidates_of(ss: ScoreSet) -> list[tuple[float, float]]:
+    fa, miss = _corner_candidates(ss.raw, ss.trial_list.is_target)
+    return list(zip(fa.tolist(), miss.tolist()))
+
+
+def check_against_full_staircase(ss: ScoreSet) -> None:
+    """The candidates are staircase points in staircase order and hold
+    every corner; EER and minDCF equal the full staircase's hull crossing
+    and minimum cost, bit for bit."""
+    is_target = ss.trial_list.is_target
+    fa, miss = sorted_staircase(ss.raw[is_target], ss.raw[~is_target])
+    full = list(zip(fa.tolist(), miss.tolist()))
+    position = {p: i for i, p in enumerate(full)}
+    candidates = candidates_of(ss)
+    at = [position[p] for p in candidates]
+    assert at == sorted(at)
+    assert set(staircase_corners(fa, miss)) <= set(candidates)
+    p = DcfParams()
+    row = evaluate(ss, params=p)
+    assert row.eer == _hull_eer(full)
+    loop_costs = [p.c_miss * p.p_target * m + p.c_fa * (1.0 - p.p_target) * f for f, m in full]
+    assert row.min_dcf == min(loop_costs)
+
+
+class TestCornerCandidates:
     @settings(max_examples=150, deadline=None)
     @given(tar=_HALF_INTEGERS, non=_HALF_INTEGERS)
-    def test_corner_hull_and_array_dcf_equal_full_staircase(self, tar, non):
+    def test_candidates_hold_the_corners_and_the_metrics(self, tar, non):
         # ties on the half-integer grid make long horizontal, vertical and
         # diagonal runs in the staircase
-        ss = make_scoreset(tar, non)
-        fa, miss = _staircase(ss.raw, ss.trial_list.is_target)
-        full = list(zip(fa.tolist(), miss.tolist()))
-        assert evaluate(ss).eer == _hull_eer(full)
-        p = DcfParams()
-        loop_costs = [
-            p.c_miss * p.p_target * m + p.c_fa * (1.0 - p.p_target) * f for f, m in full
-        ]
-        assert evaluate(ss, params=p).min_dcf == min(loop_costs)
+        check_against_full_staircase(make_scoreset(tar, non))
 
-    def test_separated_staircase_prunes_to_three_corners(self):
-        fa, miss = _staircase(np.arange(200.0), np.arange(200) >= 100)
-        assert fa.size == 201
-        assert _corners(fa, miss) == [(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)]
-
-    @settings(max_examples=150, deadline=None)
-    @given(tar=_HALF_INTEGERS, non=_HALF_INTEGERS)
-    def test_counted_staircase_equals_sorted_staircase(self, tar, non):
-        ss = make_scoreset(tar, non)
-        fa, miss = _staircase(ss.raw, ss.trial_list.is_target)
-        ref_fa, ref_miss = sorted_staircase(np.array(tar), np.array(non))
-        assert np.array_equal(fa, ref_fa) and np.array_equal(miss, ref_miss)
-
-    @pytest.mark.parametrize("target_share", [0.01, 0.5])
-    def test_counted_staircase_equals_sorted_staircase_at_scale(self, rng, target_share):
-        # 250k interleaved trials on a 0.01 grid: most thresholds are tied
-        is_target = rng.random(250_000) < target_share
+    @pytest.mark.parametrize("target_share", [0.001, 0.3])
+    def test_candidates_hold_the_corners_and_the_metrics_at_scale(self, rng, target_share):
+        # 1M interleaved trials on a 0.01 grid: most thresholds are tied
+        is_target = rng.random(1_000_000) < target_share
         values = np.round(rng.standard_normal(is_target.size) + 2.0 * is_target, 2)
-        fa, miss = _staircase(values, is_target)
-        ref_fa, ref_miss = sorted_staircase(values[is_target], values[~is_target])
-        assert np.array_equal(fa, ref_fa) and np.array_equal(miss, ref_miss)
+        check_against_full_staircase(pooled_scoreset(values, is_target))
+
+    def test_oracle_corners_of_a_separated_set(self):
+        tar, non = np.arange(100.0, 200.0), np.arange(100.0)
+        fa, miss = sorted_staircase(tar, non)
+        assert fa.size == 201
+        assert staircase_corners(fa, miss) == [(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)]
+
+    def test_evaluate_holds_under_two_score_columns(self, rng):
+        # 1M continuous scores, 0.1% targets as in a full cross of 1000
+        # speakers: one sorted copy of the pooled column, no full staircase
+        n = 1_000_000
+        is_target = rng.random(n) < 0.001
+        ss = pooled_scoreset(rng.standard_normal(n) + is_target, is_target)
+        assert traced_peak(evaluate, ss) < 2 * ss.raw.nbytes
 
 
 class TestInvariance:
@@ -155,10 +182,10 @@ class TestInvariance:
         assert evaluate(base).min_dcf == pytest.approx(evaluate(tanh).min_dcf, abs=1e-12)
 
 
-class TestDetPoints:
-    def test_staircase_monotone(self, rng):
+class TestCandidatePoints:
+    def test_monotone(self, rng):
         ss = make_scoreset(rng.standard_normal(10).tolist(), rng.standard_normal(10).tolist())
-        pts = det_points(ss)
+        pts = candidates_of(ss)
         fa = [p[0] for p in pts]
         miss = [p[1] for p in pts]
         assert all(a >= b for a, b in zip(fa, fa[1:]))
@@ -166,23 +193,18 @@ class TestDetPoints:
 
     def test_extremes_always_present(self):
         # reversed scores: every threshold misorders the classes
-        ss = make_scoreset([1.0, 2.0], [3.0, 4.0])
-        pts = det_points(ss)
+        pts = candidates_of(make_scoreset([1.0, 2.0], [3.0, 4.0]))
         assert (1.0, 0.0) in pts and (0.0, 1.0) in pts
 
     def test_perfect_contains_origin(self):
-        assert (0.0, 0.0) in det_points(make_scoreset([3.0], [1.0]))
+        assert (0.0, 0.0) in candidates_of(make_scoreset([3.0], [1.0]))
 
-    def test_matches_oracle_staircase(self, rng):
+    def test_are_loop_operating_points(self, rng):
         tar = rng.standard_normal(5)
         non = rng.standard_normal(5)
-        pts = det_points(make_scoreset(tar.tolist(), non.tolist()))
         ref = operating_points(tar, non)
-        deduped = []
-        for p in ref:
-            if not deduped or deduped[-1] != p:
-                deduped.append(p)
-        assert pts == deduped
+        at = [ref.index(p) for p in candidates_of(make_scoreset(tar.tolist(), non.tolist()))]
+        assert at == sorted(at)
 
 
 class TestErrorsAndReport:

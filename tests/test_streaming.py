@@ -10,9 +10,6 @@ numpy's allocations (not BLAS's own workspace).
 
 from __future__ import annotations
 
-import gc
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -24,7 +21,7 @@ from svbackend.harness import build_trials
 from svbackend.idv import estimate_modified_idv, estimate_original_idv
 from svbackend.lda import scatter_matrices
 
-from conftest import make_dataset
+from conftest import make_dataset, traced_peak
 
 SIZES = (1, 2047, 2048, 2049, 5000)
 BLOCK = 2048
@@ -100,20 +97,6 @@ class TestBlockBoundaries:
         mat[n - 1] = np.nan
         with pytest.raises(ValueError, match=f"ivector 'utt{n - 1:04d}': values contain non-finite"):
             make_dataset(rng.standard_normal((n, 4))).with_values(mat)
-
-
-def traced_peak(fn, *args) -> int:
-    """Bytes ``fn(*args)`` allocates at its peak, on top of what was live
-    before; a warm-up call first keeps lazy imports out of the count."""
-    fn(*args)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 class TestMemoryBounds:
@@ -204,6 +187,19 @@ class TestOwnership:
         assert not np.shares_memory(normed.normalized, norm)
         norm.flags.writeable = False
         assert ScoreSet(trials, raw, norm).normalized is norm
+
+    def test_absent_normalized_column_takes_no_memory(self, rng):
+        # 1M trials: the raw column is held as given and the all-NaN
+        # normalized column is a view, so only the checks' bool masks remain
+        n = 1_000_000
+        trials = TrialList(["a"], ["x"], np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp),
+                           np.arange(n) % 2 == 0)
+        raw = rng.standard_normal(n)
+        raw.flags.writeable = False
+        assert traced_peak(ScoreSet, trials, raw) < 4 * n
+        scores = ScoreSet(trials, raw)
+        assert np.isnan(scores.normalized).all() and not scores.normalized.flags.writeable
+        assert not scores.has_normalized
 
     def test_read_only_view_of_a_writable_array_is_copied(self):
         ds = make_dataset(np.zeros((3, 2)))
