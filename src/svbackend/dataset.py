@@ -74,12 +74,13 @@ def owned(values: Sequence | np.ndarray, dtype: type) -> np.ndarray:
 def scipy_linalg() -> ModuleType:
     """``scipy.linalg``, imported on first call.
 
-    The package imports scipy only where it runs: a factorization calls
-    this, and ``Dataset.speaker_sums`` imports ``scipy.sparse`` in its
-    body.  No module imports scipy at module level, so ``import svbackend``
-    and the commands that factorize nothing (``synth``, ``transform``,
-    ``eval``) load none of it; ``scipy.linalg`` alone takes ~0.25 s to
-    import, most of it scipy's array-API shim loading ``numpy.testing``.
+    The package imports scipy only where it runs: a training
+    factorization calls this, and ``Dataset.speaker_sums`` imports
+    ``scipy.sparse`` in its body.  No module imports scipy at module level,
+    so ``import svbackend`` and the commands that train nothing
+    (``synth``, ``transform``, ``score``, ``snorm``, ``eval``) load none of
+    it; ``scipy.linalg`` alone takes ~0.25 s to import, most of it scipy's
+    array-API shim loading ``numpy.testing``.
     """
     import scipy.linalg
 
@@ -109,22 +110,17 @@ def row_blocks(n: int) -> Iterator[slice]:
 
 
 def centered_gram(
-    values: np.ndarray,
-    center: np.ndarray,
-    code: np.ndarray | None = None,
-    sums: np.ndarray | None = None,
+    values: np.ndarray, center: np.ndarray, code: np.ndarray | None = None
 ) -> np.ndarray:
     """``c.T @ c`` for the centered rows ``c = values - center``, without an
     (N, D) temporary.
 
     ``center`` is one (D,) row, or a table of rows of which row i of
     ``values`` takes ``center[code[i]]``; every code must be a row of the
-    tables (an unlabeled row's -1 is not).  Given a table ``sums``, each
-    centered row i is also added to ``sums[code[i]]``, one row at a time in
-    row order, so every sum is bit for bit the one a loop over its rows
-    makes.  Rows are centered ``row_blocks`` at a time in one reused buffer
-    and the block products are summed in order: up to ``_ROW_BLOCK`` rows
-    the result is the single product, above it the sum is reordered.
+    table (an unlabeled row's -1 is not).  Rows are centered ``row_blocks``
+    at a time in one reused buffer and the block products are summed in
+    order: up to ``_ROW_BLOCK`` rows the result is the single product,
+    above it the sum is reordered.
     """
     n, dim = values.shape
     buf = np.empty((min(n, _ROW_BLOCK), dim))
@@ -136,8 +132,6 @@ def centered_gram(
         else:  # codes are valid table rows; "clip" keeps take from buffering
             np.take(center, code[rows], axis=0, out=c, mode="clip")
             np.subtract(values[rows], c, out=c)
-        if sums is not None:
-            np.add.at(sums, code[rows], c)
         if gram is None:
             gram = c.T @ c
         else:

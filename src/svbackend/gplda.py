@@ -64,21 +64,24 @@ def _chol_logdet(c: np.ndarray) -> float:
 
 
 def _cho_inverse(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse and log-determinant of an SPD matrix from its one Cholesky factor."""
-    la = scipy_linalg()
-    cf = la.cho_factor(m)
-    return _sym(la.cho_solve(cf, np.eye(m.shape[0]))), _chol_logdet(cf[0])
+    """Inverse and log-determinant of an SPD matrix from numpy's one Cholesky
+    factor, so that a model is built and scored without scipy."""
+    c = np.linalg.cholesky(m)
+    c_inv = np.linalg.inv(c)
+    return _sym(c_inv.T @ c_inv), _chol_logdet(c)
 
 
 def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
-    """Invert a symmetric PSD matrix, ridging first if badly conditioned."""
+    """Invert a symmetric PSD matrix, ridging first if badly conditioned (by
+    scipy's Cholesky: EM calls this every iteration, and numpy's is slower)."""
     dim = m.shape[0]
     eigvals = np.linalg.eigvalsh(m)
     lo, hi = eigvals[0], eigvals[-1]
     if lo <= 0 or hi > _COND_LIMIT * lo:
         m = m + (_COND_RIDGE * np.trace(m) / dim) * np.eye(dim)
+    la = scipy_linalg()
     try:
-        return _cho_inverse(m)[0]
+        return _sym(la.cho_solve(la.cho_factor(m), np.eye(dim)))
     except np.linalg.LinAlgError as e:
         raise ValueError(f"{what} is not positive definite: {e}") from None
 
@@ -193,49 +196,61 @@ def length_normalize(ds: Dataset, projection: np.ndarray | None = None) -> Datas
 class _SpeakerStats:
     """Sufficient statistics of centered data, grouped by session count."""
 
-    f: np.ndarray  # (S, K) per-speaker session sums
-    ns: np.ndarray  # (S,) session counts
+    f: np.ndarray  # (R, K) rows with each group's speaker-sum Gram, group by group
+    ns: np.ndarray  # (R,) session count of each row's group
     s_phiphi: np.ndarray  # (K, K) second moment of all centered sessions
     n_total: int
-    groups: tuple[tuple[int, np.ndarray], ...]  # (session count, speaker rows)
+    groups: tuple[tuple[int, int, slice], ...]  # (session count, speakers, rows of f)
 
 
 def _speaker_stats(ds: Dataset, center: np.ndarray) -> _SpeakerStats:
-    """Statistics of a labeled dataset's rows around ``center``, from one
-    ``centered_gram`` pass that also adds up each speaker's centered rows."""
-    f = np.zeros((len(ds.speakers), ds.dim))
-    s_phiphi = centered_gram(ds.matrix(), center, ds.speaker_code, f)
-    ns = np.bincount(ds.speaker_code, minlength=len(ds.speakers))
-    groups = tuple((int(n), np.flatnonzero(ns == n)) for n in np.unique(ns))
-    return _SpeakerStats(f, ns, _sym(s_phiphi), len(ds), groups)
+    """Statistics of a labeled dataset's rows around ``center``.
+
+    Every EM quantity depends on the centered speaker sums f_g of a
+    session-count group only through ``f_g.T @ f_g``, so a group of more
+    speakers than dimensions is held as the (K, K) R factor of its QR
+    decomposition, which has the same Gram; a smaller group keeps its
+    rows.  EM then costs at most K rows per group, however many speakers.
+    """
+    s_phiphi = _sym(centered_gram(ds.matrix(), center))  # frees its block before the sums
+    sums, counts = ds.speaker_sums()
+    sums -= counts[:, None] * center
+    rows, groups, start = [], [], 0
+    for n in np.unique(counts):
+        f_g = sums[counts == n]
+        rows.append(np.linalg.qr(f_g, mode="r") if len(f_g) > ds.dim else f_g)
+        groups.append((int(n), len(f_g), slice(start, start + len(rows[-1]))))
+        start += len(rows[-1])
+    ns = np.repeat([n for n, _, _ in groups], [len(r) for r in rows])
+    return _SpeakerStats(np.concatenate(rows), ns, s_phiphi, len(ds), tuple(groups))
 
 
 def _e_step(
     u1: np.ndarray, lam: np.ndarray, stats: _SpeakerStats
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Posterior means ``xhat`` (S, Q), latent moment sum ``r_xx`` and exact
-    marginal log-likelihood at (u1, lam), all from one Cholesky factor of
-    ``I + n g`` per session-count group (log-likelihood term of a group:
-    ``-len/2 * logdet(I + n g) + 1/2 * sum(b * xhat)``)."""
+    """Posterior means ``xhat`` of the rows of ``stats.f``, latent moment sum
+    ``r_xx`` and exact marginal log-likelihood at (u1, lam), all from one
+    Cholesky factor of ``I + n g`` per session-count group of S speakers
+    (log-likelihood term of a group: ``-S/2 * logdet(I + n g) + 1/2 *
+    sum(b * xhat)`` over its rows)."""
     la = scipy_linalg()
     q = u1.shape[1]
     eye_q = np.eye(q)
     t = u1.T @ lam
     g = _sym(t @ u1)
     b = stats.f @ t.T
-    xhat = np.empty((stats.f.shape[0], q))
+    xhat = np.empty_like(b)
     r_xx = np.zeros((q, q))
     loglik = (
         -0.5 * stats.n_total * lam.shape[0] * _LOG_2PI
         + 0.5 * stats.n_total * _spd_logdet(lam)
         - 0.5 * float(np.sum(lam * stats.s_phiphi))
     )
-    for n, idx in stats.groups:
+    for n, n_spk, rows in stats.groups:
         cf = la.cho_factor(eye_q + n * g)
-        bb = b[idx]
-        xhat[idx] = la.cho_solve(cf, bb.T).T
-        r_xx += n * len(idx) * la.cho_solve(cf, eye_q)
-        loglik += -0.5 * len(idx) * _chol_logdet(cf[0]) + 0.5 * float(np.sum(bb * xhat[idx]))
+        xhat[rows] = la.cho_solve(cf, b[rows].T).T
+        r_xx += n * n_spk * la.cho_solve(cf, eye_q)
+        loglik += -0.5 * n_spk * _chol_logdet(cf[0]) + 0.5 * float(np.sum(b[rows] * xhat[rows]))
     r_xx += (xhat * stats.ns[:, None]).T @ xhat
     return xhat, r_xx, loglik
 
@@ -271,11 +286,24 @@ def train_gplda(ds: Dataset, q: int = 120, iters: int = 20, seed: int = 0) -> Pl
         raise ValueError("iters must be nonnegative")
 
     mean = ds.matrix().mean(axis=0)
-    stats = _speaker_stats(ds, mean)
-    rng = np.random.default_rng(seed)
-    u1 = 0.1 * rng.standard_normal((k, q))
-    lam = _spd_inverse(stats.s_phiphi / stats.n_total, "global covariance")
+    u1, lam, trace = _em(_speaker_stats(ds, mean), q, iters, seed)
+    return PldaModel(mean, u1, lam, loglik_trace=tuple(trace))
 
+
+def _em(
+    stats: _SpeakerStats, q: int, iters: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """``train_gplda``'s EM: final (u1, lambda_prec) and the log-likelihood trace.
+
+    A function of its own so that every EM temporary is freed before the
+    model's arrays are made: made while they were live, a model array
+    could land above the caller's training matrix on the heap and keep
+    that space from coming back (paper-train then peaked 7 MB higher in
+    about half of its runs).
+    """
+    rng = np.random.default_rng(seed)
+    u1 = 0.1 * rng.standard_normal((stats.f.shape[1], q))
+    lam = _spd_inverse(stats.s_phiphi / stats.n_total, "global covariance")
     trace = []
     for it in range(iters):
         xhat, r_xx, loglik = _e_step(u1, lam, stats)
@@ -285,13 +313,10 @@ def train_gplda(ds: Dataset, q: int = 120, iters: int = 20, seed: int = 0) -> Pl
             u1 = np.linalg.solve(_sym(r_xx), r_fx.T).T
         except np.linalg.LinAlgError:
             raise ValueError(f"singular latent-moment accumulator at iteration {it}") from None
-        within = (
-            stats.s_phiphi - r_fx @ u1.T - u1 @ r_fx.T + u1 @ _sym(r_xx) @ u1.T
-        ) / stats.n_total
+        within = (stats.s_phiphi - r_fx @ u1.T) / stats.n_total  # u1 @ r_xx == r_fx
         lam = _spd_inverse(_sym(within), f"within covariance at iteration {it}")
     trace.append(_e_step(u1, lam, stats)[2])
-
-    return PldaModel(mean, u1, lam, loglik_trace=tuple(trace))
+    return u1, lam, trace
 
 
 # ---------------------------------------------------------------------------
@@ -520,18 +545,18 @@ def _float_or_nan(text: str) -> float:
 
 def _parse_scores(
     path: str | Path, texts: list[str], lines: Sequence[int], what: str, blank_ok: bool
-) -> np.ndarray:
+) -> np.ndarray | None:
     """Floats of one score column of a block, ``lines[k]`` the line of ``texts[k]``.
 
     A blank reads as NaN when ``blank_ok``; every other value must be
-    finite.  Errors name the file and line.  An all-blank column costs
-    no per-item call, and only a column mixing blanks and values goes
+    finite.  Errors name the file and line.  An all-blank column is None,
+    at no per-item cost, and only a column mixing blanks and values goes
     through ``_float_or_nan``.
     """
     blank = None
     if blank_ok:
         if not any(texts):
-            return np.full(len(texts), math.nan)
+            return None
         if not all(texts):
             blank = ~np.fromiter(map(bool, texts), bool, len(texts))
     parse = float if blank is None else _float_or_nan
@@ -579,7 +604,8 @@ def read_scores(path: str | Path) -> ScoreSet:
     split at once; any other block goes through ``csv.reader``.  Scores
     are parsed and trials added (``dataset.TrialColumns``) a block at a
     time, each record with its line, so errors name the file and line
-    without a second read.
+    without a second read.  Normalized scores are stored from the first
+    block that has one, so a file without any holds no normalized column.
     """
     width = len(SCORE_COLUMNS)
     trials = TrialColumns(path)
@@ -601,8 +627,11 @@ def read_scores(path: str | Path) -> ScoreSet:
             raws = _parse_scores(path, fields[3::width], lines, "raw", blank_ok=False)
             norms = _parse_scores(path, fields[4::width], lines, "normalized", blank_ok=True)
             trials.add(fields, width, lines)
+            if norms is not None:  # after NaN for the all-blank columns before
+                norm.frombytes(np.full(len(raw) - len(norm), math.nan).tobytes() + norms.tobytes())
             raw.frombytes(raws.tobytes())
-            norm.frombytes(norms.tobytes())
             del fields  # before the next block is split
-    raw_col, norm_col = (read_only(np.frombuffer(c)) for c in (raw, norm))
-    return ScoreSet(trials.trial_list(), raw_col, norm_col)
+    if norm:
+        norm.frombytes(np.full(len(raw) - len(norm), math.nan).tobytes())
+    norm_col = read_only(np.frombuffer(norm)) if norm else None
+    return ScoreSet(trials.trial_list(), read_only(np.frombuffer(raw)), norm_col)

@@ -87,6 +87,63 @@ def speaker_loop_stats(ds, center: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return f, ns, (s + s.T) / 2.0
 
 
+def _ridged_inverse(m: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric PSD matrix, with the library's conditioning
+    ridge: 1e-8 of the mean eigenvalue added when the condition number
+    exceeds 1e12 or the matrix is not positive definite."""
+    dim = m.shape[0]
+    eigvals = np.linalg.eigvalsh(m)
+    if eigvals[0] <= 0 or eigvals[-1] > 1e12 * eigvals[0]:
+        m = m + (1e-8 * np.trace(m) / dim) * np.eye(dim)
+    return np.linalg.inv(m)
+
+
+def reference_em(ds, q: int, iters: int, seed: int):
+    """PLDA EM with one E-step row per speaker: (u1, lambda_prec, loglik trace).
+
+    Same initialization as ``train_gplda`` (global mean, seeded 0.1-scaled
+    normal eigenvoices, inverse global covariance).  Each speaker s gets
+    its own ``P_s = I + n_s g``, inverted directly, and the M-step is the
+    textbook one: ``u1 = r_fx inv(r_xx)``, ``within = (S - r_fx u1' - u1
+    r_fx' + u1 r_xx u1') / N``.
+    """
+    mean = ds.matrix().mean(axis=0)
+    f, ns, s = speaker_loop_stats(ds, mean)
+    n_total, k = len(ds), ds.dim
+    u1 = 0.1 * np.random.default_rng(seed).standard_normal((k, q))
+    lam = _ridged_inverse(s / n_total)
+
+    def e_step(u1, lam):
+        t = u1.T @ lam
+        g = t @ u1
+        xhat = np.empty((len(f), q))
+        r_xx = np.zeros((q, q))
+        loglik = (
+            -0.5 * n_total * k * np.log(2.0 * np.pi)
+            + 0.5 * n_total * np.linalg.slogdet(lam)[1]
+            - 0.5 * np.sum(lam * s)
+        )
+        for i in range(len(f)):
+            p = np.eye(q) + ns[i] * g
+            p_inv = np.linalg.inv(p)
+            b = t @ f[i]
+            xhat[i] = p_inv @ b
+            r_xx += ns[i] * (p_inv + np.outer(xhat[i], xhat[i]))
+            loglik += -0.5 * np.linalg.slogdet(p)[1] + 0.5 * b @ xhat[i]
+        return xhat, r_xx, float(loglik)
+
+    trace = []
+    for _ in range(iters):
+        xhat, r_xx, loglik = e_step(u1, lam)
+        trace.append(loglik)
+        r_fx = f.T @ xhat
+        u1 = np.linalg.solve(r_xx, r_fx.T).T
+        within = (s - r_fx @ u1.T - u1 @ r_fx.T + u1 @ r_xx @ u1.T) / n_total
+        lam = _ridged_inverse((within + within.T) / 2.0)
+    trace.append(e_step(u1, lam)[2])
+    return u1, lam, trace
+
+
 def synth_matrix(cfg, u: np.ndarray, mean: np.ndarray, channel_scale: float, rng) -> np.ndarray:
     """One generator domain drawn vector by vector, as per-utterance objects were."""
     rows = []

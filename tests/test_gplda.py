@@ -30,7 +30,8 @@ from svbackend.gplda import (
 from svbackend.gplda import _speaker_stats, _spd_inverse
 
 from conftest import make_dataset, make_trials, shuffled_labeled_datasets
-from oracles import pair_llr_two_grids, plda_pair_llr, speaker_loop_stats, speaker_rows
+from oracles import pair_llr_two_grids, plda_pair_llr, reference_em, speaker_loop_stats
+from oracles import speaker_rows
 from oracles import stacked_marginal_loglik
 
 
@@ -221,11 +222,48 @@ class TestSpeakerStatsAgainstSpeakerLoop:
         center = ds.matrix().mean(axis=0)
         stats = _speaker_stats(ds, center)
         f, ns, s_phiphi = speaker_loop_stats(ds, center)
-        assert np.array_equal(stats.ns, ns) and stats.n_total == len(ds)
-        assert np.linalg.norm(stats.f - f) <= 1e-12 * np.linalg.norm(f)
+        assert stats.n_total == len(ds)
         assert np.linalg.norm(stats.s_phiphi - s_phiphi) <= 1e-12 * np.linalg.norm(s_phiphi)
-        for n, idx in stats.groups:
-            assert np.array_equal(idx, np.flatnonzero(ns == n))
+        assert [n for n, _, _ in stats.groups] == np.unique(ns).tolist()
+        for n, n_spk, rows in stats.groups:
+            f_g, held = f[ns == n], stats.f[rows]
+            assert n_spk == len(f_g) and np.all(stats.ns[rows] == n)
+            gram = f_g.T @ f_g
+            assert np.linalg.norm(held.T @ held - gram) <= 1e-12 * np.linalg.norm(gram)
+
+    def test_a_group_holds_at_most_dim_rows(self, rng):
+        # 4000 speakers x 2 sessions at dim 8: one group, held as 8 rows
+        code = np.repeat(np.arange(4000), 2)
+        values = rng.standard_normal((4000, 8))[code] + 0.5 * rng.standard_normal((8000, 8))
+        ds = make_dataset(values, speakers=[f"s{c:04d}" for c in code])
+        stats = _speaker_stats(ds, ds.matrix().mean(axis=0))
+        assert [(n, n_spk) for n, n_spk, _ in stats.groups] == [(2, 4000)]
+        assert stats.f.shape == (8, 8) and stats.ns.tolist() == [2] * 8
+
+    @pytest.mark.parametrize(
+        "dim, q, constant",
+        [(6, 3, False), (6, 6, False), (6, 3, True)],
+        ids=["ragged", "q-equals-dim", "constant-coordinate"],
+    )
+    def test_em_matches_the_per_speaker_reference(self, rng, dim, q, constant):
+        # 2204 rows: groups of 5 and 3 sessions above dim speakers, 1, 2, 7
+        # and 9 below it; a constant coordinate takes the ridge path
+        counts = [5] * 300 + [3] * 200 + [1] * 4 + [2] * 3 + [7] * 5 + [9] * 2
+        code = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+        values = 2.0 * rng.standard_normal((len(counts), dim))[code]
+        values += rng.standard_normal((len(code), dim))
+        if constant:
+            values[:, -1] = 1.0
+        ds = make_dataset(values, speakers=[f"s{c:03d}" for c in code])
+        stats = _speaker_stats(ds, ds.matrix().mean(axis=0))
+        assert [len(stats.f[rows]) for _, _, rows in stats.groups] == [4, 3, 6, 6, 5, 2]
+        m = train_gplda(ds, q=q, iters=6, seed=1)
+        u1, lam, trace = reference_em(ds, q, 6, seed=1)
+        assert np.linalg.norm(m.u1 - u1) <= 1e-9 * np.linalg.norm(u1)
+        assert np.linalg.norm(m.lambda_prec - lam) <= 1e-9 * np.linalg.norm(lam)
+        assert len(m.loglik_trace) == len(trace)
+        for got, want in zip(m.loglik_trace, trace):
+            assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_unlabeled_row_still_rejected(self, rng):
         ds = make_dataset(rng.standard_normal((4, 2)), speakers=["a", "b", None, "a"])
@@ -447,6 +485,33 @@ class TestScoreBlocks:
             write_scores(loaded, ours)
             _seed_write_scores(expected, ref)
             assert ours.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("chars", [1, 30, 1 << 20])
+    def test_file_without_normalized_scores_holds_a_stride_0_column(
+        self, tmp_path, monkeypatch, chars
+    ):
+        monkeypatch.setattr(dataset, "_READ_BLOCK", chars)
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "enrol,test,label,raw_llr,norm_llr\ne1,t1,target,0.5,\ne2,t2,nontarget,-1.5,\n"
+        )
+        loaded = read_scores(path)
+        assert loaded.normalized.strides == (0,) and not loaded.has_normalized
+        assert loaded == ScoreSet(make_trials([("e1", "t1", True), ("e2", "t2", False)]), [0.5, -1.5])
+
+    @pytest.mark.parametrize("chars", [1, 30, 1 << 20])
+    def test_blank_normalized_blocks_before_and_after_a_score(self, tmp_path, monkeypatch, chars):
+        # with 30-character blocks the first block's column is blank and a later one is not
+        monkeypatch.setattr(dataset, "_READ_BLOCK", chars)
+        path = tmp_path / "scores.csv"
+        rows = [f"e{k},t{k},nontarget,{k}.5,{'0.25' if k == 3 else ''}" for k in range(6)]
+        path.write_text("enrol,test,label,raw_llr,norm_llr\n" + "\n".join(rows) + "\n")
+        loaded = read_scores(path)
+        norm = np.full(6, np.nan)
+        norm[3] = 0.25
+        trials = make_trials([(f"e{k}", f"t{k}", False) for k in range(6)])
+        assert loaded == ScoreSet(trials, np.arange(6) + 0.5, norm)
+        assert loaded.normalized.strides == (8,)
 
     def test_field_counts_that_cancel_out_are_caught(self, tmp_path):
         path = tmp_path / "scores.csv"

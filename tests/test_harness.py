@@ -953,8 +953,8 @@ class TestManualComposition:
 
 #: sha256 of the files the ``test_cli_chain_files_match_pinned_hashes`` chain writes.
 CLI_CHAIN_SHA256 = {
-    "scores.csv": "f4362220fba0299a2c198ac41b743563b138320160f208218813aa3dad463995",
-    "snormed.csv": "1cfa9a2b7e41b8def62458cb2fd752abb71a2218afaa3a84d5ea0d24d96c35d7",
+    "scores.csv": "54792b0b84aed88ba490cbc9102b7fe6c5a15fc60400bfc76fc7619104ffdbaf",
+    "snormed.csv": "079688f9230a2b080963434f4f0f3a7dadc5f8d3c004ecefad0eb585f15e7aa3",
     "eval.csv": "ebb3a4a17ad0709488763fd34dbe42494e8ed0361c6e3e57776cc8fe30d4b094",
 }
 
@@ -982,8 +982,8 @@ print(json.dumps(loaded))
 
 def test_commands_that_factorize_nothing_load_no_scipy(tmp_path, capsys):
     """In a fresh interpreter, importing the package and the CLI and running
-    synth, transform and eval load no scipy module; train-plda then loads
-    ``scipy.linalg`` and writes the model the test process writes."""
+    synth, transform, eval, score and snorm load no scipy module; train-plda
+    then loads ``scipy.linalg`` and writes the model the test process writes."""
     w = tmp_path
     synth = ["synth", "--dim", "8", "--speakers", "12", "--sessions", "3", "--seed", "5"]
     assert cli([*synth, "--out-dir", f"{w}/train"]) == 0
@@ -992,13 +992,25 @@ def test_commands_that_factorize_nothing_load_no_scipy(tmp_path, capsys):
                 "--output", f"{w}/idv.bin"]) == 0
     assert cli(["train-lda", "--data", out_domain, "--dim", "4", "--output", f"{w}/lda.bin"]) == 0
     write_scores(make_scoreset([2.0, 3.0], [1.0, 2.5]), w / "scores.csv")
-    plda = ["train-plda", "--data", f"{w}/proj.ivec", "--q", "2", "--iters", "3", "--output"]
+    transform = ["transform", "--data", out_domain, "--idv", f"{w}/idv.bin", "--lda",
+                 f"{w}/lda.bin", "--length-norm", "--output"]
+    plda = ["train-plda", "--q", "2", "--iters", "3", "--output"]
+    assert cli([*transform, f"{w}/here.ivec"]) == 0
+    assert cli([*plda, f"{w}/here.plda", "--data", f"{w}/here.ivec"]) == 0
+    proj = load_ivectors(w / "here.ivec")
+    enrol_pos, test_pos, trials = build_trials(proj)
+    save_ivectors(proj.subset(enrol_pos), w / "enrol.ivec")
+    save_ivectors(proj.subset(test_pos), w / "test.ivec")
+    save_trials(trials, w / "trials.txt")
+    sides = ["--model", f"{w}/here.plda", "--enrol", f"{w}/enrol.ivec", "--test", f"{w}/test.ivec"]
     steps = [
         [*synth, "--out-dir", f"{w}/fresh"],
-        ["transform", "--data", out_domain, "--idv", f"{w}/idv.bin", "--lda", f"{w}/lda.bin",
-         "--length-norm", "--output", f"{w}/proj.ivec"],
+        [*transform, f"{w}/proj.ivec"],
         ["eval", "--scores", f"{w}/scores.csv"],
-        [*plda, f"{w}/fresh.plda"],
+        ["score", *sides, "--trials", f"{w}/trials.txt", "--output", f"{w}/raw.csv"],
+        ["snorm", *sides, "--scores", f"{w}/raw.csv", "--cohort", f"{w}/here.ivec",
+         "--output", f"{w}/snormed.csv"],
+        [*plda, f"{w}/fresh.plda", "--data", f"{w}/proj.ivec"],
     ]
     src = str(Path(svbackend.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -1007,10 +1019,11 @@ def test_commands_that_factorize_nothing_load_no_scipy(tmp_path, capsys):
         env=env, check=True, capture_output=True, text=True, timeout=120,
     )
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded[:5] == [[]] * 5  # import svbackend, import svbackend.cli, synth, transform, eval
-    assert "scipy.linalg" in loaded[5]
-    assert cli([*plda, f"{w}/here.plda"]) == 0
+    # import svbackend, import svbackend.cli, synth, transform, eval, score, snorm
+    assert loaded[:7] == [[]] * 7
+    assert "scipy.linalg" in loaded[7]
     capsys.readouterr()
+    assert read_scores(w / "snormed.csv").has_normalized
     assert (w / "fresh.plda").read_bytes() == (w / "here.plda").read_bytes()
 
 

@@ -59,11 +59,17 @@ class TestBlockBoundaries:
         ds = labeled(rng, n)
         center = ds.matrix().mean(axis=0)
         centered = ds.matrix() - center
-        ref = np.zeros((len(ds.speakers), ds.dim))
+        ref, ref_centered = np.zeros((2, len(ds.speakers), ds.dim))
         for row, code in enumerate(ds.speaker_code.tolist()):
-            ref[code] += centered[row]
+            ref[code] += ds.matrix()[row]
+            ref_centered[code] += centered[row]
+        sums, counts = ds.speaker_sums()
+        assert np.array_equal(sums, ref)
         stats = _speaker_stats(ds, center)
-        assert np.array_equal(stats.f, ref)
+        for count, _, rows in stats.groups:
+            f_g, held = ref_centered[counts == count], stats.f[rows]
+            gram = f_g.T @ f_g
+            assert np.linalg.norm(held.T @ held - gram) <= 1e-12 * np.linalg.norm(gram)
         assert_gram_matches(stats.s_phiphi, (centered.T @ centered + (centered.T @ centered).T) / 2, n)
 
     def test_grams_match_the_single_product(self, n, rng):
@@ -236,10 +242,11 @@ class TestOwnership:
         enrol_pos, test_pos, trials = build_trials(normed)
         model = PldaModel(np.zeros(3), 0.5 * np.ones((3, 1)), np.eye(3))
         scores = score_trials(model, normed.subset(enrol_pos), normed.subset(test_pos), trials)
-        write_scores(scores, tmp_path / "scores.csv")
+        write_scores(scores.with_normalized(scores.raw), tmp_path / "scores.csv")
         save_trials(trials, tmp_path / "trials.txt")
         read_scores(tmp_path / "scores.csv")
         load_trials(tmp_path / "trials.txt")
         # 2 normalized sets, 3 trial columns, 2 subsets' positions, 1 score
-        # column, then 2 score and 3 trial columns read, 3 trial columns loaded
-        assert handed == [True] * 16
+        # column and the 2 of its normalized copy, then 2 score and 3 trial
+        # columns read, 3 trial columns loaded
+        assert handed == [True] * 18
