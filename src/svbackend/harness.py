@@ -232,15 +232,15 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
 @dataclass(frozen=True)
 class RunData:
     """All datasets of one experiment repetition (one run seed); a training
-    set the run does not train on holds 0 rows."""
+    set the run does not train on holds 0 rows.  ``trials`` is the full
+    cross of ``build_trials(eval_in)``, whose ids any projection of the
+    evaluation set scores directly, as both enrol and test set."""
 
     train_in: Dataset
     train_out: Dataset
     eval_in: Dataset
     nist_cohort: Dataset
     swb_cohort: Dataset
-    enrol_pos: np.ndarray
-    test_pos: np.ndarray
     trials: TrialList
 
 
@@ -294,10 +294,7 @@ def make_run_data(
     swb_speakers = math.ceil(cfg.swb_cohort_size / cfg.cohort_sessions)
     _, swb_all = draw(SWB_COHORT_SEED_OFFSET, swb_speakers, cfg.cohort_sessions, Domain.OUT_DOMAIN)
     swb_cohort = swb_all.subset(range(cfg.swb_cohort_size))
-    enrol_pos, test_pos, trials = build_trials(eval_in)
-    return RunData(
-        train_in, train_out, eval_in, nist_cohort, swb_cohort, enrol_pos, test_pos, trials
-    )
+    return RunData(train_in, train_out, eval_in, nist_cohort, swb_cohort, build_trials(eval_in)[2])
 
 
 def subsample(ds: Dataset, count: int | None, seed: int) -> Dataset:
@@ -516,8 +513,7 @@ def run_experiment(
             for key, users in by_key.items():
                 backend = backends[key]
                 proj = backend.project(eval_ds)
-                enrol, test = proj.subset(data.enrol_pos), proj.subset(data.test_pos)
-                raw = score_trials(backend.plda, enrol, test, data.trials)
+                raw = score_trials(backend.plda, proj, proj, data.trials)
                 for k, name in users:
                     for sfx, style, matched in chosen[k].variants:
                         scores, which = raw, "raw"
@@ -536,7 +532,7 @@ def run_experiment(
                             use = key, style, noising
                             if use not in cohorts:
                                 cohorts[use] = backend.project(co)
-                            scores = snorm(backend.plda, raw, enrol, test, cohorts[use])
+                            scores = snorm(backend.plda, raw, proj, proj, cohorts[use])
                             which = "normalized"
                         label = name + (sfx and f"|{sfx}")
                         condition = f"seed={seed}/dur={dur}" + (sfx and f"/{sfx}")

@@ -10,9 +10,9 @@ EER is read off the lower convex hull of the operating points in the
 (FA, MISS) plane: the hull is the set of error-rate pairs achievable by
 interpolating between thresholds, and its crossing with FA == MISS is
 the smallest achievable equal error rate.  minDCF is the minimum of the
-weighted detection cost over the operating points themselves.  Both
-depend only on the staircase's corners, so they are taken from the
-points at and just above each distinct target score, plus both ends.
+weighted detection cost over the operating points themselves.  Both are
+taken from one point per distinct target score, the last point of its
+horizontal run, plus both ends.
 
 Both metrics depend only on the ordering of scores, so any strictly
 increasing transform of the scores leaves them unchanged.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -52,28 +52,17 @@ class DcfParams:
 
 
 def _corner_candidates(values: np.ndarray, is_target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(FA, MISS) points in staircase order holding every corner of the DET
-    staircase: (1, 0), the points at and just above each distinct target
-    score, and (0, 1).
-
-    Every other staircase point lies inside a horizontal run, where only
-    nontargets pass: the hull pops it (the cross product in
-    ``_lower_hull`` is exactly 0), and a positively weighted linear cost
-    is lowest at the run's end.  So EER and minDCF are the full
-    staircase's, from the same integer counts.
-    """
-    n_tar = int(np.count_nonzero(is_target))
-    n_non = values.size - n_tar
+    """(FA, MISS) points in staircase order: (1, 0), the point at each
+    distinct target score v (FA: nontargets >= v, MISS: targets < v), and
+    (0, 1).  Each is the low-FA end of a horizontal run of the staircase;
+    the rest of the run has the same MISS and no smaller FA, so it is never
+    a strict lower-hull vertex and never costs less."""
+    tar = np.sort(values[is_target])
+    n_tar, n_non = tar.size, values.size - tar.size
     if n_tar == 0 or n_non == 0:
         raise ValueError("score set needs at least one target and one nontarget trial")
-    tar = values[is_target]
-    tar.sort()
     at = np.unique(tar)
-    # targets and scores below and up to each distinct target score, interleaved
-    tar_below, all_below = (
-        np.stack([np.searchsorted(a, at, side) for side in ("left", "right")], axis=1).ravel()
-        for a in (tar, np.sort(values))
-    )
+    tar_below, all_below = np.searchsorted(tar, at), np.searchsorted(np.sort(values), at)
     fa = np.concatenate([[1.0], (n_non - (all_below - tar_below)) / n_non, [0.0]])
     miss = np.concatenate([[0.0], tar_below / n_tar, [1.0]])
     return fa, miss
@@ -83,17 +72,18 @@ def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _lower_hull(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+def _hull_eer(fa: np.ndarray, miss: np.ndarray) -> float:
+    """Crossing with FA == MISS of the candidates' lower convex hull.
+
+    The chain takes the points in reverse staircase order, FA ascending and,
+    at one FA, MISS descending, so it needs no sort: a point is popped by a
+    next point at its FA, unless it is the start (0, 1), whose vertical
+    edge meets the diagonal only at (0, 0)."""
     hull: list[tuple[float, float]] = []
-    for p in sorted(set(points)):
+    for p in zip(fa[::-1].tolist(), miss[::-1].tolist()):
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
             hull.pop()
         hull.append(p)
-    return hull
-
-
-def _hull_eer(points: Sequence[tuple[float, float]]) -> float:
-    hull = _lower_hull(points)
     for a, b in zip(hull, hull[1:]):
         da = a[1] - a[0]
         db = b[1] - b[0]
@@ -140,12 +130,12 @@ def evaluate(
     which: str = "raw",
 ) -> MetricReportRow:
     """EER (in [0, 1]) and minDCF, raw and normalized, of the chosen score
-    column, from the staircase's corner candidates, as a report row."""
+    column, from one point per distinct target score, as a report row."""
     is_target = scores.trial_list.is_target
     fa, miss = _corner_candidates(scores.values(which), is_target)
     n_target = int(np.count_nonzero(is_target))
     return MetricReportRow(
-        condition, system, _hull_eer(list(zip(fa.tolist(), miss.tolist()))),
+        condition, system, _hull_eer(fa, miss),
         *_min_dcf(fa, miss, params), n_target, len(scores) - n_target,
     )
 

@@ -292,6 +292,37 @@ def staircase_corners(fa: np.ndarray, miss: np.ndarray) -> list[tuple[float, flo
     return list(zip(fa[keep].tolist(), miss[keep].tolist()))
 
 
+def inner_corners(fa: np.ndarray, miss: np.ndarray) -> list[tuple[float, float]]:
+    """Both ends of the staircase and every point after which MISS rises:
+    the low-FA end of each horizontal run, in staircase order."""
+    keep = np.ones(fa.size, dtype=bool)
+    keep[1:-1] = miss[2:] > miss[1:-1]
+    return list(zip(fa[keep].tolist(), miss[keep].tolist()))
+
+
+def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def hull_eer(points: list[tuple[float, float]]) -> float:
+    """Crossing with FA == MISS of the lower convex hull of ``points``,
+    chained over the sorted, de-duplicated points (Andrew's monotone chain)."""
+    hull: list[tuple[float, float]] = []
+    for p in sorted(set(points)):
+        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
+            hull.pop()
+        hull.append(p)
+    for a, b in zip(hull, hull[1:]):
+        da = a[1] - a[0]
+        db = b[1] - b[0]
+        if da >= 0.0 and db <= 0.0:
+            if da == 0.0:
+                return a[0]
+            t = da / (da - db)
+            return a[0] + t * (b[0] - a[0])
+    raise AssertionError("no diagonal crossing on DET hull")
+
+
 def eer_brute(tar: np.ndarray, non: np.ndarray) -> float:
     """Smallest achievable FA == MISS rate over all threshold pairs.
 

@@ -211,11 +211,7 @@ class TestRunData:
         assert len(data.nist_cohort) == cfg.cohort_speakers * cfg.cohort_sessions
         assert len(data.swb_cohort) == cfg.swb_cohort_size
         # one enrol per speaker, the rest tested against all enrolments
-        assert len(data.enrol_pos) == cfg.eval_speakers
         n_test = cfg.eval_speakers * (cfg.eval_sessions - 1)
-        assert len(data.test_pos) == n_test
-        for pos in (data.enrol_pos, data.test_pos):
-            assert pos.dtype == np.intp and not pos.flags.writeable
         assert len(data.trials) == cfg.eval_speakers * n_test
         n_targets = int(data.trials.is_target.sum())
         assert n_targets == n_test
@@ -223,9 +219,14 @@ class TestRunData:
         assert again.eval_in == data.eval_in
 
     def test_build_trials_matches_object_loop(self):
-        data = make_run_data(tiny_config(), 0)
+        cfg = tiny_config()
+        data = make_run_data(cfg, 0)
         enrol_pos, test_pos, trials = build_trials(data.eval_in)
         assert isinstance(trials, TrialList)
+        assert len(enrol_pos) == cfg.eval_speakers
+        assert len(test_pos) == cfg.eval_speakers * (cfg.eval_sessions - 1)
+        for pos in (enrol_pos, test_pos):
+            assert pos.dtype == np.intp and not pos.flags.writeable
         ids, speakers = data.eval_in.ids, data.eval_in.row_speakers()
         expected = make_trials(
             (ids[e], ids[t], speakers[e] == speakers[t]) for e in enrol_pos for t in test_pos

@@ -11,7 +11,6 @@ from svbackend.metrics import (
     DcfParams,
     MetricReportRow,
     _corner_candidates,
-    _hull_eer,
     evaluate,
     write_metric_report,
 )
@@ -19,6 +18,8 @@ from svbackend.metrics import (
 from conftest import make_scoreset, traced_peak
 from oracles import (
     eer_brute,
+    hull_eer,
+    inner_corners,
     min_dcf_brute,
     operating_points,
     sorted_staircase,
@@ -122,8 +123,8 @@ def candidates_of(ss: ScoreSet) -> list[tuple[float, float]]:
 
 def check_against_full_staircase(ss: ScoreSet) -> None:
     """The candidates are staircase points in staircase order and hold
-    every corner; EER and minDCF equal the full staircase's hull crossing
-    and minimum cost, bit for bit."""
+    every inner corner; EER and minDCF equal the full staircase's hull
+    crossing and minimum cost, bit for bit."""
     is_target = ss.trial_list.is_target
     fa, miss = sorted_staircase(ss.raw[is_target], ss.raw[~is_target])
     full = list(zip(fa.tolist(), miss.tolist()))
@@ -131,10 +132,10 @@ def check_against_full_staircase(ss: ScoreSet) -> None:
     candidates = candidates_of(ss)
     at = [position[p] for p in candidates]
     assert at == sorted(at)
-    assert set(staircase_corners(fa, miss)) <= set(candidates)
+    assert set(inner_corners(fa, miss)) <= set(candidates)
     p = DcfParams()
     row = evaluate(ss, params=p)
-    assert row.eer == _hull_eer(full)
+    assert row.eer == hull_eer(full)
     loop_costs = [p.c_miss * p.p_target * m + p.c_fa * (1.0 - p.p_target) * f for f, m in full]
     assert row.min_dcf == min(loop_costs)
 
@@ -154,6 +155,13 @@ class TestCornerCandidates:
         values = np.round(rng.standard_normal(is_target.size) + 2.0 * is_target, 2)
         check_against_full_staircase(pooled_scoreset(values, is_target))
 
+    @settings(max_examples=50, deadline=None)
+    @given(tar=_HALF_INTEGERS, non=_HALF_INTEGERS)
+    def test_one_candidate_per_distinct_target_score(self, tar, non):
+        values = np.array([*tar, *non])
+        fa, miss = _corner_candidates(values, np.arange(values.size) < len(tar))
+        assert fa.size == miss.size == len(set(tar)) + 2
+
     def test_oracle_corners_of_a_separated_set(self):
         tar, non = np.arange(100.0, 200.0), np.arange(100.0)
         fa, miss = sorted_staircase(tar, non)
@@ -167,6 +175,14 @@ class TestCornerCandidates:
         is_target = rng.random(n) < 0.001
         ss = pooled_scoreset(rng.standard_normal(n) + is_target, is_target)
         assert traced_peak(evaluate, ss) < 2 * ss.raw.nbytes
+
+    def test_evaluate_of_a_target_heavy_set_holds_under_four_score_columns(self, rng):
+        # 1M continuous scores, 30% targets: 300k distinct target scores,
+        # whose points the hull chains as Python floats
+        n = 1_000_000
+        is_target = rng.random(n) < 0.3
+        ss = pooled_scoreset(rng.standard_normal(n) + is_target, is_target)
+        assert traced_peak(evaluate, ss) < 4 * ss.raw.nbytes
 
 
 class TestInvariance:
