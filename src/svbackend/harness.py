@@ -356,15 +356,21 @@ def train_backend(
 
 
 def estimate_idv_for_run(
-    cfg: ExperimentConfig, data: RunData, seed: int, variant: str
+    cfg: ExperimentConfig,
+    data: RunData,
+    seed: int,
+    variant: str,
+    original: IdvTransform | None = None,
 ) -> IdvTransform:
     """IDV estimation uses (a subset of) out-domain training data against
-    the in-domain normalization cohort, both speaker-unlabeled."""
+    the in-domain normalization cohort, both speaker-unlabeled.  Both
+    variants draw the same subsets, so the modified estimate reuses the
+    scatter of ``original``, this seed's original transform, when given."""
     out_ds = subsample(data.train_out, cfg.idv_out_count, seed + IDV_SUBSET_SEED_OFFSET)
     in_ds = subsample(data.nist_cohort, cfg.idv_in_count, seed + IDV_SUBSET_SEED_OFFSET + 1)
-    modified = IdvVariant(variant) is IdvVariant.MODIFIED
-    estimate = estimate_modified_idv if modified else estimate_original_idv
-    return estimate(out_ds, in_ds, cfg.idv_ridge)
+    if IdvVariant(variant) is IdvVariant.MODIFIED:
+        return estimate_modified_idv(out_ds, in_ds, cfg.idv_ridge, original=original)
+    return estimate_original_idv(out_ds, in_ds, cfg.idv_ridge)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +471,8 @@ def run_experiment(
     systems train on (IDV also reads the out-domain one), and one domain
     per evaluation and cohort draw.  Each training set's scatter is
     computed once, and each distinct (training domain, IDV variant)
-    backend trained once for all studies.  Each distinct (duration grid
+    backend trained once for all studies (modified IDV last, its estimate
+    reusing the original one's out-domain scatter).  Each distinct (duration grid
     index, duration) noises the evaluation set once, and each backend used
     there projects and scores it once for every study, system and variant
     using it.  Each backend projects each unmatched cohort once; each
@@ -486,7 +493,9 @@ def run_experiment(
         for gi, duration in enumerate(grids[k]):
             for name, domain, idv in study.systems:
                 uses[gi, duration][domain, idv].append((k, name))
-    keys = dict.fromkeys(key for by_key in uses.values() for key in by_key)
+    # modified IDV last, so that its estimate reuses the original one's scatter
+    keys = sorted(dict.fromkeys(key for by_key in uses.values() for key in by_key),
+                  key=lambda key: key[1] == "modified")
     # IDV is estimated on the out-domain training set, whichever set its backend trains on
     train_domains = {d for d, _ in keys} | {Domain.OUT_DOMAIN for _, idv in keys if idv != "off"}
     rows = {k: defaultdict(list) for k in chosen}
@@ -497,8 +506,11 @@ def run_experiment(
     for seed in cfg.seeds:
         data = make_run_data(cfg, seed, train_domains)
         backends, scatters, noised, cohorts = {}, {}, {}, {}
+        original = None  # held from the original IDV estimate to the modified one
         for domain, idv in keys:
-            t = None if idv == "off" else estimate_idv_for_run(cfg, data, seed, idv)
+            t = None if idv == "off" else estimate_idv_for_run(cfg, data, seed, idv, original)
+            if idv != "off":
+                original = t if idv == "original" else None
             train = data.train_in if domain is Domain.IN_DOMAIN else data.train_out
             if domain not in scatters:
                 scatters[domain] = scatter_matrices(train)

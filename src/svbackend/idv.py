@@ -120,17 +120,29 @@ def _cholesky_decorrelator(s: np.ndarray, ridge_factor: float) -> tuple[np.ndarr
 
 
 def _estimate_idv(
-    variant: IdvVariant, out_domain: Dataset, in_domain: Dataset, ridge: float
+    variant: IdvVariant,
+    out_domain: Dataset,
+    in_domain: Dataset,
+    ridge: float,
+    original: IdvTransform | None = None,
 ) -> IdvTransform:
-    """The original scatter, plus for ``MODIFIED`` its mirrored term, and its whitening."""
+    """The original scatter (``original.s_idv`` when given), plus for
+    ``MODIFIED`` its mirrored term, and its whitening."""
     if len(out_domain) == 0 or len(in_domain) == 0:
         raise ValueError("both datasets must be non-empty")
     if out_domain.dim != in_domain.dim:
         raise ValueError(
             f"dimension mismatch: out-domain {out_domain.dim} vs in-domain {in_domain.dim}"
         )
+    if original is not None and (
+        original.variant is not IdvVariant.ORIGINAL or original.dim != out_domain.dim
+    ):
+        raise ValueError(
+            f"need an original-variant transform of dimension {out_domain.dim}, got "
+            f"{original.variant.value} of dimension {original.dim}"
+        )
     out_m, in_m = out_domain.matrix(), in_domain.matrix()
-    s = _mismatch_scatter(out_m, in_m.mean(axis=0))
+    s = _mismatch_scatter(out_m, in_m.mean(axis=0)) if original is None else original.s_idv
     if variant is IdvVariant.MODIFIED:
         s = s + _mismatch_scatter(in_m, out_m.mean(axis=0))
     decorrelator, used = _cholesky_decorrelator(s, ridge)
@@ -138,7 +150,10 @@ def _estimate_idv(
 
 
 def estimate_modified_idv(
-    out_domain: Dataset, in_domain: Dataset, ridge: float = 1e-6
+    out_domain: Dataset,
+    in_domain: Dataset,
+    ridge: float = 1e-6,
+    original: IdvTransform | None = None,
 ) -> IdvTransform:
     """Estimate the symmetrized mismatch scatter and its whitening.
 
@@ -146,8 +161,14 @@ def estimate_modified_idv(
     the in-domain mean plus the mean outer product of in-domain
     i-vectors around the out-domain mean; it is symmetric under swapping
     the two datasets.  ``ridge`` is relative to trace(S)/dim.
+
+    ``original``, the ``estimate_original_idv`` transform of the same two
+    datasets, supplies the first term, so only the mirrored one is
+    computed; the sum is the same ``s + mirrored``, so the result is bit
+    for bit the fresh estimate.  Another variant or dimension is a
+    ``ValueError``; that the datasets are the same is the caller's to keep.
     """
-    return _estimate_idv(IdvVariant.MODIFIED, out_domain, in_domain, ridge)
+    return _estimate_idv(IdvVariant.MODIFIED, out_domain, in_domain, ridge, original)
 
 
 def estimate_original_idv(

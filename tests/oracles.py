@@ -87,7 +87,7 @@ def speaker_loop_stats(ds, center: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return f, ns, (s + s.T) / 2.0
 
 
-def _ridged_inverse(m: np.ndarray) -> np.ndarray:
+def ridged_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric PSD matrix, with the library's conditioning
     ridge: 1e-8 of the mean eigenvalue added when the condition number
     exceeds 1e12 or the matrix is not positive definite."""
@@ -111,7 +111,7 @@ def reference_em(ds, q: int, iters: int, seed: int):
     f, ns, s = speaker_loop_stats(ds, mean)
     n_total, k = len(ds), ds.dim
     u1 = 0.1 * np.random.default_rng(seed).standard_normal((k, q))
-    lam = _ridged_inverse(s / n_total)
+    lam = ridged_inverse(s / n_total)
 
     def e_step(u1, lam):
         t = u1.T @ lam
@@ -139,7 +139,7 @@ def reference_em(ds, q: int, iters: int, seed: int):
         r_fx = f.T @ xhat
         u1 = np.linalg.solve(r_xx, r_fx.T).T
         within = (s - r_fx @ u1.T - u1 @ r_fx.T + u1 @ r_xx @ u1.T) / n_total
-        lam = _ridged_inverse((within + within.T) / 2.0)
+        lam = ridged_inverse((within + within.T) / 2.0)
     trace.append(e_step(u1, lam)[2])
     return u1, lam, trace
 

@@ -30,7 +30,8 @@ from svbackend.gplda import (
 from svbackend.gplda import _speaker_stats, _spd_inverse
 
 from conftest import make_dataset, make_trials, shuffled_labeled_datasets
-from oracles import pair_llr_two_grids, plda_pair_llr, reference_em, speaker_loop_stats
+from oracles import pair_llr_two_grids, plda_pair_llr, reference_em, ridged_inverse
+from oracles import speaker_loop_stats
 from oracles import speaker_rows
 from oracles import stacked_marginal_loglik
 
@@ -213,6 +214,72 @@ class TestTraining:
         centered = mat - mat.mean(axis=0)
         total = centered.T @ centered / len(mat)
         assert np.linalg.norm(m.sigma_total - total) / np.linalg.norm(total) <= 0.10
+
+
+def spd_with_condition(rng, dim: int, cond: float) -> np.ndarray:
+    """A seeded symmetric matrix with eigenvalues log-spaced from 1 down to 1/cond."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    m = (q * np.logspace(0.0, -np.log10(cond), dim)) @ q.T
+    return (m + m.T) / 2.0
+
+
+def eigvalsh_ridges(m: np.ndarray) -> bool:
+    """Whether the eigenvalue check (``gplda._COND_LIMIT``) ridges ``m``."""
+    eigvals = np.linalg.eigvalsh(m)
+    return bool(eigvals[0] <= 0 or eigvals[-1] > 1e12 * eigvals[0])
+
+
+class TestSpdInverseGuard:
+    @pytest.mark.parametrize("dim", [8, 150])
+    @pytest.mark.parametrize("cond", [1e0, 1e2, 1e4, 1e6, 1e8, 1e9, 1e10, 1e11, 1e13, 1e14, 1e15])
+    def test_takes_the_eigenvalue_checks_branch(self, dim, cond):
+        m = spd_with_condition(np.random.default_rng(dim + int(np.log10(cond))), dim, cond)
+        ridge = 1e-8 * np.trace(m) / dim * np.eye(dim)
+        inverted = m + ridge if eigvalsh_ridges(m) else m
+        other = m if eigvalsh_ridges(m) else m + ridge
+        want = ridged_inverse(m)
+        # two backward-stable inverses differ by up to about dim * eps * cond:
+        # 1e-12 relative up to cond 1e4, and cond * 1e-16 above it
+        tol = 1e-12 * max(1.0, 1e-4 * np.linalg.cond(inverted)) * np.linalg.norm(want)
+        got = _spd_inverse(m, "m")
+        assert np.array_equal(got, got.T)
+        assert np.linalg.norm(got - want) <= tol
+        assert np.linalg.norm(got - np.linalg.inv(other)) > tol  # the other branch is far
+
+    @pytest.mark.parametrize(
+        "m, error, message",
+        [
+            (np.diag([1.0, -1.0]), ValueError,
+             "^m is not positive definite: 2-th leading minor of the array"),
+            (np.zeros((3, 3)), ValueError,
+             "^m is not positive definite: 1-th leading minor of the array"),
+            (np.full((3, 3), np.nan), np.linalg.LinAlgError, "did not converge"),
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), ValueError, "infs or NaNs"),
+            (np.array([[1.0, 0.0], [np.nan, 1.0]]), ValueError, "infs or NaNs"),  # factor ok
+            (np.diag([np.inf, 1.0]), ValueError, "infs or NaNs"),
+        ],
+        ids=["indefinite", "zero", "nan", "nan-off-diagonal", "nan-lower", "inf"],
+    )
+    def test_failures_are_the_eigenvalue_paths(self, m, error, message):
+        with pytest.raises(error, match=message):
+            _spd_inverse(m, "m")
+
+    @pytest.mark.parametrize("diag", [[1.0, 1e-13], [1.0, 0.0, 1.0]], ids=["1e-13", "singular"])
+    def test_near_singular_diagonal_is_ridged(self, diag):
+        m = np.diag(diag)
+        assert eigvalsh_ridges(m)
+        np.testing.assert_allclose(_spd_inverse(m, "m"), ridged_inverse(m), rtol=1e-12)
+
+    def test_well_conditioned_training_skips_the_eigenvalue_check(self, rng, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        ds = labeled_gaussian_dataset(rng, n_speakers=30, sessions=5, dim=6)
+        train_gplda(ds, q=3, iters=8, seed=0)
+        assert calls == []
+        with pytest.raises(ValueError):
+            _spd_inverse(np.diag([1.0, -1.0]), "m")
+        assert calls == [1]  # the patch counts the fallback's check
 
 
 class TestSpeakerStatsAgainstSpeakerLoop:

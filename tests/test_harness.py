@@ -365,6 +365,25 @@ class TestExperiments:
             "apply_duration_noise": 2 * 3,
         }
 
+    @pytest.mark.parametrize("kind, idv", [("idv-comparison", "off"), ("all", "modified")])
+    def test_idv_takes_the_out_domain_scatter_once_per_seed(
+        self, tmp_path, monkeypatch, kind, idv
+    ):
+        """The modified estimate reuses the original transform's scatter: per
+        seed one out-domain scatter and one mirrored one, through the
+        harness's own ``estimate_*_idv`` globals, also where in-vs-out's
+        modified-IDV system comes first."""
+        scatters = []
+        mismatch_scatter = svbackend.idv._mismatch_scatter
+        monkeypatch.setattr(
+            svbackend.idv, "_mismatch_scatter",
+            lambda *a: scatters.append(1) or mismatch_scatter(*a),
+        )
+        calls = _count_calls(monkeypatch, "estimate_original_idv", "estimate_modified_idv")
+        run_experiment(tiny_config(seeds=(0, 1), idv=idv), kind, tmp_path)
+        assert len(scatters) == 2 * 2
+        assert calls == {"estimate_original_idv": 2, "estimate_modified_idv": 2}
+
     def test_all_noises_each_matched_cohort_once(self, tmp_path, monkeypatch):
         """A matched cohort is noised once per (style, duration, noise seed) and
         projected once per backend there, whichever studies and systems use it."""
@@ -816,6 +835,52 @@ class TestCli:
         assert "row 2 differs" in capsys.readouterr().out
         assert score_diff.main([files[0], str(tmp_path / "missing.csv")]) == 2
 
+    def test_bench_pairs_script(self, tmp_path, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "bench_pairs", Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+        )
+        bench_pairs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_pairs)
+        log = tmp_path / "log.txt"
+        stub = (
+            "import json, sys\n"
+            "with open({log!r}, 'a', encoding='utf-8') as f:\n"
+            "    f.write({name!r} + ' ' + ' '.join(sys.argv[1:]) + '\\n')\n"
+            "print('workload stub')\n"
+            "print(json.dumps({{'correct': {correct}, 'attempted': 4, 'failed': 0, 'metrics': {{\n"
+            "    'wall_s': {{'value': {wall}, 'unit': 's'}},\n"
+            "    'trials_per_s': {{'value': {tps}, 'unit': '1/s'}},\n"
+            "    'setup_s': {{'value': 0.5, 'unit': 's'}},\n"
+            "    'peak_rss_mb': {{'value': 100.0, 'unit': 'MB'}}}}}}))\n"
+        )
+        checkouts = {}
+        for name, wall, correct in (("parent", 2.0, True), ("change", 1.5, True),
+                                    ("broken", 1.0, False)):
+            (tmp_path / name / "perfbench").mkdir(parents=True)
+            (tmp_path / name / "perfbench" / "run.py").write_text(stub.format(
+                log=str(log), name=name, correct=correct, wall=wall, tps=300.0 / wall,
+            ), encoding="utf-8")
+            checkouts[name] = str(tmp_path / name)
+        flags = ["--workload", "paper-train", "--pairs", "3", "--seed", "7", "--seconds", "1"]
+        assert bench_pairs.main([checkouts["parent"], checkouts["change"], *flags]) == 0
+        out = capsys.readouterr().out
+        assert "pair 0 seed 7 (parent first): wall_s 2 -> 1.5 (-25.0%)" in out
+        assert "pair 1 seed 8 (change first)" in out
+        assert ("wall_s (lower is better): parent median 2 [2, 2] IQR 0; change median 1.5 "
+                "[1.5, 1.5] (-25.0%); change better in 3/3 pairs") in out
+        assert "trials_per_s (higher is better)" in out and "(+33.3%)" in out
+        assert "setup_s (lower is better)" in out and "change better in 0/3 pairs" in out
+        assert log.read_text(encoding="utf-8").splitlines() == [
+            f"{name} --workload paper-train --seed {seed} --seconds 1.0"
+            for name, seed in (("parent", 7), ("change", 7), ("change", 8), ("parent", 8),
+                               ("parent", 9), ("change", 9))
+        ]
+        assert bench_pairs.main([checkouts["parent"], checkouts["broken"], *flags[:3],
+                                 "1", *flags[4:]]) == 1
+        assert "  change run of seed 7: correct=False failed=0" in capsys.readouterr().out
+        assert bench_pairs.main([checkouts["parent"], str(tmp_path / "missing"), *flags]) == 2
+        assert "missing: No such file or directory" in capsys.readouterr().err
+
     def test_unknown_subcommand_nonzero(self, capsys):
         assert cli(["frobnicate"]) != 0
 
@@ -954,8 +1019,8 @@ class TestManualComposition:
 
 #: sha256 of the files the ``test_cli_chain_files_match_pinned_hashes`` chain writes.
 CLI_CHAIN_SHA256 = {
-    "scores.csv": "54792b0b84aed88ba490cbc9102b7fe6c5a15fc60400bfc76fc7619104ffdbaf",
-    "snormed.csv": "079688f9230a2b080963434f4f0f3a7dadc5f8d3c004ecefad0eb585f15e7aa3",
+    "scores.csv": "3d214858a68b0431415caa00ae361ce4680e29f13324754ea19b4b0d5b740830",
+    "snormed.csv": "40f0610dccdc9178bc795f35371fad557b0c31940a30ba4b6caf28f30346bcb5",
     "eval.csv": "ebb3a4a17ad0709488763fd34dbe42494e8ed0361c6e3e57776cc8fe30d4b094",
 }
 

@@ -70,6 +70,28 @@ class TestEstimators:
         )
         assert np.linalg.norm(mod - recombined) <= 1e-12 * np.linalg.norm(mod)
 
+    @pytest.mark.parametrize("ridge", [0.0, 1e-6, 1e-3])
+    def test_modified_from_the_original_transform_is_bit_identical(self, rng, ridge):
+        out, inn = random_pair(rng, dim=7)
+        fresh = estimate_modified_idv(out, inn, ridge)
+        reused = estimate_modified_idv(
+            out, inn, ridge, original=estimate_original_idv(out, inn, ridge)
+        )
+        assert reused.variant is IdvVariant.MODIFIED
+        assert np.array_equal(reused.s_idv, fresh.s_idv)
+        assert np.array_equal(reused.decorrelator, fresh.decorrelator)
+        assert reused.ridge == fresh.ridge
+
+    def test_reuse_needs_an_original_transform_of_the_dimension(self, rng):
+        out, inn = random_pair(rng)
+        modified = estimate_modified_idv(out, inn)
+        with pytest.raises(ValueError, match="original-variant transform of dimension 6, got "
+                                             "modified of dimension 6"):
+            estimate_modified_idv(out, inn, original=modified)
+        other = estimate_original_idv(*random_pair(rng, dim=5))
+        with pytest.raises(ValueError, match="got original of dimension 5"):
+            estimate_modified_idv(out, inn, original=other)
+
     def test_original_on_centered_whitened_data_is_second_moment(self, rng):
         # both means zero: scatter reduces to the out-domain sample second moment
         out_vals = rng.standard_normal((50, 4))
