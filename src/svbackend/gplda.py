@@ -88,7 +88,8 @@ def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
     |m|), so the eigenvalue check could not have chosen the ridge, and the
     inverse is returned at once.  A failed factorization, or a product
     that does not settle it (NaN included), runs the eigenvalue check,
-    the ridge and the factorization as before.
+    the ridge and the factorization as before.  Every error names the
+    matrix, ``what``.
     """
     la = scipy_linalg()
     try:
@@ -103,7 +104,10 @@ def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
         if bound <= _COND_LIMIT / _BOUND_MARGIN:
             return inv
     dim = m.shape[0]
-    eigvals = np.linalg.eigvalsh(m)
+    try:
+        eigvals = np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as e:  # non-finite input
+        raise np.linalg.LinAlgError(f"{what}: {e}") from None
     lo, hi = eigvals[0], eigvals[-1]
     if lo <= 0 or hi > _COND_LIMIT * lo:
         m = m + (_COND_RIDGE * np.trace(m) / dim) * np.eye(dim)
@@ -111,6 +115,8 @@ def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
         return _sym(la.cho_solve(la.cho_factor(m), np.eye(dim)))
     except np.linalg.LinAlgError as e:
         raise ValueError(f"{what} is not positive definite: {e}") from None
+    except ValueError as e:  # non-finite input
+        raise ValueError(f"{what}: {e}") from None
 
 
 def _spd_logdet(m: np.ndarray) -> float:

@@ -43,7 +43,7 @@ from .dataset import (
 from .gplda import PldaModel, length_normalize, score_trials, train_gplda
 from .idv import IdvTransform, IdvVariant, estimate_modified_idv, estimate_original_idv
 from .lda import lda_from_scatter, scatter_matrices
-from .metrics import DcfParams, MetricReportRow, evaluate, write_metric_report
+from .metrics import MetricReportRow, evaluate, write_metric_report
 from .scorenorm import snorm
 
 # Seed-derivation offsets relative to each run seed.  Fixed so that the
@@ -53,7 +53,6 @@ NIST_COHORT_SEED_OFFSET = 211
 SWB_COHORT_SEED_OFFSET = 307
 DURATION_NOISE_SEED_OFFSET = 401  # + duration grid index
 COHORT_NOISE_SEED_OFFSET = 601  # + duration grid index
-IDV_SUBSET_SEED_OFFSET = 701
 
 IDV_CHOICES = ("off", *(v.value for v in IdvVariant))
 SNORM_CHOICES = ("off", "swb-style", "nist-style", "matched-length")
@@ -84,18 +83,28 @@ FULL_SCALE_MATCHED_SNORM_REFERENCE = (
     ("50", 6.09, 5.85),
 )
 
-#: Smallest accepted value of each numeric ``ExperimentConfig`` field; the
-#: IDV subset counts may also be None (use every vector).
+#: Smallest accepted value of each numeric ``ExperimentConfig`` field.
 _MINIMA = dict(
     lda_dim=1, plda_q=1, plda_iters=1, eval_speakers=2, eval_sessions=2, cohort_speakers=1,
-    cohort_sessions=1, swb_cohort_size=1, idv_out_count=1, idv_in_count=1, idv_ridge=0.0,
-    lda_ridge=0.0,
+    cohort_sessions=1, swb_cohort_size=1,
 )
 
-#: Pipeline switches of older configs and the one value each may still
-#: hold: IDV always applies to evaluation and cohort vectors, LDA is
+#: Keys of older configs and the one value each may still hold.  Pipeline
+#: switches: IDV always applies to evaluation and cohort vectors, LDA is
 #: trained on the compensated vectors, and length normalization follows LDA.
-RETIRED_KEYS = {"idv_on_eval": True, "lda_on_compensated": True, "length_norm_before_lda": False}
+#: Fixed settings: IDV reads the whole out-domain training set and in-domain
+#: cohort, both ridges are the estimators' defaults, and minDCF takes the
+#: ``DcfParams`` defaults (the NIST SRE 2008 costs).
+RETIRED_KEYS = {
+    "idv_on_eval": True,
+    "lda_on_compensated": True,
+    "length_norm_before_lda": False,
+    "idv_out_count": None,
+    "idv_in_count": None,
+    "idv_ridge": 1e-6,
+    "lda_ridge": 1e-6,
+    "dcf": {"c_miss": 10.0, "c_fa": 1.0, "p_target": 0.01},
+}
 
 
 @dataclass(frozen=True)
@@ -119,14 +128,9 @@ class ExperimentConfig:
     cohort_speakers: int = 150
     cohort_sessions: int = 10
     swb_cohort_size: int = 1500
-    idv_out_count: int | None = None
-    idv_in_count: int | None = None
-    idv_ridge: float = 1e-6
-    lda_ridge: float = 1e-6
-    dcf: DcfParams = DcfParams()
 
     def __post_init__(self) -> None:
-        for name, cls in (("generator", GeneratorConfig), ("dcf", DcfParams), ("output_dir", str)):
+        for name, cls in (("generator", GeneratorConfig), ("output_dir", str)):
             if not isinstance(getattr(self, name), cls):
                 raise ValueError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         if self.idv not in IDV_CHOICES:
@@ -188,27 +192,22 @@ def config_from_dict(d: Mapping) -> ExperimentConfig:
     """Inverse of ``config_to_dict``.
 
     Unknown keys, a retired key (``RETIRED_KEYS``) holding anything but
-    its fixed value, and malformed values raise ``ValueError`` naming the
-    key."""
+    its fixed value (of its type: ``1`` is not ``true``), and malformed
+    values raise ``ValueError`` naming the key."""
     if not isinstance(d, Mapping):
         raise ValueError("experiment config must be a JSON object")
     d = dict(d)
     for key, fixed in RETIRED_KEYS.items():
         value = d.pop(key, fixed)
-        if value is not fixed:
+        if type(value) is not type(fixed) or value != fixed:
             raise ValueError(f"retired key {key}: only {fixed!r} is supported, got {value!r}")
     reject_unknown_keys(d, ExperimentConfig, "experiment config")
     gen = generator_config_from_dict(d.pop("generator", {}))
-    dcf_d = d.pop("dcf", {})
-    if not isinstance(dcf_d, Mapping):
-        raise ValueError(f"dcf must be a JSON object, got {dcf_d!r}")
-    reject_unknown_keys(dcf_d, DcfParams, "dcf")
-    dcf = DcfParams(**dcf_d)
     durations = d.pop("durations", ["full"])
     if isinstance(durations, (list, tuple)):
         durations = [parse_duration(x) for x in durations]
     return ExperimentConfig(
-        generator=gen, durations=durations, seeds=d.pop("seeds", [0]), dcf=dcf, **d
+        generator=gen, durations=durations, seeds=d.pop("seeds", [0]), **d
     )
 
 
@@ -297,15 +296,6 @@ def make_run_data(
     return RunData(train_in, train_out, eval_in, nist_cohort, swb_cohort, build_trials(eval_in)[2])
 
 
-def subsample(ds: Dataset, count: int | None, seed: int) -> Dataset:
-    """Deterministic random subset without replacement (None keeps all)."""
-    if count is None or count >= len(ds):
-        return ds
-    rng = np.random.default_rng(seed)
-    pos = np.sort(rng.choice(len(ds), size=count, replace=False))
-    return ds.subset(pos)
-
-
 # ---------------------------------------------------------------------------
 # pipeline assembly
 
@@ -346,31 +336,13 @@ def train_backend(
     d = None if idv_transform is None else idv_transform.decorrelator
     if d is not None:
         scatter = [d.T @ s @ d for s in scatter]
-    a = lda_from_scatter(*scatter, k, cfg.lda_ridge).a_matrix
+    a = lda_from_scatter(*scatter, k).a_matrix
     projection = a if d is None else d @ a
     q = min(cfg.plda_q, k)
     if q < cfg.plda_q:
         warnings.warn(f"eigenvoice count clamped from {cfg.plda_q} to {q}", stacklevel=2)
     plda = train_gplda(length_normalize(train, projection), q=q, iters=cfg.plda_iters, seed=seed)
     return Backend(plda, projection)
-
-
-def estimate_idv_for_run(
-    cfg: ExperimentConfig,
-    data: RunData,
-    seed: int,
-    variant: str,
-    original: IdvTransform | None = None,
-) -> IdvTransform:
-    """IDV estimation uses (a subset of) out-domain training data against
-    the in-domain normalization cohort, both speaker-unlabeled.  Both
-    variants draw the same subsets, so the modified estimate reuses the
-    scatter of ``original``, this seed's original transform, when given."""
-    out_ds = subsample(data.train_out, cfg.idv_out_count, seed + IDV_SUBSET_SEED_OFFSET)
-    in_ds = subsample(data.nist_cohort, cfg.idv_in_count, seed + IDV_SUBSET_SEED_OFFSET + 1)
-    if IdvVariant(variant) is IdvVariant.MODIFIED:
-        return estimate_modified_idv(out_ds, in_ds, cfg.idv_ridge, original=original)
-    return estimate_original_idv(out_ds, in_ds, cfg.idv_ridge)
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +478,16 @@ def run_experiment(
     for seed in cfg.seeds:
         data = make_run_data(cfg, seed, train_domains)
         backends, scatters, noised, cohorts = {}, {}, {}, {}
-        original = None  # held from the original IDV estimate to the modified one
+        # IDV reads the out-domain training set against the in-domain cohort, both
+        # unlabeled; the original transform is held until the modified one reuses it
+        original = None
         for domain, idv in keys:
-            t = None if idv == "off" else estimate_idv_for_run(cfg, data, seed, idv, original)
-            if idv != "off":
-                original = t if idv == "original" else None
+            t = None
+            if idv == "original":
+                t = original = estimate_original_idv(data.train_out, data.nist_cohort)
+            elif idv == "modified":
+                t = estimate_modified_idv(data.train_out, data.nist_cohort, original=original)
+                original = None
             train = data.train_in if domain is Domain.IN_DOMAIN else data.train_out
             if domain not in scatters:
                 scatters[domain] = scatter_matrices(train)
@@ -548,7 +525,7 @@ def run_experiment(
                             which = "normalized"
                         label = name + (sfx and f"|{sfx}")
                         condition = f"seed={seed}/dur={dur}" + (sfx and f"/{sfx}")
-                        row = evaluate(scores, condition, label, cfg.dcf, which)
+                        row = evaluate(scores, condition, label, which=which)
                         rows[k][dur, label].append(row)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

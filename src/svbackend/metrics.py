@@ -78,7 +78,8 @@ def _hull_eer(fa: np.ndarray, miss: np.ndarray) -> float:
     The chain takes the points in reverse staircase order, FA ascending and,
     at one FA, MISS descending, so it needs no sort: a point is popped by a
     next point at its FA, unless it is the start (0, 1), whose vertical
-    edge meets the diagonal only at (0, 0)."""
+    edge meets the diagonal only at (0, 0).  The start lies above the
+    diagonal, so a vertex on it is reached as the end of an edge (t == 1)."""
     hull: list[tuple[float, float]] = []
     for p in zip(fa[::-1].tolist(), miss[::-1].tolist()):
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
@@ -88,8 +89,6 @@ def _hull_eer(fa: np.ndarray, miss: np.ndarray) -> float:
         da = a[1] - a[0]
         db = b[1] - b[0]
         if da >= 0.0 and db <= 0.0:
-            if da == 0.0:
-                return a[0]
             t = da / (da - db)
             return a[0] + t * (b[0] - a[0])
     # endpoints (1, 0) and (0, 1) guarantee a crossing; unreachable

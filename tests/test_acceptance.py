@@ -285,7 +285,7 @@ def test_criterion_9_determinism_and_round_trips(tmp_path):
     assert np.array_equal(loaded_idv.s_idv, idv_t.s_idv)
     assert np.array_equal(loaded_idv.decorrelator, idv_t.decorrelator)
     assert loaded_idv.ridge == idv_t.ridge and loaded_idv.variant == idv_t.variant
-    lda_t = train_lda(data.train_out, cfg.lda_dim, cfg.lda_ridge)
+    lda_t = train_lda(data.train_out, cfg.lda_dim)
     save_lda(lda_t, tmp_path / "t.lda")
     loaded_lda = load_lda(tmp_path / "t.lda")
     assert np.array_equal(loaded_lda.a_matrix, lda_t.a_matrix)

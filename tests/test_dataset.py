@@ -615,3 +615,22 @@ class TestColumnarFilesMatchPerRowWriters:
         assert out_ds.row_speakers()[3] == "out-s0001"
         assert set(out_ds.domains) == {Domain.OUT_DOMAIN}
         assert (in_ds.durations == cfg.duration_ref_sec).all()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp: DurationNoiseModel(1.0, 120.0).sigma(0), "duration must be positive"),
+        (lambda tmp: GeneratorConfig(dim=2, eigenvoice_dim=1, out_channel_scale=-1.0),
+         "invalid config: scales must be nonnegative"),
+        (lambda tmp: GeneratorConfig(dim=2, eigenvoice_dim=1, domain_offset=[0.0, np.inf]),
+         "invalid config: domain_offset has non-finite entries"),
+        (lambda tmp: save_ivectors(make_dataset(np.zeros((1, 2))), tmp / "x", "xml"),
+         "unknown i-vector format 'xml'"),
+        (lambda tmp: load_ivectors(tmp / "x", "xml"), "unknown i-vector format 'xml'"),
+    ],
+    ids=["sigma-at-0", "out-channel-scale", "offset-inf", "save-format", "load-format"],
+)
+def test_error_paths_name_the_field(tmp_path, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)

@@ -1,4 +1,5 @@
 import csv
+import re
 import tempfile
 from pathlib import Path
 from unittest.mock import patch
@@ -29,7 +30,7 @@ from svbackend.gplda import (
 
 from svbackend.gplda import _speaker_stats, _spd_inverse
 
-from conftest import make_dataset, make_trials, shuffled_labeled_datasets
+from conftest import make_dataset, make_scoreset, make_trials, shuffled_labeled_datasets
 from oracles import pair_llr_two_grids, plda_pair_llr, reference_em, ridged_inverse
 from oracles import speaker_loop_stats
 from oracles import speaker_rows
@@ -253,16 +254,19 @@ class TestSpdInverseGuard:
              "^m is not positive definite: 2-th leading minor of the array"),
             (np.zeros((3, 3)), ValueError,
              "^m is not positive definite: 1-th leading minor of the array"),
-            (np.full((3, 3), np.nan), np.linalg.LinAlgError, "did not converge"),
-            (np.array([[1.0, np.nan], [np.nan, 1.0]]), ValueError, "infs or NaNs"),
-            (np.array([[1.0, 0.0], [np.nan, 1.0]]), ValueError, "infs or NaNs"),  # factor ok
-            (np.diag([np.inf, 1.0]), ValueError, "infs or NaNs"),
+            (np.full((3, 3), np.nan), np.linalg.LinAlgError, "^m: .*did not converge"),
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), ValueError, "^m: .*infs or NaNs"),
+            (np.array([[1.0, 0.0], [np.nan, 1.0]]), ValueError,  # factors, fails the bound
+             "^m: .*infs or NaNs"),
+            (np.diag([np.inf, 1.0]), ValueError, "^m: .*infs or NaNs"),
         ],
         ids=["indefinite", "zero", "nan", "nan-off-diagonal", "nan-lower", "inf"],
     )
     def test_failures_are_the_eigenvalue_paths(self, m, error, message):
-        with pytest.raises(error, match=message):
+        """Each failure keeps its exception type and names the matrix."""
+        with pytest.raises(error, match=message) as err:
             _spd_inverse(m, "m")
+        assert type(err.value) is error
 
     @pytest.mark.parametrize("diag", [[1.0, 1e-13], [1.0, 0.0, 1.0]], ids=["1e-13", "singular"])
     def test_near_singular_diagonal_is_ridged(self, diag):
@@ -733,3 +737,40 @@ class TestColumnarScores:
         )
         with pytest.raises(ValueError, match=r"scores\.csv: line 5: non-finite raw"):
             read_scores(path)
+
+
+def _model() -> PldaModel:
+    """A valid 2-dimensional model without a log-likelihood trace."""
+    return PldaModel(np.zeros(2), np.ones((2, 1)), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp: PldaModel(np.zeros((1, 2)), np.ones((2, 1)), np.eye(2)),
+         "mean must be a non-empty vector"),
+        (lambda tmp: PldaModel(np.zeros(2), np.ones((3, 1)), np.eye(2)), "u1 must be (K, Q)"),
+        (lambda tmp: PldaModel(np.zeros(2), np.ones((2, 1)), np.eye(3)),
+         "lambda_prec must be (K, K)"),
+        (lambda tmp: marginal_loglik(_model(), make_dataset(np.zeros((2, 3)))),
+         "dimension mismatch: model 2, dataset 3"),
+        (lambda tmp: marginal_loglik(_model(), make_dataset(np.zeros((2, 2)), [None, None])),
+         "marginal likelihood needs speaker labels"),
+        (lambda tmp: train_gplda(make_dataset(np.eye(2), ["a", "b"]), q=1, iters=-1),
+         "iters must be nonnegative"),
+        (lambda tmp: make_scoreset([1.0], [0.0]).values("x"), "unknown score kind 'x'"),
+        (lambda tmp: make_scoreset([1.0], [0.0]).with_normalized([1.0]),
+         "need one normalized score per trial"),
+        (lambda tmp: score_trials(
+            _model(), make_dataset(np.zeros((1, 3))), make_dataset(np.zeros((1, 3))),
+            make_trials([("utt0000", "utt0000", True)]),
+        ), "model expects dimension 2"),
+        (lambda tmp: save_loglik_trace(_model(), tmp / "trace.csv"),
+         "model carries no log-likelihood trace"),
+    ],
+    ids=["mean", "u1", "lambda_prec", "loglik-dim", "loglik-unlabeled", "iters", "score-kind",
+         "normalized-length", "score-dim", "no-trace"],
+)
+def test_error_paths_name_the_field(tmp_path, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -15,6 +16,7 @@ import svbackend
 from svbackend import harness
 from svbackend.cli import build_parser, cli
 from svbackend.dataset import (
+    Domain,
     GeneratorConfig,
     TrialList,
     load_ivectors,
@@ -38,10 +40,9 @@ from svbackend.harness import (
     make_run_data,
     run_experiment,
     save_config,
-    subsample,
     train_backend,
 )
-from svbackend.idv import apply_idv
+from svbackend.idv import apply_idv, estimate_modified_idv, estimate_original_idv
 from svbackend.lda import apply_lda, scatter_matrices, train_lda
 from svbackend.metrics import REPORT_COLUMNS
 
@@ -82,7 +83,7 @@ def tiny_config(**overrides):
 
 class TestConfig:
     def test_json_round_trip(self, tmp_path):
-        cfg = tiny_config(snorm="nist-style", idv_out_count=40)
+        cfg = tiny_config(snorm="nist-style", idv="original")
         path = tmp_path / "cfg.json"
         save_config(cfg, path)
         assert load_config(path) == cfg
@@ -130,10 +131,6 @@ class TestConfig:
         d["generator"]["dimm"] = 4
         with pytest.raises(ValueError, match="unknown generator key.*dimm"):
             config_from_dict(d)
-        d = config_to_dict(tiny_config())
-        d["dcf"]["c_mis"] = 4
-        with pytest.raises(ValueError, match="unknown dcf key.*c_mis"):
-            config_from_dict(d)
 
     @pytest.mark.parametrize(
         "blob, field",
@@ -162,6 +159,15 @@ class TestConfig:
             ({"idv_on_eval": False}, "idv_on_eval"),
             ({"lda_on_compensated": 1}, "lda_on_compensated"),
             ({"length_norm_before_lda": True}, "length_norm_before_lda"),
+            ({"idv_out_count": 40}, "^retired key idv_out_count"),
+            ({"idv_in_count": 0}, "^retired key idv_in_count"),
+            ({"idv_ridge": 0.0}, "^retired key idv_ridge"),
+            ({"lda_ridge": 1e-3}, "^retired key lda_ridge"),
+            ({"lda_ridge": True}, "^retired key lda_ridge"),
+            ({"dcf": {"c_miss": "x"}}, "^retired key dcf"),
+            ({"dcf": {"c_miss": 10.0, "c_fa": 1.0, "p_target": 0.02}}, "^retired key dcf"),
+            ({"dcf": {"c_miss": 10.0, "c_fa": 1.0}}, "^retired key dcf"),
+            ({"dcf": [10.0, 1.0, 0.01]}, "^retired key dcf"),
         ],
     )
     def test_malformed_config_names_field(self, blob, field):
@@ -169,16 +175,21 @@ class TestConfig:
             config_from_dict(blob)
 
     def test_retired_keys_at_fixed_value_are_dropped(self):
+        """Every retired key as older snapshots wrote it (JSON text) is dropped."""
         d = config_to_dict(tiny_config())
         assert not set(RETIRED_KEYS) & set(d)
-        old = dict(d, idv_on_eval=True, lda_on_compensated=True, length_norm_before_lda=False)
-        assert config_from_dict(old) == config_from_dict(d)
+        old = d | json.loads(
+            '{"dcf": {"c_fa": 1.0, "c_miss": 10.0, "p_target": 0.01}, "idv_in_count": null,'
+            ' "idv_on_eval": true, "idv_out_count": null, "idv_ridge": 1e-06,'
+            ' "lda_on_compensated": true, "lda_ridge": 1e-06, "length_norm_before_lda": false}'
+        )
+        assert set(old) - set(d) == set(RETIRED_KEYS)
+        assert config_from_dict(old) == config_from_dict(d) == tiny_config()
 
     def test_dict_keys_are_the_fields(self):
         d = config_to_dict(tiny_config())
         assert set(d) == {f.name for f in fields(ExperimentConfig)}
         assert set(d["generator"]) == {f.name for f in fields(GeneratorConfig)}
-        assert set(d["dcf"]) == {"c_miss", "c_fa", "p_target"}
 
     @pytest.mark.parametrize(
         "content, message",
@@ -245,14 +256,6 @@ class TestRunData:
         expected_eval, _ = synth_dataset(eval_cfg)
         assert data.eval_in == expected_eval
 
-    def test_subsample(self):
-        cfg = tiny_config()
-        data = make_run_data(cfg, 0)
-        sub = subsample(data.train_out, 10, seed=1)
-        assert len(sub) == 10
-        assert subsample(data.train_out, 10, seed=1) == sub
-        assert subsample(data.train_out, None, seed=1) is data.train_out
-
     def test_backend_clamps_lda_dim_with_warning(self):
         cfg = tiny_config(lda_dim=500, plda_q=200)
         data = make_run_data(cfg, 0)
@@ -268,13 +271,13 @@ class TestRunData:
         bit for bit without IDV, within rounding with it."""
         cfg = tiny_config()
         data = make_run_data(cfg, 0)
-        train, k, ridge = data.train_out, cfg.lda_dim, cfg.lda_ridge
+        train, k = data.train_out, cfg.lda_dim
         scatter = scatter_matrices(train)
-        idv_t = harness.estimate_idv_for_run(cfg, data, 0, "modified")
+        idv_t = estimate_modified_idv(train, data.nist_cohort)
         plain = train_backend(cfg, train, scatter, None, 0)
         compensated = train_backend(cfg, train, scatter, idv_t, 0)
-        lda_plain = train_lda(train, k, ridge)
-        lda_compensated = train_lda(apply_idv(idv_t, train), k, ridge)
+        lda_plain = train_lda(train, k)
+        lda_compensated = train_lda(apply_idv(idv_t, train), k)
         for ds in (data.eval_in, data.nist_cohort):
             chain = length_normalize(apply_lda(lda_plain, ds)).matrix()
             assert np.array_equal(plain.project(ds).matrix(), chain)
@@ -502,6 +505,29 @@ def test_study_rows_across_config_matrix(tmp_path, kind, idv, snorm):
                     elif means[0]:
                         gain = 100.0 * (means[0] - mean) / means[0]
                         assert plotted.gain_pct == pytest.approx(gain, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_idv_rescales_the_plain_lda_directions(seed):
+    """On the defaults, IDV changes only the lengths of the projection's
+    columns: LDA's subspace is invariant under the full-rank decorrelator, and
+    each direction is renormalized to unit length before the decorrelator is
+    composed in.  So every IDV column is parallel to the plain backend's, and
+    the per-direction rescaling, which length normalization then sees, spreads
+    by more than 2x."""
+    cfg = default_experiment_config()
+    data = make_run_data(cfg, seed, (Domain.OUT_DOMAIN,))
+    train = data.train_out
+    scatter = scatter_matrices(train)
+    plain = train_backend(cfg, train, scatter, None, seed).projection
+    original = estimate_original_idv(train, data.nist_cohort)
+    modified = estimate_modified_idv(train, data.nist_cohort, original=original)
+    for t in (original, modified):
+        projection = train_backend(cfg, train, scatter, t, seed).projection
+        norms = np.linalg.norm(projection, axis=0)
+        cos = np.sum(projection * plain, axis=0) / (norms * np.linalg.norm(plain, axis=0))
+        assert np.abs(cos).min() >= 1 - 1e-6
+        assert norms.max() > 2 * norms.min()
 
 
 def test_default_study_csvs_match_the_benchmark_reference(tmp_path):
@@ -835,6 +861,41 @@ class TestCli:
         assert "row 2 differs" in capsys.readouterr().out
         assert score_diff.main([files[0], str(tmp_path / "missing.csv")]) == 2
 
+    def test_linecov_script(self, tmp_path):
+        """The tracer reports the one statement a stub package's tests never
+        run, and counts a multi-line statement and a ``try`` body as run."""
+        package = tmp_path / "src" / "stubpkg"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text(
+            'def f(x):\n'
+            '    """Doc."""\n'
+            '    try:\n'
+            '        y = int(\n'
+            '            x\n'
+            '        )\n'
+            '    except TypeError:\n'
+            '        y = 0\n'
+            '    if y < 0:\n'
+            '        raise ValueError("negative")\n'
+            '    return y\n'
+        )
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_stub.py").write_text(
+            "from stubpkg import f\n\n\ndef test_f():\n    assert f(1) == 1 and f(None) == 0\n"
+        )
+        script = Path(__file__).resolve().parent.parent / "scripts" / "linecov.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "--package", str(package), "-q", "-p",
+             "no:cacheprovider", str(tmp_path / "tests")],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        report = done.stdout.splitlines()[-2:]
+        assert report == [
+            f"stubpkg{os.sep}__init__.py: 4 of 5 statements ran",
+            f'  stubpkg{os.sep}__init__.py:10: raise ValueError("negative")',
+        ]
+
     def test_bench_pairs_script(self, tmp_path, capsys):
         spec = importlib.util.spec_from_file_location(
             "bench_pairs", Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -1146,3 +1207,25 @@ def test_cli_chain_files_match_pinned_hashes(tmp_path, capsys):
     digests = {name: hashlib.sha256((w / name).read_bytes()).hexdigest()
                for name in CLI_CHAIN_SHA256}
     assert digests == CLI_CHAIN_SHA256
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: default_experiment_config(generator={}), ValueError,
+         "generator must be a GeneratorConfig, got {}"),
+        (lambda: default_experiment_config(output_dir=5), ValueError,
+         "output_dir must be a str, got 5"),
+        (lambda: default_experiment_config(idv="bogus"), ValueError,
+         "idv must be one of ('off', 'original', 'modified')"),
+        (lambda: default_experiment_config(durations=()), ValueError,
+         "need at least one evaluation duration"),
+        (lambda: harness.ExperimentResult((), (), ()).mean_value("full", "x", "eer"), KeyError,
+         "('full', 'x', 'eer')"),
+    ],
+    ids=["generator", "output_dir", "idv", "durations", "mean-value-key"],
+)
+def test_error_paths_name_the_field(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message  # a KeyError's text is its key's repr

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -223,3 +225,24 @@ class TestPersistence:
             IdvTransform(IdvVariant.MODIFIED, np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2), 0.0)
         with pytest.raises(ValueError, match="whiten"):
             IdvTransform(IdvVariant.MODIFIED, np.eye(2), 2.0 * np.eye(2), 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: IdvTransform(IdvVariant.ORIGINAL, np.zeros((2, 3)), np.eye(2), 0.0),
+         "s_idv must be square and non-empty"),
+        (lambda: IdvTransform(IdvVariant.ORIGINAL, np.eye(2), np.eye(3), 0.0),
+         "decorrelator shape must match s_idv"),
+        (lambda: IdvTransform(IdvVariant.ORIGINAL, np.diag([1.0, np.nan]), np.eye(2), 0.0),
+         "s_idv and decorrelator must be finite"),
+        (lambda: IdvTransform(IdvVariant.ORIGINAL, np.eye(2), np.eye(2), -1.0),
+         "ridge must be finite and nonnegative"),
+        (lambda: estimate_original_idv(make_dataset(np.eye(2)), make_dataset(np.eye(2)), -1.0),
+         "ridge must be nonnegative"),
+    ],
+    ids=["s_idv-shape", "decorrelator-shape", "non-finite", "transform-ridge", "estimate-ridge"],
+)
+def test_error_paths_name_the_field(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

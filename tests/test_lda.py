@@ -233,3 +233,22 @@ class TestPersistence:
         ds, _ = grouped_dataset(rng, dim=6)
         t = train_lda(ds, k=4)
         LdaTransform(t.a_matrix, t.eigenvalues)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LdaTransform(np.zeros((2, 0)), np.zeros(0)),
+         "^a_matrix must be a non-empty 2-D matrix$"),
+        (lambda: LdaTransform(np.array([[1.0], [np.nan]]), np.ones(1)),
+         "^a_matrix and eigenvalues must be finite$"),
+        (lambda: LdaTransform(np.array([[1.0], [0.0]]), np.ones(2)),
+         "^need one eigenvalue per retained column$"),
+        (lambda: lda_from_scatter(np.eye(3), np.zeros((3, 3)), 1, 0.0),
+         "^generalized eigendecomposition failed: "),
+    ],
+    ids=["a_matrix-shape", "non-finite", "eigenvalue-count", "eigendecomposition"],
+)
+def test_error_paths_name_the_field(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -43,6 +43,13 @@ class TestPinnedCases:
         ss = make_scoreset([1.0, 1.0], [1.0, 1.0])
         assert evaluate(ss).eer == pytest.approx(0.5, abs=1e-12)
 
+    def test_hull_vertex_on_the_diagonal_is_the_end_of_its_edge(self):
+        # hull (0, 1), (1/3, 1/3), (1, 0): the first edge ends on the diagonal
+        ss = make_scoreset([0.0, 1.0, 1.0], [0.0, 0.0, 1.0])
+        fa, miss = _corner_candidates(ss.values("raw"), ss.trial_list.is_target)
+        assert list(zip(fa, miss)) == [(1.0, 0.0), (1.0, 0.0), (1 / 3, 1 / 3), (0.0, 1.0)]
+        assert evaluate(ss).eer == 1 / 3
+
     def test_all_equal_min_dcf_is_degenerate_floor(self):
         ss = make_scoreset([1.0, 1.0], [1.0, 1.0])
         res = evaluate(ss)

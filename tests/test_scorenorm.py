@@ -262,3 +262,12 @@ class TestMatchedLengthCohort:
             cohort_score_matrix(m, enrol, empty)
         with pytest.raises(ValueError, match="cohort must be non-empty"):
             snorm(m, scores, enrol, test, empty)
+
+
+@pytest.mark.parametrize("ds_dim, cohort_dim", [(3, 4), (4, 3)], ids=["set", "cohort"])
+def test_cohort_score_matrix_names_the_model_dimension(rng, ds_dim, cohort_dim):
+    m = simple_model(rng)
+    ds = make_dataset(rng.standard_normal((2, ds_dim)))
+    cohort = make_dataset(rng.standard_normal((3, cohort_dim)), prefix="c")
+    with pytest.raises(ValueError, match="^model expects dimension 4$"):
+        cohort_score_matrix(m, ds, cohort)
