@@ -7,7 +7,6 @@ Pipeline order: IDV whitening -> LDA projection -> length normalization
 from .dataset import (
     Dataset,
     Domain,
-    DurationNoiseModel,
     GeneratorConfig,
     TrialList,
     apply_duration_noise,
@@ -56,7 +55,6 @@ __all__ = [
     "Dataset",
     "DcfParams",
     "Domain",
-    "DurationNoiseModel",
     "GeneratorConfig",
     "IdvTransform",
     "IdvVariant",

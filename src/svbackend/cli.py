@@ -272,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="EER / minDCF of a score file")
     p.add_argument("--scores", required=True)
     p.add_argument("--which", choices=["raw", "normalized"], default="raw")
-    p.add_argument("--c-miss", type=float, default=10.0)
-    p.add_argument("--c-fa", type=float, default=1.0)
-    p.add_argument("--p-target", type=float, default=0.01)
+    p.add_argument("--c-miss", type=float, default=DcfParams.c_miss)
+    p.add_argument("--c-fa", type=float, default=DcfParams.c_fa)
+    p.add_argument("--p-target", type=float, default=DcfParams.p_target)
     p.add_argument("--condition", default="-")
     p.add_argument("--system", default="-")
     p.add_argument("--report", help="also write a metric report CSV here (overwrites the file)")

@@ -330,40 +330,6 @@ class Dataset:
         return self._derive(self._values[pos], self.durations[pos], pos)
 
 
-@dataclass(frozen=True)
-class DurationNoiseModel:
-    """Isotropic noise standing in for short-utterance phonetic variability.
-
-    Per-coordinate standard deviation at duration d is
-    ``sigma0 * (duration_ref_sec / d) ** exponent``, so the noise level
-    equals sigma0 at the reference duration and grows as utterances
-    shrink.  The default exponent 0.5 gives an inverse-square-root law.
-    """
-
-    sigma0: float
-    duration_ref_sec: float
-    exponent: float = 0.5
-
-    def __post_init__(self) -> None:
-        check_fields(self, dict(sigma0=0.0))
-        if not self.duration_ref_sec > 0:
-            raise ValueError("duration_ref_sec must be positive")
-
-    def sigma(self, duration_sec: float) -> float:
-        if not duration_sec > 0:
-            raise ValueError("duration must be positive")
-        try:
-            sigma = self.sigma0 * (self.duration_ref_sec / duration_sec) ** self.exponent
-        except (OverflowError, ZeroDivisionError):  # 0.0 ** -x at an infinite duration
-            sigma = math.inf
-        if not math.isfinite(sigma):
-            raise ValueError(
-                f"duration noise overflows at duration {duration_sec:g} s "
-                f"with exponent {self.exponent:g}"
-            )
-        return sigma
-
-
 #: Smallest accepted value of each numeric ``GeneratorConfig`` field with one.
 _GENERATOR_MINIMA = dict(
     dim=1, n_speakers=1, sessions_per_speaker=1, eigenvoice_dim=1, duration_noise_scale=0.0,
@@ -410,7 +376,8 @@ class GeneratorConfig:
             raise ValueError("invalid config: scales must be nonnegative")
         if self.out_channel_scale is not None and self.out_channel_scale < 0:
             raise ValueError("invalid config: scales must be nonnegative")
-        self.noise_model  # checks the duration-noise fields
+        if not self.duration_ref_sec > 0:
+            raise ValueError("duration_ref_sec must be positive")
         offset = (0.0,) * self.dim if self.domain_offset is None else self.domain_offset
         entries = offset.tolist() if isinstance(offset, np.ndarray) else offset
         if not isinstance(entries, (list, tuple)) or any(  # no bools, no numeric strings
@@ -424,11 +391,27 @@ class GeneratorConfig:
             raise ValueError("invalid config: domain_offset has non-finite entries")
         object.__setattr__(self, "domain_offset", tuple(offset.tolist()))
 
-    @property
-    def noise_model(self) -> DurationNoiseModel:
-        return DurationNoiseModel(
-            self.duration_noise_scale, self.duration_ref_sec, self.duration_noise_exponent
-        )
+    def noise_sigma(self, duration_sec: float) -> float:
+        """Standard deviation per coordinate of the isotropic noise standing in
+        for short-utterance phonetic variability at ``duration_sec``:
+        ``duration_noise_scale * (duration_ref_sec / d) ** duration_noise_exponent``,
+        the scale itself at the reference duration, growing as utterances
+        shrink.  The default exponent 0.5 gives an inverse-square-root law."""
+        if not duration_sec > 0:
+            raise ValueError("duration must be positive")
+        try:
+            sigma = (
+                self.duration_noise_scale
+                * (self.duration_ref_sec / duration_sec) ** self.duration_noise_exponent
+            )
+        except (OverflowError, ZeroDivisionError):  # 0.0 ** -x at an infinite duration
+            sigma = math.inf
+        if not math.isfinite(sigma):
+            raise ValueError(
+                f"duration noise overflows at duration {duration_sec:g} s "
+                f"with exponent {self.duration_noise_exponent:g}"
+            )
+        return sigma
 
 
 def reject_unknown_keys(d: Mapping, cls: type, what: str) -> None:
@@ -551,17 +534,18 @@ def synth_dataset(
 
 
 def apply_duration_noise(
-    ds: Dataset, target_duration_sec: float, noise: DurationNoiseModel, seed: int
+    ds: Dataset, target_duration_sec: float, gen: GeneratorConfig, seed: int
 ) -> Dataset:
     """Simulate truncating every utterance to ``target_duration_sec``.
 
-    Adds i.i.d. zero-mean Gaussian noise with the model's per-coordinate
-    sigma at the target duration and rewrites the duration metadata.
-    With ``sigma0 == 0`` the values are returned bit-identical.
+    Adds i.i.d. zero-mean Gaussian noise with the generator's per-coordinate
+    ``noise_sigma`` at the target duration and rewrites the duration metadata.
+    Only the duration-noise fields of ``gen`` are read.  With
+    ``duration_noise_scale == 0`` the values are returned bit-identical.
     """
     if not 0 < target_duration_sec < math.inf:
         raise ValueError("target duration must be positive and finite")
-    sigma = noise.sigma(target_duration_sec)
+    sigma = gen.noise_sigma(target_duration_sec)
     durations = np.full(len(ds), target_duration_sec, dtype=np.float64)
     if sigma == 0.0:
         return ds._derive(ds.matrix(), durations)
@@ -921,8 +905,8 @@ Block = tuple[list[str], Sequence[int], int]
 #: Bytes read per step by ``line_blocks``.
 _READ_BLOCK = 1 << 20
 
-#: ASCII whitespace other than the space and the newline.
-_ODD_SPACE = "\t\v\f\r\x1c\x1d\x1e\x1f"
+#: ASCII whitespace other than the space and the line ends.
+_ODD_SPACE = "\t\v\f\x1c\x1d\x1e\x1f"
 
 
 def line_blocks(path: str | Path, f: BinaryIO) -> Iterator[tuple[bytes, str]]:
@@ -1022,27 +1006,22 @@ def _trial_tokens(path: str | Path, text: str, lineno: int) -> Block:
     return tokens, kept, lineno
 
 
-def _lone_cr(data: bytes) -> bool:
-    """Whether ``data`` holds a ``\\r`` that does not start a ``\\r\\n``."""
-    a = np.frombuffer(data, dtype=np.uint8)
-    cr = np.flatnonzero(a[:-1] == ord("\r"))
-    return bool(a[-1] == ord("\r") or (a[cr + 1] != ord("\n")).any())
-
-
 def load_trials(path: str | Path) -> TrialList:
     """Parse a trial list of lines ``enrol test target|nontarget``.
 
-    The file is read in ``line_blocks``.  A block of ASCII lines of three
-    tokens split by single spaces is split at once; a block with other
-    whitespace, a blank line or non-ASCII text goes line by line through
-    ``str.split``.  Errors name the file and line.
+    The file is read in ``line_blocks``; a line ends at ``\\n``, ``\\r\\n``
+    or a lone ``\\r``.  A block of ASCII lines of three tokens split by single
+    spaces is split at once; a block with other whitespace, a blank line or
+    non-ASCII text goes line by line through ``str.split``.  Errors name the
+    file and line.
     """
     trials = TrialColumns(path)
     lineno = 0
     with open(path, "rb") as f:
         for data, text in line_blocks(path, f):
-            if "\r" in text and not _lone_cr(data):  # CRLF only
-                data, text = data.replace(b"\r", b""), text.replace("\r", "")
+            if "\r" in text:  # universal newlines; no block splits a "\r\n"
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+                data = text.encode("utf-8")
             split = None
             if text.isascii() and not any(c in text for c in _ODD_SPACE):
                 split = block_fields(data, text, " ", 3, lineno, empty_ok=False)

@@ -43,7 +43,7 @@ from .dataset import (
 from .gplda import PldaModel, length_normalize, score_trials, train_gplda
 from .idv import IdvTransform, IdvVariant, estimate_modified_idv, estimate_original_idv
 from .lda import lda_from_scatter, scatter_matrices
-from .metrics import MetricReportRow, evaluate, write_metric_report
+from .metrics import DcfParams, MetricReportRow, evaluate, write_metric_report
 from .scorenorm import snorm
 
 # Seed-derivation offsets relative to each run seed.  Fixed so that the
@@ -103,7 +103,7 @@ RETIRED_KEYS = {
     "idv_in_count": None,
     "idv_ridge": 1e-6,
     "lda_ridge": 1e-6,
-    "dcf": {"c_miss": 10.0, "c_fa": 1.0, "p_target": 0.01},
+    "dcf": asdict(DcfParams()),
 }
 
 
@@ -149,7 +149,7 @@ class ExperimentConfig:
             ):
                 raise ValueError(f"durations must be positive (None means full length), got {d!r}")
             if d is not None:
-                self.generator.noise_model.sigma(d)  # raises if the noise level overflows
+                self.generator.noise_sigma(d)  # raises if the noise level overflows
         if not self.seeds:
             raise ValueError("need at least one seed")
         for s in self.seeds:
@@ -361,13 +361,11 @@ class Study:
     under every variant at every duration (finite ones only if
     ``finite_only``); the suffix extends the condition ("/…") and system
     ("|…") labels.  A plot group compares the systems of one variant, or
-    with ``compare_variants`` the variants of one system, against its first
-    member."""
+    in a study of one system its variants, against its first member."""
 
     stem: str
     systems: tuple[tuple[str, Domain, str], ...]
     variants: tuple[tuple[str, str, bool], ...]
-    compare_variants: bool = False
     finite_only: bool = False
     reference: tuple[tuple[str, ...], tuple[tuple, ...]] | None = None
 
@@ -403,7 +401,6 @@ def studies(cfg: ExperimentConfig) -> dict[str, Study]:
             "matched_snorm",
             (modified,),
             (("cohort=full-length", cohort, False), ("cohort=matched", cohort, True)),
-            compare_variants=True,
             finite_only=True,
             reference=(("duration_sec", "eer_pct_full_length_cohort", "eer_pct_matched_cohort"),
                        FULL_SCALE_MATCHED_SNORM_REFERENCE),
@@ -471,7 +468,6 @@ def run_experiment(
     # IDV is estimated on the out-domain training set, whichever set its backend trains on
     train_domains = {d for d, _ in keys} | {Domain.OUT_DOMAIN for _, idv in keys if idv != "off"}
     rows = {k: defaultdict(list) for k in chosen}
-    noise = cfg.generator.noise_model
     # Load scipy.linalg before the first draw: loaded at the first solve, its
     # objects land among the draw's freed arrays and raise the peak RSS ~4%.
     scipy_linalg()
@@ -497,7 +493,7 @@ def run_experiment(
             eval_ds = data.eval_in
             if duration is not None:
                 eval_ds = apply_duration_noise(
-                    eval_ds, duration, noise, seed + DURATION_NOISE_SEED_OFFSET + gi
+                    eval_ds, duration, cfg.generator, seed + DURATION_NOISE_SEED_OFFSET + gi
                 )
             for key, users in by_key.items():
                 backend = backends[key]
@@ -515,7 +511,7 @@ def run_experiment(
                                 noising = duration, seed + COHORT_NOISE_SEED_OFFSET + gi
                                 if (style, noising) not in noised:
                                     noised[style, noising] = apply_duration_noise(
-                                        co, duration, noise, noising[1]
+                                        co, duration, cfg.generator, noising[1]
                                     )
                                 co = noised[style, noising]
                             use = key, style, noising
@@ -538,7 +534,7 @@ def run_experiment(
             by_key[d, n][i] for i in range(len(cfg.seeds)) for d in durs for ns in names for n in ns
         ]
         plot: list[PlotRow] = []
-        for group in zip(*names) if study.compare_variants else names:
+        for group in zip(*names) if len(study.systems) == 1 else names:
             for dur in durs:
                 for metric in ("eer", "min_dcf"):
                     means = [

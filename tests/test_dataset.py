@@ -9,7 +9,6 @@ from svbackend import dataset
 from svbackend.dataset import (
     Dataset,
     Domain,
-    DurationNoiseModel,
     GeneratorConfig,
     TrialList,
     apply_duration_noise,
@@ -137,28 +136,36 @@ class TestGenerator:
             synth_dataset(cfg, ("in",))
 
 
+def _noise(scale: float, ref: float, exponent: float = 0.5) -> GeneratorConfig:
+    """A small generator config holding only a duration-noise law."""
+    return GeneratorConfig(
+        dim=3, eigenvoice_dim=1, duration_noise_scale=scale, duration_ref_sec=ref,
+        duration_noise_exponent=exponent,
+    )
+
+
 class TestDurationNoise:
     def test_sigma_law_exact(self):
-        m = DurationNoiseModel(sigma0=0.5, duration_ref_sec=100.0)
-        assert m.sigma(100.0) == 0.5
-        assert m.sigma(25.0) == pytest.approx(1.0, abs=1e-15)
+        m = _noise(0.5, 100.0)
+        assert m.noise_sigma(100.0) == 0.5
+        assert m.noise_sigma(25.0) == pytest.approx(1.0, abs=1e-15)
         # sigma(d) * sqrt(d) is constant for the default exponent
         for d in (10.0, 33.0, 100.0):
-            assert m.sigma(d) * np.sqrt(d) == pytest.approx(0.5 * 10.0, rel=1e-12)
+            assert m.noise_sigma(d) * np.sqrt(d) == pytest.approx(0.5 * 10.0, rel=1e-12)
 
     def test_configurable_exponent(self):
-        m = DurationNoiseModel(sigma0=0.5, duration_ref_sec=100.0, exponent=1.0)
-        assert m.sigma(25.0) == pytest.approx(2.0, rel=1e-12)
+        m = _noise(0.5, 100.0, exponent=1.0)
+        assert m.noise_sigma(25.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_zero_scale_keeps_values_bit_identical(self):
         ds = make_dataset(np.arange(12.0).reshape(3, 4))
-        out = apply_duration_noise(ds, 17.0, DurationNoiseModel(0.0, 100.0), seed=1)
+        out = apply_duration_noise(ds, 17.0, _noise(0.0, 100.0), seed=1)
         assert np.array_equal(out.matrix(), ds.matrix())
         assert (out.durations == 17.0).all()
 
     def test_deterministic(self):
         ds = make_dataset(np.zeros((4, 3)))
-        m = DurationNoiseModel(0.7, 60.0)
+        m = _noise(0.7, 60.0)
         a = apply_duration_noise(ds, 10.0, m, seed=5)
         b = apply_duration_noise(ds, 10.0, m, seed=5)
         assert a == b
@@ -167,50 +174,50 @@ class TestDurationNoise:
 
     def test_quarter_duration_doubles_std(self):
         # sample-std oracle over >= 1e5 draws, within 2%
-        sigma0, ref = 0.5, 100.0
+        scale, ref = 0.5, 100.0
         ds = make_dataset(np.zeros((1000, 128)))
-        out = apply_duration_noise(ds, ref / 4, DurationNoiseModel(sigma0, ref), seed=8)
+        out = apply_duration_noise(ds, ref / 4, _noise(scale, ref), seed=8)
         measured = out.matrix().std()
-        assert measured == pytest.approx(2 * sigma0, rel=0.02)
+        assert measured == pytest.approx(2 * scale, rel=0.02)
 
     def test_rejects_nonpositive_duration(self):
         ds = make_dataset(np.zeros((1, 2)))
         with pytest.raises(ValueError, match="positive"):
-            apply_duration_noise(ds, 0.0, DurationNoiseModel(0.1, 60.0), seed=0)
+            apply_duration_noise(ds, 0.0, _noise(0.1, 60.0), seed=0)
 
     def test_rejects_infinite_duration(self):
         ds = make_dataset(np.zeros((1, 2)))
         with pytest.raises(ValueError, match="^target duration must be positive and finite$"):
-            apply_duration_noise(ds, float("inf"), DurationNoiseModel(0.1, 60.0), seed=0)
+            apply_duration_noise(ds, float("inf"), _noise(0.1, 60.0), seed=0)
 
     def test_overflowing_noise_level_is_a_value_error(self):
-        m = DurationNoiseModel(0.5, 120.0, exponent=50.0)
+        m = _noise(0.5, 120.0, exponent=50.0)
         message = "^duration noise overflows at duration 1e-10 s with exponent 50$"
         with pytest.raises(ValueError, match=message):
-            m.sigma(1e-10)
+            m.noise_sigma(1e-10)
         with pytest.raises(ValueError, match=message):
             apply_duration_noise(make_dataset(np.zeros((2, 3))), 1e-10, m, seed=0)
-        # a finite power times a huge sigma0 overflows without an OverflowError
+        # a finite power times a huge scale overflows without an OverflowError
         with pytest.raises(ValueError, match="^duration noise overflows at duration 1e-10 s"):
-            DurationNoiseModel(1e300, 120.0, exponent=1.0).sigma(1e-10)
+            _noise(1e300, 120.0, exponent=1.0).noise_sigma(1e-10)
         # a negative exponent makes the level grow without bound as the duration does
         with pytest.raises(ValueError, match="^duration noise overflows at duration inf s"):
-            DurationNoiseModel(0.5, 120.0, exponent=-1.0).sigma(float("inf"))
+            _noise(0.5, 120.0, exponent=-1.0).noise_sigma(float("inf"))
 
     @pytest.mark.parametrize(
         "field, args",
         [
-            ("sigma0", (float("nan"), 100.0)),
-            ("sigma0", (-0.1, 100.0)),
+            ("duration_noise_scale", (float("nan"), 100.0)),
+            ("duration_noise_scale", (-0.1, 100.0)),
             ("duration_ref_sec", (0.1, float("inf"))),
             ("duration_ref_sec", (0.1, 0.0)),
-            ("exponent", (0.1, 100.0, float("inf"))),
-            ("exponent", (0.1, 100.0, float("nan"))),
+            ("duration_noise_exponent", (0.1, 100.0, float("inf"))),
+            ("duration_noise_exponent", (0.1, 100.0, float("nan"))),
         ],
     )
     def test_rejects_bad_parameters(self, field, args):
         with pytest.raises(ValueError, match=f"^{field} must be"):
-            DurationNoiseModel(*args)
+            _noise(*args)
 
 
 class TestIvectorIO:
@@ -348,7 +355,7 @@ _SPACES = st.sampled_from([" ", " ", " ", "  ", "\t", " \t ", "\u2003"])
 @st.composite
 def trial_files(draw) -> str:
     """Trial-list text mixing single spaces with tabs, runs of spaces, other
-    whitespace, blank lines, padded lines, CRLF and non-ASCII ids."""
+    whitespace, blank lines, padded lines, CRLF, lone CR and non-ASCII ids."""
     lines = []
     for _ in range(draw(st.integers(0, 14))):
         if draw(st.integers(0, 5)) == 0:
@@ -358,7 +365,7 @@ def trial_files(draw) -> str:
         e, t = draw(_TOKENS), draw(_TOKENS)
         pad = draw(st.sampled_from(["", "", "", " ", "\t"]))
         lines.append(f"{pad}{e}{draw(_SPACES)}{t}{draw(_SPACES)}{label}{pad}")
-    ends = [draw(st.sampled_from(["\n", "\n", "\r\n"])) for _ in lines]
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in lines]
     if lines and draw(st.booleans()):
         ends[-1] = ""  # no newline after the last line
     return "".join(line + end for line, end in zip(lines, ends))
@@ -620,7 +627,7 @@ class TestColumnarFilesMatchPerRowWriters:
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda tmp: DurationNoiseModel(1.0, 120.0).sigma(0), "duration must be positive"),
+        (lambda tmp: _noise(1.0, 120.0).noise_sigma(0), "duration must be positive"),
         (lambda tmp: GeneratorConfig(dim=2, eigenvoice_dim=1, out_channel_scale=-1.0),
          "invalid config: scales must be nonnegative"),
         (lambda tmp: GeneratorConfig(dim=2, eigenvoice_dim=1, domain_offset=[0.0, np.inf]),

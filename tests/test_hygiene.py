@@ -231,3 +231,6 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"svbackend.{module}"), name, None))
     }
     assert missing <= RETIRED_TRACED
+    for retired in RETIRED_TRACED:  # a stale entry or a returning function fails
+        module, name = retired.split(".")
+        assert not hasattr(importlib.import_module(f"svbackend.{module}"), name), retired

@@ -303,6 +303,15 @@ class TestContentErrorsNameTheFile:
         with _raises_naming(path, "decorrelator does not whiten"):
             load_idv(path)
 
+    def test_idv_unknown_variant_byte(self, tmp_path):
+        path = tmp_path / "x.idv"
+        save_idv(IdvTransform(IdvVariant.MODIFIED, np.eye(2), np.eye(2), 0.0), path)
+        data = bytearray(path.read_bytes())
+        data[len(b"IDV1")] = 2  # the variant byte follows the magic
+        path.write_bytes(bytes(data))
+        with _raises_naming(path, "unknown IDV variant byte 2$"):
+            load_idv(path)
+
     def test_plda_nan_and_too_many_eigenvoices(self, tmp_path):
         path = tmp_path / "x.plda"
         k, q = 2, 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from svbackend import scorenorm
-from svbackend.dataset import DurationNoiseModel, apply_duration_noise
+from svbackend.dataset import GeneratorConfig, apply_duration_noise
 from svbackend.gplda import PldaModel, ScoreSet, score_trials
 from svbackend.scorenorm import cohort_score_matrix, snorm, snorm_from_cohort_scores
 
@@ -230,7 +230,9 @@ class TestMatchedLengthCohort:
 
     def test_zero_noise_keeps_vectors(self, rng):
         m, enrol, test, scores, base = snorm_setup(rng)
-        noise = DurationNoiseModel(0.0, 100.0)
+        noise = GeneratorConfig(
+            dim=3, eigenvoice_dim=1, duration_noise_scale=0.0, duration_ref_sec=100.0
+        )
         for duration in (100.0, 10.0):
             out = apply_duration_noise(base, duration, noise, seed=3)
             np.testing.assert_array_equal(out.matrix(), base.matrix())
@@ -239,7 +241,9 @@ class TestMatchedLengthCohort:
 
     def test_deterministic_and_records_duration(self, rng):
         m, enrol, test, scores, base = snorm_setup(rng)
-        noise = DurationNoiseModel(0.4, 100.0)
+        noise = GeneratorConfig(
+            dim=3, eigenvoice_dim=1, duration_noise_scale=0.4, duration_ref_sec=100.0
+        )
         a = apply_duration_noise(base, 25.0, noise, seed=5)
         b = apply_duration_noise(base, 25.0, noise, seed=5)
         assert a == b and a.ids == base.ids
@@ -251,9 +255,11 @@ class TestMatchedLengthCohort:
 
     def test_added_noise_std_matches_model(self, rng):
         base = make_dataset(np.zeros((1000, 128)), prefix="c")
-        noise = DurationNoiseModel(0.4, 100.0)
+        noise = GeneratorConfig(
+            dim=3, eigenvoice_dim=1, duration_noise_scale=0.4, duration_ref_sec=100.0
+        )
         out = apply_duration_noise(base, 25.0, noise, seed=6)
-        assert out.matrix().std() == pytest.approx(noise.sigma(25.0), rel=0.02)
+        assert out.matrix().std() == pytest.approx(noise.noise_sigma(25.0), rel=0.02)
 
     def test_empty_cohort_rejected(self, rng):
         m, enrol, test, scores, _ = snorm_setup(rng)
