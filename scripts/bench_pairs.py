@@ -8,10 +8,19 @@ in each checkout, from its root: the parent first in even pairs and the
 change first in odd ones, so a drift of the host falls on both sides.
 It prints every pair's end-to-end metrics (those listed in this
 repository's ``BENCHMARK.json``), then per metric each side's median and
-[first, third] quartile, the parent's interquartile range and in how
-many pairs the change was better (ties count for neither side).  Exits 0 when every run reports ``correct`` with
-no failed operation, 1 when one does not, 2 when a run prints no result.
-Standard library only.
+[first, third] quartile, the parent's interquartile range, in how many
+pairs the change was better (ties count for neither side) and a verdict
+against the metric's ``bound`` B in ``BENCHMARK.json``:
+
+* ``worse than the B% bound``: the change's median is worse than the
+  parent's by more than B;
+* else ``unresolved: parent IQR X% of its median exceeds the B% bound``:
+  the parent's own spread is wider than B, and not every change run beats
+  every parent run;
+* else ``within the B% bound``.
+
+Exits 0 when every run reports ``correct`` with no failed operation, 1
+when one does not, 2 when a run prints no result.  Standard library only.
 """
 
 from __future__ import annotations
@@ -52,6 +61,21 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def verdict(a: list[float], b: list[float], better: str, bound: float) -> str:
+    """The change's runs ``b`` against the parent's ``a``, read against the
+    relative ``bound`` (see the module docstring)."""
+    sign = 1.0 if better == "lower" else -1.0
+    med_a = statistics.median(a)
+    a1, a3 = quartiles(a)
+    limit = f"the {100.0 * bound:g}% bound"
+    if sign * (statistics.median(b) - med_a) > bound * abs(med_a):
+        return f"worse than {limit}"
+    if a3 - a1 > bound * abs(med_a) and max(sign * y for y in b) >= min(sign * x for x in a):
+        spread = f"{100.0 * (a3 - a1) / abs(med_a):.1f}%" if med_a else "-"
+        return f"unresolved: parent IQR {spread} of its median exceeds {limit}"
+    return f"within {limit}"
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", type=Path)
@@ -63,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
-    metrics = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]}
+    metrics = {m["name"]: m for m in json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]}
 
     sides = {"parent": args.parent, "change": args.change}
     values = {side: {name: [] for name in metrics} for side in sides}
@@ -93,15 +117,17 @@ def main(argv: list[str] | None = None) -> int:
                       f"failed={r.get('failed')}")
         print(f"pair {i} seed {seed} ({order[0]} first): " + "; ".join(cells))
 
-    for name, better in metrics.items():
+    for name, metric in metrics.items():
         a, b = values["parent"][name], values["change"][name]
+        better = metric["better"]
         med_a, med_b = statistics.median(a), statistics.median(b)
         (a1, a3), (b1, b3) = quartiles(a), quartiles(b)
         wins = sum((y < x) if better == "lower" else (y > x) for x, y in zip(a, b))
         change = f"{100.0 * (med_b - med_a) / med_a:+.1f}%" if med_a else "-"
         print(f"{name} ({better} is better): parent median {med_a:.6g} "
               f"[{a1:.6g}, {a3:.6g}] IQR {a3 - a1:.6g}; change median {med_b:.6g} "
-              f"[{b1:.6g}, {b3:.6g}] ({change}); change better in {wins}/{len(a)} pairs")
+              f"[{b1:.6g}, {b3:.6g}] ({change}); change better in {wins}/{len(a)} pairs; "
+              f"{verdict(a, b, better, metric['bound'])}")
     return 0 if correct else 1
 
 

@@ -102,10 +102,18 @@ def _integers(values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
 #: block at a time, never a temporary of the whole matrix.
 _ROW_BLOCK = 2048
 
+#: Entries per step of every pass over a trial or cohort grid: the
+#: ``pair_llr`` row add, the S-norm cohort statistics and the score-file
+#: writer hold one block of this many entries, not one of the whole grid.
+#: Each reduces or writes every row on its own, so the size moves no bit.
+_GRID_BLOCK = 1 << 16
 
-def row_blocks(n: int) -> Iterator[slice]:
-    """Slices of at most ``_ROW_BLOCK`` consecutive rows covering ``range(n)`` in order."""
-    step = _ROW_BLOCK
+
+def row_blocks(n: int, width: int | None = None) -> Iterator[slice]:
+    """Consecutive row slices covering ``range(n)`` in order: ``_ROW_BLOCK``
+    rows each, or with a row ``width`` as many rows as ``_GRID_BLOCK``
+    entries hold (at least one); only the last slice may be shorter."""
+    step = _ROW_BLOCK if width is None else max(1, _GRID_BLOCK // max(1, width))
     return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 

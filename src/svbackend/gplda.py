@@ -360,10 +360,6 @@ def _em(
 # scoring
 
 
-#: Entries of the ``qu + qv`` row block that ``pair_llr`` adds into its grid at once.
-_GRID_BLOCK = 1 << 16
-
-
 def pair_llr(m: PldaModel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Same-speaker log-likelihood ratio of every row of ``u`` against every row of ``v``.
 
@@ -388,9 +384,7 @@ def pair_llr(m: PldaModel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     qu = 0.5 * np.einsum("ij,ij->i", u @ q_mat, u)
     qv = 0.5 * np.einsum("ij,ij->i", v @ q_mat, v)
     grid = u @ (p_mat @ v.T)
-    step = max(1, _GRID_BLOCK // max(1, len(qv)))
-    for start in range(0, len(qu), step):
-        rows = slice(start, start + step)
+    for rows in row_blocks(len(qu), len(qv)):
         grid[rows] += qu[rows, None] + qv[None, :]
     grid += const
     return grid
@@ -464,13 +458,6 @@ class ScoreSet:
             return self.normalized
         raise ValueError(f"unknown score kind '{which}'")
 
-    def with_normalized(self, normalized: Sequence[float] | np.ndarray) -> "ScoreSet":
-        if len(normalized) != len(self):
-            raise ValueError("need one normalized score per trial")
-        normalized = np.asarray(normalized, dtype=np.float64)
-        _check_scores(self.trial_list, ~np.isfinite(normalized), "normalized")
-        return ScoreSet(self.trial_list, self.raw, normalized)
-
 
 def dataset_rows(ds: Dataset, ids: Sequence[str], code: np.ndarray, side: str) -> np.ndarray:
     """Positions in ``ds`` of an id table; unknown ids name their first trial."""
@@ -537,11 +524,6 @@ def save_loglik_trace(m: PldaModel, path: str | Path) -> None:
 SCORE_COLUMNS = ["enrol", "test", "label", "raw_llr", "norm_llr"]
 
 
-#: Rows formatted per step of ``write_scores``; bounds the per-row strings
-#: held at once (``read_scores`` reads ``dataset.line_blocks``).
-_CSV_BLOCK = 1 << 14
-
-
 def write_scores(scores: ScoreSet, path: str | Path) -> None:
     """CSV columns: enrol,test,label,raw_llr,norm_llr (norm blank if absent).
 
@@ -554,8 +536,7 @@ def write_scores(scores: ScoreSet, path: str | Path) -> None:
     labels = np.array(LABEL_TEXT, dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(SCORE_COLUMNS) + "\n")
-        for start in range(0, len(tl), _CSV_BLOCK):
-            rows = slice(start, start + _CSV_BLOCK)
+        for rows in row_blocks(len(tl), len(SCORE_COLUMNS)):
             columns = (
                 enrol_ids[tl.enrol_code[rows]].tolist(),
                 test_ids[tl.test_code[rows]].tolist(),

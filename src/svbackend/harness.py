@@ -309,10 +309,6 @@ class Backend:
     plda: PldaModel
     projection: np.ndarray
 
-    def project(self, ds: Dataset) -> Dataset:
-        """``projection``, then length normalization."""
-        return length_normalize(ds, self.projection)
-
 
 def train_backend(
     cfg: ExperimentConfig,
@@ -497,7 +493,7 @@ def run_experiment(
                 )
             for key, users in by_key.items():
                 backend = backends[key]
-                proj = backend.project(eval_ds)
+                proj = length_normalize(eval_ds, backend.projection)
                 raw = score_trials(backend.plda, proj, proj, data.trials)
                 for k, name in users:
                     for sfx, style, matched in chosen[k].variants:
@@ -516,7 +512,7 @@ def run_experiment(
                                 co = noised[style, noising]
                             use = key, style, noising
                             if use not in cohorts:
-                                cohorts[use] = backend.project(co)
+                                cohorts[use] = length_normalize(co, backend.projection)
                             scores = snorm(backend.plda, raw, proj, proj, cohorts[use])
                             which = "normalized"
                         label = name + (sfx and f"|{sfx}")

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, read_only
+from .dataset import Dataset, read_only, row_blocks
 from .gplda import PldaModel, ScoreSet, dataset_rows, pair_llr
 
 
@@ -30,12 +30,6 @@ def cohort_score_matrix(m: PldaModel, ds: Dataset, cohort: Dataset) -> np.ndarra
     if ds.dim != m.dim or cohort.dim != m.dim:
         raise ValueError(f"model expects dimension {m.dim}")
     return pair_llr(m, ds.matrix(), cohort.matrix())
-
-
-#: Cohort scores per row block of ``_side_stats``: ``std`` holds a
-#: temporary of the block's size, not of the whole matrix.  Each row's
-#: statistics are reduced on their own, so blocking changes no bit.
-_STATS_BLOCK = 1 << 16
 
 
 def _side_stats(
@@ -51,19 +45,19 @@ def _side_stats(
     if len(ids) and cohort_scores.shape[1] == 0:
         raise ValueError(f"empty cohort: no scores on {side} side for '{ids[0]}'")
     mu, sd = np.empty(len(ids)), np.empty(len(ids))
-    step = max(1, _STATS_BLOCK // max(1, cohort_scores.shape[1]))
-    for start in range(0, len(ids), step):
-        rows = slice(start, start + step)
+    for rows in row_blocks(len(ids), cohort_scores.shape[1]):
         finite = np.isfinite(cohort_scores[rows]).all(axis=1)
         if not finite.all():  # checked first: the std of such a row would only warn
-            bad = ids[start + int(np.argmin(finite))]
+            bad = ids[rows.start + int(np.argmin(finite))]
             raise ValueError(f"non-finite cohort score on {side} side for '{bad}'")
-        mu[rows], sd[rows] = cohort_scores[rows].mean(axis=1), cohort_scores[rows].std(axis=1)
-    flat = np.flatnonzero(sd == 0.0)
-    if flat.size:
-        raise ValueError(
-            f"degenerate cohort: zero score variance on {side} side for '{ids[flat[0]]}'"
-        )
+        with np.errstate(over="ignore"):  # an overflowing spread is rejected below
+            mu[rows], sd[rows] = cohort_scores[rows].mean(axis=1), cohort_scores[rows].std(axis=1)
+    for bad, what in ((sd == 0.0, "zero"), (~np.isfinite(sd), "non-finite")):
+        k = np.flatnonzero(bad)
+        if k.size:
+            raise ValueError(
+                f"degenerate cohort: {what} score variance on {side} side for '{ids[k[0]]}'"
+            )
     return mu, sd
 
 
@@ -75,15 +69,17 @@ def snorm_from_cohort_scores(
     Row i of ``enrol_cohort`` (``test_cohort``) holds the cohort scores
     of ``scores.trial_list.enrol_ids[i]`` (``test_ids[i]``).  Invariant
     under a shared positive affine map of raw and cohort scores.  Raises
-    when a row's cohort scores are empty, non-finite or of zero variance.
+    when a row's cohort scores are empty or non-finite, when their
+    variance is zero or overflows, and when a normalized score overflows.
     """
     tl = scores.trial_list
     mu_e, sd_e = _side_stats("enrol", enrol_cohort, tl.enrol_ids)
     mu_t, sd_t = _side_stats("test", test_cohort, tl.test_ids)
     s = scores.raw
     e, t = tl.enrol_code, tl.test_code
-    normalized = 0.5 * ((s - mu_e[e]) / sd_e[e] + (s - mu_t[t]) / sd_t[t])
-    return scores.with_normalized(read_only(normalized))
+    with np.errstate(over="ignore"):  # an overflowing score fails the ScoreSet check
+        normalized = 0.5 * ((s - mu_e[e]) / sd_e[e] + (s - mu_t[t]) / sd_t[t])
+    return ScoreSet(tl, s, read_only(normalized))
 
 
 def snorm(

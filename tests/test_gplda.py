@@ -427,7 +427,7 @@ class TestOneGrid:
         "k, n_u, n_v", [(3, 0, 4), (3, 4, 0), (3, 1, 1), (5, 9, 5), (6, 40, 3), (20, 130, 300)]
     )
     def test_bit_identical_to_two_grid_expression(self, rng, monkeypatch, block, k, n_u, n_v):
-        monkeypatch.setattr(gplda, "_GRID_BLOCK", block)
+        monkeypatch.setattr(dataset, "_GRID_BLOCK", block)
         m = random_model(rng, k=k, q=min(k, 4))
         u = 3.0 * rng.standard_normal((n_u, k))
         v = 3.0 * rng.standard_normal((n_v, k))
@@ -445,7 +445,7 @@ class TestScoreSetAndPersistence:
         ss = ScoreSet(make_trials([("a", "b", True)]), [1.0])
         with pytest.raises(ValueError, match="no normalized"):
             ss.values("normalized")
-        ss2 = ss.with_normalized([2.0])
+        ss2 = ScoreSet(ss.trial_list, ss.raw, [2.0])
         assert ss2.values("normalized").tolist() == [2.0]
         assert ss2.values("raw").tolist() == [1.0]
 
@@ -545,7 +545,7 @@ class TestScoreBlocks:
         with (
             tempfile.TemporaryDirectory() as tmp,
             patch.object(dataset, "_READ_BLOCK", chars),
-            patch.object(gplda, "_CSV_BLOCK", rows),
+            patch.object(dataset, "_GRID_BLOCK", rows * len(SCORE_COLUMNS)),
         ):
             path, ours, ref = (Path(tmp) / name for name in ("in.csv", "ours.csv", "ref.csv"))
             path.write_bytes(text.encode("utf-8"))
@@ -759,8 +759,8 @@ def _model() -> PldaModel:
         (lambda tmp: train_gplda(make_dataset(np.eye(2), ["a", "b"]), q=1, iters=-1),
          "iters must be nonnegative"),
         (lambda tmp: make_scoreset([1.0], [0.0]).values("x"), "unknown score kind 'x'"),
-        (lambda tmp: make_scoreset([1.0], [0.0]).with_normalized([1.0]),
-         "need one normalized score per trial"),
+        (lambda tmp: ScoreSet(make_trials([("a", "b", True)]), [1.0], [1.0, 2.0]),
+         "need one raw and one normalized score per trial (1)"),
         (lambda tmp: score_trials(
             _model(), make_dataset(np.zeros((1, 3))), make_dataset(np.zeros((1, 3))),
             make_trials([("utt0000", "utt0000", True)]),

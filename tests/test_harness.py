@@ -23,7 +23,8 @@ from svbackend.dataset import (
     save_ivectors,
     save_trials,
 )
-from svbackend.gplda import PldaModel, length_normalize, read_scores, save_plda, write_scores
+from svbackend.gplda import PldaModel, ScoreSet, length_normalize, read_scores, save_plda
+from svbackend.gplda import write_scores
 from svbackend.harness import (
     EVAL_SEED_OFFSET,
     RETIRED_KEYS,
@@ -280,9 +281,9 @@ class TestRunData:
         lda_compensated = train_lda(apply_idv(idv_t, train), k)
         for ds in (data.eval_in, data.nist_cohort):
             chain = length_normalize(apply_lda(lda_plain, ds)).matrix()
-            assert np.array_equal(plain.project(ds).matrix(), chain)
+            assert np.array_equal(length_normalize(ds, plain.projection).matrix(), chain)
             chain = length_normalize(apply_lda(lda_compensated, apply_idv(idv_t, ds))).matrix()
-            got = compensated.project(ds).matrix()
+            got = length_normalize(ds, compensated.projection).matrix()
             assert np.linalg.norm(got - chain) <= 1e-9 * np.linalg.norm(chain)
 
 
@@ -845,8 +846,8 @@ class TestCli:
         spec.loader.exec_module(score_diff)
         a = make_scoreset([2.0, 3.0], [1.0])
         write_scores(a, tmp_path / "a.csv")
-        write_scores(a.with_normalized([0.5, 1.0, -1.0]), tmp_path / "b.csv")
-        write_scores(a.with_normalized([0.75, 1.0, -1.0]), tmp_path / "c.csv")
+        write_scores(ScoreSet(a.trial_list, a.raw, [0.5, 1.0, -1.0]), tmp_path / "b.csv")
+        write_scores(ScoreSet(a.trial_list, a.raw, [0.75, 1.0, -1.0]), tmp_path / "c.csv")
         write_scores(make_scoreset([2.0, 3.0], [1.0, 0.0]), tmp_path / "d.csv")
         files = [str(tmp_path / f"{n}.csv") for n in "abcd"]
         assert score_diff.main([files[1], files[2]]) == 0
@@ -911,15 +912,19 @@ class TestCli:
             "print(json.dumps({{'correct': {correct}, 'attempted': 4, 'failed': 0, 'metrics': {{\n"
             "    'wall_s': {{'value': {wall}, 'unit': 's'}},\n"
             "    'trials_per_s': {{'value': {tps}, 'unit': '1/s'}},\n"
-            "    'setup_s': {{'value': 0.5, 'unit': 's'}},\n"
+            "    'setup_s': {{'value': {setup}, 'unit': 's'}},\n"
             "    'peak_rss_mb': {{'value': 100.0, 'unit': 'MB'}}}}}}))\n"
         )
         checkouts = {}
-        for name, wall, correct in (("parent", 2.0, True), ("change", 1.5, True),
-                                    ("broken", 1.0, False)):
+        # setup_s of "noisy" is 1.0, 1.5, 0.5 on seeds 7, 8, 9: IQR 50% of its median
+        for name, wall, correct, setup in (
+            ("parent", 2.0, True, "0.5"), ("change", 1.5, True, "0.5"),
+            ("broken", 1.0, False, "0.5"), ("noisy", 2.0, True, "0.5 * (1 + int(sys.argv[4]) % 3)"),
+            ("fast", 2.0, True, "0.25"),
+        ):
             (tmp_path / name / "perfbench").mkdir(parents=True)
             (tmp_path / name / "perfbench" / "run.py").write_text(stub.format(
-                log=str(log), name=name, correct=correct, wall=wall, tps=300.0 / wall,
+                log=str(log), name=name, correct=correct, wall=wall, tps=300.0 / wall, setup=setup,
             ), encoding="utf-8")
             checkouts[name] = str(tmp_path / name)
         flags = ["--workload", "paper-train", "--pairs", "3", "--seed", "7", "--seconds", "1"]
@@ -931,11 +936,22 @@ class TestCli:
                 "[1.5, 1.5] (-25.0%); change better in 3/3 pairs") in out
         assert "trials_per_s (higher is better)" in out and "(+33.3%)" in out
         assert "setup_s (lower is better)" in out and "change better in 0/3 pairs" in out
+        assert "change better in 3/3 pairs; within the 25% bound" in out
+        assert "peak_rss_mb (lower is better)" in out and "pairs; within the 5% bound" in out
         assert log.read_text(encoding="utf-8").splitlines() == [
             f"{name} --workload paper-train --seed {seed} --seconds 1.0"
             for name, seed in (("parent", 7), ("change", 7), ("change", 8), ("parent", 8),
                                ("parent", 9), ("change", 9))
         ]
+        for parent, change, setup_verdict in (
+            ("parent", "noisy", "worse than the 25% bound"),
+            ("noisy", "parent", "unresolved: parent IQR 50.0% of its median exceeds the 25% bound"),
+            ("noisy", "fast", "within the 25% bound"),
+        ):
+            assert bench_pairs.main([checkouts[parent], checkouts[change], *flags]) == 0
+            summary = [line for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("setup_s ")]
+            assert len(summary) == 1 and summary[0].endswith(f"pairs; {setup_verdict}")
         assert bench_pairs.main([checkouts["parent"], checkouts["broken"], *flags[:3],
                                  "1", *flags[4:]]) == 1
         assert "  change run of seed 7: correct=False failed=0" in capsys.readouterr().out

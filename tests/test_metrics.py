@@ -241,7 +241,7 @@ class TestErrorsAndReport:
         ss = make_scoreset([1.0], [0.0])
         with pytest.raises(ValueError, match="no normalized"):
             evaluate(ss, which="normalized")
-        ss2 = ss.with_normalized([2.0, 1.0])
+        ss2 = ScoreSet(ss.trial_list, ss.raw, [2.0, 1.0])
         assert evaluate(ss2, which="normalized").eer == 0.0
 
     def test_report_csv(self, tmp_path):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from svbackend import scorenorm
+from svbackend import dataset, scorenorm
 from svbackend.dataset import GeneratorConfig, apply_duration_noise
 from svbackend.gplda import PldaModel, ScoreSet, score_trials
 from svbackend.scorenorm import cohort_score_matrix, snorm, snorm_from_cohort_scores
@@ -116,7 +116,7 @@ class TestFormula:
     @pytest.mark.parametrize("block", [1, 40, 1 << 16])
     @pytest.mark.parametrize("shape", [(1, 2), (37, 11), (9, 1500)])
     def test_row_block_stats_bit_identical_to_whole_matrix(self, rng, monkeypatch, block, shape):
-        monkeypatch.setattr(scorenorm, "_STATS_BLOCK", block)
+        monkeypatch.setattr(dataset, "_GRID_BLOCK", block)
         scale = 10.0 ** rng.integers(-3, 4, size=(shape[0], 1))
         scores = scale * rng.standard_normal(shape) + 5.0
         mu, sd = scorenorm._side_stats("enrol", scores, [f"e{i}" for i in range(shape[0])])
@@ -150,6 +150,24 @@ class TestFormula:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{message}$"):
                 snorm_from_cohort_scores(two_trial_scores(), np.array(enrol), np.array(test))
+
+    @pytest.mark.parametrize(
+        "raw, enrol, message",
+        [
+            ([1.0, -1.0], [[-1e200, 1e200]],
+             "^degenerate cohort: non-finite score variance on enrol side for 'e1'$"),
+            ([1e200, -1.0], [[0.0, 1e-150]], "^non-finite normalized score for trial 0: "),
+        ],
+        ids=["spread", "raw"],
+    )
+    def test_overflow_fails_a_check_without_warnings(self, raw, enrol, message):
+        """An overflowing cohort spread or normalized score raises; neither
+        side's term is dropped as a division by inf."""
+        scores = ScoreSet(make_trials([("e1", "t1", True), ("e1", "t2", False)]), raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                snorm_from_cohort_scores(scores, np.array(enrol), np.array([[0.0, 1.0], [0.0, 2.0]]))
 
 
 class TestEndToEnd:

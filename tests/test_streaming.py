@@ -44,6 +44,18 @@ def assert_gram_matches(got: np.ndarray, ref: np.ndarray, n: int) -> None:
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("width", [None, 0, 1, 5, 65535, 65536, 65537])
+@pytest.mark.parametrize("n", [0, 1, 2047, 2048, 2049, 5000])
+def test_row_blocks_cover_the_rows_in_order(n, width):
+    """``_ROW_BLOCK`` rows per slice, or as many rows of ``width`` entries as
+    ``_GRID_BLOCK`` holds (at least one); only the last slice is shorter."""
+    step = dataset._ROW_BLOCK if width is None else max(1, dataset._GRID_BLOCK // max(1, width))
+    blocks = list(dataset.row_blocks(n, width))
+    assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+    assert all(rows.stop - rows.start == step for rows in blocks[:-1])
+    assert all(0 < rows.stop - rows.start <= step for rows in blocks)
+
+
 @pytest.mark.parametrize("n", SIZES)
 class TestBlockBoundaries:
     def test_length_norm_is_the_unblocked_division(self, n, rng):
@@ -187,7 +199,7 @@ class TestOwnership:
         scores = ScoreSet(trials, raw)
         assert scores.raw is raw and not scores.normalized.flags.writeable
         norm = np.array([0.5, 0.25])
-        normed = scores.with_normalized(norm)
+        normed = ScoreSet(trials, raw, norm)
         norm[0] = 9.0
         assert normed.raw is raw and normed.normalized[0] == 0.5
         assert not np.shares_memory(normed.normalized, norm)
@@ -242,7 +254,7 @@ class TestOwnership:
         enrol_pos, test_pos, trials = build_trials(normed)
         model = PldaModel(np.zeros(3), 0.5 * np.ones((3, 1)), np.eye(3))
         scores = score_trials(model, normed.subset(enrol_pos), normed.subset(test_pos), trials)
-        write_scores(scores.with_normalized(scores.raw), tmp_path / "scores.csv")
+        write_scores(ScoreSet(trials, scores.raw, scores.raw), tmp_path / "scores.csv")
         save_trials(trials, tmp_path / "trials.txt")
         read_scores(tmp_path / "scores.csv")
         load_trials(tmp_path / "trials.txt")
