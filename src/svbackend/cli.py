@@ -137,8 +137,8 @@ def _cmd_snorm(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    scores = read_scores(args.scores)
     params = DcfParams(c_miss=args.c_miss, c_fa=args.c_fa, p_target=args.p_target)
+    scores = read_scores(args.scores)
     row = evaluate(scores, condition=args.condition, system=args.system, params=params,
                    which=args.which)
     print(

@@ -340,8 +340,8 @@ class Dataset:
 
 #: Smallest accepted value of each numeric ``GeneratorConfig`` field with one.
 _GENERATOR_MINIMA = dict(
-    dim=1, n_speakers=1, sessions_per_speaker=1, eigenvoice_dim=1, duration_noise_scale=0.0,
-    seed=0, subspace_seed=0,
+    dim=1, n_speakers=1, sessions_per_speaker=1, eigenvoice_dim=1, speaker_scale=0.0,
+    channel_scale=0.0, out_channel_scale=0.0, duration_noise_scale=0.0, seed=0, subspace_seed=0,
 )
 
 
@@ -380,10 +380,6 @@ class GeneratorConfig:
         check_fields(self, _GENERATOR_MINIMA)
         if self.eigenvoice_dim > self.dim:
             raise ValueError("invalid config: eigenvoice_dim must be in [1, dim]")
-        if self.speaker_scale < 0 or self.channel_scale < 0:
-            raise ValueError("invalid config: scales must be nonnegative")
-        if self.out_channel_scale is not None and self.out_channel_scale < 0:
-            raise ValueError("invalid config: scales must be nonnegative")
         if not self.duration_ref_sec > 0:
             raise ValueError("duration_ref_sec must be positive")
         offset = (0.0,) * self.dim if self.domain_offset is None else self.domain_offset
@@ -551,6 +547,7 @@ def apply_duration_noise(
     Only the duration-noise fields of ``gen`` are read.  With
     ``duration_noise_scale == 0`` the values are returned bit-identical.
     """
+    check_number("seed", seed, 0, integer=True)
     if not 0 < target_duration_sec < math.inf:
         raise ValueError("target duration must be positive and finite")
     sigma = gen.noise_sigma(target_duration_sec)
@@ -787,13 +784,16 @@ def write_model_file(
     Path(path).write_bytes(b"".join(parts))
 
 
-def is_symmetric(m: np.ndarray, rtol: float = 1e-10) -> bool:
-    """Whether ``norm(m - m.T) <= rtol * norm(m)`` (Frobenius) for a finite
-    square ``m``.  The norms are taken on ``m`` scaled by a power of two,
-    which is exact, so that they cannot overflow."""
+_SYMMETRY_RTOL = 1e-10
+
+
+def is_symmetric(m: np.ndarray) -> bool:
+    """Whether ``norm(m - m.T) <= _SYMMETRY_RTOL * norm(m)`` (Frobenius) for a
+    finite square ``m``.  The norms are taken on ``m`` scaled by a power of
+    two, which is exact, so that they cannot overflow."""
     unit = np.ldexp(m, -np.frexp(np.abs(m).max())[1])
     scale = np.linalg.norm(unit)
-    return not (scale > 0 and np.linalg.norm(unit - unit.T) > rtol * scale)
+    return not (scale > 0 and np.linalg.norm(unit - unit.T) > _SYMMETRY_RTOL * scale)
 
 
 def read_model_file(

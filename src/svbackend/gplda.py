@@ -42,7 +42,7 @@ import numpy as np
 
 from .dataset import LABEL_TEXT, Block, Dataset, TrialColumns, TrialList, block_fields, csv_fields
 from .dataset import centered_gram, csv_records, is_symmetric, line_blocks, owned, read_model_file
-from .dataset import read_only, row_blocks, scipy_linalg, write_csv, write_model_file
+from .dataset import check_number, read_only, row_blocks, scipy_linalg, write_csv, write_model_file
 
 PLDA_MAGIC = b"PLDA1"
 
@@ -186,6 +186,12 @@ class PldaModel:
     def n_eigenvoices(self) -> int:
         return self.u1.shape[1]
 
+    def check_dims(self, **sets: Dataset) -> None:
+        """Raise ``ValueError`` naming the first of ``sets`` whose dimension is not the model's."""
+        for name, ds in sets.items():
+            if ds.dim != self.dim:
+                raise ValueError(f"{name} has dimension {ds.dim}, model expects {self.dim}")
+
     @cached_property
     def _pair_llr_terms(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Matrices (Q, P) and constant with llr = u'Qu/2 + v'Qv/2 + u'Pv + const.
@@ -290,8 +296,7 @@ def _e_step(
 
 def marginal_loglik(model: PldaModel, ds: Dataset) -> float:
     """Exact marginal log-likelihood of a labeled dataset under the model."""
-    if ds.dim != model.dim:
-        raise ValueError(f"dimension mismatch: model {model.dim}, dataset {ds.dim}")
+    model.check_dims(ds=ds)
     if not ds.labeled:
         raise ValueError("marginal likelihood needs speaker labels")
     stats = _speaker_stats(ds, model.mean)
@@ -306,17 +311,15 @@ def train_gplda(ds: Dataset, q: int = 120, iters: int = 20, seed: int = 0) -> Pl
     the mean is the global mean and is never re-estimated.  Deterministic
     given (data, q, iters, seed).
     """
+    check_number("q", q, 1, integer=True)
+    check_number("iters", iters, 0, integer=True)
+    check_number("seed", seed, 0, integer=True)
     if not ds.labeled:
         raise ValueError("PLDA training needs speaker labels")
     if len(ds.speakers) < 2:
         raise ValueError("PLDA training needs at least two speakers")
-    k = ds.dim
-    if q < 1:
-        raise ValueError("need at least one eigenvoice")
-    if q > k:
-        raise ValueError(f"q={q} exceeds data dimension {k}")
-    if iters < 0:
-        raise ValueError("iters must be nonnegative")
+    if q > ds.dim:
+        raise ValueError(f"q={q} exceeds data dimension {ds.dim}")
 
     mean = ds.matrix().mean(axis=0)
     u1, lam, trace = _em(_speaker_stats(ds, mean), q, iters, seed)
@@ -485,8 +488,7 @@ def score_trials(
     order than a per-pair dot product: on 150-dimensional models the
     largest difference measured is about 2e-13.
     """
-    if enrol.dim != m.dim or test.dim != m.dim:
-        raise ValueError(f"model expects dimension {m.dim}")
+    m.check_dims(enrol=enrol, test=test)
     e_rows = dataset_rows(enrol, trials.enrol_ids, trials.enrol_code, "enrol")
     t_rows = dataset_rows(test, trials.test_ids, trials.test_code, "test")
     grid = pair_llr(m, enrol.matrix()[e_rows], test.matrix()[t_rows])

@@ -20,15 +20,14 @@ and is realized as the inverse transpose of the Cholesky factor of the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, centered_gram, is_symmetric, read_model_file, read_only
-from .dataset import scipy_linalg, write_model_file
+from .dataset import Dataset, centered_gram, check_number, is_symmetric, read_model_file
+from .dataset import read_only, scipy_linalg, write_model_file
 
 IDV_MAGIC = b"IDV1"
 
@@ -62,6 +61,7 @@ class IdvTransform:
     ridge: float
 
     def __post_init__(self) -> None:
+        check_number("ridge", self.ridge, 0.0)
         s = np.array(self.s_idv, dtype=np.float64, copy=True)
         d = np.array(self.decorrelator, dtype=np.float64, copy=True)
         if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
@@ -70,8 +70,6 @@ class IdvTransform:
             raise ValueError("decorrelator shape must match s_idv")
         if not (np.isfinite(s).all() and np.isfinite(d).all()):
             raise ValueError("s_idv and decorrelator must be finite")
-        if not 0 <= self.ridge < math.inf:
-            raise ValueError("ridge must be finite and nonnegative")
         if not is_symmetric(s):
             raise ValueError("s_idv is not symmetric")
         conditioned = s + self.ridge * np.eye(s.shape[0])
@@ -101,8 +99,6 @@ def _cholesky_decorrelator(s: np.ndarray, ridge_factor: float) -> tuple[np.ndarr
     ladder; the scatter is a finite sum of outer products and may be
     numerically singular.
     """
-    if ridge_factor < 0:
-        raise ValueError("ridge must be nonnegative")
     dim = s.shape[0]
     mean_diag = np.trace(s) / dim
     factors = [ridge_factor] + [t for t in _RIDGE_LADDER if t > ridge_factor]
@@ -128,6 +124,7 @@ def _estimate_idv(
 ) -> IdvTransform:
     """The original scatter (``original.s_idv`` when given), plus for
     ``MODIFIED`` its mirrored term, and its whitening."""
+    check_number("ridge", ridge, 0.0)
     if len(out_domain) == 0 or len(in_domain) == 0:
         raise ValueError("both datasets must be non-empty")
     if out_domain.dim != in_domain.dim:

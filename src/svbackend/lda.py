@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, centered_gram, read_model_file, read_only, scipy_linalg
-from .dataset import write_model_file
+from .dataset import Dataset, centered_gram, check_number, read_model_file, read_only
+from .dataset import scipy_linalg, write_model_file
 
 LDA_MAGIC = b"LDA1"
 
@@ -107,16 +107,14 @@ def lda_from_scatter(
     singular whenever speakers have few sessions.  Each retained column
     is renormalized to unit Euclidean length with a deterministic sign.
     """
+    check_number("k", k, 1, integer=True)
+    check_number("ridge", ridge, 0.0)
     s_b, s_w = np.asarray(s_b, dtype=np.float64), np.asarray(s_w, dtype=np.float64)
     if s_b.ndim != 2 or s_b.shape[0] != s_b.shape[1] or s_w.shape != s_b.shape:
         raise ValueError("s_b and s_w must be square matrices of one shape")
     dim = s_b.shape[0]
-    if k < 1:
-        raise ValueError("k must be at least 1")
     if k > dim:
         raise ValueError(f"k={k} exceeds i-vector dimension {dim}")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
     s_b, s_w = (s_b + s_b.T) / 2.0, (s_w + s_w.T) / 2.0
     conditioned = s_w + (ridge * np.trace(s_w) / dim) * np.eye(dim)
     try:
@@ -133,7 +131,9 @@ def lda_from_scatter(
 
 
 def train_lda(ds: Dataset, k: int, ridge: float = 1e-6) -> LdaTransform:
-    """``lda_from_scatter`` of the dataset's ``scatter_matrices``."""
+    """``lda_from_scatter`` of the dataset's ``scatter_matrices``, its arguments checked first."""
+    check_number("k", k, 1, integer=True)
+    check_number("ridge", ridge, 0.0)
     return lda_from_scatter(*scatter_matrices(ds), k, ridge)
 
 

@@ -27,8 +27,7 @@ def cohort_score_matrix(m: PldaModel, ds: Dataset, cohort: Dataset) -> np.ndarra
     """LLR of every dataset item (rows) against every cohort item (columns)."""
     if len(cohort) == 0:
         raise ValueError("cohort must be non-empty")
-    if ds.dim != m.dim or cohort.dim != m.dim:
-        raise ValueError(f"model expects dimension {m.dim}")
+    m.check_dims(ds=ds, cohort=cohort)
     return pair_llr(m, ds.matrix(), cohort.matrix())
 
 
@@ -94,6 +93,7 @@ def snorm(
     Each side scores its id table's rows, in table order, against the
     cohort; unknown ids name their first trial.
     """
+    m.check_dims(enrol=enrol, test=test, cohort=cohort)
     tl = scores.trial_list
 
     def side_scores(side: str, ds: Dataset, ids: Sequence[str], code: np.ndarray) -> np.ndarray:

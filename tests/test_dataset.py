@@ -103,7 +103,7 @@ class TestGenerator:
             GeneratorConfig(dim=0)
         with pytest.raises(ValueError, match="eigenvoice"):
             GeneratorConfig(dim=4, eigenvoice_dim=5)
-        with pytest.raises(ValueError, match="scales"):
+        with pytest.raises(ValueError, match="^speaker_scale must be a finite number >= 0, got "):
             GeneratorConfig(dim=4, eigenvoice_dim=2, speaker_scale=-1.0)
         with pytest.raises(ValueError, match="domain_offset"):
             GeneratorConfig(dim=4, eigenvoice_dim=2, domain_offset=np.zeros(3))
@@ -629,7 +629,7 @@ class TestColumnarFilesMatchPerRowWriters:
     [
         (lambda tmp: _noise(1.0, 120.0).noise_sigma(0), "duration must be positive"),
         (lambda tmp: GeneratorConfig(dim=2, eigenvoice_dim=1, out_channel_scale=-1.0),
-         "invalid config: scales must be nonnegative"),
+         "out_channel_scale must be a finite number >= 0, got -1.0"),
         (lambda tmp: GeneratorConfig(dim=2, eigenvoice_dim=1, domain_offset=[0.0, np.inf]),
          "invalid config: domain_offset has non-finite entries"),
         (lambda tmp: save_ivectors(make_dataset(np.zeros((1, 2))), tmp / "x", "xml"),

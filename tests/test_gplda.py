@@ -147,10 +147,23 @@ class TestTraining:
 
     def test_q_bounds(self, rng):
         ds = labeled_gaussian_dataset(rng, dim=4)
-        with pytest.raises(ValueError, match="at least one eigenvoice"):
+        with pytest.raises(ValueError, match="^q must be an integer >= 1, got 0$"):
             train_gplda(ds, q=0)
         with pytest.raises(ValueError, match="exceeds"):
             train_gplda(ds, q=5)
+
+    def test_singular_latent_moments_name_the_iteration(self, rng, monkeypatch):
+        solve, calls = np.linalg.solve, []
+
+        def singular_second_time(a, b):
+            calls.append(a)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_second_time)
+        with pytest.raises(ValueError, match="^singular latent-moment accumulator at iteration 1$"):
+            train_gplda(labeled_gaussian_dataset(rng), q=2, iters=3)
 
     def test_needs_labels_and_two_speakers(self, rng):
         ds = make_dataset(rng.standard_normal((4, 3)), speakers=["a", "a", None, "a"])
@@ -753,23 +766,27 @@ def _model() -> PldaModel:
         (lambda tmp: PldaModel(np.zeros(2), np.ones((2, 1)), np.eye(3)),
          "lambda_prec must be (K, K)"),
         (lambda tmp: marginal_loglik(_model(), make_dataset(np.zeros((2, 3)))),
-         "dimension mismatch: model 2, dataset 3"),
+         "ds has dimension 3, model expects 2"),
         (lambda tmp: marginal_loglik(_model(), make_dataset(np.zeros((2, 2)), [None, None])),
          "marginal likelihood needs speaker labels"),
         (lambda tmp: train_gplda(make_dataset(np.eye(2), ["a", "b"]), q=1, iters=-1),
-         "iters must be nonnegative"),
+         "iters must be an integer >= 0, got -1"),
         (lambda tmp: make_scoreset([1.0], [0.0]).values("x"), "unknown score kind 'x'"),
         (lambda tmp: ScoreSet(make_trials([("a", "b", True)]), [1.0], [1.0, 2.0]),
          "need one raw and one normalized score per trial (1)"),
         (lambda tmp: score_trials(
-            _model(), make_dataset(np.zeros((1, 3))), make_dataset(np.zeros((1, 3))),
+            _model(), make_dataset(np.zeros((1, 3))), make_dataset(np.zeros((1, 2))),
             make_trials([("utt0000", "utt0000", True)]),
-        ), "model expects dimension 2"),
+        ), "enrol has dimension 3, model expects 2"),
+        (lambda tmp: score_trials(
+            _model(), make_dataset(np.zeros((1, 2))), make_dataset(np.zeros((1, 5))),
+            make_trials([("utt0000", "utt0000", True)]),
+        ), "test has dimension 5, model expects 2"),
         (lambda tmp: save_loglik_trace(_model(), tmp / "trace.csv"),
          "model carries no log-likelihood trace"),
     ],
     ids=["mean", "u1", "lambda_prec", "loglik-dim", "loglik-unlabeled", "iters", "score-kind",
-         "normalized-length", "score-dim", "no-trace"],
+         "normalized-length", "score-dim", "score-dim-test", "no-trace"],
 )
 def test_error_paths_name_the_field(tmp_path, call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

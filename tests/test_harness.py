@@ -2,10 +2,12 @@ import csv
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -19,12 +21,13 @@ from svbackend.dataset import (
     Domain,
     GeneratorConfig,
     TrialList,
+    apply_duration_noise,
     load_ivectors,
     save_ivectors,
     save_trials,
 )
 from svbackend.gplda import PldaModel, ScoreSet, length_normalize, read_scores, save_plda
-from svbackend.gplda import write_scores
+from svbackend.gplda import train_gplda, write_scores
 from svbackend.harness import (
     EVAL_SEED_OFFSET,
     RETIRED_KEYS,
@@ -43,8 +46,9 @@ from svbackend.harness import (
     save_config,
     train_backend,
 )
-from svbackend.idv import apply_idv, estimate_modified_idv, estimate_original_idv
-from svbackend.lda import apply_lda, scatter_matrices, train_lda
+from svbackend.idv import IdvTransform, IdvVariant, apply_idv, estimate_modified_idv
+from svbackend.idv import estimate_original_idv
+from svbackend.lda import apply_lda, lda_from_scatter, scatter_matrices, train_lda
 from svbackend.metrics import REPORT_COLUMNS
 
 from conftest import make_dataset, make_scoreset, make_trials
@@ -704,6 +708,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "eer=0.25" in out
 
+    def test_eval_checks_cost_flags_before_reading_scores(self, tmp_path, capsys):
+        rc = cli(["eval", "--scores", str(tmp_path / "missing.csv"), "--p-target", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == "svbackend eval: error: p_target must be in (0, 1)\n"
+
     def test_eval_report_is_overwritten(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         write_scores(make_scoreset([2.0, 3.0], [1.0, 2.5]), scores)
@@ -1245,3 +1254,88 @@ def test_error_paths_name_the_field(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message  # a KeyError's text is its key's repr
+
+
+def _labeled():
+    """Six 3-dimensional i-vectors of three speakers."""
+    values = np.random.default_rng(0).standard_normal((6, 3))
+    return make_dataset(values, ["a", "a", "b", "b", "c", "c"])
+
+
+#: Entry point and argument -> (call with the argument set to x, its minimum, integer).
+NUMERIC_ARGUMENTS = {
+    "train_gplda-q": (lambda x: train_gplda(_labeled(), q=x, iters=1), 1, True),
+    "train_gplda-iters": (lambda x: train_gplda(_labeled(), q=1, iters=x), 0, True),
+    "train_gplda-seed": (lambda x: train_gplda(_labeled(), q=1, iters=1, seed=x), 0, True),
+    "lda_from_scatter-k": (lambda x: lda_from_scatter(2 * np.eye(3), np.eye(3), x), 1, True),
+    "lda_from_scatter-ridge": (
+        lambda x: lda_from_scatter(2 * np.eye(3), np.eye(3), 1, x), 0.0, False),
+    "train_lda-k": (lambda x: train_lda(_labeled(), x), 1, True),
+    "train_lda-ridge": (lambda x: train_lda(_labeled(), 1, x), 0.0, False),
+    "estimate_original_idv-ridge": (
+        lambda x: estimate_original_idv(_labeled(), _labeled(), x), 0.0, False),
+    "estimate_modified_idv-ridge": (
+        lambda x: estimate_modified_idv(_labeled(), _labeled(), x), 0.0, False),
+    "IdvTransform-ridge": (
+        lambda x: IdvTransform(IdvVariant.ORIGINAL, np.eye(2), np.eye(2), x), 0.0, False),
+    "apply_duration_noise-seed": (
+        lambda x: apply_duration_noise(
+            _labeled(), 10.0, GeneratorConfig(dim=3, eigenvoice_dim=1, duration_noise_scale=1.0), x
+        ), 0, True),
+    **{
+        f"GeneratorConfig-{name}": (
+            lambda x, name=name: GeneratorConfig(dim=2, eigenvoice_dim=1, **{name: x}), 0.0, False)
+        for name in ("speaker_scale", "channel_scale", "out_channel_scale")
+    },
+}
+
+
+def _bad_numbers(minimum, integer):
+    """NaN, +-inf, a bool, a numeric string and a value below ``minimum``, plus
+    a float where an integer is due."""
+    bad = [math.nan, math.inf, -math.inf, True, "1", minimum - 1]
+    return bad + [float(minimum + 1)] if integer else bad
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [(entry, x) for entry, (_, lo, integer) in NUMERIC_ARGUMENTS.items()
+     for x in _bad_numbers(lo, integer)],
+)
+def test_numeric_arguments_fail_naming_the_argument(entry, value):
+    call, minimum, integer = NUMERIC_ARGUMENTS[entry]
+    name = entry.split("-")[1]
+    what = "an integer" if integer else "a finite number"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            call(value)
+        call(minimum)  # the minimum itself is accepted
+    assert str(err.value) == f"{name} must be {what} >= {minimum:g}, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train-idv", "--ridge", "nan", "--out-domain", "{d}", "--in-domain", "{d}"],
+         "ridge must be a finite number >= 0, got nan"),
+        (["train-lda", "--ridge", "inf", "--dim", "1", "--data", "{d}"],
+         "ridge must be a finite number >= 0, got inf"),
+        (["train-plda", "--seed", "-1", "--q", "1", "--data", "{d}"],
+         "seed must be an integer >= 0, got -1"),
+    ],
+    ids=["train-idv", "train-lda", "train-plda"],
+)
+def test_cli_numeric_flags_fail_naming_the_argument(tmp_path, argv, message):
+    """The error is the only line on stderr: no numpy warning comes before it."""
+    save_ivectors(_labeled(), tmp_path / "d.ivec")
+    argv = [a.format(d=tmp_path / "d.ivec") for a in argv] + ["--output", str(tmp_path / "o")]
+    src = str(Path(svbackend.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "svbackend", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr == f"svbackend {argv[0]}: error: {message}\n"
+    assert not (tmp_path / "o").exists()

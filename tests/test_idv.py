@@ -237,9 +237,9 @@ class TestPersistence:
         (lambda: IdvTransform(IdvVariant.ORIGINAL, np.diag([1.0, np.nan]), np.eye(2), 0.0),
          "s_idv and decorrelator must be finite"),
         (lambda: IdvTransform(IdvVariant.ORIGINAL, np.eye(2), np.eye(2), -1.0),
-         "ridge must be finite and nonnegative"),
+         "ridge must be a finite number >= 0, got -1.0"),
         (lambda: estimate_original_idv(make_dataset(np.eye(2)), make_dataset(np.eye(2)), -1.0),
-         "ridge must be nonnegative"),
+         "ridge must be a finite number >= 0, got -1.0"),
     ],
     ids=["s_idv-shape", "decorrelator-shape", "non-finite", "transform-ridge", "estimate-ridge"],
 )

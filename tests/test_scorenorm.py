@@ -288,10 +288,20 @@ class TestMatchedLengthCohort:
             snorm(m, scores, enrol, test, empty)
 
 
-@pytest.mark.parametrize("ds_dim, cohort_dim", [(3, 4), (4, 3)], ids=["set", "cohort"])
-def test_cohort_score_matrix_names_the_model_dimension(rng, ds_dim, cohort_dim):
+@pytest.mark.parametrize("side", ["ds", "cohort"], ids=["set", "cohort"])
+def test_cohort_score_matrix_names_the_model_dimension(rng, side):
     m = simple_model(rng)
-    ds = make_dataset(rng.standard_normal((2, ds_dim)))
-    cohort = make_dataset(rng.standard_normal((3, cohort_dim)), prefix="c")
-    with pytest.raises(ValueError, match="^model expects dimension 4$"):
+    dims = dict(ds=4, cohort=4) | {side: 6}
+    ds = make_dataset(rng.standard_normal((2, dims["ds"])))
+    cohort = make_dataset(rng.standard_normal((3, dims["cohort"])), prefix="c")
+    with pytest.raises(ValueError, match=f"^{side} has dimension 6, model expects 4$"):
         cohort_score_matrix(m, ds, cohort)
+
+
+@pytest.mark.parametrize("side", ["enrol", "test", "cohort"])
+def test_snorm_names_the_set_and_its_dimension(rng, side):
+    m, enrol, test, scores, cohort = snorm_setup(rng)
+    sets = dict(enrol=enrol, test=test, cohort=cohort)
+    sets[side] = make_dataset(rng.standard_normal((len(sets[side]), 6)), prefix=side[0])
+    with pytest.raises(ValueError, match=f"^{side} has dimension 6, model expects 4$"):
+        snorm(m, scores, **sets)
