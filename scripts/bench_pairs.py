@@ -19,6 +19,10 @@ against the metric's ``bound`` B in ``BENCHMARK.json``:
   every parent run;
 * else ``within the B% bound``.
 
+Then a gain verdict: ``gain shown`` when the change was better in at least
+nine tenths of the pairs and its median beats the parent's by more than the
+parent's interquartile range, else ``no gain shown``.
+
 Exits 0 when every run reports ``correct`` with no failed operation, 1
 when one does not, 2 when a run prints no result.  Standard library only.
 """
@@ -59,6 +63,22 @@ def quartiles(values: list[float]) -> tuple[float, float]:
         return values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q3
+
+
+def wins(a: list[float], b: list[float], better: str) -> int:
+    """Pairs in which the change's run ``b[i]`` beats the parent's ``a[i]``;
+    a tie counts for neither side."""
+    return sum((y < x) if better == "lower" else (y > x) for x, y in zip(a, b))
+
+
+def gain(a: list[float], b: list[float], better: str) -> str:
+    """Whether the change's runs ``b`` show a gain over the parent's ``a``
+    (see the module docstring)."""
+    sign = 1.0 if better == "lower" else -1.0
+    a1, a3 = quartiles(a)
+    ahead = sign * (statistics.median(a) - statistics.median(b))
+    shown = 10 * wins(a, b, better) >= 9 * len(a) and ahead > a3 - a1
+    return "gain shown" if shown else "no gain shown"
 
 
 def verdict(a: list[float], b: list[float], better: str, bound: float) -> str:
@@ -122,12 +142,11 @@ def main(argv: list[str] | None = None) -> int:
         better = metric["better"]
         med_a, med_b = statistics.median(a), statistics.median(b)
         (a1, a3), (b1, b3) = quartiles(a), quartiles(b)
-        wins = sum((y < x) if better == "lower" else (y > x) for x, y in zip(a, b))
         change = f"{100.0 * (med_b - med_a) / med_a:+.1f}%" if med_a else "-"
         print(f"{name} ({better} is better): parent median {med_a:.6g} "
               f"[{a1:.6g}, {a3:.6g}] IQR {a3 - a1:.6g}; change median {med_b:.6g} "
-              f"[{b1:.6g}, {b3:.6g}] ({change}); change better in {wins}/{len(a)} pairs; "
-              f"{verdict(a, b, better, metric['bound'])}")
+              f"[{b1:.6g}, {b3:.6g}] ({change}); change better in {wins(a, b, better)}/{len(a)} "
+              f"pairs; {verdict(a, b, better, metric['bound'])}; {gain(a, b, better)}")
     return 0 if correct else 1
 
 

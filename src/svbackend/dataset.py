@@ -338,10 +338,11 @@ class Dataset:
         return self._derive(self._values[pos], self.durations[pos], pos)
 
 
-#: Smallest accepted value of each numeric ``GeneratorConfig`` field with one.
-_GENERATOR_MINIMA = dict(
+#: ``check_number`` bound of each numeric ``GeneratorConfig`` field with one.
+_GENERATOR_BOUNDS = dict(
     dim=1, n_speakers=1, sessions_per_speaker=1, eigenvoice_dim=1, speaker_scale=0.0,
-    channel_scale=0.0, out_channel_scale=0.0, duration_noise_scale=0.0, seed=0, subspace_seed=0,
+    channel_scale=0.0, out_channel_scale=0.0, duration_ref_sec=(0.0, math.inf),
+    duration_noise_scale=0.0, seed=0, subspace_seed=0,
 )
 
 
@@ -377,11 +378,9 @@ class GeneratorConfig:
     subspace_seed: int | None = None
 
     def __post_init__(self) -> None:
-        check_fields(self, _GENERATOR_MINIMA)
+        check_fields(self, _GENERATOR_BOUNDS)
         if self.eigenvoice_dim > self.dim:
             raise ValueError("invalid config: eigenvoice_dim must be in [1, dim]")
-        if not self.duration_ref_sec > 0:
-            raise ValueError("duration_ref_sec must be positive")
         offset = (0.0,) * self.dim if self.domain_offset is None else self.domain_offset
         entries = offset.tolist() if isinstance(offset, np.ndarray) else offset
         if not isinstance(entries, (list, tuple)) or any(  # no bools, no numeric strings
@@ -400,15 +399,16 @@ class GeneratorConfig:
         for short-utterance phonetic variability at ``duration_sec``:
         ``duration_noise_scale * (duration_ref_sec / d) ** duration_noise_exponent``,
         the scale itself at the reference duration, growing as utterances
-        shrink.  The default exponent 0.5 gives an inverse-square-root law."""
-        if not duration_sec > 0:
-            raise ValueError("duration must be positive")
+        shrink.  The default exponent 0.5 gives an inverse-square-root law.  A
+        ``duration_sec`` not a finite number > 0, or whose level overflows, is a
+        ``ValueError``."""
+        check_number("duration_sec", duration_sec, (0.0, math.inf))
         try:
             sigma = (
                 self.duration_noise_scale
                 * (self.duration_ref_sec / duration_sec) ** self.duration_noise_exponent
             )
-        except (OverflowError, ZeroDivisionError):  # 0.0 ** -x at an infinite duration
+        except (OverflowError, ZeroDivisionError):  # 0.0 ** -x once the ratio underflows
             sigma = math.inf
         if not math.isfinite(sigma):
             raise ValueError(
@@ -426,22 +426,26 @@ def reject_unknown_keys(d: Mapping, cls: type, what: str) -> None:
 
 
 def check_number(
-    name: str, value: object, minimum: float = -math.inf, integer: bool = False
+    name: str, value: object, bound: float | tuple[float, float] = -math.inf, integer: bool = False
 ) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite
-    number (an integer if ``integer``; never a bool) of at least ``minimum``."""
+    number (an integer if ``integer``; never a bool) of at least ``bound``,
+    or above ``low`` and below ``high`` for a ``(low, high)`` pair, such as
+    ``(0, math.inf)``.  The message states the finite ends of the bound:
+    ``p_target must be a finite number > 0 and < 1, got 1.0``."""
+    low, high, op = (*bound, ">") if isinstance(bound, tuple) else (bound, math.inf, ">=")
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind) or not (
-        math.isfinite(value) and value >= minimum
+        math.isfinite(value) and (value > low if op == ">" else value >= low) and value < high
     ):
         what = "an integer" if integer else "a finite number"
-        bound = f" >= {minimum:g}" if minimum > -math.inf else ""
-        raise ValueError(f"{name} must be {what}{bound}, got {value!r}")
+        ends = [f" {o} {x:g}" for o, x in ((op, low), ("<", high)) if math.isfinite(x)]
+        raise ValueError(f"{name} must be {what}{' and'.join(ends)}, got {value!r}")
 
 
-def check_fields(obj: object, minima: Mapping[str, float]) -> None:
+def check_fields(obj: object, bounds: Mapping[str, float | tuple[float, float]]) -> None:
     """``check_number`` every int and float field of dataclass ``obj`` against
-    its bound in ``minima``; a None passes where the annotation allows it.
+    its bound in ``bounds``; a None passes where the annotation allows it.
     Relies on string annotations (``from __future__ import annotations``)."""
     for f in fields(obj):
         value = getattr(obj, f.name)
@@ -449,7 +453,7 @@ def check_fields(obj: object, minima: Mapping[str, float]) -> None:
             value is None and f.type.endswith("| None")
         ):
             check_number(
-                f.name, value, minima.get(f.name, -math.inf), integer=f.type.startswith("int")
+                f.name, value, bounds.get(f.name, -math.inf), integer=f.type.startswith("int")
             )
 
 
@@ -538,20 +542,19 @@ def synth_dataset(
 
 
 def apply_duration_noise(
-    ds: Dataset, target_duration_sec: float, gen: GeneratorConfig, seed: int
+    ds: Dataset, duration_sec: float, gen: GeneratorConfig, seed: int
 ) -> Dataset:
-    """Simulate truncating every utterance to ``target_duration_sec``.
+    """Simulate truncating every utterance to ``duration_sec``.
 
     Adds i.i.d. zero-mean Gaussian noise with the generator's per-coordinate
     ``noise_sigma`` at the target duration and rewrites the duration metadata.
     Only the duration-noise fields of ``gen`` are read.  With
-    ``duration_noise_scale == 0`` the values are returned bit-identical.
+    ``duration_noise_scale == 0`` the values are returned bit-identical.  A
+    ``seed`` or ``duration_sec`` out of its bound fails naming itself.
     """
     check_number("seed", seed, 0, integer=True)
-    if not 0 < target_duration_sec < math.inf:
-        raise ValueError("target duration must be positive and finite")
-    sigma = gen.noise_sigma(target_duration_sec)
-    durations = np.full(len(ds), target_duration_sec, dtype=np.float64)
+    sigma = gen.noise_sigma(duration_sec)
+    durations = np.full(len(ds), duration_sec, dtype=np.float64)
     if sigma == 0.0:
         return ds._derive(ds.matrix(), durations)
     rng = np.random.default_rng(seed)

@@ -19,7 +19,6 @@ import math
 import warnings
 from collections import defaultdict
 from dataclasses import asdict, astuple, dataclass, replace
-from numbers import Real
 from pathlib import Path
 from typing import Collection, Mapping
 
@@ -144,11 +143,8 @@ class ExperimentConfig:
         if not self.durations:
             raise ValueError("need at least one evaluation duration")
         for d in self.durations:
-            if d is not None and (
-                isinstance(d, bool) or not isinstance(d, Real) or not 0 < d < math.inf
-            ):
-                raise ValueError(f"durations must be positive (None means full length), got {d!r}")
-            if d is not None:
+            if d is not None:  # None means full length
+                check_number("durations", d, (0.0, math.inf))
                 self.generator.noise_sigma(d)  # raises if the noise level overflows
         if not self.seeds:
             raise ValueError("need at least one seed")

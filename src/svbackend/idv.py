@@ -92,24 +92,26 @@ def _mismatch_scatter(vectors: np.ndarray, center: np.ndarray) -> np.ndarray:
     return (s + s.T) / 2.0
 
 
-def _cholesky_decorrelator(s: np.ndarray, ridge_factor: float) -> tuple[np.ndarray, float]:
-    """Return (inverse-transpose Cholesky factor, absolute ridge used).
+def _whitening(variant: IdvVariant, s: np.ndarray, ridge_factor: float) -> IdvTransform:
+    """The transform of the first rung whose decorrelator (the inverse
+    transpose of the Cholesky factor of ``s + ridge*I``) whitens it.
 
     Tries the requested relative ridge first, then escalates through the
     ladder; the scatter is a finite sum of outer products and may be
-    numerically singular.
+    numerically singular, so a factor may exist and still not whiten.
     """
     dim = s.shape[0]
     mean_diag = np.trace(s) / dim
     factors = [ridge_factor] + [t for t in _RIDGE_LADDER if t > ridge_factor]
     for factor in factors:
         ridge = factor * mean_diag
-        try:
-            chol = np.linalg.cholesky(s + ridge * np.eye(dim))
-        except np.linalg.LinAlgError:
+        try:  # no factor, or one that does not whiten: try the next rung
+            decorrelator = scipy_linalg().solve_triangular(  # factor freed before the test
+                np.linalg.cholesky(s + ridge * np.eye(dim)), np.eye(dim), lower=True
+            ).T
+            return IdvTransform(variant, s, decorrelator, ridge)
+        except (np.linalg.LinAlgError, ValueError):
             continue
-        inv_chol = scipy_linalg().solve_triangular(chol, np.eye(dim), lower=True)
-        return inv_chol.T, ridge
     raise ValueError(
         f"mismatch scatter could not be factorized even with ridge {_RIDGE_LADDER[-1]:g}*trace/dim"
     )
@@ -142,8 +144,7 @@ def _estimate_idv(
     s = _mismatch_scatter(out_m, in_m.mean(axis=0)) if original is None else original.s_idv
     if variant is IdvVariant.MODIFIED:
         s = s + _mismatch_scatter(in_m, out_m.mean(axis=0))
-    decorrelator, used = _cholesky_decorrelator(s, ridge)
-    return IdvTransform(variant, s, decorrelator, used)
+    return _whitening(variant, s, ridge)
 
 
 def estimate_modified_idv(

@@ -20,6 +20,7 @@ increasing transform of the scores leaves them unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable
@@ -32,18 +33,15 @@ from .gplda import ScoreSet
 
 @dataclass(frozen=True)
 class DcfParams:
-    """Detection cost weights; defaults match telephone-speech evaluations."""
+    """Detection cost weights; defaults match telephone-speech evaluations.
+    Costs are finite numbers > 0, ``p_target`` one > 0 and < 1, or fail naming the field."""
 
     c_miss: float = 10.0
     c_fa: float = 1.0
     p_target: float = 0.01
 
     def __post_init__(self) -> None:
-        check_fields(self, dict(c_miss=0.0, c_fa=0.0, p_target=0.0))
-        if self.c_miss == 0 or self.c_fa == 0:
-            raise ValueError("costs must be positive")
-        if not 0.0 < self.p_target < 1.0:
-            raise ValueError("p_target must be in (0, 1)")
+        check_fields(self, dict(c_miss=(0.0, math.inf), c_fa=(0.0, math.inf), p_target=(0.0, 1.0)))
 
     @property
     def floor(self) -> float:

@@ -107,7 +107,8 @@ class TestGenerator:
             GeneratorConfig(dim=4, eigenvoice_dim=2, speaker_scale=-1.0)
         with pytest.raises(ValueError, match="domain_offset"):
             GeneratorConfig(dim=4, eigenvoice_dim=2, domain_offset=np.zeros(3))
-        with pytest.raises(ValueError, match="^duration_ref_sec must be positive"):
+        message = "^duration_ref_sec must be a finite number > 0, got 0.0$"
+        with pytest.raises(ValueError, match=message):
             GeneratorConfig(dim=4, eigenvoice_dim=2, duration_ref_sec=0.0)
 
     def test_subspace_shared_across_seeds(self):
@@ -182,12 +183,12 @@ class TestDurationNoise:
 
     def test_rejects_nonpositive_duration(self):
         ds = make_dataset(np.zeros((1, 2)))
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="^duration_sec must be a finite number > 0, got 0.0$"):
             apply_duration_noise(ds, 0.0, _noise(0.1, 60.0), seed=0)
 
     def test_rejects_infinite_duration(self):
         ds = make_dataset(np.zeros((1, 2)))
-        with pytest.raises(ValueError, match="^target duration must be positive and finite$"):
+        with pytest.raises(ValueError, match="^duration_sec must be a finite number > 0, got inf$"):
             apply_duration_noise(ds, float("inf"), _noise(0.1, 60.0), seed=0)
 
     def test_overflowing_noise_level_is_a_value_error(self):
@@ -200,9 +201,12 @@ class TestDurationNoise:
         # a finite power times a huge scale overflows without an OverflowError
         with pytest.raises(ValueError, match="^duration noise overflows at duration 1e-10 s"):
             _noise(1e300, 120.0, exponent=1.0).noise_sigma(1e-10)
-        # a negative exponent makes the level grow without bound as the duration does
-        with pytest.raises(ValueError, match="^duration noise overflows at duration inf s"):
+        # an infinite duration is not one, whatever the exponent
+        with pytest.raises(ValueError, match="^duration_sec must be a finite number > 0, got inf$"):
             _noise(0.5, 120.0, exponent=-1.0).noise_sigma(float("inf"))
+        # a negative exponent makes the level grow without bound as the duration does
+        with pytest.raises(ValueError, match="^duration noise overflows at duration 1e\\+300 s"):
+            _noise(0.5, 1e-300, exponent=-1.0).noise_sigma(1e300)
 
     @pytest.mark.parametrize(
         "field, args",
@@ -627,7 +631,8 @@ class TestColumnarFilesMatchPerRowWriters:
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda tmp: _noise(1.0, 120.0).noise_sigma(0), "duration must be positive"),
+        (lambda tmp: _noise(1.0, 120.0).noise_sigma(0),
+         "duration_sec must be a finite number > 0, got 0"),
         (lambda tmp: GeneratorConfig(dim=2, eigenvoice_dim=1, out_channel_scale=-1.0),
          "out_channel_scale must be a finite number >= 0, got -1.0"),
         (lambda tmp: GeneratorConfig(dim=2, eigenvoice_dim=1, domain_offset=[0.0, np.inf]),

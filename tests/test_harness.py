@@ -49,7 +49,7 @@ from svbackend.harness import (
 from svbackend.idv import IdvTransform, IdvVariant, apply_idv, estimate_modified_idv
 from svbackend.idv import estimate_original_idv
 from svbackend.lda import apply_lda, lda_from_scatter, scatter_matrices, train_lda
-from svbackend.metrics import REPORT_COLUMNS
+from svbackend.metrics import REPORT_COLUMNS, DcfParams
 
 from conftest import make_dataset, make_scoreset, make_trials
 
@@ -203,8 +203,11 @@ class TestConfig:
             (b'{"bogus": 1}', "unknown experiment config key(s): bogus"),
             (b'{"output_dir": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
             (b"[]", "experiment config must be a JSON object"),
+            (b'{"durations": ["full", "0"]}', "durations must be a finite number > 0, got 0.0"),
+            (b'{"generator": {"duration_ref_sec": -1}}',
+             "duration_ref_sec must be a finite number > 0, got -1"),
         ],
-        ids=["bad-json", "unknown-key", "bad-utf8", "json-list"],
+        ids=["bad-json", "unknown-key", "bad-utf8", "json-list", "duration", "duration-ref"],
     )
     def test_load_config_errors_name_the_file(self, tmp_path, content, message):
         path = tmp_path / "cfg.json"
@@ -711,7 +714,8 @@ class TestCli:
     def test_eval_checks_cost_flags_before_reading_scores(self, tmp_path, capsys):
         rc = cli(["eval", "--scores", str(tmp_path / "missing.csv"), "--p-target", "2"])
         assert rc == 1
-        assert capsys.readouterr().err == "svbackend eval: error: p_target must be in (0, 1)\n"
+        assert capsys.readouterr().err == (
+            "svbackend eval: error: p_target must be a finite number > 0 and < 1, got 2.0\n")
 
     def test_eval_report_is_overwritten(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
@@ -907,11 +911,7 @@ class TestCli:
         ]
 
     def test_bench_pairs_script(self, tmp_path, capsys):
-        spec = importlib.util.spec_from_file_location(
-            "bench_pairs", Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
-        )
-        bench_pairs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench_pairs)
+        bench_pairs = _bench_pairs()
         log = tmp_path / "log.txt"
         stub = (
             "import json, sys\n"
@@ -945,17 +945,19 @@ class TestCli:
                 "[1.5, 1.5] (-25.0%); change better in 3/3 pairs") in out
         assert "trials_per_s (higher is better)" in out and "(+33.3%)" in out
         assert "setup_s (lower is better)" in out and "change better in 0/3 pairs" in out
-        assert "change better in 3/3 pairs; within the 25% bound" in out
-        assert "peak_rss_mb (lower is better)" in out and "pairs; within the 5% bound" in out
+        assert "change better in 3/3 pairs; within the 25% bound; gain shown" in out
+        assert "peak_rss_mb (lower is better)" in out
+        assert "pairs; within the 5% bound; no gain shown" in out
         assert log.read_text(encoding="utf-8").splitlines() == [
             f"{name} --workload paper-train --seed {seed} --seconds 1.0"
             for name, seed in (("parent", 7), ("change", 7), ("change", 8), ("parent", 8),
                                ("parent", 9), ("change", 9))
         ]
         for parent, change, setup_verdict in (
-            ("parent", "noisy", "worse than the 25% bound"),
-            ("noisy", "parent", "unresolved: parent IQR 50.0% of its median exceeds the 25% bound"),
-            ("noisy", "fast", "within the 25% bound"),
+            ("parent", "noisy", "worse than the 25% bound; no gain shown"),
+            ("noisy", "parent",
+             "unresolved: parent IQR 50.0% of its median exceeds the 25% bound; no gain shown"),
+            ("noisy", "fast", "within the 25% bound; gain shown"),
         ):
             assert bench_pairs.main([checkouts[parent], checkouts[change], *flags]) == 0
             summary = [line for line in capsys.readouterr().out.splitlines()
@@ -966,6 +968,20 @@ class TestCli:
         assert "  change run of seed 7: correct=False failed=0" in capsys.readouterr().out
         assert bench_pairs.main([checkouts["parent"], str(tmp_path / "missing"), *flags]) == 2
         assert "missing: No such file or directory" in capsys.readouterr().err
+
+    def test_bench_pairs_gain_rule(self):
+        """Better in at least 9/10 of the pairs, ties counting for neither side,
+        and a median ahead by more than the parent's IQR."""
+        gain = _bench_pairs().gain
+        parent = [10.0 + i for i in range(10)]  # median 14.5, IQR 4.5
+        assert gain(parent, [x - 5.0 for x in parent], "lower") == "gain shown"
+        assert gain(parent, [x - 4.5 for x in parent], "lower") == "no gain shown"  # = IQR
+        assert gain([-x for x in parent], [5.0 - x for x in parent], "higher") == "gain shown"
+        tied = [x - 5.0 for x in parent[:9]] + [parent[9]]  # 9/10 pairs, one tie
+        assert gain(parent, tied, "lower") == "gain shown"
+        lost = [x - 5.0 for x in parent[:8]] + parent[8:]  # 8/10 pairs
+        assert gain(parent, lost, "lower") == "no gain shown"
+        assert gain(parent, [x - 5.0 for x in parent], "higher") == "no gain shown"
 
     def test_unknown_subcommand_nonzero(self, capsys):
         assert cli(["frobnicate"]) != 0
@@ -1256,13 +1272,28 @@ def test_error_paths_name_the_field(call, error, message):
     assert str(err.value) == message  # a KeyError's text is its key's repr
 
 
+def _bench_pairs():
+    """``scripts/bench_pairs.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+    )
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
 def _labeled():
     """Six 3-dimensional i-vectors of three speakers."""
     values = np.random.default_rng(0).standard_normal((6, 3))
     return make_dataset(values, ["a", "a", "b", "b", "c", "c"])
 
 
-#: Entry point and argument -> (call with the argument set to x, its minimum, integer).
+#: A duration law under which the shortest positive float is a valid duration.
+_SHORT_REF = GeneratorConfig(dim=3, eigenvoice_dim=1, duration_ref_sec=1e-300,
+                             duration_noise_scale=1.0)
+
+#: Entry point and argument -> (call with the argument set to x, its bound as
+#: ``check_number`` takes it, integer).
 NUMERIC_ARGUMENTS = {
     "train_gplda-q": (lambda x: train_gplda(_labeled(), q=x, iters=1), 1, True),
     "train_gplda-iters": (lambda x: train_gplda(_labeled(), q=1, iters=x), 0, True),
@@ -1287,49 +1318,76 @@ NUMERIC_ARGUMENTS = {
             lambda x, name=name: GeneratorConfig(dim=2, eigenvoice_dim=1, **{name: x}), 0.0, False)
         for name in ("speaker_scale", "channel_scale", "out_channel_scale")
     },
+    "ExperimentConfig-durations": (
+        lambda x: ExperimentConfig(_SHORT_REF, durations=(None, x)), (0, math.inf), False),
+    "GeneratorConfig-duration_ref_sec": (
+        lambda x: GeneratorConfig(dim=2, eigenvoice_dim=1, duration_ref_sec=x), (0, math.inf),
+        False),
+    "noise_sigma-duration_sec": (lambda x: _SHORT_REF.noise_sigma(x), (0, math.inf), False),
+    "apply_duration_noise-duration_sec": (
+        lambda x: apply_duration_noise(_labeled(), x, _SHORT_REF, 0), (0, math.inf), False),
+    "DcfParams-c_miss": (lambda x: DcfParams(c_miss=x), (0, math.inf), False),
+    "DcfParams-c_fa": (lambda x: DcfParams(c_fa=x), (0, math.inf), False),
+    "DcfParams-p_target": (lambda x: DcfParams(p_target=x), (0, 1), False),
 }
 
 
-def _bad_numbers(minimum, integer):
-    """NaN, +-inf, a bool, a numeric string and a value below ``minimum``, plus
-    a float where an integer is due."""
-    bad = [math.nan, math.inf, -math.inf, True, "1", minimum - 1]
-    return bad + [float(minimum + 1)] if integer else bad
+def _bad_numbers(bound, integer):
+    """NaN, +-inf, a bool, a numeric string and values outside ``bound``, plus a
+    float where an integer is due.  An open end is itself outside."""
+    if isinstance(bound, tuple):
+        low, high = bound
+        beyond = [float(high), high + 0.5] if high < math.inf else []
+        return [math.nan, math.inf, -math.inf, True, "5", low, low - 1, *beyond]
+    bad = [math.nan, math.inf, -math.inf, True, "1", bound - 1]
+    return bad + [float(bound + 1)] if integer else bad
 
 
 @pytest.mark.parametrize(
     "entry, value",
-    [(entry, x) for entry, (_, lo, integer) in NUMERIC_ARGUMENTS.items()
-     for x in _bad_numbers(lo, integer)],
+    [(entry, x) for entry, (_, bound, integer) in NUMERIC_ARGUMENTS.items()
+     for x in _bad_numbers(bound, integer)],
 )
 def test_numeric_arguments_fail_naming_the_argument(entry, value):
-    call, minimum, integer = NUMERIC_ARGUMENTS[entry]
+    call, bound, integer = NUMERIC_ARGUMENTS[entry]
     name = entry.split("-")[1]
     what = "an integer" if integer else "a finite number"
+    if isinstance(bound, tuple):  # values just inside each open end are accepted
+        low, high = bound
+        text = f"> {low:g}" + (f" and < {high:g}" if high < math.inf else "")
+        inside = [math.nextafter(low, high)]
+        inside += [math.nextafter(high, low)] if high < math.inf else []
+    else:  # the minimum itself is accepted
+        text, inside = f">= {bound:g}", [bound]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as err:
             call(value)
-        call(minimum)  # the minimum itself is accepted
-    assert str(err.value) == f"{name} must be {what} >= {minimum:g}, got {value!r}"
+        for x in inside:
+            call(x)
+    assert str(err.value) == f"{name} must be {what} {text}, got {value!r}"
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["train-idv", "--ridge", "nan", "--out-domain", "{d}", "--in-domain", "{d}"],
-         "ridge must be a finite number >= 0, got nan"),
-        (["train-lda", "--ridge", "inf", "--dim", "1", "--data", "{d}"],
+        (["train-idv", "--ridge", "nan", "--out-domain", "{d}", "--in-domain", "{d}",
+          "--output", "{o}"], "ridge must be a finite number >= 0, got nan"),
+        (["train-lda", "--ridge", "inf", "--dim", "1", "--data", "{d}", "--output", "{o}"],
          "ridge must be a finite number >= 0, got inf"),
-        (["train-plda", "--seed", "-1", "--q", "1", "--data", "{d}"],
+        (["train-plda", "--seed", "-1", "--q", "1", "--data", "{d}", "--output", "{o}"],
          "seed must be an integer >= 0, got -1"),
+        (["eval", "--c-miss", "0", "--scores", "{d}", "--report", "{o}"],
+         "c_miss must be a finite number > 0, got 0.0"),
+        (["eval", "--p-target", "1", "--scores", "{d}", "--report", "{o}"],
+         "p_target must be a finite number > 0 and < 1, got 1.0"),
     ],
-    ids=["train-idv", "train-lda", "train-plda"],
+    ids=["train-idv", "train-lda", "train-plda", "eval-c-miss", "eval-p-target"],
 )
 def test_cli_numeric_flags_fail_naming_the_argument(tmp_path, argv, message):
     """The error is the only line on stderr: no numpy warning comes before it."""
     save_ivectors(_labeled(), tmp_path / "d.ivec")
-    argv = [a.format(d=tmp_path / "d.ivec") for a in argv] + ["--output", str(tmp_path / "o")]
+    argv = [a.format(d=tmp_path / "d.ivec", o=tmp_path / "o") for a in argv]
     src = str(Path(svbackend.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(

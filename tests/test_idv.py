@@ -138,6 +138,25 @@ class TestEstimators:
         t = estimate_modified_idv(out, inn, ridge=0.0)
         assert t.ridge > 0.0
 
+    @pytest.mark.parametrize("estimate", [estimate_original_idv, estimate_modified_idv])
+    def test_ladder_escalates_past_a_factor_that_does_not_whiten(self, estimate, monkeypatch):
+        """At a tiny ridge the rank-deficient scatter (n < dim) has a Cholesky
+        factor whose inverse does not whiten it; the ladder goes on to the
+        1e-6 rung, as it does from ridge 0, testing each factor once."""
+        rng = np.random.default_rng(7)
+        out = make_dataset(rng.standard_normal((20, 50)), prefix="o")
+        inn = make_dataset(rng.standard_normal((20, 50)), prefix="i")
+        expected = estimate(out, inn, ridge=1e-6)
+        inversions = []
+        real_inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(1) or real_inv(a))
+        estimate(out, inn, ridge=1e-6)
+        assert len(inversions) == 1  # a first-rung estimate runs the test once
+        for ridge in (0.0, 1e-12, 1e-9):
+            t = estimate(out, inn, ridge=ridge)
+            assert t.ridge == expected.ridge == 1e-6 * (np.trace(t.s_idv) / t.dim)
+            np.testing.assert_array_equal(t.decorrelator, expected.decorrelator)
+
     def test_all_zero_data_fails_factorization(self):
         out = make_dataset(np.zeros((4, 3)), prefix="o")
         inn = make_dataset(np.zeros((4, 3)), prefix="i")
