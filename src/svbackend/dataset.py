@@ -6,10 +6,11 @@ fixed mean offset between the out-domain and in-domain populations.
 Short utterances are simulated by adding isotropic noise whose standard
 deviation grows as the active-speech duration shrinks.
 
-All types are immutable after construction: their arrays are read-only
-and share memory with no writable array (see ``owned``), so they are
-safe to share across threads.  Every randomized operation is a pure
-function of its inputs and an explicit seed.
+All types are immutable after construction: every container, here and
+in the model modules, takes its arrays by ``owned``, so they are read-only,
+aligned and share memory with no writable array, and safe to share across
+threads.  Every randomized operation is a pure function of its inputs and
+an explicit seed.
 """
 
 from __future__ import annotations
@@ -55,20 +56,30 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 
 def owned(values: Sequence | np.ndarray, dtype: type) -> np.ndarray:
-    """The ownership rule of every column container: a read-only ``dtype``
+    """The ownership rule of every container: a read-only, aligned ``dtype``
     array whose memory no writable array reaches is taken as given,
     anything else is copied into a new read-only array.  A read-only array
     is its maker's promise not to change it; a read-only view of a writable
     array is no such promise, so every ndarray on the ``base`` chain must
     be read-only too (the walk stops at a non-array base, such as the
-    ``memoryview`` under ``np.frombuffer``)."""
-    if isinstance(values, np.ndarray) and values.dtype == dtype:
+    ``memoryview`` under ``np.frombuffer``).  An unaligned array, such as a
+    model file's at an odd byte offset, is copied: numpy's ``u1 @ u1.T`` of
+    one gives other bits than of an aligned copy."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and values.flags.aligned:
         a = values
         while isinstance(a, np.ndarray) and not a.flags.writeable:
             a = a.base
         if not isinstance(a, np.ndarray):
             return values
     return read_only(np.array(values, dtype=dtype))
+
+
+def own_fields(obj: object, *names: str) -> list[np.ndarray]:
+    """Set the named fields of the frozen dataclass ``obj`` to their float64
+    arrays taken by ``owned``, and return them: how a model type holds its arrays."""
+    for name in names:
+        object.__setattr__(obj, name, owned(getattr(obj, name), np.float64))
+    return [getattr(obj, name) for name in names]
 
 
 def scipy_linalg() -> ModuleType:
@@ -192,10 +203,11 @@ class Dataset:
         domains: Sequence[Domain],
         durations: Sequence[float] | np.ndarray,
     ) -> None:
-        """Build a dataset from a copy of ``values`` (N, D) and one entry per row
-        of the other columns; a ``speakers`` entry of None marks an unlabeled row."""
-        durations = np.array(durations, dtype=np.float64)
-        self._build(np.array(values, dtype=np.float64), ids, speakers, domains, durations)
+        """Build a dataset from ``values`` (N, D) and one entry per row of the
+        other columns; a ``speakers`` entry of None marks an unlabeled row.
+        ``values`` and ``durations`` follow ``owned``."""
+        values, durations = owned(values, np.float64), owned(durations, np.float64)
+        self._build(values, ids, speakers, domains, durations)
 
     def _build(
         self,
@@ -401,15 +413,14 @@ class GeneratorConfig:
         the scale itself at the reference duration, growing as utterances
         shrink.  The default exponent 0.5 gives an inverse-square-root law.  A
         ``duration_sec`` not a finite number > 0, or whose level overflows, is a
-        ``ValueError``."""
+        ``ValueError``; with scale 0 (noise off) the level is 0.0 at every duration."""
         check_number("duration_sec", duration_sec, (0.0, math.inf))
+        scale = self.duration_noise_scale
         try:
-            sigma = (
-                self.duration_noise_scale
-                * (self.duration_ref_sec / duration_sec) ** self.duration_noise_exponent
-            )
+            ratio = (self.duration_ref_sec / duration_sec) ** self.duration_noise_exponent
         except (OverflowError, ZeroDivisionError):  # 0.0 ** -x once the ratio underflows
-            sigma = math.inf
+            ratio = math.inf
+        sigma = scale * ratio if scale else 0.0  # not 0.0 * inf, which is NaN
         if not math.isfinite(sigma):
             raise ValueError(
                 f"duration noise overflows at duration {duration_sec:g} s "

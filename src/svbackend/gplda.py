@@ -41,8 +41,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dataset import LABEL_TEXT, Block, Dataset, TrialColumns, TrialList, block_fields, csv_fields
-from .dataset import centered_gram, csv_records, is_symmetric, line_blocks, owned, read_model_file
-from .dataset import check_number, read_only, row_blocks, scipy_linalg, write_csv, write_model_file
+from .dataset import centered_gram, csv_records, is_symmetric, line_blocks, own_fields, owned
+from .dataset import check_number, read_model_file, read_only, row_blocks, scipy_linalg, write_csv
+from .dataset import write_model_file
 
 PLDA_MAGIC = b"PLDA1"
 
@@ -130,7 +131,8 @@ class PldaModel:
     """Trained model parameters plus derived covariance caches.
 
     ``loglik_trace`` holds the marginal log-likelihood after
-    initialization and after each EM iteration; it is not persisted.
+    initialization and after each EM iteration; it is not persisted.  The
+    three parameter arrays follow ``owned``.
     """
 
     mean: np.ndarray
@@ -139,9 +141,7 @@ class PldaModel:
     loglik_trace: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        mean = np.array(self.mean, dtype=np.float64, copy=True)
-        u1 = np.array(self.u1, dtype=np.float64, copy=True)
-        lam = np.array(self.lambda_prec, dtype=np.float64, copy=True)
+        mean, u1, lam = own_fields(self, "mean", "u1", "lambda_prec")
         if mean.ndim != 1 or mean.size == 0:
             raise ValueError("mean must be a non-empty vector")
         k = mean.shape[0]
@@ -166,12 +166,9 @@ class PldaModel:
         for name, arr in (("sigma_between", sigma_between), ("sigma_total", sigma_total)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has non-finite entries")
-        for name, arr in dict(
-            mean=mean, u1=u1, lambda_prec=lam, sigma_within=sigma_within,
-            sigma_between=sigma_between, sigma_total=sigma_total,
-        ).items():
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "sigma_within", read_only(sigma_within))
+        object.__setattr__(self, "sigma_between", read_only(sigma_between))
+        object.__setattr__(self, "sigma_total", read_only(sigma_total))
 
     # derived caches, filled in __post_init__
     sigma_within: np.ndarray = field(init=False, repr=False)
@@ -203,12 +200,9 @@ class PldaModel:
         a_inv, logdet_a = _cho_inverse(self.sigma_total)
         s, logdet_ab = _cho_inverse(self.sigma_total + self.sigma_between)
         lam = self.lambda_prec
-        q_mat = a_inv - 0.5 * (s + lam)
-        p_mat = 0.5 * (lam - s)
-        const = -0.5 * (logdet_ab + _spd_logdet(self.sigma_within) - 2.0 * logdet_a)
-        q_mat.flags.writeable = False
-        p_mat.flags.writeable = False
-        return q_mat, p_mat, const
+        q_mat = read_only(a_inv - 0.5 * (s + lam))
+        p_mat = read_only(0.5 * (lam - s))
+        return q_mat, p_mat, -0.5 * (logdet_ab + _spd_logdet(self.sigma_within) - 2.0 * logdet_a)
 
 
 def length_normalize(ds: Dataset, projection: np.ndarray | None = None) -> Dataset:

@@ -33,6 +33,7 @@ from .dataset import (
     check_fields,
     check_number,
     generator_config_from_dict,
+    own_fields,
     read_only,
     reject_unknown_keys,
     scipy_linalg,
@@ -248,7 +249,7 @@ def build_trials(eval_ds: Dataset) -> tuple[np.ndarray, np.ndarray, TrialList]:
     code = eval_ds.speaker_code[pos]
     first = np.ones(pos.size, dtype=bool)  # a speaker's first row in dataset order
     first[1:] = code[1:] != code[:-1]
-    enrol_pos, test_pos = pos[first], pos[~first]
+    enrol_pos, test_pos = read_only(pos[first]), read_only(pos[~first])
     n_e, n_t = len(enrol_pos), len(test_pos)
     ids = eval_ds.ids
     # no column is a view of a writable array, which ``owned`` would copy (np.tile's is)
@@ -259,7 +260,6 @@ def build_trials(eval_ds: Dataset) -> tuple[np.ndarray, np.ndarray, TrialList]:
         read_only(np.arange(n_e * n_t) % n_t),
         read_only(code[first][:, None] == code[~first][None, :]).ravel(),
     )
-    enrol_pos.flags.writeable = test_pos.flags.writeable = False
     return enrol_pos, test_pos, trials
 
 
@@ -300,10 +300,13 @@ def make_run_data(
 class Backend:
     """A trained compensation chain's PLDA scoring model and one (D, K)
     linear map, ``projection``: the IDV decorrelator (when trained) times
-    the LDA matrix."""
+    the LDA matrix, which follows ``owned``."""
 
     plda: PldaModel
     projection: np.ndarray
+
+    def __post_init__(self) -> None:
+        own_fields(self, "projection")
 
 
 def train_backend(
@@ -329,7 +332,7 @@ def train_backend(
     if d is not None:
         scatter = [d.T @ s @ d for s in scatter]
     a = lda_from_scatter(*scatter, k).a_matrix
-    projection = a if d is None else d @ a
+    projection = a if d is None else read_only(d @ a)
     q = min(cfg.plda_q, k)
     if q < cfg.plda_q:
         warnings.warn(f"eigenvoice count clamped from {cfg.plda_q} to {q}", stacklevel=2)

@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, centered_gram, check_number, is_symmetric, read_model_file
-from .dataset import read_only, scipy_linalg, write_model_file
+from .dataset import Dataset, centered_gram, check_number, is_symmetric, own_fields
+from .dataset import read_model_file, read_only, scipy_linalg, write_model_file
 
 IDV_MAGIC = b"IDV1"
 
@@ -52,7 +52,8 @@ class IdvTransform:
     """A learned whitening of the inter-dataset mismatch scatter.
 
     ``ridge`` is the absolute value actually added to the diagonal
-    before factorization (0.0 when none was needed).
+    before factorization (0.0 when none was needed).  The two arrays follow
+    ``owned``.
     """
 
     variant: IdvVariant
@@ -62,8 +63,7 @@ class IdvTransform:
 
     def __post_init__(self) -> None:
         check_number("ridge", self.ridge, 0.0)
-        s = np.array(self.s_idv, dtype=np.float64, copy=True)
-        d = np.array(self.decorrelator, dtype=np.float64, copy=True)
+        s, d = own_fields(self, "s_idv", "decorrelator")
         if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
             raise ValueError("s_idv must be square and non-empty")
         if d.shape != s.shape:
@@ -78,9 +78,6 @@ class IdvTransform:
             whitens = np.linalg.norm(d @ d.T - inv) <= 1e-8 * np.linalg.norm(inv)
         if not whitens:
             raise ValueError("decorrelator does not whiten s_idv + ridge*I")
-        for name, arr in (("s_idv", s), ("decorrelator", d)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:

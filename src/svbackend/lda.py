@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, centered_gram, check_number, read_model_file, read_only
-from .dataset import scipy_linalg, write_model_file
+from .dataset import Dataset, centered_gram, check_number, own_fields, read_model_file
+from .dataset import read_only, scipy_linalg, write_model_file
 
 LDA_MAGIC = b"LDA1"
 
@@ -29,15 +29,14 @@ class LdaTransform:
     """A trained projection: ``a_matrix`` is (D, K), columns sorted by
     descending eigenvalue, each unit length (within ``UNIT_NORM_TOLERANCE``)
     with its largest-magnitude entry (the first, on ties) positive.  These
-    two arrays are what an LDA1 file stores.
+    two arrays are what an LDA1 file stores; they follow ``owned``.
     """
 
     a_matrix: np.ndarray
     eigenvalues: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.a_matrix, dtype=np.float64, copy=True)
-        lam = np.array(self.eigenvalues, dtype=np.float64, copy=True)
+        a, lam = own_fields(self, "a_matrix", "eigenvalues")
         if a.ndim != 2 or 0 in a.shape:
             raise ValueError("a_matrix must be a non-empty 2-D matrix")
         if not (np.isfinite(a).all() and np.isfinite(lam).all()):
@@ -57,10 +56,6 @@ class LdaTransform:
                 f"a_matrix column {bad[0]} is not unit length with a positive"
                 " largest-magnitude entry"
             )
-        a.flags.writeable = False
-        lam.flags.writeable = False
-        object.__setattr__(self, "a_matrix", a)
-        object.__setattr__(self, "eigenvalues", lam)
 
     @property
     def input_dim(self) -> int:
@@ -122,12 +117,10 @@ def lda_from_scatter(
     except np.linalg.LinAlgError as e:  # scipy.linalg raises numpy's class
         raise ValueError(f"generalized eigendecomposition failed: {e}") from None
     order = np.argsort(eigvals)[::-1][:k]
-    lam = eigvals[order]
     a = eigvecs[:, order]
     a = a / np.linalg.norm(a, axis=0)
     flip = np.sign(a[np.abs(a).argmax(axis=0), np.arange(k)])
-    a = a * flip
-    return LdaTransform(a, lam)
+    return LdaTransform(a * flip, eigvals[order])
 
 
 def train_lda(ds: Dataset, k: int, ridge: float = 1e-6) -> LdaTransform:

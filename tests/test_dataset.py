@@ -21,11 +21,32 @@ from svbackend.dataset import (
 )
 from svbackend.dataset import _seed_streams
 
-from conftest import make_dataset, make_trials
+from conftest import make_dataset, make_scoreset, make_trials
 from oracles import ivec_bytes_per_row, ivec_csv_per_row, speaker_rows, synth_matrix, trial_rows
 
 
 class TestTypes:
+    @pytest.mark.parametrize(
+        "build, text",
+        [
+            (lambda: make_dataset(np.zeros((3, 2)), speakers=["a", None, "a"]),
+             "Dataset(3 i-vectors of dim 2, 1 speakers)"),
+            (lambda: make_trials([("e1", "t1", True), ("e1", "t2", False)]),
+             "TrialList(2 trials over 1 enrol x 2 test ids)"),
+            (lambda: make_scoreset([1.0], [0.5, -0.5]),
+             "ScoreSet(TrialList(3 trials over 3 enrol x 3 test ids), normalized=False)"),
+        ],
+        ids=["Dataset", "TrialList", "ScoreSet"],
+    )
+    def test_container_repr_and_comparison_with_another_type(self, build, text):
+        """Against a non-instance ``__eq__`` returns ``NotImplemented``, so
+        Python's fallback makes ``==`` False and ``!=`` True."""
+        container = build()
+        assert repr(container) == text
+        assert container.__eq__(text) is NotImplemented
+        assert not container == text and container != text
+        assert container == build() and not container != build()
+
     def test_empty_dataset_needs_dim(self):
         with pytest.raises(ValueError, match="dim"):
             Dataset(np.empty(0), (), (), (), ())
@@ -163,6 +184,16 @@ class TestDurationNoise:
         out = apply_duration_noise(ds, 17.0, _noise(0.0, 100.0), seed=1)
         assert np.array_equal(out.matrix(), ds.matrix())
         assert (out.durations == 17.0).all()
+
+    def test_noise_off_is_level_zero_at_every_duration(self):
+        """With scale 0 the level is 0.0 even where the ratio to the
+        reference overflows (0.0 * inf would be NaN, reported as overflow)."""
+        for exponent in (0.5, 50.0, -1.0):
+            m = _noise(0.0, 120.0, exponent=exponent)
+            assert [m.noise_sigma(d) for d in (5e-324, 1e-10, 1.0, 1e300)] == [0.0] * 4
+        ds = make_dataset(np.arange(6.0).reshape(2, 3))
+        out = apply_duration_noise(ds, 5e-324, _noise(0.0, 120.0), seed=0)
+        assert np.array_equal(out.matrix(), ds.matrix()) and (out.durations == 5e-324).all()
 
     def test_deterministic(self):
         ds = make_dataset(np.zeros((4, 3)))

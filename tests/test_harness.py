@@ -115,6 +115,11 @@ class TestConfig:
             tiny_config(generator=gen, durations=(None, 1e-10))
         assert tiny_config(generator=gen, durations=(None, 1.0)).durations == (None, 1.0)
 
+    def test_noise_off_accepts_every_positive_duration(self):
+        """With the noise off no level can overflow, however short the duration."""
+        off = replace(tiny_config().generator, duration_noise_scale=0.0)
+        assert tiny_config(generator=off, durations=(None, 5e-324)).durations == (None, 5e-324)
+
     @pytest.mark.parametrize(
         "field, values, repeated",
         [

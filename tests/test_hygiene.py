@@ -187,6 +187,57 @@ def test_every_text_file_names_its_encoding(path):
     assert text_mode_opens(path.read_text(encoding="utf-8")) == []
 
 
+def ownership_bypasses(source: str, exempt: str = "") -> list[str]:
+    """Assignments to an array's ``flags.writeable`` outside the body of the
+    module-level function ``exempt``, and ``copy=True`` arguments: a
+    container takes its arrays by ``owned``, and the library hands over an
+    array it made only through ``dataset.read_only``."""
+    tree = ast.parse(source)
+    skip = {
+        id(n) for f in tree.body
+        if isinstance(f, ast.FunctionDef) and f.name == exempt for n in ast.walk(f)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                (node.lineno, "flags.writeable")
+                for target in targets for t in ast.walk(target)
+                if isinstance(t, ast.Attribute) and t.attr == "writeable"
+                and isinstance(t.value, ast.Attribute) and t.value.attr == "flags"
+            ]
+        elif isinstance(node, ast.Call):
+            found += [
+                (node.lineno, "copy=True") for kw in node.keywords
+                if kw.arg == "copy" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+            ]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_checker_flags_an_ownership_bypass():
+    source = (
+        "def read_only(a):\n    a.flags.writeable = False\n    return a\n"
+        "x.flags.writeable = False\na.flags.writeable = b.flags.writeable = False\n"
+        "y = np.array(x, copy=True)\nz = np.array(x, copy=False)\nprint(x.flags.writeable)\n"
+        "def f(a):\n    a.flags.writeable = True\nflags.writeable = 1\n"
+    )
+    found = [
+        "line 4: flags.writeable", "line 5: flags.writeable", "line 5: flags.writeable",
+        "line 6: copy=True", "line 10: flags.writeable",
+    ]
+    assert ownership_bypasses(source, "read_only") == found
+    assert ownership_bypasses(source) == ["line 2: flags.writeable"] + found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_arrays_change_hands_only_through_owned_and_read_only(path):
+    exempt = "read_only" if path.name == "dataset.py" else ""
+    assert ownership_bypasses(path.read_text(encoding="utf-8"), exempt) == []
+
+
 def all_mismatches(namespace: dict) -> list[str]:
     """Public non-module names of a package namespace that its ``__all__``
     leaves out, and ``__all__`` entries it does not bind or lists twice."""

@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from svbackend import dataset, gplda
-from svbackend.dataset import TrialList, centered_gram, load_trials, owned, save_trials
-from svbackend.gplda import PldaModel, ScoreSet, _speaker_stats, length_normalize, read_scores
-from svbackend.gplda import score_trials, write_scores
-from svbackend.harness import build_trials
-from svbackend.idv import estimate_modified_idv, estimate_original_idv
-from svbackend.lda import scatter_matrices
+from svbackend.dataset import Dataset, Domain, TrialList, centered_gram, load_trials, owned
+from svbackend.dataset import read_only, save_trials
+from svbackend.gplda import PldaModel, ScoreSet, _speaker_stats, length_normalize, load_plda
+from svbackend.gplda import read_scores, save_plda, score_trials, train_gplda, write_scores
+from svbackend.harness import Backend, build_trials, default_experiment_config, train_backend
+from svbackend.idv import IdvTransform, IdvVariant, apply_idv, estimate_modified_idv
+from svbackend.idv import estimate_original_idv, load_idv, save_idv
+from svbackend.lda import LdaTransform, apply_lda, load_lda, save_lda, scatter_matrices, train_lda
 
 from conftest import make_dataset, traced_peak
 
@@ -150,6 +152,50 @@ class TestMemoryBounds:
         assert traced_peak(length_normalize, ds) < 1.5 * nbytes
 
 
+#: Each container that takes arrays: how to build one from them, how to read
+#: them back, and valid arrays to build it from.
+CONTAINERS = {
+    "IdvTransform": (
+        lambda s, d: IdvTransform(IdvVariant.ORIGINAL, s, d, 0.0),
+        lambda t: (t.s_idv, t.decorrelator),
+        (np.diag([4.0, 1.0, 9.0]), np.diag([0.5, 1.0, 1.0 / 3.0])),
+    ),
+    "LdaTransform": (
+        LdaTransform, lambda t: (t.a_matrix, t.eigenvalues), (np.eye(3)[:, :2], np.array([2.0, 1.0]))
+    ),
+    "PldaModel": (
+        PldaModel,
+        lambda m: (m.mean, m.u1, m.lambda_prec),
+        (np.zeros(3), np.full((3, 1), 0.5), np.eye(3)),
+    ),
+    "Dataset": (
+        lambda values, durations: Dataset(
+            values, ["u0", "u1"], ["a", None], [Domain.IN_DOMAIN] * 2, durations
+        ),
+        lambda ds: (ds.matrix(), ds.durations),
+        (np.ones((2, 3)), np.array([5.0, 7.0])),
+    ),
+    "Backend": (
+        lambda projection: Backend(PldaModel(np.zeros(2), np.ones((2, 1)), np.eye(2)), projection),
+        lambda b: (b.projection,),
+        (np.eye(3)[:, :2],),
+    ),
+}
+
+
+def held_arrays(obj: object) -> dict[str, np.ndarray]:
+    """Every ndarray ``obj`` holds as an attribute (slots included), or in a
+    tuple attribute such as a computed cache, by name."""
+    names = getattr(obj, "__slots__", ()) or vars(obj)
+    found = {}
+    for name in names:
+        value = getattr(obj, name)
+        for i, a in enumerate(value if isinstance(value, tuple) else (value,)):
+            if isinstance(a, np.ndarray):
+                found[f"{name}[{i}]" if isinstance(value, tuple) else name] = a
+    return found
+
+
 class TestOwnership:
     """A read-only array of the container's dtype that no writable array
     reaches is held as given; any other is copied, so the caller's later
@@ -246,13 +292,13 @@ class TestOwnership:
             handed.append(held is values)
             return held
 
+        ds = make_dataset(rng.standard_normal((6, 3)), speakers=list("aabbcc"))
+        model = PldaModel(np.zeros(3), 0.5 * np.ones((3, 1)), np.eye(3))
         monkeypatch.setattr(dataset, "owned", spy)
         monkeypatch.setattr(gplda, "owned", spy)
-        ds = make_dataset(rng.standard_normal((6, 3)), speakers=list("aabbcc"))
         normed = length_normalize(ds)
         length_normalize(ds, rng.standard_normal((3, 2)))
         enrol_pos, test_pos, trials = build_trials(normed)
-        model = PldaModel(np.zeros(3), 0.5 * np.ones((3, 1)), np.eye(3))
         scores = score_trials(model, normed.subset(enrol_pos), normed.subset(test_pos), trials)
         write_scores(ScoreSet(trials, scores.raw, scores.raw), tmp_path / "scores.csv")
         save_trials(trials, tmp_path / "trials.txt")
@@ -262,3 +308,59 @@ class TestOwnership:
         # column and the 2 of its normalized copy, then 2 score and 3 trial
         # columns read, 3 trial columns loaded
         assert handed == [True] * 18
+
+    @pytest.mark.parametrize("kind", CONTAINERS)
+    def test_a_container_holds_read_only_input_and_copies_writable(self, kind):
+        build, held, arrays = CONTAINERS[kind]
+        frozen = [read_only(np.array(a)) for a in arrays]
+        assert all(h is f for h, f in zip(held(build(*frozen)), frozen, strict=True))
+        writable = [np.array(a) for a in arrays]
+        out = held(build(*writable))
+        for w in writable:
+            w[...] = 7.0
+        for h, w, a in zip(out, writable, arrays, strict=True):
+            assert np.array_equal(h, a) and not np.shares_memory(h, w)
+            assert not h.flags.writeable
+
+    def test_an_unaligned_array_is_copied(self, rng):
+        """numpy's ``u1 @ u1.T`` of an unaligned array can give other bits than
+        of an aligned copy (up to 2.1e-14 apart at 150 x 100), and the arrays
+        of an IDV1, LDA1 or PLDA1 file sit at odd byte offsets: a model held
+        its file's arrays as given would score other bits than the model it
+        was saved from, so ``owned`` copies an unaligned array."""
+        x = rng.standard_normal((150, 100))
+        unaligned = np.frombuffer(b"\0" + x.tobytes(), offset=1).reshape(x.shape)
+        assert not unaligned.flags.aligned and not unaligned.flags.writeable
+        held = owned(unaligned, np.float64)
+        assert held is not unaligned and held.flags.aligned and not held.flags.writeable
+        assert np.array_equal(held, x) and np.array_equal(held @ held.T, x @ x.T)
+
+    def test_every_array_the_library_builds_is_held_as_owned_would(self, rng, tmp_path):
+        """Read-only, aligned and reached by no writable array: ``owned``
+        takes each as given.  Models trained and loaded, both backends,
+        ``build_trials``' outputs and the transformed datasets."""
+        train = labeled(rng, 60)
+        other = make_dataset(rng.standard_normal((40, 6)) + 1.0, domain=Domain.OUT_DOMAIN)
+        cfg = default_experiment_config(lda_dim=3, plda_q=2, plda_iters=2)
+        idv_t = estimate_original_idv(train, other)
+        modified = estimate_modified_idv(train, other, original=idv_t)
+        lda_t = train_lda(train, 3)
+        plda = train_gplda(apply_lda(lda_t, train), q=2, iters=2)
+        built = [idv_t, modified, lda_t, plda]
+        for save, load, t in ((save_idv, load_idv, idv_t), (save_lda, load_lda, lda_t),
+                              (save_plda, load_plda, plda)):
+            save(t, tmp_path / "model.bin")
+            built.append(load(tmp_path / "model.bin"))
+        scatter = scatter_matrices(train)
+        for t in (None, modified):
+            backend = train_backend(cfg, train, scatter, t, 0)
+            built += [backend, backend.plda]
+        enrol_pos, test_pos, trials = build_trials(train)
+        built += [trials, apply_idv(idv_t, train), apply_lda(lda_t, train)]
+        for model in built:
+            if isinstance(model, PldaModel):
+                model._pair_llr_terms  # the computed cache, held too
+        arrays = {f"{type(o).__name__}.{n}": a for o in built for n, a in held_arrays(o).items()}
+        arrays.update(enrol_pos=enrol_pos, test_pos=test_pos)
+        assert {"Backend.projection", "PldaModel._pair_llr_terms[0]"} <= set(arrays)
+        assert [name for name, a in arrays.items() if owned(a, a.dtype) is not a] == []
