@@ -15,7 +15,7 @@ from .dataset import (
     load_trials,
     save_ivectors,
     save_trials,
-    synth_dataset,
+    synth_domain,
 )
 from .gplda import (
     PldaModel,
@@ -34,8 +34,7 @@ from .idv import (
     IdvTransform,
     IdvVariant,
     apply_idv,
-    estimate_modified_idv,
-    estimate_original_idv,
+    estimate_idv,
     load_idv,
     save_idv,
 )
@@ -65,8 +64,7 @@ __all__ = [
     "apply_duration_noise",
     "apply_idv",
     "apply_lda",
-    "estimate_modified_idv",
-    "estimate_original_idv",
+    "estimate_idv",
     "evaluate",
     "ground_truth_subspace",
     "lda_from_scatter",
@@ -88,7 +86,7 @@ __all__ = [
     "score_trials",
     "snorm",
     "snorm_from_cohort_scores",
-    "synth_dataset",
+    "synth_domain",
     "train_gplda",
     "train_lda",
     "write_scores",

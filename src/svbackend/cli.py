@@ -18,12 +18,13 @@ from typing import Callable
 
 from . import harness
 from .dataset import (
+    Domain,
     GeneratorConfig,
     generator_config_from_dict,
     load_ivectors,
     load_trials,
     save_ivectors,
-    synth_dataset,
+    synth_domain,
 )
 from .gplda import (
     length_normalize,
@@ -35,8 +36,7 @@ from .gplda import (
     train_gplda,
     write_scores,
 )
-from .idv import IdvVariant, apply_idv, estimate_modified_idv, estimate_original_idv, load_idv
-from .idv import save_idv
+from .idv import IdvVariant, apply_idv, estimate_idv, load_idv, save_idv
 from .lda import apply_lda, load_lda, save_lda, train_lda
 from .metrics import DcfParams, evaluate, write_metric_report
 from .scorenorm import snorm
@@ -59,7 +59,7 @@ def _generator_from_args(args: argparse.Namespace) -> GeneratorConfig:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     cfg = _generator_from_args(args)
-    in_ds, out_ds = synth_dataset(cfg)
+    in_ds, out_ds = (synth_domain(cfg, d) for d in Domain)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = "ivec" if args.format == "binary" else "csv"
@@ -72,9 +72,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_train_idv(args: argparse.Namespace) -> int:
     out_ds = load_ivectors(args.out_domain, args.format)
     in_ds = load_ivectors(args.in_domain, args.format)
-    modified = IdvVariant(args.variant) is IdvVariant.MODIFIED
-    estimate = estimate_modified_idv if modified else estimate_original_idv
-    t = estimate(out_ds, in_ds, args.ridge)
+    t = estimate_idv(IdvVariant(args.variant), out_ds, in_ds, args.ridge)
     save_idv(t, args.output)
     print(f"wrote {args.variant} IDV transform (dim {t.dim}, ridge {t.ridge:g}) to {args.output}")
     return 0

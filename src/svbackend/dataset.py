@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from types import ModuleType
-from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -76,9 +76,13 @@ def owned(values: Sequence | np.ndarray, dtype: type) -> np.ndarray:
 
 def own_fields(obj: object, *names: str) -> list[np.ndarray]:
     """Set the named fields of the frozen dataclass ``obj`` to their float64
-    arrays taken by ``owned``, and return them: how a model type holds its arrays."""
+    arrays taken by ``owned``, and return them: how a model type holds its
+    arrays.  A non-finite entry raises ``ValueError`` naming the field."""
     for name in names:
-        object.__setattr__(obj, name, owned(getattr(obj, name), np.float64))
+        a = owned(getattr(obj, name), np.float64)
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} has non-finite entries")
+        object.__setattr__(obj, name, a)
     return [getattr(obj, name) for name in names]
 
 
@@ -395,16 +399,13 @@ class GeneratorConfig:
             raise ValueError("invalid config: eigenvoice_dim must be in [1, dim]")
         offset = (0.0,) * self.dim if self.domain_offset is None else self.domain_offset
         entries = offset.tolist() if isinstance(offset, np.ndarray) else offset
-        if not isinstance(entries, (list, tuple)) or any(  # no bools, no numeric strings
-            isinstance(x, bool) or not isinstance(x, numbers.Real) for x in entries
-        ):
+        if not isinstance(entries, (list, tuple)):
             raise ValueError("invalid config: domain_offset must be a list of numbers")
-        offset = np.array(entries, dtype=np.float64)
-        if offset.shape != (self.dim,):
+        for x in entries:
+            check_number("domain_offset", x)
+        if len(entries) != self.dim:
             raise ValueError(f"invalid config: domain_offset must have length {self.dim}")
-        if not np.all(np.isfinite(offset)):
-            raise ValueError("invalid config: domain_offset has non-finite entries")
-        object.__setattr__(self, "domain_offset", tuple(offset.tolist()))
+        object.__setattr__(self, "domain_offset", tuple(map(float, entries)))
 
     def noise_sigma(self, duration_sec: float) -> float:
         """Standard deviation per coordinate of the isotropic noise standing in
@@ -454,6 +455,13 @@ def check_number(
         raise ValueError(f"{name} must be {what}{' and'.join(ends)}, got {value!r}")
 
 
+def check_member(name: str, value: object, kind: type[Enum]) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a member of
+    the enum ``kind``: ``domain must be a member of Domain, got 'in'``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a member of {kind.__name__}, got {value!r}")
+
+
 def check_fields(obj: object, bounds: Mapping[str, float | tuple[float, float]]) -> None:
     """``check_number`` every int and float field of dataclass ``obj`` against
     its bound in ``bounds``; a None passes where the annotation allows it.
@@ -476,11 +484,6 @@ def generator_config_from_dict(d: Mapping) -> GeneratorConfig:
     return GeneratorConfig(**d)
 
 
-def _seed_streams(cfg: GeneratorConfig) -> tuple[np.random.Generator, np.random.Generator]:
-    in_seq, out_seq = np.random.SeedSequence(cfg.seed).spawn(2)
-    return np.random.default_rng(in_seq), np.random.default_rng(out_seq)
-
-
 def ground_truth_subspace(cfg: GeneratorConfig) -> np.ndarray:
     """Orthonormal (dim, eigenvoice_dim) basis of the generator's speaker subspace.
 
@@ -497,16 +500,27 @@ def ground_truth_subspace(cfg: GeneratorConfig) -> np.ndarray:
     return q
 
 
-def _synth_domain(
-    cfg: GeneratorConfig,
-    u: np.ndarray,
-    domain: Domain,
-    n_spk: int,
-    mean: np.ndarray,
-    channel_scale: float,
-    rng: np.random.Generator,
-) -> Dataset:
-    n_sess, prefix = cfg.sessions_per_speaker, domain.value
+def synth_domain(cfg: GeneratorConfig, domain: Domain) -> Dataset:
+    """Draw the dataset of one domain from the generator.
+
+    Every i-vector is ``m_domain + speaker_scale * U @ x_s + eps_r`` with
+    per-speaker ``x_s ~ N(0, I)``, per-session ``eps_r ~ N(0, c**2 I)``
+    (``c`` is the domain's channel scale), the in-domain mean at zero
+    and the out-domain mean at ``domain_offset``.  Deterministic given
+    the config; all items carry ``duration_ref_sec``.  Each domain draws
+    from its own stream, ``SeedSequence(seed).spawn(2)`` taken in ``Domain``
+    order, so the two domains of one config are independent draws.
+    """
+    check_member("domain", domain, Domain)
+    u = ground_truth_subspace(cfg)
+    stream = np.random.SeedSequence(cfg.seed).spawn(2)[list(Domain).index(domain)]
+    rng = np.random.default_rng(stream)
+    mean, channel_scale = np.zeros(cfg.dim), cfg.channel_scale
+    if domain is Domain.OUT_DOMAIN:
+        mean = np.asarray(cfg.domain_offset)
+        if cfg.out_channel_scale is not None:
+            channel_scale = cfg.out_channel_scale
+    n_spk, n_sess, prefix = cfg.n_speakers, cfg.sessions_per_speaker, domain.value
     values = np.empty((n_spk * n_sess, cfg.dim))
     for si in range(n_spk):
         x = rng.standard_normal(cfg.eigenvoice_dim)
@@ -517,39 +531,6 @@ def _synth_domain(
     ids = [f"{prefix}-s{si:04d}-u{r:02d}" for si in range(n_spk) for r in range(n_sess)]
     durations = np.full(len(ids), cfg.duration_ref_sec, dtype=np.float64)
     return object.__new__(Dataset)._build(values, ids, speakers, (domain,) * len(ids), durations)
-
-
-def synth_dataset(
-    cfg: GeneratorConfig, domains: Collection[Domain] = tuple(Domain)
-) -> tuple[Dataset, Dataset]:
-    """Draw one in-domain and one out-domain dataset from the generator.
-
-    Every i-vector is ``m_domain + speaker_scale * U @ x_s + eps_r`` with
-    per-speaker ``x_s ~ N(0, I)``, per-session ``eps_r ~ N(0, c**2 I)``
-    (``c`` is the domain's channel scale), the in-domain mean at zero
-    and the out-domain mean at ``domain_offset``.  Deterministic given
-    the config; all items carry ``duration_ref_sec``.
-
-    Only the ``domains`` given (default: both) are synthesized; one left
-    out comes back as a 0-row dataset of dimension ``dim``.  Each domain
-    draws from its own random stream, so a one-domain draw holds exactly
-    the rows of that domain in the two-domain draw.
-    """
-    if not set(domains) <= set(Domain):
-        raise ValueError(f"domains must be Domain members, got {domains!r}")
-    u = ground_truth_subspace(cfg)
-    in_rng, out_rng = _seed_streams(cfg)
-    n_in, n_out = (cfg.n_speakers if d in domains else 0 for d in Domain)
-    out_channel = (
-        cfg.channel_scale if cfg.out_channel_scale is None else cfg.out_channel_scale
-    )
-    in_ds = _synth_domain(
-        cfg, u, Domain.IN_DOMAIN, n_in, np.zeros(cfg.dim), cfg.channel_scale, in_rng
-    )
-    out_ds = _synth_domain(
-        cfg, u, Domain.OUT_DOMAIN, n_out, np.asarray(cfg.domain_offset), out_channel, out_rng
-    )
-    return in_ds, out_ds
 
 
 def apply_duration_noise(

@@ -151,9 +151,6 @@ class PldaModel:
             raise ValueError("more eigenvoices than dimensions")
         if lam.shape != (k, k):
             raise ValueError("lambda_prec must be (K, K)")
-        for name, arr in (("mean", mean), ("u1", u1), ("lambda_prec", lam)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} has non-finite entries")
         if not is_symmetric(lam):
             raise ValueError("lambda_prec is not symmetric")
         try:

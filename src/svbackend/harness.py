@@ -31,17 +31,18 @@ from .dataset import (
     TrialList,
     apply_duration_noise,
     check_fields,
+    check_member,
     check_number,
     generator_config_from_dict,
     own_fields,
     read_only,
     reject_unknown_keys,
     scipy_linalg,
-    synth_dataset,
+    synth_domain,
     write_csv,
 )
 from .gplda import PldaModel, length_normalize, score_trials, train_gplda
-from .idv import IdvTransform, IdvVariant, estimate_modified_idv, estimate_original_idv
+from .idv import IdvTransform, IdvVariant, estimate_idv
 from .lda import lda_from_scatter, scatter_matrices
 from .metrics import DcfParams, MetricReportRow, evaluate, write_metric_report
 from .scorenorm import snorm
@@ -227,13 +228,13 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class RunData:
-    """All datasets of one experiment repetition (one run seed); a training
-    set the run does not train on holds 0 rows.  ``trials`` is the full
-    cross of ``build_trials(eval_in)``, whose ids any projection of the
-    evaluation set scores directly, as both enrol and test set."""
+    """All datasets of one experiment repetition (one run seed).  ``train``
+    holds the training set of each domain drawn, and of no other.
+    ``trials`` is the full cross of ``build_trials(eval_in)``, whose ids any
+    projection of the evaluation set scores directly, as both enrol and
+    test set."""
 
-    train_in: Dataset
-    train_out: Dataset
+    train: Mapping[Domain, Dataset]
     eval_in: Dataset
     nist_cohort: Dataset
     swb_cohort: Dataset
@@ -268,28 +269,30 @@ def make_run_data(
 ) -> RunData:
     """Draw training, evaluation, and cohort datasets for one run seed.
 
-    Only the training sets of ``train_domains`` (default: both) are drawn;
-    one left out is a 0-row dataset.  The evaluation set and the NIST
-    cohort are drawn in-domain only, the SWB cohort out-domain only.  All
-    draws share the run's ground-truth subspace; evaluation and cohort
-    speakers are fresh."""
+    Only the training sets of ``train_domains`` (default: both) are drawn,
+    in ``Domain`` order; an entry that is not a ``Domain`` fails naming
+    ``domain``.  The evaluation set and the NIST cohort are drawn in-domain,
+    the SWB cohort out-domain.  All draws share the run's ground-truth
+    subspace; evaluation and cohort speakers are fresh."""
+    for domain in train_domains:
+        check_member("domain", domain, Domain)
     base = replace(cfg.generator, seed=seed, subspace_seed=seed)
 
-    def draw(offset: int, speakers: int, sessions: int, domain: Domain) -> tuple[Dataset, Dataset]:
-        return synth_dataset(
+    def draw(offset: int, speakers: int, sessions: int, domain: Domain) -> Dataset:
+        return synth_domain(
             replace(base, seed=seed + offset, n_speakers=speakers, sessions_per_speaker=sessions),
-            (domain,),
+            domain,
         )
 
-    train_in, train_out = synth_dataset(base, train_domains)
-    eval_in, _ = draw(EVAL_SEED_OFFSET, cfg.eval_speakers, cfg.eval_sessions, Domain.IN_DOMAIN)
-    nist_cohort, _ = draw(
+    train = {d: synth_domain(base, d) for d in Domain if d in train_domains}
+    eval_in = draw(EVAL_SEED_OFFSET, cfg.eval_speakers, cfg.eval_sessions, Domain.IN_DOMAIN)
+    nist_cohort = draw(
         NIST_COHORT_SEED_OFFSET, cfg.cohort_speakers, cfg.cohort_sessions, Domain.IN_DOMAIN
     )
     swb_speakers = math.ceil(cfg.swb_cohort_size / cfg.cohort_sessions)
-    _, swb_all = draw(SWB_COHORT_SEED_OFFSET, swb_speakers, cfg.cohort_sessions, Domain.OUT_DOMAIN)
+    swb_all = draw(SWB_COHORT_SEED_OFFSET, swb_speakers, cfg.cohort_sessions, Domain.OUT_DOMAIN)
     swb_cohort = swb_all.subset(range(cfg.swb_cohort_size))
-    return RunData(train_in, train_out, eval_in, nist_cohort, swb_cohort, build_trials(eval_in)[2])
+    return RunData(train, eval_in, nist_cohort, swb_cohort, build_trials(eval_in)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +477,13 @@ def run_experiment(
         original = None
         for domain, idv in keys:
             t = None
-            if idv == "original":
-                t = original = estimate_original_idv(data.train_out, data.nist_cohort)
-            elif idv == "modified":
-                t = estimate_modified_idv(data.train_out, data.nist_cohort, original=original)
-                original = None
-            train = data.train_in if domain is Domain.IN_DOMAIN else data.train_out
+            if idv != "off":
+                t = estimate_idv(
+                    IdvVariant(idv), data.train[Domain.OUT_DOMAIN], data.nist_cohort,
+                    original=original,
+                )
+                original = t if t.variant is IdvVariant.ORIGINAL else None
+            train = data.train[domain]
             if domain not in scatters:
                 scatters[domain] = scatter_matrices(train)
             backends[domain, idv] = train_backend(cfg, train, scatters[domain], t, seed)

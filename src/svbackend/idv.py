@@ -5,7 +5,7 @@ The mismatch between a development (out-domain) and an evaluation
 cross-domain differences; whitening that scatter removes the mismatch
 directions from all i-vectors.  Speaker labels are never used here.
 
-Two estimators are provided:
+One estimator, ``estimate_idv``, computes either variant:
 
 * original: mean scatter of out-domain i-vectors around the in-domain
   mean only.
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, centered_gram, check_number, is_symmetric, own_fields
+from .dataset import Dataset, centered_gram, check_member, check_number, is_symmetric, own_fields
 from .dataset import read_model_file, read_only, scipy_linalg, write_model_file
 
 IDV_MAGIC = b"IDV1"
@@ -62,14 +62,13 @@ class IdvTransform:
     ridge: float
 
     def __post_init__(self) -> None:
+        check_member("variant", self.variant, IdvVariant)
         check_number("ridge", self.ridge, 0.0)
         s, d = own_fields(self, "s_idv", "decorrelator")
         if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
             raise ValueError("s_idv must be square and non-empty")
         if d.shape != s.shape:
             raise ValueError("decorrelator shape must match s_idv")
-        if not (np.isfinite(s).all() and np.isfinite(d).all()):
-            raise ValueError("s_idv and decorrelator must be finite")
         if not is_symmetric(s):
             raise ValueError("s_idv is not symmetric")
         conditioned = s + self.ridge * np.eye(s.shape[0])
@@ -114,15 +113,29 @@ def _whitening(variant: IdvVariant, s: np.ndarray, ridge_factor: float) -> IdvTr
     )
 
 
-def _estimate_idv(
+def estimate_idv(
     variant: IdvVariant,
     out_domain: Dataset,
     in_domain: Dataset,
-    ridge: float,
+    ridge: float = 1e-6,
     original: IdvTransform | None = None,
 ) -> IdvTransform:
-    """The original scatter (``original.s_idv`` when given), plus for
-    ``MODIFIED`` its mirrored term, and its whitening."""
+    """Estimate the mismatch scatter of ``variant`` and its whitening.
+
+    ORIGINAL's scatter is the mean outer product of out-domain i-vectors
+    around the in-domain mean; MODIFIED adds the mean outer product of
+    in-domain i-vectors around the out-domain mean, so it is symmetric
+    under swapping the two datasets.  ``ridge`` is relative to
+    trace(S)/dim.  ``variant`` and ``ridge`` are checked before any data
+    is read.
+
+    ``original``, the ORIGINAL transform of the same two datasets,
+    supplies the first term, so only the mirrored one is computed; the
+    sum is the same ``s + mirrored``, so the result is bit for bit the
+    fresh estimate.  Another variant or dimension is a ``ValueError``;
+    that the datasets are the same is the caller's to keep.
+    """
+    check_member("variant", variant, IdvVariant)
     check_number("ridge", ridge, 0.0)
     if len(out_domain) == 0 or len(in_domain) == 0:
         raise ValueError("both datasets must be non-empty")
@@ -142,35 +155,6 @@ def _estimate_idv(
     if variant is IdvVariant.MODIFIED:
         s = s + _mismatch_scatter(in_m, out_m.mean(axis=0))
     return _whitening(variant, s, ridge)
-
-
-def estimate_modified_idv(
-    out_domain: Dataset,
-    in_domain: Dataset,
-    ridge: float = 1e-6,
-    original: IdvTransform | None = None,
-) -> IdvTransform:
-    """Estimate the symmetrized mismatch scatter and its whitening.
-
-    The scatter is the mean outer product of out-domain i-vectors around
-    the in-domain mean plus the mean outer product of in-domain
-    i-vectors around the out-domain mean; it is symmetric under swapping
-    the two datasets.  ``ridge`` is relative to trace(S)/dim.
-
-    ``original``, the ``estimate_original_idv`` transform of the same two
-    datasets, supplies the first term, so only the mirrored one is
-    computed; the sum is the same ``s + mirrored``, so the result is bit
-    for bit the fresh estimate.  Another variant or dimension is a
-    ``ValueError``; that the datasets are the same is the caller's to keep.
-    """
-    return _estimate_idv(IdvVariant.MODIFIED, out_domain, in_domain, ridge, original)
-
-
-def estimate_original_idv(
-    out_domain: Dataset, in_domain: Dataset, ridge: float = 1e-6
-) -> IdvTransform:
-    """Single-sided variant: out-domain scatter around the in-domain mean only."""
-    return _estimate_idv(IdvVariant.ORIGINAL, out_domain, in_domain, ridge)
 
 
 def apply_idv(t: IdvTransform, ds: Dataset) -> Dataset:

@@ -39,8 +39,6 @@ class LdaTransform:
         a, lam = own_fields(self, "a_matrix", "eigenvalues")
         if a.ndim != 2 or 0 in a.shape:
             raise ValueError("a_matrix must be a non-empty 2-D matrix")
-        if not (np.isfinite(a).all() and np.isfinite(lam).all()):
-            raise ValueError("a_matrix and eigenvalues must be finite")
         if a.shape[1] > a.shape[0]:
             raise ValueError("cannot retain more directions than the input dimension")
         if lam.shape != (a.shape[1],):

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from svbackend.dataset import Dataset, GeneratorConfig, synth_dataset
+from svbackend.dataset import Dataset, Domain, GeneratorConfig, synth_domain
 from svbackend.gplda import (
     PldaModel,
     ScoreSet,
@@ -33,7 +33,7 @@ from svbackend.harness import (
     run_experiment,
     train_backend,
 )
-from svbackend.idv import estimate_modified_idv, load_idv, save_idv
+from svbackend.idv import IdvVariant, estimate_idv, load_idv, save_idv
 from svbackend.lda import load_lda, save_lda, scatter_matrices, train_lda
 from svbackend.metrics import DcfParams, evaluate
 from svbackend.scorenorm import cohort_score_matrix, snorm, snorm_from_cohort_scores
@@ -105,7 +105,7 @@ def test_criterion_3_em_monotonicity():
             channel_scale=float(rng.uniform(0.4, 1.2)),
             seed=int(rng.integers(0, 2**31)),
         )
-        ds, _ = synth_dataset(cfg)
+        ds = synth_domain(cfg, Domain.IN_DOMAIN)
         q = int(rng.integers(1, cfg.dim))
         m = train_gplda(ds, q=q, iters=20, seed=int(rng.integers(0, 2**31)))
         diffs = np.diff(np.array(m.loglik_trace))
@@ -122,7 +122,7 @@ def test_criterion_4_idv_whitening_and_oracle():
         dim = 6
         out = make_dataset(rng.standard_normal((120, dim)) + rng.standard_normal(dim), prefix="o")
         inn = make_dataset(rng.standard_normal((110, dim)), prefix="i")
-        t = estimate_modified_idv(out, inn, ridge=0.0)
+        t = estimate_idv(IdvVariant.MODIFIED, out, inn, ridge=0.0)
         assert t.ridge == 0.0
         white = t.decorrelator.T @ t.s_idv @ t.decorrelator
         err = np.linalg.norm(white - np.eye(dim))
@@ -278,14 +278,15 @@ def test_criterion_9_determinism_and_round_trips(tmp_path):
             n_files += 1
 
     data = make_run_data(cfg, 0)
-    idv_t = estimate_modified_idv(data.train_out, data.nist_cohort)
-    backend = train_backend(cfg, data.train_out, scatter_matrices(data.train_out), idv_t, 0)
+    train = data.train[Domain.OUT_DOMAIN]
+    idv_t = estimate_idv(IdvVariant.MODIFIED, train, data.nist_cohort)
+    backend = train_backend(cfg, train, scatter_matrices(train), idv_t, 0)
     save_idv(idv_t, tmp_path / "t.idv")
     loaded_idv = load_idv(tmp_path / "t.idv")
     assert np.array_equal(loaded_idv.s_idv, idv_t.s_idv)
     assert np.array_equal(loaded_idv.decorrelator, idv_t.decorrelator)
     assert loaded_idv.ridge == idv_t.ridge and loaded_idv.variant == idv_t.variant
-    lda_t = train_lda(data.train_out, cfg.lda_dim)
+    lda_t = train_lda(train, cfg.lda_dim)
     save_lda(lda_t, tmp_path / "t.lda")
     loaded_lda = load_lda(tmp_path / "t.lda")
     assert np.array_equal(loaded_lda.a_matrix, lda_t.a_matrix)

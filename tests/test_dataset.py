@@ -17,9 +17,8 @@ from svbackend.dataset import (
     load_trials,
     save_ivectors,
     save_trials,
-    synth_dataset,
+    synth_domain,
 )
-from svbackend.dataset import _seed_streams
 
 from conftest import make_dataset, make_scoreset, make_trials
 from oracles import ivec_bytes_per_row, ivec_csv_per_row, speaker_rows, synth_matrix, trial_rows
@@ -63,14 +62,15 @@ class TestTypes:
 class TestGenerator:
     def test_deterministic(self):
         cfg = GeneratorConfig(dim=5, n_speakers=4, sessions_per_speaker=3, eigenvoice_dim=2, seed=9)
-        assert synth_dataset(cfg) == synth_dataset(cfg)
+        for domain in Domain:
+            assert synth_domain(cfg, domain) == synth_domain(cfg, domain)
 
     def test_no_channel_noise_means_identical_sessions(self):
         cfg = GeneratorConfig(
             dim=4, n_speakers=3, sessions_per_speaker=4, eigenvoice_dim=2,
             channel_scale=0.0, seed=3,
         )
-        in_ds, out_ds = synth_dataset(cfg)
+        in_ds, out_ds = (synth_domain(cfg, d) for d in Domain)
         for ds in (in_ds, out_ds):
             for code in range(len(ds.speakers)):
                 rows = ds.matrix()[speaker_rows(ds, code)]
@@ -83,7 +83,7 @@ class TestGenerator:
             dim=4, n_speakers=50, sessions_per_speaker=5, eigenvoice_dim=2,
             speaker_scale=1.0, channel_scale=1.0, domain_offset=offset, seed=11,
         )
-        in_ds, out_ds = synth_dataset(cfg)
+        in_ds, out_ds = (synth_domain(cfg, d) for d in Domain)
         diff = out_ds.matrix().mean(axis=0) - in_ds.matrix().mean(axis=0)
         u = ground_truth_subspace(cfg)
         per_coord_var = np.diag(u @ u.T) * cfg.speaker_scale**2 + cfg.channel_scale**2
@@ -96,7 +96,7 @@ class TestGenerator:
             dim=6, n_speakers=2500, sessions_per_speaker=4, eigenvoice_dim=2,
             speaker_scale=1.3, channel_scale=0.8, seed=21,
         )
-        in_ds, _ = synth_dataset(cfg)
+        in_ds = synth_domain(cfg, Domain.IN_DOMAIN)
         mat = in_ds.matrix()
         assert mat.shape[0] >= 10_000
         centered = mat - mat.mean(axis=0)
@@ -111,7 +111,7 @@ class TestGenerator:
             dim=5, n_speakers=1500, sessions_per_speaker=4, eigenvoice_dim=2,
             speaker_scale=0.0, channel_scale=0.5, out_channel_scale=1.5, seed=5,
         )
-        in_ds, out_ds = synth_dataset(cfg)
+        in_ds, out_ds = (synth_domain(cfg, d) for d in Domain)
         in_var = in_ds.matrix().var(axis=0).mean()
         out_var = out_ds.matrix().var(axis=0).mean()
         assert in_var == pytest.approx(0.25, rel=0.05)
@@ -136,26 +136,16 @@ class TestGenerator:
         a = GeneratorConfig(dim=6, eigenvoice_dim=3, n_speakers=2, seed=1, subspace_seed=42)
         b = GeneratorConfig(dim=6, eigenvoice_dim=3, n_speakers=2, seed=2, subspace_seed=42)
         assert np.array_equal(ground_truth_subspace(a), ground_truth_subspace(b))
-        in_a, _ = synth_dataset(a)
-        in_b, _ = synth_dataset(b)
+        in_a = synth_domain(a, Domain.IN_DOMAIN)
+        in_b = synth_domain(b, Domain.IN_DOMAIN)
         assert not np.array_equal(in_a.matrix(), in_b.matrix())
 
-    def test_one_domain_draw_is_that_half_of_the_two_domain_draw(self):
-        cfg = GeneratorConfig(
-            dim=6, n_speakers=5, sessions_per_speaker=3, eigenvoice_dim=2, channel_scale=0.6,
-            out_channel_scale=1.4, domain_offset=[1.5, -0.5, 0.0, 2.0, -1.0, 0.25], seed=13,
-        )
-        both = synth_dataset(cfg)
-        for kept, domain in enumerate(Domain):
-            drawn = synth_dataset(cfg, (domain,))
-            assert drawn[kept] == both[kept]
-            empty = drawn[1 - kept]
-            assert (len(empty), empty.dim) == (0, cfg.dim)
-            assert empty == Dataset(np.empty((0, cfg.dim)), [], [], [], [])
-        assert synth_dataset(cfg, set(Domain)) == both
-        assert [len(ds) for ds in synth_dataset(cfg, ())] == [0, 0]
-        with pytest.raises(ValueError, match="^domains must be Domain members"):
-            synth_dataset(cfg, ("in",))
+    @pytest.mark.parametrize("domain", [None, "in", (Domain.IN_DOMAIN,), 0])
+    def test_a_domain_that_is_not_a_domain_fails_naming_it(self, domain):
+        cfg = GeneratorConfig(dim=2, n_speakers=1, sessions_per_speaker=1, eigenvoice_dim=1)
+        message = f"^domain must be a member of Domain, got {re.escape(repr(domain))}$"
+        with pytest.raises(ValueError, match=message):
+            synth_domain(cfg, domain)
 
 
 def _noise(scale: float, ref: float, exponent: float = 0.5) -> GeneratorConfig:
@@ -646,9 +636,9 @@ class TestColumnarFilesMatchPerRowWriters:
             dim=7, n_speakers=5, sessions_per_speaker=3, eigenvoice_dim=2,
             domain_offset=np.linspace(-1.0, 1.0, 7), out_channel_scale=1.7, seed=13,
         )
-        in_ds, out_ds = synth_dataset(cfg)
+        in_ds, out_ds = (synth_domain(cfg, d) for d in Domain)
         u = ground_truth_subspace(cfg)
-        in_rng, out_rng = _seed_streams(cfg)
+        in_rng, out_rng = map(np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(2))
         expected_in = synth_matrix(cfg, u, np.zeros(cfg.dim), cfg.channel_scale, in_rng)
         expected_out = synth_matrix(cfg, u, cfg.domain_offset, 1.7, out_rng)
         assert np.array_equal(in_ds.matrix(), expected_in)
@@ -667,7 +657,7 @@ class TestColumnarFilesMatchPerRowWriters:
         (lambda tmp: GeneratorConfig(dim=2, eigenvoice_dim=1, out_channel_scale=-1.0),
          "out_channel_scale must be a finite number >= 0, got -1.0"),
         (lambda tmp: GeneratorConfig(dim=2, eigenvoice_dim=1, domain_offset=[0.0, np.inf]),
-         "invalid config: domain_offset has non-finite entries"),
+         "domain_offset must be a finite number, got inf"),
         (lambda tmp: save_ivectors(make_dataset(np.zeros((1, 2))), tmp / "x", "xml"),
          "unknown i-vector format 'xml'"),
         (lambda tmp: load_ivectors(tmp / "x", "xml"), "unknown i-vector format 'xml'"),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from svbackend import dataset, gplda
 from svbackend.dataset import Dataset, GeneratorConfig, csv_fields, ground_truth_subspace
-from svbackend.dataset import synth_dataset
+from svbackend.dataset import Domain, synth_domain
 from svbackend.gplda import (
     SCORE_COLUMNS,
     PldaModel,
@@ -179,7 +179,7 @@ class TestTraining:
             dim=4, n_speakers=200, sessions_per_speaker=10, eigenvoice_dim=2,
             speaker_scale=1.3, channel_scale=0.8, seed=9,
         )
-        ds, _ = synth_dataset(cfg)
+        ds = synth_domain(cfg, Domain.IN_DOMAIN)
         m = train_gplda(ds, q=2, iters=60, seed=0)
         u = ground_truth_subspace(cfg)
         true_between = cfg.speaker_scale**2 * (u @ u.T)

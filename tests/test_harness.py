@@ -25,6 +25,7 @@ from svbackend.dataset import (
     load_ivectors,
     save_ivectors,
     save_trials,
+    synth_domain,
 )
 from svbackend.gplda import PldaModel, ScoreSet, length_normalize, read_scores, save_plda
 from svbackend.gplda import train_gplda, write_scores
@@ -46,12 +47,12 @@ from svbackend.harness import (
     save_config,
     train_backend,
 )
-from svbackend.idv import IdvTransform, IdvVariant, apply_idv, estimate_modified_idv
-from svbackend.idv import estimate_original_idv
+from svbackend.idv import IdvTransform, IdvVariant, apply_idv, estimate_idv
 from svbackend.lda import apply_lda, lda_from_scatter, scatter_matrices, train_lda
 from svbackend.metrics import REPORT_COLUMNS, DcfParams
 
 from conftest import make_dataset, make_scoreset, make_trials
+from test_hygiene import RETIRED_TRACED
 
 
 def tiny_config(**overrides):
@@ -242,6 +243,23 @@ class TestRunData:
         again = make_run_data(cfg, 0)
         assert again.eval_in == data.eval_in
 
+    @pytest.mark.parametrize(
+        "domains", [(), (Domain.OUT_DOMAIN,), (Domain.IN_DOMAIN,), tuple(Domain),
+                    (Domain.OUT_DOMAIN, Domain.IN_DOMAIN)],
+    )
+    def test_train_holds_exactly_the_domains_drawn(self, domains):
+        cfg = tiny_config()
+        data = make_run_data(cfg, 2, domains)
+        assert list(data.train) == [d for d in Domain if d in domains]  # in Domain order
+        base = replace(cfg.generator, seed=2, subspace_seed=2)
+        assert all(ds == synth_domain(base, d) for d, ds in data.train.items())
+
+    @pytest.mark.parametrize("entry", [None, "out", 1])
+    def test_a_train_domain_that_is_not_a_domain_fails_naming_it(self, entry):
+        message = f"^domain must be a member of Domain, got {entry!r}$"
+        with pytest.raises(ValueError, match=message):
+            make_run_data(tiny_config(), 0, (Domain.OUT_DOMAIN, entry))
+
     def test_build_trials_matches_object_loop(self):
         cfg = tiny_config()
         data = make_run_data(cfg, 0)
@@ -264,18 +282,17 @@ class TestRunData:
         train_cfg = replace(cfg.generator, seed=3, subspace_seed=3)
         eval_cfg = replace(train_cfg, seed=3 + EVAL_SEED_OFFSET,
                            n_speakers=cfg.eval_speakers, sessions_per_speaker=cfg.eval_sessions)
-        from svbackend.dataset import synth_dataset
-
-        expected_eval, _ = synth_dataset(eval_cfg)
+        expected_eval = synth_domain(eval_cfg, Domain.IN_DOMAIN)
         assert data.eval_in == expected_eval
 
     def test_backend_clamps_lda_dim_with_warning(self):
         cfg = tiny_config(lda_dim=500, plda_q=200)
         data = make_run_data(cfg, 0)
+        train = data.train[Domain.OUT_DOMAIN]
         with pytest.warns(UserWarning, match="clamped"):
-            backend = train_backend(cfg, data.train_out, scatter_matrices(data.train_out), None, 0)
+            backend = train_backend(cfg, train, scatter_matrices(train), None, 0)
         k = backend.projection.shape[1]
-        assert k == min(cfg.generator.dim, len(data.train_out.speakers) - 1)
+        assert k == min(cfg.generator.dim, len(train.speakers) - 1)
         assert backend.plda.n_eigenvoices == k
 
     def test_backend_projection_is_the_composed_chain(self):
@@ -284,9 +301,9 @@ class TestRunData:
         bit for bit without IDV, within rounding with it."""
         cfg = tiny_config()
         data = make_run_data(cfg, 0)
-        train, k = data.train_out, cfg.lda_dim
+        train, k = data.train[Domain.OUT_DOMAIN], cfg.lda_dim
         scatter = scatter_matrices(train)
-        idv_t = estimate_modified_idv(train, data.nist_cohort)
+        idv_t = estimate_idv(IdvVariant.MODIFIED, train, data.nist_cohort)
         plain = train_backend(cfg, train, scatter, None, 0)
         compensated = train_backend(cfg, train, scatter, idv_t, 0)
         lda_plain = train_lda(train, k)
@@ -387,7 +404,7 @@ class TestExperiments:
     ):
         """The modified estimate reuses the original transform's scatter: per
         seed one out-domain scatter and one mirrored one, through the
-        harness's own ``estimate_*_idv`` globals, also where in-vs-out's
+        harness's own ``estimate_idv`` global, also where in-vs-out's
         modified-IDV system comes first."""
         scatters = []
         mismatch_scatter = svbackend.idv._mismatch_scatter
@@ -395,10 +412,14 @@ class TestExperiments:
             svbackend.idv, "_mismatch_scatter",
             lambda *a: scatters.append(1) or mismatch_scatter(*a),
         )
-        calls = _count_calls(monkeypatch, "estimate_original_idv", "estimate_modified_idv")
+        variants = []
+        estimate = harness.estimate_idv
+        monkeypatch.setattr(
+            harness, "estimate_idv", lambda v, *a, **k: variants.append(v) or estimate(v, *a, **k)
+        )
         run_experiment(tiny_config(seeds=(0, 1), idv=idv), kind, tmp_path)
         assert len(scatters) == 2 * 2
-        assert calls == {"estimate_original_idv": 2, "estimate_modified_idv": 2}
+        assert variants == [IdvVariant.ORIGINAL, IdvVariant.MODIFIED] * 2
 
     def test_all_noises_each_matched_cohort_once(self, tmp_path, monkeypatch):
         """A matched cohort is noised once per (style, duration, noise seed) and
@@ -530,11 +551,11 @@ def test_idv_rescales_the_plain_lda_directions(seed):
     by more than 2x."""
     cfg = default_experiment_config()
     data = make_run_data(cfg, seed, (Domain.OUT_DOMAIN,))
-    train = data.train_out
+    train = data.train[Domain.OUT_DOMAIN]
     scatter = scatter_matrices(train)
     plain = train_backend(cfg, train, scatter, None, seed).projection
-    original = estimate_original_idv(train, data.nist_cohort)
-    modified = estimate_modified_idv(train, data.nist_cohort, original=original)
+    original = estimate_idv(IdvVariant.ORIGINAL, train, data.nist_cohort)
+    modified = estimate_idv(IdvVariant.MODIFIED, train, data.nist_cohort, original=original)
     for t in (original, modified):
         projection = train_backend(cfg, train, scatter, t, seed).projection
         norms = np.linalg.norm(projection, axis=0)
@@ -583,30 +604,30 @@ def test_study_csvs_identical_at_one_and_two_blas_threads(tmp_path):
 
 @pytest.mark.parametrize("kind", [*harness.EXPERIMENT_KINDS, "all"])
 def test_each_run_draws_only_the_domains_it_uses(tmp_path, monkeypatch, kind):
-    """Per seed, the training draw holds in-domain rows only where a study
-    trains an in-domain system, and each evaluation and cohort draw holds
-    rows of the one domain it keeps."""
-    drawn = {}  # (run seed, seed offset) -> (in-domain rows, out-domain rows) of each draw
-    original = harness.synth_dataset
+    """Per seed, the in-domain training set is drawn only where a study
+    trains an in-domain system, before the out-domain one, and each
+    evaluation and cohort draw is of the one domain it keeps."""
+    drawn = {}  # (run seed, seed offset) -> (domain, rows) of each draw
+    original = harness.synth_domain
 
-    def recorded(gen, *args):
-        pair = original(gen, *args)
-        drawn.setdefault((gen.subspace_seed, gen.seed - gen.subspace_seed), []).append(
-            (len(pair[0]), len(pair[1]))
-        )
-        return pair
+    def recorded(gen, domain):
+        ds = original(gen, domain)
+        key = gen.subspace_seed, gen.seed - gen.subspace_seed
+        drawn.setdefault(key, []).append((domain, len(ds)))
+        return ds
 
-    monkeypatch.setattr(harness, "synth_dataset", recorded)
+    monkeypatch.setattr(harness, "synth_domain", recorded)
     cfg = tiny_config(seeds=(0, 1), idv="modified", snorm="swb-style")
     run_experiment(cfg, kind, tmp_path)
     train = cfg.generator.n_speakers * cfg.generator.sessions_per_speaker
+    in_, out = Domain.IN_DOMAIN, Domain.OUT_DOMAIN
     per_seed = {
-        0: (train if kind in ("in-vs-out", "all") else 0, train),
-        EVAL_SEED_OFFSET: (cfg.eval_speakers * cfg.eval_sessions, 0),
-        harness.NIST_COHORT_SEED_OFFSET: (cfg.cohort_speakers * cfg.cohort_sessions, 0),
-        harness.SWB_COHORT_SEED_OFFSET: (0, cfg.swb_cohort_size),  # 10 speakers x 3 sessions
+        0: [(in_, train)] * (kind in ("in-vs-out", "all")) + [(out, train)],
+        EVAL_SEED_OFFSET: [(in_, cfg.eval_speakers * cfg.eval_sessions)],
+        harness.NIST_COHORT_SEED_OFFSET: [(in_, cfg.cohort_speakers * cfg.cohort_sessions)],
+        harness.SWB_COHORT_SEED_OFFSET: [(out, cfg.swb_cohort_size)],  # 10 speakers x 3 sessions
     }
-    assert drawn == {(seed, k): [rows] for seed in cfg.seeds for k, rows in per_seed.items()}
+    assert drawn == {(seed, k): draws for seed in cfg.seeds for k, draws in per_seed.items()}
 
 
 def _perfbench_tracer(monkeypatch):
@@ -619,12 +640,9 @@ def _perfbench_tracer(monkeypatch):
     return tracer_module.Tracer()
 
 
-def test_perfbench_tracer_counts_the_draws_of_a_study_without_in_domain_system(
-    tmp_path, monkeypatch
-):
-    """The benchmark's traced mode runs idv-comparison, whose draws leave the
-    in-domain training set and the discarded evaluation and cohort domains
-    empty: the run completes and the synth counter reads the rows drawn."""
+def test_perfbench_tracer_runs_a_study_past_its_retired_names(tmp_path, monkeypatch, capsys):
+    """The benchmark's traced mode runs idv-comparison to the end: each
+    retired name is skipped with a note, and its layers read 0."""
     tracer = _perfbench_tracer(monkeypatch)
     tracer.install()
     cfg = tiny_config(seeds=(0, 1), snorm="swb-style")
@@ -633,16 +651,13 @@ def test_perfbench_tracer_counts_the_draws_of_a_study_without_in_domain_system(
     finally:
         tracer.uninstall()
     assert all(path.exists() for path in res.files)
+    notes = capsys.readouterr().err.splitlines()
+    assert sorted(notes) == sorted(f"tracer: svbackend.{n} not found" for n in RETIRED_TRACED)
     m = tracer.layer_metrics()
-    assert m["dataset.synth_s"] > 0
-    # per seed: out-domain training, in-domain evaluation and NIST cohort, out-domain SWB
-    per_seed = (
-        cfg.generator.n_speakers * cfg.generator.sessions_per_speaker
-        + cfg.eval_speakers * cfg.eval_sessions
-        + cfg.cohort_speakers * cfg.cohort_sessions
-        + cfg.swb_cohort_size  # 10 speakers x 3 sessions
-    )
-    assert m["dataset.synth_vectors"] == len(cfg.seeds) * per_seed == 2 * 186
+    retired = ("dataset.synth_s", "dataset.synth_vectors", "idv.estimate_s",
+               "idv.estimate_vectors")
+    assert [m.get(k, 0) for k in retired] == [0, 0, 0, 0]
+    assert m["gplda.train_s"] > 0
 
 
 def test_perfbench_tracer_reaches_every_harness_layer(tmp_path, monkeypatch, capsys):
@@ -656,9 +671,9 @@ def test_perfbench_tracer_reaches_every_harness_layer(tmp_path, monkeypatch, cap
     finally:
         tracer.uninstall()
     missing = [line for line in capsys.readouterr().err.splitlines() if "not found" in line]
-    assert set(missing) <= {f"tracer: svbackend.metrics.{f} not found" for f in ("eer", "min_dcf")}
+    assert set(missing) <= {f"tracer: svbackend.{name} not found" for name in RETIRED_TRACED}
     m = tracer.layer_metrics()
-    layers = ("dataset.synth", "dataset.duration_noise", "idv.estimate", "lda.train",
+    layers = ("dataset.duration_noise", "lda.train",
               "gplda.length_norm", "gplda.train", "gplda.score", "scorenorm.snorm",
               "scorenorm.cohort_matrix", "metrics.evaluate")
     assert [layer for layer in layers if not m.get(f"{layer}_s", 0) > 0] == []
@@ -691,6 +706,15 @@ class TestCli:
         a = (tmp_path / "a" / "in_domain.ivec").read_bytes()
         b = (tmp_path / "b" / "in_domain.ivec").read_bytes()
         assert a == b
+
+    def test_synth_writes_one_file_per_domain_draw(self, tmp_path):
+        assert cli(["synth", "--dim", "6", "--speakers", "4", "--seed", "3",
+                    "--out-dir", str(tmp_path)]) == 0
+        cfg = GeneratorConfig(dim=6, n_speakers=4, sessions_per_speaker=5, eigenvoice_dim=6,
+                              seed=3)
+        for domain in Domain:
+            loaded = load_ivectors(tmp_path / f"{domain.value}_domain.ivec")
+            assert loaded == synth_domain(cfg, domain)
 
     @pytest.mark.parametrize(
         "flags, field",
@@ -782,7 +806,9 @@ class TestCli:
             ('{"dim": 6,}', "Expecting property name enclosed in double quotes"),
             ("[6, 4]", "generator must be a JSON object, got [6, 4]"),
             ('{"dim": 2, "eigenvoice_dim": 1, "domain_offset": ["1.5", "2"]}',
-             "invalid config: domain_offset must be a list of numbers"),
+             "domain_offset must be a finite number, got '1.5'\n"),
+            ('{"dim": 2, "eigenvoice_dim": 1, "domain_offset": "12"}',
+             "invalid config: domain_offset must be a list of numbers\n"),
         ],
     )
     def test_synth_config_malformed_file_named(self, tmp_path, capsys, text, message):
@@ -1308,10 +1334,8 @@ NUMERIC_ARGUMENTS = {
         lambda x: lda_from_scatter(2 * np.eye(3), np.eye(3), 1, x), 0.0, False),
     "train_lda-k": (lambda x: train_lda(_labeled(), x), 1, True),
     "train_lda-ridge": (lambda x: train_lda(_labeled(), 1, x), 0.0, False),
-    "estimate_original_idv-ridge": (
-        lambda x: estimate_original_idv(_labeled(), _labeled(), x), 0.0, False),
-    "estimate_modified_idv-ridge": (
-        lambda x: estimate_modified_idv(_labeled(), _labeled(), x), 0.0, False),
+    "estimate_idv-ridge": (
+        lambda x: estimate_idv(IdvVariant.MODIFIED, _labeled(), _labeled(), x), 0.0, False),
     "IdvTransform-ridge": (
         lambda x: IdvTransform(IdvVariant.ORIGINAL, np.eye(2), np.eye(2), x), 0.0, False),
     "apply_duration_noise-seed": (

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from svbackend.dataset import Dataset
 from svbackend import dataset
-from svbackend.idv import apply_idv, estimate_modified_idv
+from svbackend.idv import IdvVariant, apply_idv, estimate_idv
 from svbackend.lda import (
     UNIT_NORM_TOLERANCE,
     LdaTransform,
@@ -126,7 +126,7 @@ class TestTraining:
         projects like LDA trained on the IDV-compensated vectors."""
         ds, _ = grouped_dataset(rng, n_speakers=12, sessions=6, dim=6)
         other = make_dataset(rng.standard_normal((30, 6)) + 2.0)
-        idv_t = estimate_modified_idv(other, ds)
+        idv_t = estimate_idv(IdvVariant.MODIFIED, other, ds)
         d = idv_t.decorrelator
         composed = lda_from_scatter(*[d.T @ s @ d for s in scatter_matrices(ds)], k=4)
         sequential = train_lda(apply_idv(idv_t, ds), k=4)
@@ -241,13 +241,16 @@ class TestPersistence:
         (lambda: LdaTransform(np.zeros((2, 0)), np.zeros(0)),
          "^a_matrix must be a non-empty 2-D matrix$"),
         (lambda: LdaTransform(np.array([[1.0], [np.nan]]), np.ones(1)),
-         "^a_matrix and eigenvalues must be finite$"),
+         "^a_matrix has non-finite entries$"),
+        (lambda: LdaTransform(np.array([[1.0], [0.0]]), [-np.inf]),
+         "^eigenvalues has non-finite entries$"),
         (lambda: LdaTransform(np.array([[1.0], [0.0]]), np.ones(2)),
          "^need one eigenvalue per retained column$"),
         (lambda: lda_from_scatter(np.eye(3), np.zeros((3, 3)), 1, 0.0),
          "^generalized eigendecomposition failed: "),
     ],
-    ids=["a_matrix-shape", "non-finite", "eigenvalue-count", "eigendecomposition"],
+    ids=["a_matrix-shape", "non-finite", "non-finite-eigenvalue", "eigenvalue-count",
+         "eigendecomposition"],
 )
 def test_error_paths_name_the_field(call, message):
     with pytest.raises(ValueError, match=message):

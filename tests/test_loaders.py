@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 
 from svbackend import dataset, gplda
 from svbackend.dataset import (
+    Domain,
     GeneratorConfig,
     load_ivectors,
     load_trials,
     save_ivectors,
-    synth_dataset,
+    synth_domain,
 )
 from svbackend.gplda import (
     PldaModel,
@@ -33,7 +34,7 @@ from svbackend.gplda import (
     save_plda,
     train_gplda,
 )
-from svbackend.idv import IdvTransform, IdvVariant, estimate_modified_idv, load_idv, save_idv
+from svbackend.idv import IdvTransform, IdvVariant, estimate_idv, load_idv, save_idv
 from svbackend.lda import (
     LDA_MAGIC,
     UNIT_NORM_TOLERANCE,
@@ -303,6 +304,15 @@ class TestContentErrorsNameTheFile:
         with _raises_naming(path, "decorrelator does not whiten"):
             load_idv(path)
 
+    def test_idv_nan_decorrelator_names_it(self, tmp_path):
+        path = tmp_path / "x.idv"
+        dmat = np.diag([1.0, math.nan])
+        path.write_bytes(
+            b"IDV1" + struct.pack("<BId", 1, 2, 0.0) + np.eye(2).tobytes() + dmat.tobytes()
+        )
+        with _raises_naming(path, "decorrelator has non-finite entries$"):
+            load_idv(path)
+
     def test_idv_unknown_variant_byte(self, tmp_path):
         path = tmp_path / "x.idv"
         save_idv(IdvTransform(IdvVariant.MODIFIED, np.eye(2), np.eye(2), 0.0), path)
@@ -387,7 +397,7 @@ def _write_valid_files(tmp_path: Path) -> dict[str, bytes]:
     basis *= np.sign(basis[np.abs(basis).argmax(axis=0), [0, 1]])  # sign-fixed columns
     save_lda(LdaTransform(basis, [3.0, 1.0]), tmp_path / "v.lda")
     out = make_dataset(rng.standard_normal((6, 3)) + 2.0, prefix="o")
-    idv = estimate_modified_idv(out, make_dataset(rng.standard_normal((6, 3))), 1e-6)
+    idv = estimate_idv(IdvVariant.MODIFIED, out, make_dataset(rng.standard_normal((6, 3))), 1e-6)
     save_idv(idv, tmp_path / "v.idv")
     lam = rng.standard_normal((3, 3))
     save_plda(PldaModel(np.zeros(3), rng.standard_normal((3, 2)), lam @ lam.T + np.eye(3)),
@@ -455,11 +465,11 @@ def test_trained_models_equal_their_file_copies_field_by_field(tmp_path):
         dim=6, n_speakers=12, sessions_per_speaker=4, eigenvoice_dim=3,
         domain_offset=[1.0, -1.0] * 3, seed=5,
     )
-    in_ds, out_ds = synth_dataset(gen)
+    in_ds, out_ds = (synth_domain(gen, d) for d in Domain)
     lda_t = train_lda(out_ds, 4)
     plda = train_gplda(length_normalize(apply_lda(lda_t, out_ds)), q=2, iters=3)
     for model, save, load in (
-        (estimate_modified_idv(out_ds, in_ds), save_idv, load_idv),
+        (estimate_idv(IdvVariant.MODIFIED, out_ds, in_ds), save_idv, load_idv),
         (lda_t, save_lda, load_lda),
         (plda, save_plda, load_plda),
     ):

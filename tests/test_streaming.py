@@ -19,8 +19,7 @@ from svbackend.dataset import read_only, save_trials
 from svbackend.gplda import PldaModel, ScoreSet, _speaker_stats, length_normalize, load_plda
 from svbackend.gplda import read_scores, save_plda, score_trials, train_gplda, write_scores
 from svbackend.harness import Backend, build_trials, default_experiment_config, train_backend
-from svbackend.idv import IdvTransform, IdvVariant, apply_idv, estimate_modified_idv
-from svbackend.idv import estimate_original_idv, load_idv, save_idv
+from svbackend.idv import IdvTransform, IdvVariant, apply_idv, estimate_idv, load_idv, save_idv
 from svbackend.lda import LdaTransform, apply_lda, load_lda, save_lda, scatter_matrices, train_lda
 
 from conftest import make_dataset, traced_peak
@@ -97,7 +96,7 @@ class TestBlockBoundaries:
         other = make_dataset(rng.standard_normal((3, ds.dim)) + 1.0)
         c = mat - other.matrix().mean(axis=0)
         s = c.T @ c / n
-        assert_gram_matches(estimate_original_idv(ds, other).s_idv, (s + s.T) / 2.0, n)
+        assert_gram_matches(estimate_idv(IdvVariant.ORIGINAL, ds, other).s_idv, (s + s.T) / 2.0, n)
 
     def test_within_scatter_matches_the_single_product(self, n, rng):
         ds = labeled(rng, n)
@@ -134,10 +133,10 @@ class TestMemoryBounds:
         other = make_dataset(rng.standard_normal((self.N, self.DIM)) + 1.0, prefix="in")
         return ds, other, ds.matrix().nbytes
 
-    @pytest.mark.parametrize("estimate", [estimate_original_idv, estimate_modified_idv])
-    def test_idv_estimation_holds_a_block(self, data, estimate):
+    @pytest.mark.parametrize("variant", IdvVariant)
+    def test_idv_estimation_holds_a_block(self, data, variant):
         ds, other, nbytes = data
-        assert traced_peak(estimate, ds, other) < 0.5 * nbytes
+        assert traced_peak(estimate_idv, variant, ds, other) < 0.5 * nbytes
 
     def test_scatter_matrices_hold_a_block(self, data):
         ds, _, nbytes = data
@@ -342,8 +341,8 @@ class TestOwnership:
         train = labeled(rng, 60)
         other = make_dataset(rng.standard_normal((40, 6)) + 1.0, domain=Domain.OUT_DOMAIN)
         cfg = default_experiment_config(lda_dim=3, plda_q=2, plda_iters=2)
-        idv_t = estimate_original_idv(train, other)
-        modified = estimate_modified_idv(train, other, original=idv_t)
+        idv_t = estimate_idv(IdvVariant.ORIGINAL, train, other)
+        modified = estimate_idv(IdvVariant.MODIFIED, train, other, original=idv_t)
         lda_t = train_lda(train, 3)
         plda = train_gplda(apply_lda(lda_t, train), q=2, iters=2)
         built = [idv_t, modified, lda_t, plda]
