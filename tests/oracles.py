@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -359,3 +360,196 @@ def min_dcf_brute(
         best = cost if best is None else min(best, cost)
     assert best is not None
     return best
+
+
+# ---------------------------------------------------------------------------
+# end-to-end reference study
+
+#: Seed offsets of the evaluation, NIST-cohort and SWB-cohort draws and of the
+#: evaluation and cohort duration noise (plus the duration's index in its
+#: study's grid), restated from the study definition rather than imported.
+_EVAL, _NIST, _SWB, _EVAL_NOISE, _COHORT_NOISE = 101, 211, 307, 401, 601
+
+#: NIST SRE 2008 detection costs: c_miss, c_fa, p_target.
+_DCF = (10.0, 1.0, 0.01)
+
+
+def cholesky_decorrelator(s: np.ndarray, ridge_factor: float = 1e-6) -> np.ndarray:
+    """D with ``D.T @ (S + r I) @ D == I``: the inverse transpose of the lower
+    Cholesky factor of ``S + r I``, r being ``ridge_factor`` times trace(S)/dim."""
+    dim = s.shape[0]
+    c = np.linalg.cholesky(s + ridge_factor * np.trace(s) / dim * np.eye(dim))
+    return np.linalg.inv(c).T
+
+
+def lda_directions(
+    s_b: np.ndarray, s_w: np.ndarray, k: int, ridge_factor: float = 1e-6
+) -> np.ndarray:
+    """The k leading eigenvectors of ``inv(S_w + r I) @ S_b`` (r as in
+    ``cholesky_decorrelator``), each scaled to unit length with its
+    largest-magnitude entry (the first, on ties) positive."""
+    dim = s_w.shape[0]
+    conditioned = s_w + ridge_factor * np.trace(s_w) / dim * np.eye(dim)
+    vals, vecs = np.linalg.eig(np.linalg.solve(conditioned, s_b))
+    a = vecs[:, np.argsort(-vals.real)[:k]].real
+    a = a / np.linalg.norm(a, axis=0)
+    for j in range(k):
+        if a[np.argmax(np.abs(a[:, j])), j] < 0:
+            a[:, j] = -a[:, j]
+    return a
+
+
+def joint_llr_grid(
+    mean: np.ndarray, sigma_between: np.ndarray, sigma_within: np.ndarray,
+    us: np.ndarray, vs: np.ndarray,
+) -> np.ndarray:
+    """``plda_pair_llr`` of every row of ``us`` against every row of ``vs``:
+    the same three joint-Gaussian log densities, each written out as
+    ``-(z' inv(C) z + logdet(2 pi C)) / 2`` over the whole grid at once."""
+    def logpdf(z: np.ndarray, cov: np.ndarray) -> np.ndarray:
+        quad = np.einsum("...i,ij,...j->...", z, np.linalg.inv(cov), z)
+        return -0.5 * (quad + np.linalg.slogdet(2.0 * np.pi * cov)[1])
+
+    tot = sigma_between + sigma_within
+    joint = np.block([[tot, sigma_between], [sigma_between, tot]])
+    u, v = us - mean, vs - mean
+    pairs = np.concatenate(
+        [np.repeat(u[:, None], len(v), axis=1), np.repeat(v[None], len(u), axis=0)], axis=2
+    )
+    return logpdf(pairs, joint) - logpdf(u, tot)[:, None] - logpdf(v, tot)[None, :]
+
+
+def _study_specs(cfg) -> dict:
+    """kind -> (systems (name, training domain, IDV), variants (suffix, cohort
+    style, matched), finite durations only), as the paper's three studies read."""
+    from svbackend.dataset import Domain
+
+    out, inn = Domain.OUT_DOMAIN, Domain.IN_DOMAIN
+    matched = cfg.snorm == "matched-length"
+    style = "nist-style" if cfg.snorm in ("off", "matched-length") else cfg.snorm
+    modified = ("modified-idv", out, "modified")
+    return {
+        "in-vs-out": (
+            [("out-domain", out, cfg.idv), ("in-domain", inn, "off")],
+            [("", "off" if cfg.snorm == "off" else style, matched)],
+            False,
+        ),
+        "idv-comparison": (
+            [("out-domain", out, "off"), ("idv", out, "original"), modified],
+            [("snorm=off", "off", False),
+             ("snorm=" + ("matched-length" if matched else style), style, matched)],
+            False,
+        ),
+        "matched-snorm": (
+            [modified],
+            [("cohort=full-length", style, False), ("cohort=matched", style, True)],
+            True,
+        ),
+    }
+
+
+def _reference_backend(train, out_train, nist, idv: str, cfg, seed: int):
+    """(projection of a value matrix onto the unit sphere, PLDA (mean,
+    between, within)) of one system, each stage from its oracle."""
+    d = np.eye(train.dim)
+    if idv != "off":
+        out_m, in_m = out_train.matrix(), nist.matrix()
+        s = (original_idv_scatter if idv == "original" else modified_idv_scatter)(out_m, in_m)
+        d = cholesky_decorrelator(s)
+    comp = train.matrix() @ d
+    groups = [comp[speaker_rows(train, c)] for c in range(len(train.speakers))]
+    k = min(cfg.lda_dim, train.dim, len(train.speakers) - 1)
+    a = d @ lda_directions(*lda_scatters(groups), k)
+
+    def project(values: np.ndarray) -> np.ndarray:
+        p = values @ a
+        return p / np.linalg.norm(p, axis=1, keepdims=True)
+
+    proj = train.with_values(project(train.matrix()))
+    u1, lam, _ = reference_em(proj, min(cfg.plda_q, k), cfg.plda_iters, seed)
+    return project, (proj.matrix().mean(axis=0), u1 @ u1.T, np.linalg.inv(lam))
+
+
+def reference_study(cfg, kind: str) -> dict:
+    """Every report row of ``run_experiment(cfg, kind)`` rebuilt from the
+    oracles: {study kind: rows in report order (seed, duration, variant,
+    system)}, each row ``(condition, system, scores, eer, min_dcf,
+    min_dcf_normalized, n_target, n_nontarget)`` with ``scores`` mapping
+    (enrol id, test id) to (score, is target).
+
+    Only the generator (``synth_domain``, ``apply_duration_noise``) and the
+    datasets' row bookkeeping come from svbackend.  Each run seed draws
+    the two training sets, the evaluation set and both cohorts at their
+    seed offsets; each system is a Cholesky decorrelator of its IDV
+    scatter (or none), LDA on the compensated training data, length
+    normalization and ``reference_em``'s PLDA; the first session of each
+    evaluation speaker enrols against every other session; S-norm reads
+    each side's cohort scores through ``row_mean_std``, a matched cohort
+    noised to the duration; EER and minDCF are the brute-force ones.
+    """
+    from svbackend.dataset import Domain, apply_duration_noise, synth_domain
+
+    specs = _study_specs(cfg)
+    kinds = list(specs) if kind == "all" else [kind]
+    rows = {k: [] for k in kinds}
+    c_miss, c_fa, p_target = _DCF
+    for seed in cfg.seeds:
+        base = replace(cfg.generator, seed=seed, subspace_seed=seed)
+
+        def draw(offset, speakers, sessions, domain):
+            sub = replace(base, seed=seed + offset, n_speakers=speakers,
+                          sessions_per_speaker=sessions)
+            return synth_domain(sub, domain)
+
+        train = {d: synth_domain(base, d) for d in Domain}
+        eval_in = draw(_EVAL, cfg.eval_speakers, cfg.eval_sessions, Domain.IN_DOMAIN)
+        nist = draw(_NIST, cfg.cohort_speakers, cfg.cohort_sessions, Domain.IN_DOMAIN)
+        swb_speakers = -(-cfg.swb_cohort_size // cfg.cohort_sessions)
+        swb = draw(_SWB, swb_speakers, cfg.cohort_sessions, Domain.OUT_DOMAIN)
+        swb = swb.subset(range(cfg.swb_cohort_size))
+        backends = {}
+        for k in kinds:
+            systems, variants, finite_only = specs[k]
+            grid = [d for d in cfg.durations if d is not None or not finite_only]
+            for gi, duration in enumerate(grid):
+                dur = "full" if duration is None else f"{duration:g}"
+                ev = eval_in
+                if duration is not None:
+                    ev = apply_duration_noise(ev, duration, cfg.generator, seed + _EVAL_NOISE + gi)
+                spk = ev.row_speakers()
+                first = {s: pos for pos, s in reversed(list(enumerate(spk)))}
+                enrol = sorted(first.values())
+                test = sorted(set(range(len(ev))) - set(enrol))
+                for sfx, style, matched in variants:
+                    for name, domain, idv in systems:
+                        if (domain, idv) not in backends:
+                            backends[domain, idv] = _reference_backend(
+                                train[domain], train[Domain.OUT_DOMAIN], nist, idv, cfg, seed
+                            )
+                        project, plda = backends[domain, idv]
+                        e_vec, t_vec = project(ev.matrix()[enrol]), project(ev.matrix()[test])
+                        scores = joint_llr_grid(*plda, e_vec, t_vec)
+                        if style != "off":
+                            co = swb if style == "swb-style" else nist
+                            if matched and duration is not None:
+                                co = apply_duration_noise(
+                                    co, duration, cfg.generator, seed + _COHORT_NOISE + gi
+                                )
+                            c_vec = project(co.matrix())
+                            mu_e, sd_e = row_mean_std(joint_llr_grid(*plda, e_vec, c_vec))
+                            mu_t, sd_t = row_mean_std(joint_llr_grid(*plda, t_vec, c_vec))
+                            scores = 0.5 * ((scores - mu_e[:, None]) / sd_e[:, None]
+                                            + (scores - mu_t[None, :]) / sd_t[None, :])
+                        target = np.array([[spk[e] == spk[t] for t in test] for e in enrol])
+                        tar, non = scores[target], scores[~target]
+                        dcf = min_dcf_brute(tar, non, c_miss, c_fa, p_target)
+                        rows[k].append((
+                            f"seed={seed}/dur={dur}" + (sfx and f"/{sfx}"),
+                            name + (sfx and f"|{sfx}"),
+                            {(ev.ids[e], ev.ids[t]): (float(scores[i, j]), bool(target[i, j]))
+                             for i, e in enumerate(enrol) for j, t in enumerate(test)},
+                            eer_brute(tar, non), dcf,
+                            dcf / min(c_miss * p_target, c_fa * (1.0 - p_target)),
+                            int(target.sum()), int((~target).sum()),
+                        ))
+    return rows
