@@ -24,7 +24,6 @@ from array import array
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from types import ModuleType
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -86,20 +85,21 @@ def own_fields(obj: object, *names: str) -> list[np.ndarray]:
     return [getattr(obj, name) for name in names]
 
 
-def scipy_linalg() -> ModuleType:
-    """``scipy.linalg``, imported on first call.
-
-    The package imports scipy only where it runs: a training
-    factorization calls this, and ``Dataset.speaker_sums`` imports
-    ``scipy.sparse`` in its body.  No module imports scipy at module level,
-    so ``import svbackend`` and the commands that train nothing
-    (``synth``, ``transform``, ``score``, ``snorm``, ``eval``) load none of
-    it; ``scipy.linalg`` alone takes ~0.25 s to import, most of it scipy's
-    array-API shim loading ``numpy.testing``.
-    """
-    import scipy.linalg
-
-    return scipy.linalg
+def lower_inverse(c: np.ndarray) -> np.ndarray:
+    """The inverse of the lower-triangular matrix ``c`` with a nonzero
+    diagonal, itself lower triangular: ``c``'s diagonal blocks are inverted
+    recursively and the off-diagonal block is ``-inv(B) @ C @ inv(A)``, so
+    all but ``np.linalg.inv`` of the small blocks is matrix products.
+    numpy's ``inv`` solves against the identity by LU, ~5x a product of
+    the same size at 400 x 400, where this takes about half a product."""
+    n = c.shape[0]
+    if n <= _INVERSE_BLOCK:
+        return np.tril(np.linalg.inv(c))
+    h = n // 2
+    out = np.zeros_like(c)
+    out[:h, :h], out[h:, h:] = lower_inverse(c[:h, :h]), lower_inverse(c[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ c[h:, :h]) @ out[:h, :h]
+    return out
 
 
 def _integers(values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
@@ -111,6 +111,9 @@ def _integers(values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be integers, got {arr.dtype}")
     return owned(arr, np.intp)
 
+
+#: Largest diagonal block that ``lower_inverse`` hands to ``np.linalg.inv``.
+_INVERSE_BLOCK = 64
 
 #: Rows per step of every reduction over a training-size (N, D) matrix:
 #: Gram sums, row norms and finiteness checks hold one (_ROW_BLOCK, D)
@@ -132,29 +135,19 @@ def row_blocks(n: int, width: int | None = None) -> Iterator[slice]:
     return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 
-def centered_gram(
-    values: np.ndarray, center: np.ndarray, code: np.ndarray | None = None
-) -> np.ndarray:
-    """``c.T @ c`` for the centered rows ``c = values - center``, without an
-    (N, D) temporary.
+def centered_gram(values: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """``c.T @ c`` for the centered rows ``c = values - center`` (``center``
+    one (D,) row), without an (N, D) temporary.
 
-    ``center`` is one (D,) row, or a table of rows of which row i of
-    ``values`` takes ``center[code[i]]``; every code must be a row of the
-    table (an unlabeled row's -1 is not).  Rows are centered ``row_blocks``
-    at a time in one reused buffer and the block products are summed in
-    order: up to ``_ROW_BLOCK`` rows the result is the single product,
-    above it the sum is reordered.
+    Rows are centered ``row_blocks`` at a time in one reused buffer and the
+    block products are summed in order: up to ``_ROW_BLOCK`` rows the
+    result is the single product, above it the sum is reordered.
     """
     n, dim = values.shape
     buf = np.empty((min(n, _ROW_BLOCK), dim))
     gram = np.zeros((dim, dim)) if n == 0 else None
     for rows in row_blocks(n):
-        c = buf[: rows.stop - rows.start]
-        if center.ndim == 1:
-            np.subtract(values[rows], center, out=c)
-        else:  # codes are valid table rows; "clip" keeps take from buffering
-            np.take(center, code[rows], axis=0, out=c, mode="clip")
-            np.subtract(values[rows], c, out=c)
+        c = np.subtract(values[rows], center, out=buf[: rows.stop - rows.start])
         if gram is None:
             gram = c.T @ c
         else:
@@ -196,7 +189,9 @@ class Dataset:
     do not change.
     """
 
-    __slots__ = ("dim", "ids", "speakers", "speaker_code", "domains", "durations", "_values")
+    __slots__ = (
+        "dim", "ids", "speakers", "speaker_code", "domains", "durations", "_values", "_gram"
+    )
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(
@@ -257,6 +252,7 @@ class Dataset:
         self.ids, self.speakers, self.domains = ids, tuple(table), domains
         self.speaker_code = read_only(np.fromiter(map(code_of.__getitem__, speakers), np.intp, n))
         self.durations = read_only(durations)
+        self._gram = None
         return self
 
     def _derive(
@@ -279,6 +275,7 @@ class Dataset:
             ds.speaker_code = read_only(code)
         ds._values, ds.dim = read_only(values), values.shape[1]
         ds.durations = read_only(durations)
+        ds._gram = None
         return ds
 
     def __len__(self) -> int:
@@ -312,22 +309,41 @@ class Dataset:
         """The read-only (N, D) float64 value matrix itself (not a copy)."""
         return self._values
 
+    def gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows' mean and the ``centered_gram`` of the rows about it,
+        both read-only, computed on the first call and kept: one pass over
+        a training set serves LDA's within-class scatter and the IDV
+        mismatch scatter."""
+        if self._gram is None:
+            mean = self._values.mean(axis=0)
+            self._gram = read_only(mean), read_only(centered_gram(self._values, mean))
+        return self._gram
+
     def speaker_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-speaker row sums of the matrix and row counts.
 
         Both follow ``speakers`` order and skip unlabeled rows.  Each sum
         adds its speaker's rows one at a time in dataset order, as a loop
-        over that speaker's rows would.
+        over that speaker's rows would: the speaker's first run of
+        consecutive rows is one reduction over the (C-ordered) run, which
+        numpy adds row after row, and any later run is added row by row.
         """
-        import scipy.sparse  # imported where it runs: see ``scipy_linalg``
-
-        rows = np.flatnonzero(self.speaker_code >= 0)
-        code = self.speaker_code[rows]
-        n_spk = len(self.speakers)
-        members = scipy.sparse.csr_matrix(
-            (np.ones(rows.size), (code, rows)), shape=(n_spk, len(self))
-        )
-        return members @ self._values, np.bincount(code, minlength=n_spk)
+        code = self.speaker_code
+        sums = np.zeros((len(self.speakers), self.dim))
+        seen = np.zeros(len(self.speakers), dtype=bool)
+        starts = np.flatnonzero(np.diff(code, prepend=-2))  # where each run of one code begins
+        stops = [*starts[1:].tolist(), len(code)]
+        for start, stop, c in zip(starts.tolist(), stops, code[starts].tolist()):
+            if c < 0:
+                continue
+            run = self._values[start:stop]
+            if seen[c]:
+                for row in run:
+                    sums[c] += row
+            else:
+                np.add.reduce(np.ascontiguousarray(run), axis=0, out=sums[c])
+                seen[c] = True
+        return sums, np.bincount(code[code >= 0], minlength=len(self.speakers))
 
     def with_values(self, values: np.ndarray) -> "Dataset":
         """Same metadata, new values (possibly of a new dim); used by transforms.
@@ -441,15 +457,21 @@ def check_number(
     name: str, value: object, bound: float | tuple[float, float] = -math.inf, integer: bool = False
 ) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite
-    number (an integer if ``integer``; never a bool) of at least ``bound``,
-    or above ``low`` and below ``high`` for a ``(low, high)`` pair, such as
-    ``(0, math.inf)``.  The message states the finite ends of the bound:
-    ``p_target must be a finite number > 0 and < 1, got 1.0``."""
+    number (an integer if ``integer``; never a bool, nor an int beyond the
+    float range) of at least ``bound``, or above ``low`` and below ``high``
+    for a ``(low, high)`` pair, such as ``(0, math.inf)``.  The message
+    states the finite ends of the bound: ``p_target must be a finite number
+    > 0 and < 1, got 1.0``."""
     low, high, op = (*bound, ">") if isinstance(bound, tuple) else (bound, math.inf, ">=")
     kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind) or not (
-        math.isfinite(value) and (value > low if op == ">" else value >= low) and value < high
-    ):
+    ok = isinstance(value, kind) and not isinstance(value, bool)
+    try:  # isfinite raises for an int beyond the float range
+        ok = ok and math.isfinite(value) and value < high and (
+            value > low if op == ">" else value >= low
+        )
+    except OverflowError:
+        ok = False
+    if not ok:
         what = "an integer" if integer else "a finite number"
         ends = [f" {o} {x:g}" for o, x in ((op, low), ("<", high)) if math.isfinite(x)]
         raise ValueError(f"{name} must be {what}{' and'.join(ends)}, got {value!r}")

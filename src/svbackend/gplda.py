@@ -42,7 +42,7 @@ import numpy as np
 
 from .dataset import LABEL_TEXT, Block, Dataset, TrialColumns, TrialList, block_fields, csv_fields
 from .dataset import centered_gram, csv_records, is_symmetric, line_blocks, own_fields, owned
-from .dataset import check_number, read_model_file, read_only, row_blocks, scipy_linalg, write_csv
+from .dataset import check_number, lower_inverse, read_model_file, read_only, row_blocks, write_csv
 from .dataset import write_model_file
 
 PLDA_MAGIC = b"PLDA1"
@@ -68,11 +68,11 @@ def _chol_logdet(c: np.ndarray) -> float:
 
 
 def _cho_inverse(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse and log-determinant of an SPD matrix from numpy's one Cholesky
-    factor, so that a model is built and scored without scipy."""
+    """Inverse and log-determinant of an SPD matrix from its one Cholesky
+    factor L: the inverse is ``L^-T L^-1``, exactly symmetric."""
     c = np.linalg.cholesky(m)
-    c_inv = np.linalg.inv(c)
-    return _sym(c_inv.T @ c_inv), _chol_logdet(c)
+    c_inv = lower_inverse(c)
+    return c_inv.T @ c_inv, _chol_logdet(c)
 
 
 def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
@@ -80,26 +80,22 @@ def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
 
     The guard ridges when ``eigvalsh`` finds the smallest eigenvalue
     nonpositive or the condition number above ``_COND_LIMIT``.  EM calls
-    this every iteration, so the matrix is first factored once (scipy's
-    Cholesky) and inverted from that factor (LAPACK ``potri``, upper
-    triangle mirrored).  Since ``cond_2(m) <= |m|_F * |inv(m)|_F``, a
-    product at most ``_COND_LIMIT / _BOUND_MARGIN`` settles the guard: the
-    margin covers the computed inverse's rounding (about K eps cond, 3e-4
-    relative at cond 1e10) and ``eigvalsh``'s absolute error (about K eps
-    |m|), so the eigenvalue check could not have chosen the ridge, and the
-    inverse is returned at once.  A failed factorization, or a product
-    that does not settle it (NaN included), runs the eigenvalue check,
-    the ridge and the factorization as before.  Every error names the
-    matrix, ``what``.
+    this every iteration, so the matrix is first factored once and
+    inverted from that factor (``L^-T L^-1``, exactly symmetric).  Since
+    ``cond_2(m) <= |m|_F * |inv(m)|_F``, a product at most ``_COND_LIMIT /
+    _BOUND_MARGIN`` settles the guard: the margin covers the computed
+    inverse's rounding (about K eps cond, 3e-4 relative at cond 1e10) and
+    ``eigvalsh``'s absolute error (about K eps |m|), so the eigenvalue
+    check could not have chosen the ridge, and the inverse is returned at
+    once.  A failed factorization, or a product that does not settle it
+    (NaN included), runs the eigenvalue check, the ridge and the
+    factorization as before.  Every error names the matrix, ``what``.
     """
-    la = scipy_linalg()
     try:
-        c, _ = la.cho_factor(m, check_finite=False)
+        inv = _cho_inverse(m)[0]
     except np.linalg.LinAlgError:
         pass
     else:
-        inv = np.triu(la.lapack.dpotri(c)[0])  # cannot fail: c has a positive diagonal
-        inv += np.triu(inv, 1).T
         with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the test
             bound = np.linalg.norm(m) * np.linalg.norm(inv)
         if bound <= _COND_LIMIT / _BOUND_MARGIN:
@@ -109,20 +105,19 @@ def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
         eigvals = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as e:  # non-finite input
         raise np.linalg.LinAlgError(f"{what}: {e}") from None
+    if not np.isfinite(m).all():  # numpy's Cholesky factors NaN without an error
+        raise ValueError(f"{what}: array must not contain infs or NaNs")
     lo, hi = eigvals[0], eigvals[-1]
     if lo <= 0 or hi > _COND_LIMIT * lo:
         m = m + (_COND_RIDGE * np.trace(m) / dim) * np.eye(dim)
     try:
-        return _sym(la.cho_solve(la.cho_factor(m), np.eye(dim)))
+        return _cho_inverse(m)[0]
     except np.linalg.LinAlgError as e:
         raise ValueError(f"{what} is not positive definite: {e}") from None
-    except ValueError as e:  # non-finite input
-        raise ValueError(f"{what}: {e}") from None
 
 
 def _spd_logdet(m: np.ndarray) -> float:
-    """Log-determinant from numpy's (lower) Cholesky factor; scipy's upper
-    factor can differ in the last bits, which would move the EM trace."""
+    """Log-determinant from the Cholesky factor."""
     return _chol_logdet(np.linalg.cholesky(m))
 
 
@@ -263,7 +258,6 @@ def _e_step(
     Cholesky factor of ``I + n g`` per session-count group of S speakers
     (log-likelihood term of a group: ``-S/2 * logdet(I + n g) + 1/2 *
     sum(b * xhat)`` over its rows)."""
-    la = scipy_linalg()
     q = u1.shape[1]
     eye_q = np.eye(q)
     t = u1.T @ lam
@@ -277,10 +271,10 @@ def _e_step(
         - 0.5 * float(np.sum(lam * stats.s_phiphi))
     )
     for n, n_spk, rows in stats.groups:
-        cf = la.cho_factor(eye_q + n * g)
-        xhat[rows] = la.cho_solve(cf, b[rows].T).T
-        r_xx += n * n_spk * la.cho_solve(cf, eye_q)
-        loglik += -0.5 * n_spk * _chol_logdet(cf[0]) + 0.5 * float(np.sum(b[rows] * xhat[rows]))
+        p_inv, logdet = _cho_inverse(eye_q + n * g)
+        xhat[rows] = b[rows] @ p_inv
+        r_xx += n * n_spk * p_inv
+        loglik += -0.5 * n_spk * logdet + 0.5 * float(np.sum(b[rows] * xhat[rows]))
     r_xx += (xhat * stats.ns[:, None]).T @ xhat
     return xhat, r_xx, loglik
 

@@ -37,7 +37,6 @@ from .dataset import (
     own_fields,
     read_only,
     reject_unknown_keys,
-    scipy_linalg,
     synth_domain,
     write_csv,
 )
@@ -466,9 +465,6 @@ def run_experiment(
     # IDV is estimated on the out-domain training set, whichever set its backend trains on
     train_domains = {d for d, _ in keys} | {Domain.OUT_DOMAIN for _, idv in keys if idv != "off"}
     rows = {k: defaultdict(list) for k in chosen}
-    # Load scipy.linalg before the first draw: loaded at the first solve, its
-    # objects land among the draw's freed arrays and raise the peak RSS ~4%.
-    scipy_linalg()
     for seed in cfg.seeds:
         data = make_run_data(cfg, seed, train_domains)
         backends, scatters, noised, cohorts = {}, {}, {}, {}

@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, centered_gram, check_member, check_number, is_symmetric, own_fields
-from .dataset import read_model_file, read_only, scipy_linalg, write_model_file
+from .dataset import Dataset, check_member, check_number, is_symmetric, own_fields
+from .dataset import lower_inverse, read_model_file, read_only, write_model_file
 
 IDV_MAGIC = b"IDV1"
 
@@ -71,10 +71,10 @@ class IdvTransform:
             raise ValueError("decorrelator shape must match s_idv")
         if not is_symmetric(s):
             raise ValueError("s_idv is not symmetric")
-        conditioned = s + self.ridge * np.eye(s.shape[0])
-        inv = np.linalg.inv(conditioned)
+        eye = np.eye(s.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the test
-            whitens = np.linalg.norm(d @ d.T - inv) <= 1e-8 * np.linalg.norm(inv)
+            white = d.T @ (s + self.ridge * eye) @ d
+            whitens = np.linalg.norm(white - eye) <= 1e-8 * np.linalg.norm(eye)
         if not whitens:
             raise ValueError("decorrelator does not whiten s_idv + ridge*I")
 
@@ -83,9 +83,12 @@ class IdvTransform:
         return self.s_idv.shape[0]
 
 
-def _mismatch_scatter(vectors: np.ndarray, center: np.ndarray) -> np.ndarray:
-    s = centered_gram(vectors, center) / vectors.shape[0]
-    return (s + s.T) / 2.0
+def _mismatch_scatter(ds: Dataset, center: np.ndarray) -> np.ndarray:
+    """Mean outer product of the rows of ``ds`` about ``center``, from the
+    set's ``gram()`` about its own mean m: ``(G + n (m - c)(m - c)^T) / n``."""
+    mean, gram = ds.gram()
+    d = mean - center
+    return (gram + len(ds) * np.outer(d, d)) / len(ds)  # symmetric: G is ``c.T @ c`` sums
 
 
 def _whitening(variant: IdvVariant, s: np.ndarray, ridge_factor: float) -> IdvTransform:
@@ -102,9 +105,7 @@ def _whitening(variant: IdvVariant, s: np.ndarray, ridge_factor: float) -> IdvTr
     for factor in factors:
         ridge = factor * mean_diag
         try:  # no factor, or one that does not whiten: try the next rung
-            decorrelator = scipy_linalg().solve_triangular(  # factor freed before the test
-                np.linalg.cholesky(s + ridge * np.eye(dim)), np.eye(dim), lower=True
-            ).T
+            decorrelator = lower_inverse(np.linalg.cholesky(s + ridge * np.eye(dim))).T
             return IdvTransform(variant, s, decorrelator, ridge)
         except (np.linalg.LinAlgError, ValueError):
             continue
@@ -150,10 +151,11 @@ def estimate_idv(
             f"need an original-variant transform of dimension {out_domain.dim}, got "
             f"{original.variant.value} of dimension {original.dim}"
         )
-    out_m, in_m = out_domain.matrix(), in_domain.matrix()
-    s = _mismatch_scatter(out_m, in_m.mean(axis=0)) if original is None else original.s_idv
+    s = original.s_idv if original is not None else (
+        _mismatch_scatter(out_domain, in_domain.matrix().mean(axis=0))
+    )
     if variant is IdvVariant.MODIFIED:
-        s = s + _mismatch_scatter(in_m, out_m.mean(axis=0))
+        s = s + _mismatch_scatter(in_domain, out_domain.matrix().mean(axis=0))
     return _whitening(variant, s, ridge)
 
 

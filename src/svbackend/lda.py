@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, centered_gram, check_number, own_fields, read_model_file
-from .dataset import read_only, scipy_linalg, write_model_file
+from .dataset import Dataset, check_number, own_fields, read_model_file
+from .dataset import lower_inverse, read_only, write_model_file
 
 LDA_MAGIC = b"LDA1"
 
@@ -67,24 +67,22 @@ class LdaTransform:
 def scatter_matrices(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Between- and within-class scatter of a labeled dataset.
 
-    Speaker means come from one pass over ``ds.speaker_code``.  S_b is
-    one count-weighted product of the mean deviations; S_w is the
-    ``centered_gram`` of the rows around their speaker means, summed over
-    row blocks in dataset order.  The sums are therefore taken in
-    row-block order, not per sorted speaker, and deterministic for a fixed
-    dataset order.
+    Speaker means come from ``ds.speaker_sums()``.  S_b is one
+    count-weighted product of the mean deviations from the global mean m,
+    and S_w is ``ds.gram()``'s centered Gram about m minus S_b: the rows
+    are read once, and the Gram is kept for the IDV scatter of the same
+    set.  Deterministic for a fixed dataset order.
     """
     if not ds.labeled:
         unlabeled = ds.ids[int(np.argmax(ds.speaker_code < 0))]
         raise ValueError(f"dataset has unlabeled items (e.g. '{unlabeled}')")
     if len(ds.speakers) < 2:
         raise ValueError("scatter estimation needs at least two speakers")
-    mat = ds.matrix()
+    mean, gram = ds.gram()
     means, counts = ds.speaker_sums()
-    means /= counts[:, None]
-    s_w = centered_gram(mat, means, ds.speaker_code)
-    d = means - mat.mean(axis=0)
+    d = means / counts[:, None] - mean
     s_b = (d * counts[:, None]).T @ d
+    s_w = gram - s_b
     return (s_b + s_b.T) / 2.0, (s_w + s_w.T) / 2.0
 
 
@@ -110,12 +108,14 @@ def lda_from_scatter(
         raise ValueError(f"k={k} exceeds i-vector dimension {dim}")
     s_b, s_w = (s_b + s_b.T) / 2.0, (s_w + s_w.T) / 2.0
     conditioned = s_w + (ridge * np.trace(s_w) / dim) * np.eye(dim)
-    try:
-        eigvals, eigvecs = scipy_linalg().eigh(s_b, conditioned)
-    except np.linalg.LinAlgError as e:  # scipy.linalg raises numpy's class
+    try:  # with S_w + ridge*I = L L^T, v = L^-T y for the eigenvectors y of L^-1 S_b L^-T
+        c_inv = lower_inverse(np.linalg.cholesky(conditioned))
+        reduced = c_inv @ s_b @ c_inv.T
+        eigvals, eigvecs = np.linalg.eigh((reduced + reduced.T) / 2.0)
+    except np.linalg.LinAlgError as e:
         raise ValueError(f"generalized eigendecomposition failed: {e}") from None
     order = np.argsort(eigvals)[::-1][:k]
-    a = eigvecs[:, order]
+    a = c_inv.T @ eigvecs[:, order]
     a = a / np.linalg.norm(a, axis=0)
     flip = np.sign(a[np.abs(a).argmax(axis=0), np.arange(k)])
     return LdaTransform(a * flip, eigvals[order])

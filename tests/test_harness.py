@@ -22,6 +22,7 @@ from svbackend.dataset import (
     GeneratorConfig,
     TrialList,
     apply_duration_noise,
+    check_number,
     load_ivectors,
     save_ivectors,
     save_trials,
@@ -1152,8 +1153,8 @@ class TestManualComposition:
 
 #: sha256 of the files the ``test_cli_chain_files_match_pinned_hashes`` chain writes.
 CLI_CHAIN_SHA256 = {
-    "scores.csv": "3d214858a68b0431415caa00ae361ce4680e29f13324754ea19b4b0d5b740830",
-    "snormed.csv": "40f0610dccdc9178bc795f35371fad557b0c31940a30ba4b6caf28f30346bcb5",
+    "scores.csv": "9b8c3996f246ac0ffba3da4a700412bed29cb58b5f37d0afd5db33b3c03226b4",
+    "snormed.csv": "11b177e92a2231e3a982f4944a8fd3a61e051d32bc8bec83d97846b398e079d5",
     "eval.csv": "ebb3a4a17ad0709488763fd34dbe42494e8ed0361c6e3e57776cc8fe30d4b094",
 }
 
@@ -1179,17 +1180,19 @@ print(json.dumps(loaded))
 """
 
 
-def test_commands_that_factorize_nothing_load_no_scipy(tmp_path, capsys):
+def test_no_command_loads_scipy(tmp_path, capsys):
     """In a fresh interpreter, importing the package and the CLI and running
-    synth, transform, eval, score and snorm load no scipy module; train-plda
-    then loads ``scipy.linalg`` and writes the model the test process writes."""
+    every subcommand (synth, train-idv, train-lda, transform, train-plda,
+    score, snorm, eval and experiment) loads no scipy module, and the three
+    trainers write the models the test process writes."""
     w = tmp_path
     synth = ["synth", "--dim", "8", "--speakers", "12", "--sessions", "3", "--seed", "5"]
     assert cli([*synth, "--out-dir", f"{w}/train"]) == 0
     out_domain, in_domain = f"{w}/train/out_domain.ivec", f"{w}/train/in_domain.ivec"
-    assert cli(["train-idv", "--out-domain", out_domain, "--in-domain", in_domain,
-                "--output", f"{w}/idv.bin"]) == 0
-    assert cli(["train-lda", "--data", out_domain, "--dim", "4", "--output", f"{w}/lda.bin"]) == 0
+    train_idv = ["train-idv", "--out-domain", out_domain, "--in-domain", in_domain, "--output"]
+    train_lda = ["train-lda", "--data", out_domain, "--dim", "4", "--output"]
+    assert cli([*train_idv, f"{w}/idv.bin"]) == 0
+    assert cli([*train_lda, f"{w}/lda.bin"]) == 0
     write_scores(make_scoreset([2.0, 3.0], [1.0, 2.5]), w / "scores.csv")
     transform = ["transform", "--data", out_domain, "--idv", f"{w}/idv.bin", "--lda",
                  f"{w}/lda.bin", "--length-norm", "--output"]
@@ -1201,15 +1204,19 @@ def test_commands_that_factorize_nothing_load_no_scipy(tmp_path, capsys):
     save_ivectors(proj.subset(enrol_pos), w / "enrol.ivec")
     save_ivectors(proj.subset(test_pos), w / "test.ivec")
     save_trials(trials, w / "trials.txt")
+    save_config(tiny_config(idv="modified", snorm="swb-style", durations=(15.0,)), w / "cfg.json")
     sides = ["--model", f"{w}/here.plda", "--enrol", f"{w}/enrol.ivec", "--test", f"{w}/test.ivec"]
     steps = [
         [*synth, "--out-dir", f"{w}/fresh"],
+        [*train_idv, f"{w}/fresh_idv.bin"],
+        [*train_lda, f"{w}/fresh_lda.bin"],
         [*transform, f"{w}/proj.ivec"],
+        [*plda, f"{w}/fresh.plda", "--data", f"{w}/proj.ivec"],
         ["eval", "--scores", f"{w}/scores.csv"],
         ["score", *sides, "--trials", f"{w}/trials.txt", "--output", f"{w}/raw.csv"],
         ["snorm", *sides, "--scores", f"{w}/raw.csv", "--cohort", f"{w}/here.ivec",
          "--output", f"{w}/snormed.csv"],
-        [*plda, f"{w}/fresh.plda", "--data", f"{w}/proj.ivec"],
+        ["experiment", "--config", f"{w}/cfg.json", "--kind", "all", "--out-dir", f"{w}/study"],
     ]
     src = str(Path(svbackend.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -1218,12 +1225,14 @@ def test_commands_that_factorize_nothing_load_no_scipy(tmp_path, capsys):
         env=env, check=True, capture_output=True, text=True, timeout=120,
     )
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    # import svbackend, import svbackend.cli, synth, transform, eval, score, snorm
-    assert loaded[:7] == [[]] * 7
-    assert "scipy.linalg" in loaded[7]
+    # import svbackend, import svbackend.cli, then each step
+    assert loaded == [[]] * (2 + len(steps))
     capsys.readouterr()
     assert read_scores(w / "snormed.csv").has_normalized
-    assert (w / "fresh.plda").read_bytes() == (w / "here.plda").read_bytes()
+    assert len(list((w / "study").glob("*.csv"))) == 8
+    for here, fresh in (("idv.bin", "fresh_idv.bin"), ("lda.bin", "fresh_lda.bin"),
+                        ("here.plda", "fresh.plda")):
+        assert (w / fresh).read_bytes() == (w / here).read_bytes()
 
 
 def test_cli_chain_files_match_pinned_hashes(tmp_path, capsys):
@@ -1367,8 +1376,8 @@ def _bad_numbers(bound, integer):
     if isinstance(bound, tuple):
         low, high = bound
         beyond = [float(high), high + 0.5] if high < math.inf else []
-        return [math.nan, math.inf, -math.inf, True, "5", low, low - 1, *beyond]
-    bad = [math.nan, math.inf, -math.inf, True, "1", bound - 1]
+        return [math.nan, math.inf, -math.inf, True, "5", low, low - 1, *beyond, 10**400]
+    bad = [math.nan, math.inf, -math.inf, True, "1", bound - 1, 10**400, -(10**400)]
     return bad + [float(bound + 1)] if integer else bad
 
 
@@ -1395,6 +1404,23 @@ def test_numeric_arguments_fail_naming_the_argument(entry, value):
         for x in inside:
             call(x)
     assert str(err.value) == f"{name} must be {what} {text}, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda x: check_number("seed", x, 0, integer=True), "seed"),
+        (lambda x: config_from_dict(json.loads(f'{{"seeds": [{x}]}}')), "seeds"),
+        (lambda x: GeneratorConfig(dim=2, eigenvoice_dim=1, domain_offset=[x, 0]),
+         "domain_offset"),
+    ],
+    ids=["check_number", "config-seeds", "domain_offset"],
+)
+def test_an_int_beyond_the_float_range_fails_naming_the_argument(call, name):
+    """``math.isfinite`` raises ``OverflowError`` for such an int; it is
+    reported as any other number that is not finite."""
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call(10**400)
 
 
 @pytest.mark.parametrize(

@@ -88,14 +88,15 @@ class TestBlockBoundaries:
     def test_grams_match_the_single_product(self, n, rng):
         ds = labeled(rng, n)
         mat = ds.matrix()
-        means = rng.standard_normal((len(ds.speakers), ds.dim))
-        c = mat - means[ds.speaker_code]
-        assert_gram_matches(centered_gram(mat, means, ds.speaker_code), c.T @ c, n)
-        c = mat - means[0]
-        assert_gram_matches(centered_gram(mat, means[0]), c.T @ c, n)
+        center = rng.standard_normal(ds.dim)
+        c = mat - center
+        assert_gram_matches(centered_gram(mat, center), c.T @ c, n)
+        mean = mat.mean(axis=0)
+        c = mat - mean
+        assert_gram_matches(ds.gram()[1], c.T @ c, n)
         other = make_dataset(rng.standard_normal((3, ds.dim)) + 1.0)
-        c = mat - other.matrix().mean(axis=0)
-        s = c.T @ c / n
+        d = mean - other.matrix().mean(axis=0)
+        s = (c.T @ c + n * np.outer(d, d)) / n
         assert_gram_matches(estimate_idv(IdvVariant.ORIGINAL, ds, other).s_idv, (s + s.T) / 2.0, n)
 
     def test_within_scatter_matches_the_single_product(self, n, rng):
@@ -105,8 +106,11 @@ class TestBlockBoundaries:
                 scatter_matrices(ds)
             return
         sums, counts = ds.speaker_sums()
-        c = ds.matrix() - (sums / counts[:, None])[ds.speaker_code]
-        assert_gram_matches(scatter_matrices(ds)[1], (c.T @ c + (c.T @ c).T) / 2.0, n)
+        mean = ds.matrix().mean(axis=0)
+        c = ds.matrix() - mean
+        d = sums / counts[:, None] - mean
+        s_w = c.T @ c - (d * counts[:, None]).T @ d
+        assert_gram_matches(scatter_matrices(ds)[1], (s_w + s_w.T) / 2.0, n)
 
     def test_zero_vector_is_named_by_its_own_id(self, n, rng):
         mat = rng.standard_normal((n, 4))
